@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use tailors_serve::{SimRequest, SimService};
 use tailors_sim::functional::{
-    reference_run, run, run_spilled, run_with_threads, FunctionalConfig,
+    auto_execution_plan, reference_run, run_spilled, run_with_threads, FunctionalConfig,
 };
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
@@ -130,7 +130,9 @@ fn bench_spmspm(c: &mut Criterion) {
     // After: CSR-slice walking, prefix-sliced B tiles, bitmask-blocked
     // panel scratch, 2-D grid fan-out across all available threads.
     g.bench_function("functional_engine_a_at_2k", |bch| {
-        bch.iter(|| black_box(run(&a, &grid_config).unwrap()))
+        bch.iter(|| {
+            black_box(run_with_threads(&a, &grid_config, rayon::current_num_threads()).unwrap())
+        })
     });
     // After, pinned serial: the deterministic --threads 1 panels path.
     g.bench_function("functional_engine_serial_a_at_2k", |bch| {
@@ -165,7 +167,7 @@ fn bench_planner(c: &mut Criterion) {
         ..fixed
     };
     let fixed_plan = fixed.execution_plan(a.nrows(), a.ncols());
-    let auto_plan = tailors_sim::functional::auto_execution_plan(&a, &auto);
+    let auto_plan = auto_execution_plan(&a, &auto, tailors_sim::cost_model_from_env());
     println!(
         "planner/auto_vs_fixed at 64KiB: fixed {} rows x {} blocks \
          ({} row-drain passes) -> auto {} rows x {} blocks ({} passes)",
@@ -188,7 +190,7 @@ fn bench_planner(c: &mut Criterion) {
     // element touches never *loses* to the uniform model where the
     // uniform model was already right.
     let model = tailors_sim::CostModel::calibrated();
-    let calibrated_plan = tailors_sim::functional::auto_execution_plan_costed(&a, &auto, model);
+    let calibrated_plan = auto_execution_plan(&a, &auto, model);
     let calibrated = FunctionalConfig {
         rows_a: calibrated_plan.rows_a(),
         auto_plan: false,

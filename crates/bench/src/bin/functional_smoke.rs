@@ -147,7 +147,8 @@ fn main() {
     let plan = if auto_plan {
         // The plan the engine will derive internally: the budget-aware
         // planner with `--rows-a` as the baseline candidate.
-        let auto = tailors_sim::functional::auto_execution_plan(&a, &config);
+        let model = tailors_sim::cost_model_from_env();
+        let auto = tailors_sim::functional::auto_execution_plan(&a, &config, model);
         println!(
             "auto-plan: cost model chose {}-row panels (baseline {rows_a}) -> {} col blocks",
             auto.rows_a(),

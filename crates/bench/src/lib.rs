@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tailors_sim::{run_balanced, ArchConfig, RunMetrics, Variant};
+use tailors_sim::{run_balanced, ArchConfig, CostModel, RunMetrics, Variant};
 use tailors_tensor::MatrixProfile;
 use tailors_workloads::Workload;
 
@@ -195,11 +195,10 @@ pub fn simulate_suite_with_threads(scale: f64, threads: usize) -> Vec<SuiteRun> 
     let one = |wl: &Workload| {
         let (workload, profile) = profile_at(wl, scale);
         let run = |v: Variant| {
-            if auto_plan {
-                v.run_auto(&profile, &arch, budget, grid)
-            } else {
-                v.run_gridded(&profile, &arch, budget, grid)
-            }
+            let tile = v.plan(&profile, &arch);
+            let auto = auto_plan.then_some(CostModel::UNIFORM);
+            let exec = v.execution_plan(&profile, &arch, budget, &tile, auto);
+            v.run_planned(&profile, &arch, &tile, &exec, grid)
         };
         let n = run(Variant::ExTensorN);
         let p = run(Variant::ExTensorP);

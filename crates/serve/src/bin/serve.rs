@@ -73,11 +73,12 @@
 //! to `TAILORS_AUTO_PLAN`, so `run_all --serve` reaches this binary with
 //! the same knobs as every other child. With auto-planning on, execution
 //! plans come from the budget-aware auto planner (cached per request key
-//! like any other plan) and `--verify` diffs against `Variant::run_auto`.
+//! like any other plan).
 //!
 //! `--verify` additionally recomputes every response cold — a direct
-//! `Variant::run_gridded` on a freshly built profile — and asserts
-//! bit-identical metrics. `--smoke-functional` runs a batch of mixed
+//! `Variant::execution_plan` + `Variant::run_planned` on a freshly built
+//! profile, under the service's cost model — and asserts bit-identical
+//! metrics. `--smoke-functional` runs a batch of mixed
 //! variants *functionally* on a 50 000-column tensor through the service
 //! and diffs each result against the seed engine
 //! (`functional::reference_run`) under the identical configuration.
@@ -340,21 +341,17 @@ fn main() {
         {
             let profile = tailors_workloads::generate_cached(&reqs[0].workload).profile();
             for (req, resp) in reqs.iter().zip(resps) {
-                let direct = if req.auto_plan {
-                    // Replan cold under the *same* cost model the service
-                    // planned with — a calibrated service legitimately
-                    // picks a different tiling than `run_auto`'s uniform
-                    // default would.
-                    let tile = req.variant.plan(&profile, &req.arch);
-                    let exec = req.variant.auto_execution_plan_costed(
-                        &profile, &req.arch, req.budget, &tile, cost_model,
-                    );
-                    req.variant
-                        .run_planned(&profile, &req.arch, &tile, &exec, req.grid)
-                } else {
-                    req.variant
-                        .run_gridded(&profile, &req.arch, req.budget, req.grid)
-                };
+                // Replan cold under the *same* cost model the service
+                // planned with — a calibrated service legitimately picks
+                // a different auto tiling than the uniform default would.
+                let tile = req.variant.plan(&profile, &req.arch);
+                let auto = req.auto_plan.then_some(cost_model);
+                let exec = req
+                    .variant
+                    .execution_plan(&profile, &req.arch, req.budget, &tile, auto);
+                let direct = req
+                    .variant
+                    .run_planned(&profile, &req.arch, &tile, &exec, req.grid);
                 assert_eq!(
                     resp.metrics,
                     direct,

@@ -104,7 +104,7 @@ pub use wire::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
+    use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
     use tailors_tensor::gen::GenSpec;
 
     #[test]
@@ -252,7 +252,10 @@ mod tests {
         let resp = service.submit(&sim_req);
         assert!(resp.hits.plan, "functional warm-up must serve the sim path");
         let profile = a.profile();
-        let cold = Variant::default_ob().run_auto(&profile, &arch, budget, GridMode::Panels);
+        let ob = Variant::default_ob();
+        let tile = ob.plan(&profile, &arch);
+        let exec = ob.execution_plan(&profile, &arch, budget, &tile, Some(CostModel::UNIFORM));
+        let cold = ob.run_planned(&profile, &arch, &tile, &exec, GridMode::Panels);
         assert_eq!(resp.metrics, cold);
     }
 }

@@ -269,8 +269,9 @@ pub struct FaultPlan {
     /// Force an `Overloaded(MailboxFull)` rejection on every `N`-th
     /// submission, as if the mailbox had no free slot.
     pub reject_every: Option<u64>,
-    /// Sever the TCP session after every `N`-th decoded wire request
-    /// (TCP sessions only — stdio has no connection to drop). The
+    /// Sever the wire session after every `N`-th decoded work request
+    /// (every session alike: a TCP connection closes, a stdio session
+    /// ends as if at end of input). The
     /// request is discarded *before* it reaches the runtime, so the
     /// client observes an EOF mid-call and must reconnect and resend —
     /// exactly the failure [`WireClient::call_with_retry`] and the
@@ -298,7 +299,7 @@ impl FaultPlan {
     }
 
     /// Parses a spec like `"panic:7,latency:3,full:5"`. Kinds: `panic`,
-    /// `latency`, `full` (alias `reject`), `drop_conn` (sever the TCP
+    /// `latency`, `full` (alias `reject`), `drop_conn` (sever the wire
     /// session after every N-th wire request), plus `latency_ms:<ms>` to
     /// size the injected delay. Entries and their pieces are
     /// whitespace-trimmed, so `" panic:7 , latency:3 "` parses the same
@@ -459,7 +460,7 @@ pub struct RuntimeStats {
     pub injected_latency: u64,
     /// Forced mailbox-full rejections fired.
     pub injected_rejects: u64,
-    /// TCP sessions severed by the `drop_conn` fault kind. The dropped
+    /// Wire sessions severed by the `drop_conn` fault kind. The dropped
     /// request never reaches the ledger (the client resends it on a new
     /// connection), so this is observability, not an outcome row.
     pub injected_drops: u64,
@@ -717,8 +718,8 @@ impl ServiceRuntime {
     }
 
     /// Whether the `drop_conn` fault fires for the wire session's next
-    /// decoded request. Called by the TCP session loop once per decoded
-    /// work request; a `true` return severs the session before the
+    /// decoded request. Called by the wire session loop (TCP and stdio
+    /// alike) once per decoded work request; a `true` return severs the session before the
     /// request reaches the mailbox (so nothing enters the ledger).
     pub fn fire_conn_drop(&self) -> bool {
         let fired = FaultState::fires(

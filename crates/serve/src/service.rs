@@ -107,10 +107,11 @@ pub struct SimRequest {
     /// Functional grid decomposition recorded in the scratch stats.
     pub grid: GridMode,
     /// Opt-in budget-aware auto-tiling: derive the execution plan through
-    /// [`Variant::auto_execution_plan`] (panel height co-optimized
-    /// against `budget`) instead of fixing it at the variant's tile
-    /// height. Part of the plan-tier cache key — auto and fixed plans for
-    /// the same (matrix, variant, arch, budget) are distinct artifacts.
+    /// [`Variant::execution_plan`]'s auto planner (panel height
+    /// co-optimized against `budget`) instead of fixing it at the
+    /// variant's tile height. Part of the plan-tier cache key — auto and
+    /// fixed plans for the same (matrix, variant, arch, budget) are
+    /// distinct artifacts.
     pub auto_plan: bool,
 }
 
@@ -546,20 +547,17 @@ impl SimService {
             req.auto_plan,
             &profile,
         );
-        // An auto-planned request resolves its panel height here, from
-        // the *cached* auto execution plan (the engine would derive the
-        // identical plan itself — same profile, same buffer model, same
-        // baseline — but resolving at the plan tier keeps hot requests
-        // planning-free and the returned config self-contained: callers
-        // diff it against `reference_run` directly).
+        // The panel height comes from the *cached* execution plan — the
+        // tile plan's height when fixed, the auto planner's otherwise (the
+        // engine would derive the identical auto plan itself — same
+        // profile, same buffer model, same baseline — but resolving at the
+        // plan tier keeps hot requests planning-free and the returned
+        // config self-contained: callers diff it against `reference_run`
+        // directly).
         let config = FunctionalConfig {
             capacity: (req.arch.tile_capacity() as usize).max(1),
             fifo_region: req.arch.gb_fifo_region() as usize,
-            rows_a: if req.auto_plan {
-                planned.exec.rows_a()
-            } else {
-                planned.tile.gb_rows_a
-            },
+            rows_a: planned.exec.rows_a(),
             cols_b: planned.tile.gb_cols_b,
             overbooking: planned.tile.overbooking,
             mem_budget: req.budget,
@@ -647,11 +645,8 @@ impl SimService {
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let tile = variant.plan(profile, arch);
-        let exec = if auto_plan {
-            variant.auto_execution_plan_costed(profile, arch, budget, &tile, self.cost_model)
-        } else {
-            ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), &tile, budget)
-        };
+        let auto = auto_plan.then_some(self.cost_model);
+        let exec = variant.execution_plan(profile, arch, budget, &tile, auto);
         let planned = Planned { tile, exec };
         self.plans.lock().insert(key, planned);
         (planned, false)

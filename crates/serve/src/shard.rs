@@ -75,6 +75,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use tailors_sim::balanced_partition;
+use tailors_tensor::fnv1a;
 
 use crate::lru::Lru;
 use crate::runtime::{Reply, RetryPolicy, ServeError, Work};
@@ -82,19 +83,9 @@ use crate::service::{request_cost, MatrixId, SpecKey};
 use crate::sync::{PoisonFreeCondvar, PoisonFreeMutex, PoisonFreeRwLock};
 use crate::wire::{WireClient, WireError};
 
-// FNV-1a, the same hash family `CsrMatrix::content_hash` uses — tiny,
+// FNV-1a, the same hash `CsrMatrix::content_hash` uses — tiny,
 // dependency-free, and well-mixed enough for ring placement.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A consistent-hash ring: each member owns `vnodes` pseudo-random
 /// positions on the `u64` circle, and a key belongs to the member owning

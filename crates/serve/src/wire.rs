@@ -1350,55 +1350,26 @@ pub struct WireServeReport {
 /// Serves line-delimited requests from `reader`, writing one reply per
 /// line to `writer`, until the reader reaches end of stream. Malformed
 /// lines are answered (never dropped, never fatal); requests are
-/// submitted to `runtime` in arrival order.
+/// submitted to `runtime` in arrival order. A line longer than
+/// `MAX_REQUEST_LINE_BYTES` is answered as malformed and ends the
+/// session.
 ///
 /// # Errors
 ///
 /// Only transport I/O errors; protocol problems are replies.
 pub fn serve_lines<R: BufRead, W: Write>(
     runtime: &ServiceRuntime,
-    mut reader: R,
-    mut writer: W,
+    reader: R,
+    writer: W,
 ) -> std::io::Result<WireServeReport> {
-    let mut report = WireServeReport::default();
-    // One request-line and one reply buffer per session, reused across
-    // every request: in the steady state both have ratcheted up to the
-    // largest message seen and the codec stops touching the allocator.
-    let mut line = String::new();
-    let mut reply = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(report);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_request_line(line.trim_end_matches(['\n', '\r'])) {
-            Ok((id, WireRequest::Ping)) => {
-                report.pings += 1;
-                encode_pong_into(id, &runtime.stats(), &mut reply);
-            }
-            Ok((id, WireRequest::Work { work, warm })) => {
-                report.served += 1;
-                let outcome = if warm {
-                    runtime.submit_warm(work)
-                } else {
-                    runtime.submit(work)
-                };
-                encode_reply_into(Some(id), &outcome, &mut reply);
-            }
-            Err(e) => {
-                report.protocol_errors += 1;
-                encode_malformed_reply_into(&e, &mut reply);
-            }
-        }
-        reply.push('\n');
-        writer.write_all(reply.as_bytes())?;
-        writer.flush()?;
-    }
+    serve_session(runtime, reader, writer, None)
 }
 
+/// Longest request line a session reads, newline included. Requests
+/// carry workload specs, never matrices (a suite request is a few hundred
+/// bytes), so the cap only ever stops a client streaming bytes without a
+/// newline from growing the session's line buffer without bound.
+const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 /// How often an idle TCP session wakes from its blocking read to check
 /// the server's stop flag.
 const SESSION_READ_TICK: Duration = Duration::from_millis(25);
@@ -1406,34 +1377,55 @@ const SESSION_READ_TICK: Duration = Duration::from_millis(25);
 /// before dropping the connection.
 const STOP_GRACE_READS: u32 = 40;
 
-/// TCP session loop: like [`serve_lines`], but wakes from its (timed)
-/// socket read between requests to honor the server's stop flag — an
-/// idle client holding its connection open must not be able to hold
-/// [`WireTcpServer::stop`] hostage. The in-flight request (if any)
-/// always completes and its reply is written before the session exits;
-/// only *waiting for the next request* is interruptible.
-fn serve_connection(
+/// How a session's read of one request line ended.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LineEnd {
+    Newline,
+    Eof,
+    TooLong,
+}
+
+/// The one session loop, behind [`serve_lines`] and every TCP connection.
+///
+/// With a `stop` flag the reader is expected to time out periodically
+/// (TCP sessions set a read timeout): waiting for the next request then
+/// wakes to honor the flag, so an idle client holding its connection
+/// open cannot hold [`WireTcpServer::stop`] hostage. The in-flight
+/// request (if any) always completes and its reply is written before the
+/// session exits; only *waiting for the next request* is interruptible.
+///
+/// The `drop_conn` fault applies to every session alike: it severs the
+/// session after a work request decodes, before anything reaches the
+/// runtime, so the client sees EOF on an in-flight request and must
+/// reconnect and resend; nothing enters the ledger. Pings are exempt: a
+/// probe must stay answerable under the same fault plan the failover
+/// paths are being exercised with.
+fn serve_session<R: BufRead, W: Write>(
     runtime: &ServiceRuntime,
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    stop: &AtomicBool,
+    reader: R,
+    mut writer: W,
+    stop: Option<&AtomicBool>,
 ) -> std::io::Result<WireServeReport> {
-    use std::io::BufRead as _;
     let mut report = WireServeReport::default();
-    let mut line = String::new();
-    // Reused across requests like `line`: steady-state replies render
-    // into retained capacity instead of allocating a line per reply.
+    // Every read is capped at what is left of the line budget.
+    let mut reader = reader.take(0);
+    // One request-line and one reply buffer per session, reused across
+    // every request: in the steady state both have ratcheted up to the
+    // largest message seen and the codec stops touching the allocator.
+    let mut line = Vec::new();
     let mut reply = String::new();
     let mut stop_grace = 0u32;
     loop {
         line.clear();
-        // Accumulate one line across read timeouts: `read_line` appends
+        // Accumulate one line across read timeouts: `read_until` appends
         // whatever arrived before the timeout, so a request split across
         // TCP segments survives any number of stop-flag checks.
-        let eof = loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break true,
-                Ok(_) if line.ends_with('\n') => break false,
+        let end = loop {
+            reader.set_limit((MAX_REQUEST_LINE_BYTES - line.len()) as u64);
+            match reader.read_until(b'\n', &mut line) {
+                Ok(_) if line.ends_with(b"\n") => break LineEnd::Newline,
+                Ok(_) if line.len() >= MAX_REQUEST_LINE_BYTES => break LineEnd::TooLong,
+                Ok(0) => break LineEnd::Eof,
                 Ok(_) => {} // mid-line: keep reading
                 Err(e)
                     if matches!(
@@ -1441,12 +1433,12 @@ fn serve_connection(
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if stop.load(Ordering::SeqCst) {
+                    if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
                         // Idle: leave at once. Mid-request: a bounded
                         // grace for the rest of the line, then give up —
                         // a half-sent request must not stall shutdown
                         // indefinitely either.
-                        if line.trim().is_empty() || stop_grace >= STOP_GRACE_READS {
+                        if line.trim_ascii().is_empty() || stop_grace >= STOP_GRACE_READS {
                             return Ok(report);
                         }
                         stop_grace += 1;
@@ -1456,24 +1448,25 @@ fn serve_connection(
                 Err(e) => return Err(e),
             }
         };
-        if eof && line.trim().is_empty() {
-            return Ok(report);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_request_line(line.trim_end_matches(['\n', '\r'])) {
+        let decoded = match std::str::from_utf8(&line) {
+            _ if end == LineEnd::TooLong => Err(malformed(format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+            ))),
+            Err(e) => Err(malformed(format!("request line is not UTF-8: {e}"))),
+            Ok(text) if text.trim().is_empty() => {
+                if end == LineEnd::Eof {
+                    return Ok(report);
+                }
+                continue;
+            }
+            Ok(text) => decode_request_line(text.trim_end_matches(['\n', '\r'])),
+        };
+        match decoded {
             Ok((id, WireRequest::Ping)) => {
                 report.pings += 1;
                 encode_pong_into(id, &runtime.stats(), &mut reply);
             }
             Ok((id, WireRequest::Work { work, warm })) => {
-                // The `drop_conn` fault severs the session *here* — after
-                // the work decoded, before anything reaches the runtime —
-                // so the client sees EOF on an in-flight request and must
-                // reconnect + resend; nothing enters the ledger. Pings
-                // are exempt: a probe must stay answerable under the same
-                // fault plan the failover paths are being exercised with.
                 if runtime.fire_conn_drop() {
                     return Ok(report);
                 }
@@ -1495,7 +1488,7 @@ fn serve_connection(
         reply.push('\n');
         writer.write_all(reply.as_bytes())?;
         writer.flush()?;
-        if eof {
+        if end != LineEnd::Newline {
             return Ok(report);
         }
     }
@@ -1527,7 +1520,7 @@ impl WireTcpServer {
         let accept_thread = std::thread::Builder::new()
             .name("tailors-wire-accept".into())
             .spawn(move || {
-                let mut sessions = Vec::new();
+                let mut sessions: Vec<JoinHandle<()>> = Vec::new();
                 for stream in listener.incoming() {
                     if stop2.load(Ordering::SeqCst) {
                         break;
@@ -1548,15 +1541,21 @@ impl WireTcpServer {
                         .name("tailors-wire-conn".into())
                         .spawn(move || {
                             if let Ok(read_half) = stream.try_clone() {
-                                let _ = serve_connection(
+                                let _ = serve_session(
                                     &runtime,
                                     BufReader::new(read_half),
                                     stream,
-                                    &stop3,
+                                    Some(&stop3),
                                 );
                             }
                         });
                     if let Ok(handle) = session {
+                        // Reap sessions that already ended, so a
+                        // long-lived server under connection churn keeps
+                        // only live handles.
+                        for done in sessions.extract_if(.., |h| h.is_finished()) {
+                            let _ = done.join();
+                        }
                         sessions.push(handle);
                     }
                 }
@@ -2111,5 +2110,66 @@ mod tests {
         assert!(out1.is_ok());
         let (id2, _) = decode_reply(lines[2]).unwrap();
         assert_eq!(id2, None);
+    }
+
+    /// A newline-free line twice the request-line cap.
+    const OVERSIZED: usize = 2 << 20;
+
+    fn assert_malformed(reply: &str) {
+        let (id, outcome) = decode_reply(reply).unwrap();
+        assert_eq!(id, None);
+        assert!(
+            matches!(outcome, Err(ServeError::BadRequest(_))),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn oversized_line_gets_one_malformed_reply_and_ends_the_session() {
+        let runtime = ServiceRuntime::new(crate::runtime::RuntimeConfig::default());
+        let input = vec![b'x'; OVERSIZED];
+        let mut reader = input.as_slice();
+        let mut out = Vec::new();
+        let report = serve_lines(&runtime, &mut reader, &mut out).unwrap();
+        assert_eq!(
+            report,
+            WireServeReport {
+                protocol_errors: 1,
+                ..WireServeReport::default()
+            }
+        );
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 1);
+        assert_malformed(lines[0]);
+        // The session stopped reading at the cap.
+        assert_eq!(reader.len(), OVERSIZED - MAX_REQUEST_LINE_BYTES);
+    }
+
+    #[test]
+    fn oversized_line_over_tcp_gets_one_malformed_reply_and_the_connection_closes() {
+        let runtime = Arc::new(ServiceRuntime::new(crate::runtime::RuntimeConfig::default()));
+        let mut server = WireTcpServer::spawn(runtime, "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // The server closes with the rest of the line unread, so this
+        // write may fail; only the reply matters.
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; OVERSIZED]);
+        });
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_malformed(reply.trim_end());
+        // Then the session is gone: EOF, or a reset for the unread bytes.
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "{rest:?}"
+        );
+        sender.join().unwrap();
+        assert!(server.stop().woke);
     }
 }

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tailors_serve::{SimRequest, SimService};
-use tailors_sim::{ArchConfig, GridMode, MemBudget, RunMetrics, Variant};
+use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, RunMetrics, Variant};
 use tailors_workloads::Workload;
 
 /// Fixed evaluation points: two structurally different suite workloads
@@ -185,11 +185,10 @@ fn golden_metrics_direct() {
     let mut actual = String::new();
     for (wl, variant, budget, grid, auto_plan) in combos() {
         let profile = tailors_workloads::generate_cached(&wl).profile();
-        let m = if auto_plan {
-            variant.run_auto(&profile, &arch, budget, grid)
-        } else {
-            variant.run_gridded(&profile, &arch, budget, grid)
-        };
+        let tile = variant.plan(&profile, &arch);
+        let auto = auto_plan.then_some(CostModel::UNIFORM);
+        let exec = variant.execution_plan(&profile, &arch, budget, &tile, auto);
+        let m = variant.run_planned(&profile, &arch, &tile, &exec, grid);
         actual.push_str(&render(&wl, variant, budget, grid, auto_plan, &m));
         actual.push('\n');
     }

@@ -36,71 +36,48 @@ use crate::metrics::{DramBreakdown, ReuseStats, RunMetrics};
 use crate::plan::TilePlan;
 
 /// Simulates one `Z = A·Aᵀ` run and returns its metrics, with an
-/// unbounded software-scratch budget (see [`simulate_budgeted`]).
+/// unbounded software-scratch budget and the panels-only grid (see
+/// [`simulate_planned`] for an explicit execution plan).
 ///
 /// # Panics
 ///
 /// Panics if the profile is not square (the suite workloads all are) or has
 /// no nonzeros.
 pub fn simulate(profile: &MatrixProfile, arch: &ArchConfig, plan: TilePlan) -> RunMetrics {
-    simulate_budgeted(profile, arch, plan, MemBudget::Unbounded)
+    let plan = plan.normalized(profile.nrows());
+    let exec = ExecutionPlan::for_tile_plan(
+        profile.nrows(),
+        profile.ncols(),
+        &plan,
+        MemBudget::Unbounded,
+    );
+    simulate_planned(profile, arch, plan, &exec, GridMode::Panels)
 }
 
-/// [`simulate`] under a per-thread scratch [`MemBudget`], with the
-/// historical panels-only grid decomposition (see [`simulate_gridded`]).
+/// [`simulate`] with a precomputed software execution plan and a
+/// functional [`GridMode`]: the pure simulation function every entry
+/// point (and [`Variant::run_planned`](crate::variants::Variant::run_planned))
+/// bottoms out in.
 ///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_budgeted(
-    profile: &MatrixProfile,
-    arch: &ArchConfig,
-    plan: TilePlan,
-    budget: MemBudget,
-) -> RunMetrics {
-    simulate_gridded(profile, arch, plan, budget, GridMode::Panels)
-}
-
-/// [`simulate`] under a per-thread scratch [`MemBudget`] and a functional
-/// [`GridMode`].
-///
-/// Neither knob changes the modeled hardware counts — they govern the
-/// *software* execution plan (how a functional replay of this tiling
-/// would block its dense scratch, and how many independently schedulable
-/// work units that exposes), which is derived here and recorded in
+/// Neither `exec` nor `grid` changes the modeled hardware counts — they
+/// describe the *software* execution plan (how a functional replay of
+/// this tiling would block its dense scratch, and how many independently
+/// schedulable work units that exposes), recorded in
 /// [`RunMetrics::scratch`] so budget/grid sweeps can report feasibility
 /// and parallel width alongside performance.
 ///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_gridded(
-    profile: &MatrixProfile,
-    arch: &ArchConfig,
-    plan: TilePlan,
-    budget: MemBudget,
-    grid: GridMode,
-) -> RunMetrics {
-    let plan = plan.normalized(profile.nrows());
-    let exec = ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), &plan, budget);
-    simulate_planned(profile, arch, plan, &exec, grid)
-}
-
-/// [`simulate_gridded`] with the execution plan precomputed: the pure
-/// simulation function all the `simulate*` entry points (and
-/// [`Variant::run_planned`](crate::variants::Variant::run_planned))
-/// bottom out in.
-///
-/// `exec` must be the plan [`simulate_gridded`] would derive —
-/// `ExecutionPlan::for_tile_plan(nrows, ncols, &plan.normalized(nrows),
-/// budget)` — which callers like `tailors-serve` cache keyed by (matrix
-/// identity, variant, architecture, budget) so a hot request performs no
-/// planning at all. Checked in debug builds.
+/// `exec` comes from
+/// [`Variant::execution_plan`](crate::variants::Variant::execution_plan):
+/// either `ExecutionPlan::for_tile_plan(nrows, ncols, &plan, budget)` or
+/// an auto-planned height with the tile plan's streamed width. Callers
+/// like `tailors-serve` cache it keyed by (matrix identity, variant,
+/// architecture, budget) so a hot request performs no planning at all.
+/// Checked in debug builds.
 ///
 /// # Panics
 ///
-/// As [`simulate`]; additionally (debug builds) if `exec` disagrees with
-/// the plan derived from `plan`.
+/// As [`simulate`]; additionally (debug builds) if `exec` is not
+/// canonical for its panel height and the plan's streamed width.
 pub fn simulate_planned(
     profile: &MatrixProfile,
     arch: &ArchConfig,

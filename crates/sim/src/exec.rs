@@ -584,38 +584,6 @@ impl ExecutionPlan {
     pub fn units(&self) -> impl Iterator<Item = PlanUnit> + '_ {
         (0..self.n_row_panels()).flat_map(move |pi| self.panel_units(pi))
     }
-
-    /// The budget-aware auto-tiling planner: picks the panel height
-    /// (`rows_a`) that minimizes [`AutoPlanner`]'s closed-form traffic
-    /// model for this `budget`, instead of accepting a caller-fixed
-    /// height and paying whatever column-block count falls out. The
-    /// streamed tile width `cols_b` is kept as given (it fixes the
-    /// buffer-traversal counts); the column-*block* width co-moves with
-    /// the chosen height through the budget. See [`AutoPlanner`] for the
-    /// model and [`AutoPlanner::with_buffer`] /
-    /// [`AutoPlanner::with_baseline`] for the optional refinements this
-    /// convenience constructor forwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols_b == 0`.
-    pub fn auto_for_budget(
-        profile: &MatrixProfile,
-        cols_b: usize,
-        budget: MemBudget,
-        buffer: Option<BufferParams>,
-        baseline_rows_a: Option<usize>,
-        model: CostModel,
-    ) -> ExecutionPlan {
-        let mut planner = AutoPlanner::new(profile, cols_b, budget).with_cost_model(model);
-        if let Some(b) = buffer {
-            planner = planner.with_buffer(b);
-        }
-        if let Some(r) = baseline_rows_a {
-            planner = planner.with_baseline(r);
-        }
-        planner.plan()
-    }
 }
 
 /// Operand-buffer parameters the auto planner's A-side refetch term
@@ -724,14 +692,11 @@ impl CostModel {
     /// serving layer to version plan-cache keys: auto plans chosen under
     /// different models must not collide in the plan tier.
     pub fn key(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [self.w_fill, self.w_refetch, self.w_extract] {
-            for byte in w.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        [self.w_fill, self.w_refetch, self.w_extract]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                tailors_tensor::fnv1a(h, &w.to_le_bytes())
+            })
     }
 
     /// Measures the three per-term weights on this machine with
@@ -1503,25 +1468,13 @@ mod tests {
     #[test]
     fn auto_planner_handles_degenerate_profiles() {
         let empty = MatrixProfile::new(0, 0, vec![], vec![]);
-        let plan = ExecutionPlan::auto_for_budget(
-            &empty,
-            8,
-            MemBudget::mib(1),
-            None,
-            None,
-            CostModel::UNIFORM,
-        );
+        let plan = AutoPlanner::new(&empty, 8, MemBudget::mib(1)).plan();
         assert_eq!(plan.n_row_panels(), 0);
         assert_eq!(plan.units().count(), 0);
         let tiny = MatrixProfile::new(1, 1, vec![1], vec![1]);
-        let plan = ExecutionPlan::auto_for_budget(
-            &tiny,
-            8,
-            MemBudget::bytes(8),
-            None,
-            Some(4),
-            CostModel::UNIFORM,
-        );
+        let plan = AutoPlanner::new(&tiny, 8, MemBudget::bytes(8))
+            .with_baseline(4)
+            .plan();
         assert_eq!(plan.rows_a(), 1);
     }
 

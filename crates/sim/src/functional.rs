@@ -269,40 +269,29 @@ impl FunctionalConfig {
 /// The execution plan an auto-planned run ([`FunctionalConfig::auto_plan`])
 /// derives: the [`AutoPlanner`](crate::exec::AutoPlanner) over the
 /// matrix's occupancy profile, with the config's buffer as the refetch
-/// model and its `rows_a` as the baseline candidate. Exposed so callers
-/// (smokes, tests, the serving layer) can see the tiling an auto run will
-/// execute — a fixed run at `plan.rows_a()` is bit-identical to the auto
-/// run in every reported field.
+/// model, its `rows_a` as the baseline candidate, and `model` weighting
+/// the traffic terms. Exposed so callers (smokes, tests, the serving
+/// layer) can see the tiling an auto run will execute — a fixed run at
+/// `plan.rows_a()` is bit-identical to the auto run in every reported
+/// field.
 ///
-/// The planner's term weights come from the `TAILORS_CALIBRATE` knob
-/// ([`cost_model_from_env`](crate::exec::cost_model_from_env)): unset
-/// keeps the historical equal-weight model, so existing runs are
-/// unaffected; `run_all --calibrate` switches every engine-internal auto
-/// plan to measured weights. Either way the *results* of the run are
+/// The engine itself plans with
+/// [`cost_model_from_env`](crate::exec::cost_model_from_env) (the
+/// `TAILORS_CALIBRATE` knob): unset keeps the historical equal-weight
+/// model; `run_all --calibrate` switches every engine-internal auto plan
+/// to measured weights. Either way the *results* of the run are
 /// bit-identical — only the chosen tiling (and therefore the traffic
 /// counters) can move.
-pub fn auto_execution_plan(a: &CsrMatrix, config: &FunctionalConfig) -> ExecutionPlan {
-    auto_execution_plan_costed(a, config, crate::exec::cost_model_from_env())
-}
-
-/// [`auto_execution_plan`] with an explicit planner
-/// [`CostModel`](crate::exec::CostModel) instead of the environment's —
-/// the entry point for the serving layer (which owns its model and
-/// versions plan-cache keys with it) and for the arbitrary-weight
-/// property tests.
-pub fn auto_execution_plan_costed(
+pub fn auto_execution_plan(
     a: &CsrMatrix,
     config: &FunctionalConfig,
     model: crate::exec::CostModel,
 ) -> ExecutionPlan {
-    ExecutionPlan::auto_for_budget(
-        &a.profile(),
-        config.cols_b,
-        config.mem_budget,
-        Some(config.buffer_params()),
-        Some(config.rows_a),
-        model,
-    )
+    crate::exec::AutoPlanner::new(&a.profile(), config.cols_b, config.mem_budget)
+        .with_buffer(config.buffer_params())
+        .with_baseline(config.rows_a)
+        .with_cost_model(model)
+        .plan()
 }
 
 /// Result of a functional run.
@@ -323,35 +312,18 @@ pub struct FunctionalResult {
 /// buffer.
 type Elem = (u32, u32, f64);
 
-/// Executes the tiled dataflow on `a`, returning the output and DRAM
-/// traffic counts.
-///
-/// Uses every thread rayon currently advertises (honoring
-/// `RAYON_NUM_THREADS` and any enclosing pool); see [`run_with_threads`]
-/// to pin the count. The result does not depend on the thread count.
-///
-/// # Errors
-///
-/// Propagates buffer-protocol errors (none occur for well-formed input).
+/// Executes the tiled dataflow on `a` with `threads` workers (`1` = fully
+/// serial, deterministic-by-construction path), returning the output and
+/// DRAM traffic counts. The result does not depend on the thread count.
 ///
 /// # Errors
 ///
 /// [`EngineError::Config`] if `a` is not square or the configuration is
-/// degenerate (`capacity == 0`, `rows_a == 0`, or `cols_b == 0`);
-/// [`EngineError::Buffer`] for buffer-protocol errors, including an
-/// invalid Tailor sizing (`fifo_region == 0` or `fifo_region >= capacity`
-/// while overbooking). No caller input panics the engine.
-pub fn run(a: &CsrMatrix, config: &FunctionalConfig) -> Result<FunctionalResult, EngineError> {
-    run_with_threads(a, config, rayon::current_num_threads())
-}
-
-/// [`run`] with an explicit worker-thread count (`1` = fully serial,
-/// deterministic-by-construction path; results are identical either way).
-///
-/// # Errors
-///
-/// As [`run`]; additionally rejects `threads == 0`
-/// ([`ConfigError::ZeroThreads`]).
+/// degenerate (`capacity == 0`, `rows_a == 0`, `cols_b == 0`, or
+/// `threads == 0`); [`EngineError::Buffer`] for buffer-protocol errors,
+/// including an invalid Tailor sizing (`fifo_region == 0` or
+/// `fifo_region >= capacity` while overbooking). No caller input panics
+/// the engine.
 pub fn run_with_threads(
     a: &CsrMatrix,
     config: &FunctionalConfig,
@@ -381,7 +353,7 @@ fn engine_setup(
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
-        auto_execution_plan(a, config)
+        auto_execution_plan(a, config, crate::exec::cost_model_from_env())
     } else {
         config.execution_plan(n, n)
     };
@@ -1502,17 +1474,17 @@ impl<S: TileSource> TileDriver<S> {
 }
 
 /// The seed engine, retained verbatim as the oracle for the rewritten
-/// [`run`]: materializes each stationary tile as a coordinate list,
+/// [`run_with_threads`]: materializes each stationary tile as a coordinate list,
 /// re-searches each B row per element, and accumulates into a hash map.
 /// `mem_budget` is ignored — the oracle always uses the unpartitioned
 /// global accumulator.
 ///
-/// Property tests assert [`run`] is bit-identical to this on arbitrary
+/// Property tests assert [`run_with_threads`] is bit-identical to this on arbitrary
 /// inputs and budgets; benchmarks measure the gap.
 ///
 /// # Errors
 ///
-/// As [`run`]: a typed [`ConfigError`] for a rejected configuration,
+/// As [`run_with_threads`]: a typed [`ConfigError`] for a rejected configuration,
 /// buffer-protocol errors otherwise (none occur for well-formed input).
 pub fn reference_run(
     a: &CsrMatrix,
@@ -1596,6 +1568,11 @@ mod tests {
     use super::*;
     use tailors_tensor::gen::GenSpec;
     use tailors_tensor::ops::{approx_eq, spmspm_a_at};
+
+    /// The engine on every thread rayon advertises.
+    fn run(a: &CsrMatrix, config: &FunctionalConfig) -> Result<FunctionalResult, EngineError> {
+        run_with_threads(a, config, rayon::current_num_threads())
+    }
 
     fn small() -> CsrMatrix {
         GenSpec::power_law(64, 64, 500).seed(13).generate()
@@ -1831,7 +1808,8 @@ mod tests {
                     grid,
                     auto_plan: true,
                 };
-                let chosen = auto_execution_plan(&a, &auto_config);
+                let chosen =
+                    auto_execution_plan(&a, &auto_config, crate::exec::cost_model_from_env());
                 let fixed_config = FunctionalConfig {
                     rows_a: chosen.rows_a(),
                     auto_plan: false,

@@ -49,7 +49,7 @@ pub mod plan;
 pub mod variants;
 
 pub use arch::{ArchConfig, ArchKey};
-pub use dataflow::{simulate, simulate_budgeted, simulate_gridded, simulate_planned};
+pub use dataflow::{simulate, simulate_planned};
 pub use exec::{
     auto_plan_from_env, balanced_partition, cost_model_from_env, grid_from_env,
     mem_budget_from_env, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,

@@ -7,7 +7,7 @@ use tailors_core::TilingStrategy;
 use tailors_tensor::MatrixProfile;
 
 use crate::arch::ArchConfig;
-use crate::dataflow::{simulate, simulate_gridded, simulate_planned};
+use crate::dataflow::{simulate, simulate_planned};
 use crate::exec::{AutoPlanner, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget};
 use crate::metrics::RunMetrics;
 use crate::plan::TilePlan;
@@ -143,75 +143,36 @@ impl Variant {
     }
 
     /// The memory-governed [`ExecutionPlan`] for a functional replay of
-    /// this variant's tiling: the variant picks the `rows × cols` tile
-    /// grid, `budget` groups streamed tiles into scratch-bounded column
-    /// blocks.
+    /// this variant's tiling `tile` (from [`Variant::plan`], passed in so
+    /// callers that already paid for the Swiftiles-sampling stage do not
+    /// pay twice). The one place a fixed-or-auto plan is decided:
     ///
-    /// # Panics
+    /// * `auto: None` keeps the variant's panel height —
+    ///   [`ExecutionPlan::for_tile_plan`], with `budget` grouping streamed
+    ///   tiles into scratch-bounded column blocks;
+    /// * `auto: Some(model)` co-optimizes the panel height against the
+    ///   column-block width `budget` induces through the [`AutoPlanner`],
+    ///   keeping the variant's streamed tile width and buffer discipline,
+    ///   with `tile.gb_rows_a` as the baseline candidate and `model`
+    ///   weighting the traffic terms. The refetch term is priced against
+    ///   the architecture's working-tile capacity — the same buffer a
+    ///   functional replay drives — so the engine's internal auto plan
+    ///   ([`functional::auto_execution_plan`](crate::functional::auto_execution_plan))
+    ///   lands on the identical tiling and serve-cache replays stay exact.
     ///
-    /// As [`Variant::plan`].
+    /// Either way the modeled hardware counts are untouched; only
+    /// [`RunMetrics::scratch`] depends on the choice.
     pub fn execution_plan(
         &self,
         profile: &MatrixProfile,
         arch: &ArchConfig,
         budget: MemBudget,
-    ) -> ExecutionPlan {
-        let tile = self.plan(profile, arch);
-        ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), &tile, budget)
-    }
-
-    /// [`Variant::execution_plan`] through the budget-aware
-    /// [`AutoPlanner`]: the variant still picks the streamed tile width
-    /// (`gb_cols_b`) and the buffer discipline, but the panel height is
-    /// co-optimized against the column-block width `budget` induces,
-    /// with the variant's own `gb_rows_a` as the baseline candidate. The
-    /// refetch term is priced against the architecture's working-tile
-    /// capacity — the same buffer a functional replay drives — so the
-    /// engine's internal auto plan
-    /// ([`functional::auto_execution_plan`](crate::functional::auto_execution_plan))
-    /// lands on the identical tiling and serve-cache replays stay exact.
-    ///
-    /// # Panics
-    ///
-    /// As [`Variant::plan`].
-    pub fn auto_execution_plan(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-    ) -> ExecutionPlan {
-        self.auto_execution_plan_for(profile, arch, budget, &self.plan(profile, arch))
-    }
-
-    /// [`Variant::auto_execution_plan`] with the tile plan already on
-    /// hand — the entry point for callers that have paid for
-    /// [`Variant::plan`] (the Swiftiles-sampling stage for the overbooked
-    /// variant) and must not pay for it twice: [`Variant::run_auto`] and
-    /// the serving layer's plan-tier miss path.
-    pub fn auto_execution_plan_for(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
         tile: &TilePlan,
+        auto: Option<CostModel>,
     ) -> ExecutionPlan {
-        self.auto_execution_plan_costed(profile, arch, budget, tile, CostModel::UNIFORM)
-    }
-
-    /// [`Variant::auto_execution_plan_for`] with an explicit planner
-    /// [`CostModel`]: the serving layer's plan-tier miss path passes its
-    /// configured (possibly calibrated) model here and versions the
-    /// cache key with [`CostModel::key`]. [`CostModel::UNIFORM`]
-    /// reproduces [`Variant::auto_execution_plan_for`] exactly; any
-    /// model only moves which tiling wins, never the replayed results.
-    pub fn auto_execution_plan_costed(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-        tile: &TilePlan,
-        model: CostModel,
-    ) -> ExecutionPlan {
+        let Some(model) = auto else {
+            return ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), tile, budget);
+        };
         AutoPlanner::new(profile, tile.gb_cols_b.max(1), budget)
             .with_buffer(BufferParams {
                 capacity: (arch.tile_capacity() as usize).max(1),
@@ -228,23 +189,11 @@ impl Variant {
         simulate(profile, arch, self.plan(profile, arch))
     }
 
-    /// [`Variant::run`] under a per-thread scratch budget; hardware counts
-    /// are unchanged, and the induced execution plan is recorded in
-    /// [`RunMetrics::scratch`].
-    pub fn run_budgeted(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-    ) -> RunMetrics {
-        self.run_gridded(profile, arch, budget, GridMode::Panels)
-    }
-
-    /// [`Variant::run_budgeted`] with an explicit functional [`GridMode`]:
-    /// hardware counts are still unchanged, and the recorded
-    /// [`RunMetrics::scratch`] additionally reports how many independent
-    /// work units a functional replay would fan out
-    /// (`panels × blocks` under [`GridMode::Grid2D`]).
+    /// [`Variant::run`] under a per-thread scratch budget and a functional
+    /// [`GridMode`]: hardware counts are unchanged, and the recorded
+    /// [`RunMetrics::scratch`] reports the fixed execution plan `budget`
+    /// induces and how many independent work units a functional replay
+    /// would fan out (`panels × blocks` under [`GridMode::Grid2D`]).
     pub fn run_gridded(
         &self,
         profile: &MatrixProfile,
@@ -252,30 +201,8 @@ impl Variant {
         budget: MemBudget,
         grid: GridMode,
     ) -> RunMetrics {
-        simulate_gridded(profile, arch, self.plan(profile, arch), budget, grid)
-    }
-
-    /// [`Variant::run_gridded`] with the *software* execution plan chosen
-    /// by the budget-aware auto planner
-    /// ([`Variant::auto_execution_plan`]) instead of fixed at the
-    /// variant's panel height. The modeled hardware counts are untouched
-    /// — the variant's [`TilePlan`] still drives the dataflow — so the
-    /// metrics differ from [`Variant::run_gridded`] only in
-    /// [`RunMetrics::scratch`] (block count, scratch bytes, parallel
-    /// width). Strictly opt-in: no existing entry point routes here.
-    ///
-    /// # Panics
-    ///
-    /// As [`Variant::plan`].
-    pub fn run_auto(
-        &self,
-        profile: &MatrixProfile,
-        arch: &ArchConfig,
-        budget: MemBudget,
-        grid: GridMode,
-    ) -> RunMetrics {
         let tile = self.plan(profile, arch);
-        let exec = self.auto_execution_plan_for(profile, arch, budget, &tile);
+        let exec = self.execution_plan(profile, arch, budget, &tile, None);
         simulate_planned(profile, arch, tile, &exec, grid)
     }
 
@@ -283,7 +210,7 @@ impl Variant {
     /// tile plan (`tile`, from [`Variant::plan`] — the expensive stage for
     /// the Swiftiles-governed variant, which samples occupancies) and the
     /// memory-governed execution plan (`exec`, from
-    /// [`Variant::execution_plan`] with the same budget).
+    /// [`Variant::execution_plan`] with the same tile plan).
     ///
     /// This is the cache-consumer entry point: given the same profile and
     /// plans, it is a pure function, bit-identical to
@@ -401,7 +328,7 @@ mod tests {
             for grid in [GridMode::Panels, GridMode::Grid2D] {
                 let direct = v.run_gridded(&p, &arch, budget, grid);
                 let tile = v.plan(&p, &arch);
-                let exec = v.execution_plan(&p, &arch, budget);
+                let exec = v.execution_plan(&p, &arch, budget, &tile, None);
                 let replayed = v.run_planned(&p, &arch, &tile, &exec, grid);
                 assert_eq!(direct, replayed, "{} {grid}", v.name());
                 assert_eq!(direct.cycles.to_bits(), replayed.cycles.to_bits());

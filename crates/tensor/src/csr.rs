@@ -424,19 +424,8 @@ impl CsrMatrix {
     /// look up the same matrix repeatedly should hash once and reuse the
     /// key (see `tailors-serve`'s `MatrixId`).
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a, 64-bit. Explicit constants rather than `DefaultHasher`:
-        // the std hasher is seeded per-process and its algorithm is not
-        // stability-guaranteed, either of which would silently break
-        // cross-run cache keys.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| h = crate::fnv1a(h, bytes);
         eat(&(self.nrows as u64).to_le_bytes());
         eat(&(self.ncols as u64).to_le_bytes());
         eat(&(self.nnz() as u64).to_le_bytes());

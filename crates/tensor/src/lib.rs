@@ -38,8 +38,8 @@
 // The workspace stance is `forbid(unsafe_code)` everywhere. This crate
 // alone steps down to `deny` — which, unlike `forbid`, can be overridden
 // by a scoped `#[allow]` — so that the audited [`simd`] module can hold
-// the workspace's only `unsafe` blocks (runtime-dispatched AVX2/AVX-512
-// intersect kernels). Every such block carries a `// SAFETY:` comment,
+// the workspace's only `unsafe` blocks (the runtime-dispatched AVX2
+// intersect kernel). Every such block carries a `// SAFETY:` comment,
 // and `unsafe_op_in_unsafe_fn` is denied so `#[target_feature]` bodies
 // get no implicit unsafety either. See `simd`'s module docs for the
 // full audit argument.
@@ -112,3 +112,33 @@ impl core::fmt::Display for TensorError {
 }
 
 impl std::error::Error for TensorError {}
+
+/// Folds `bytes` into the running 64-bit FNV-1a state `seed` and returns
+/// the new state; start from the offset basis `0xcbf2_9ce4_8422_2325`.
+/// Chained calls hash the concatenation of their inputs. Unlike
+/// `DefaultHasher` (seeded per process, algorithm not guaranteed stable),
+/// the result depends only on the bytes, so it can key caches across
+/// runs, processes and platforms.
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a;
+
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_chains() {
+        assert_eq!(fnv1a(OFFSET, b""), OFFSET);
+        assert_eq!(fnv1a(OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(OFFSET, b"foo"), b"bar"),
+            fnv1a(OFFSET, b"foobar")
+        );
+    }
+}

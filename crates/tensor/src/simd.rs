@@ -5,7 +5,7 @@
 //! workspace-wide no-`unsafe` stance. Here the crate root relaxes
 //! `#![forbid(unsafe_code)]` to `#![deny(unsafe_code)]` so that this
 //! module — and only this module — can carry scoped
-//! `#[allow(unsafe_code)]` attributes on the three functions that need
+//! `#[allow(unsafe_code)]` attributes on the two functions that need
 //! them. The deal in exchange:
 //!
 //! * every `unsafe` block is minimal and carries a `// SAFETY:` comment
@@ -24,33 +24,23 @@
 //! [`Fiber::intersect_counted_blocked`](crate::fiber::Fiber::intersect_counted_blocked)
 //! consults [`active_level`] once per process and then dispatches:
 //!
-//! | `TAILORS_SIMD` | CPU features               | kernel                            |
-//! |----------------|----------------------------|-----------------------------------|
-//! | `off`/`0`/`no` | (ignored)                  | scalar superblock walk            |
-//! | unset / `auto` | AVX2 **and** AVX-512F+CD   | raced once, faster kernel wins    |
-//! | unset / `auto` | `avx512f`+`avx512cd` only  | `matches_avx512` (VPCONFLICTD)    |
-//! | unset / `auto` | `avx2` only                | `matches_avx2` (rotation merge)   |
-//! | unset / `auto` | neither / non-x86_64       | scalar superblock walk            |
-//! | `avx2`         | `avx2` present             | `matches_avx2` forced             |
-//! | `avx512`       | `avx512f` + `avx512cd`     | `matches_avx512` forced           |
+//! | `TAILORS_SIMD` | CPU features          | kernel                          |
+//! |----------------|-----------------------|---------------------------------|
+//! | `off`/`0`/`no` | (ignored)             | scalar superblock walk          |
+//! | unset / `auto` | `avx2`                | `matches_avx2` (rotation merge) |
+//! | unset / `auto` | none / non-x86_64     | scalar superblock walk          |
 //!
-//! The `Auto` race exists because feature bits don't order the kernels:
-//! `vpconflictd` is native-fast on some micro-architectures and
-//! microcoded on others, where the AVX2 rotation merge beats it. The
-//! race measures once per process (deterministic inputs, best-of-5);
-//! results are identical either way, only throughput differs.
+//! The `#[target_feature]` kernel is only ever *called* behind an
+//! `is_x86_feature_detected!` check, which is exactly the invariant its
+//! `// SAFETY:` comments cite; a CPU without AVX2 gets the scalar walk,
+//! never a crash.
 //!
-//! Forcing a level the CPU lacks falls back to the scalar walk (never a
-//! crash): the `#[target_feature]` kernels are only ever *called* behind
-//! an `is_x86_feature_detected!` check, which is exactly the invariant
-//! their `// SAFETY:` comments cite.
-//!
-//! Dispatch is bit-invisible: all kernels return the exact match count,
+//! Dispatch is bit-invisible: the kernel returns the exact match count,
 //! and the caller reconstructs `scanned` through the same
 //! `merge_endpoints` rank query the scalar paths use, so
 //! `(matches, scanned)` never depends on which kernel ran.
 //!
-//! # Kernel shapes
+//! # Kernel shape
 //!
 //! **AVX2 rotation-compare merge** ([`matches_avx2`]): load 8
 //! coordinates from each stream; compare the `a` vector against all 8
@@ -66,18 +56,8 @@
 //! impossible because after a counted window the advanced side's next
 //! window is strictly past every coordinate the other window holds.
 //!
-//! **AVX-512CD conflict kernel** ([`matches_avx512`]): pack the 8-wide
-//! `a` window into lanes 0–7 and the 8-wide `b` window into lanes 8–15
-//! of one `zmm`; `vpconflictd` reports, per lane, a bitmask of earlier
-//! equal lanes, so a `b` lane equals some `a` lane iff its conflict
-//! word intersects `0xFF`. One test-against-0xFF mask op and a popcount
-//! of the high 8 mask bits counts the window's matches. (A 16-lane
-//! rotation variant loses on AVX-512: compares return k-masks and both
-//! `vpermd` and `vpcmpd` fight over port 5, so the conflict form does
-//! the same work in ~a third of the µops.)
-//!
-//! Both kernels finish with the same scalar tail (< 8 leftovers per
-//! side) via `partition_point` — small enough that it never dominates.
+//! The kernel finishes with a scalar tail (< 8 leftovers per side) via
+//! `partition_point` — small enough that it never dominates.
 
 use std::sync::OnceLock;
 
@@ -90,8 +70,6 @@ pub enum SimdLevel {
     Scalar,
     /// 8-lane AVX2 rotation-compare merge.
     Avx2,
-    /// 16-lane AVX-512CD conflict-detect kernel.
-    Avx512,
 }
 
 impl core::fmt::Display for SimdLevel {
@@ -99,7 +77,6 @@ impl core::fmt::Display for SimdLevel {
         f.write_str(match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         })
     }
 }
@@ -110,12 +87,9 @@ impl core::fmt::Display for SimdLevel {
 pub enum SimdMode {
     /// Force the scalar walk regardless of CPU features.
     Off,
-    /// Pick the widest kernel the CPU supports (the unset default).
+    /// The AVX2 kernel when the CPU has it, else scalar (the unset
+    /// default).
     Auto,
-    /// Use the AVX2 kernel if present, else scalar (bench/test aid).
-    ForceAvx2,
-    /// Use the AVX-512 kernel if present, else scalar (bench/test aid).
-    ForceAvx512,
 }
 
 /// The grammar behind the `TAILORS_SIMD` knob, split out so the accepted
@@ -124,10 +98,8 @@ pub enum SimdMode {
 /// unparseable.
 pub fn parse_simd_mode(s: &str) -> Option<SimdMode> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "false" | "no" | "scalar" => Some(SimdMode::Off),
+        "off" | "0" | "false" | "no" => Some(SimdMode::Off),
         "" | "on" | "1" | "true" | "yes" | "auto" => Some(SimdMode::Auto),
-        "avx2" => Some(SimdMode::ForceAvx2),
-        "avx512" => Some(SimdMode::ForceAvx512),
         _ => None,
     }
 }
@@ -143,9 +115,8 @@ pub fn parse_simd_mode(s: &str) -> Option<SimdMode> {
 pub fn simd_mode_from_env() -> SimdMode {
     match std::env::var("TAILORS_SIMD") {
         Err(_) => SimdMode::Auto,
-        Ok(s) => parse_simd_mode(&s).unwrap_or_else(|| {
-            panic!("TAILORS_SIMD must be off/auto/avx2/avx512 (or a boolean), got {s:?}")
-        }),
+        Ok(s) => parse_simd_mode(&s)
+            .unwrap_or_else(|| panic!("TAILORS_SIMD must be off/auto (or a boolean), got {s:?}")),
     }
 }
 
@@ -156,63 +127,12 @@ pub fn active_level() -> SimdLevel {
     *LEVEL.get_or_init(|| resolve_level(simd_mode_from_env()))
 }
 
-/// Maps a requested mode onto what this CPU can actually run. Forced
-/// levels degrade to [`SimdLevel::Scalar`] (never a crash) when the
-/// features are absent.
+/// Maps a requested mode onto what this CPU can actually run.
 fn resolve_level(mode: SimdMode) -> SimdLevel {
     match mode {
-        SimdMode::Off => SimdLevel::Scalar,
-        SimdMode::Auto => match (have_avx2(), have_avx512()) {
-            (false, false) => SimdLevel::Scalar,
-            (true, false) => SimdLevel::Avx2,
-            (false, true) => SimdLevel::Avx512,
-            (true, true) => race_kernels(),
-        },
-        SimdMode::ForceAvx2 => {
-            if have_avx2() {
-                SimdLevel::Avx2
-            } else {
-                SimdLevel::Scalar
-            }
-        }
-        SimdMode::ForceAvx512 => {
-            if have_avx512() {
-                SimdLevel::Avx512
-            } else {
-                SimdLevel::Scalar
-            }
-        }
+        SimdMode::Auto if have_avx2() => SimdLevel::Avx2,
+        _ => SimdLevel::Scalar,
     }
-}
-
-/// When a CPU advertises both kernels' features, feature bits alone
-/// don't say which kernel is faster: `vpconflictd` is a fast native
-/// instruction on some parts and microcoded (slower than the whole AVX2
-/// rotation merge) on others. So `Auto` doesn't trust the bits — it
-/// races the two kernels once per process on a deterministic synthetic
-/// fiber pair (best of 5 passes each, ~tens of µs total, cached behind
-/// [`active_level`]'s `OnceLock`) and dispatches to the winner. Results
-/// never depend on the outcome; only the cycle count does.
-fn race_kernels() -> SimdLevel {
-    // Interleaved strides with ~20% matches — roughly the balanced-regime
-    // shape the blocked path sees — long enough (4096 each) that the
-    // window loop dominates the tail.
-    let a: Vec<u32> = (0..4096u32).map(|i| i * 5).collect();
-    let b: Vec<u32> = (0..4096u32).map(|i| i * 4).collect();
-    let mut winner = (u128::MAX, SimdLevel::Avx2);
-    for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-        let mut best = u128::MAX;
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            let m = intersect_matches_at(level, &a, &b);
-            std::hint::black_box(m);
-            best = best.min(start.elapsed().as_nanos());
-        }
-        if best < winner.0 {
-            winner = (best, level);
-        }
-    }
-    winner.1
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -220,19 +140,8 @@ fn have_avx2() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
 }
 
-#[cfg(target_arch = "x86_64")]
-fn have_avx512() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512cd")
-}
-
 #[cfg(not(target_arch = "x86_64"))]
 fn have_avx2() -> bool {
-    false
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn have_avx512() -> bool {
     false
 }
 
@@ -259,19 +168,12 @@ pub fn intersect_matches_at(level: SimdLevel, a: &[u32], b: &[u32]) -> Option<us
             #[allow(unsafe_code)]
             Some(unsafe { x86::matches_avx2(a, b) })
         }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 if have_avx512() => {
-            // SAFETY: `matches_avx512` requires AVX-512F + AVX-512CD,
-            // checked on the line above via `is_x86_feature_detected!`.
-            #[allow(unsafe_code)]
-            Some(unsafe { x86::matches_avx512(a, b) })
-        }
         _ => None,
     }
 }
 
-/// Scalar remainder shared by both kernels: the main loops exit once
-/// *either* stream has fewer than one SIMD window left, so the shorter
+/// Scalar remainder of the kernel: the main loop exits once *either*
+/// stream has fewer than one SIMD window left, so the shorter
 /// remainder (at most 7 coordinates) probes the longer one by
 /// `partition_point` — never hot.
 fn tail_matches(a: &[u32], b: &[u32]) -> usize {
@@ -293,9 +195,9 @@ fn tail_matches(a: &[u32], b: &[u32]) -> usize {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The two `#[target_feature]` kernels. All `unsafe` in the crate
-    //! lives in this submodule (plus the two detected call sites in the
-    //! parent); every block carries its discharging `// SAFETY:`.
+    //! The `#[target_feature]` kernel. All `unsafe` in the crate lives
+    //! in this submodule (plus the detected call site in the parent);
+    //! every block carries its discharging `// SAFETY:`.
 
     use super::tail_matches;
     use core::arch::x86_64::*;
@@ -376,50 +278,6 @@ mod x86 {
         let vector: usize = lanes.iter().map(|&x| x as usize).sum();
         vector + tail_matches(&a[i..], &b[j..])
     }
-
-    /// Match count of two strictly increasing `u32` streams via
-    /// AVX-512CD conflict detection: an 8+8 window packed into one
-    /// `zmm`, where `vpconflictd` marks each `b` lane that equals any
-    /// `a` lane (see the module docs).
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure the CPU supports AVX-512F and AVX-512CD
-    /// (`is_x86_feature_detected!`).
-    #[allow(unsafe_code)]
-    #[target_feature(enable = "avx512f,avx512cd")]
-    pub(super) unsafe fn matches_avx512(a: &[u32], b: &[u32]) -> usize {
-        let low_byte = _mm512_set1_epi32(0xFF);
-        let mut matches = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i + 8 <= a.len() && j + 8 <= b.len() {
-            // Window maxima for the advance rule. In-bounds: loop
-            // condition guarantees i+7 < a.len(), j+7 < b.len().
-            let a_hi = a[i + 7];
-            let b_hi = b[j + 7];
-            // SAFETY: unaligned 32-byte loads of a[i..i+8] / b[j..j+8],
-            // in bounds by the loop condition (AVX — subsumed by this
-            // function's AVX-512F contract).
-            let va = unsafe { _mm256_loadu_si256(a.as_ptr().add(i).cast()) };
-            // SAFETY: as above for b.
-            let vb = unsafe { _mm256_loadu_si256(b.as_ptr().add(j).cast()) };
-            // a window in lanes 0-7, b window in lanes 8-15.
-            let w = _mm512_inserti64x4(_mm512_castsi256_si512(va), vb, 1);
-            // conflict[l] = bitmask of earlier lanes equal to lane l.
-            // For b lanes (8-15), bits 0-7 flag equality with an a
-            // lane; bits 8..l are always clear because coordinates
-            // within a window are strictly increasing (distinct).
-            // For a lanes the whole low byte is clear for the same
-            // reason, but the >> 8 below discards them anyway.
-            let conflict = _mm512_conflict_epi32(w);
-            let against_a = _mm512_test_epi32_mask(conflict, low_byte);
-            matches += ((against_a >> 8) as u32).count_ones() as usize;
-            // Branchless advance (see `matches_avx2` for the argument).
-            i += 8 * usize::from(a_hi <= b_hi);
-            j += 8 * usize::from(b_hi <= a_hi);
-        }
-        matches + tail_matches(&a[i..], &b[j..])
-    }
 }
 
 #[cfg(test)]
@@ -442,29 +300,27 @@ mod tests {
         m
     }
 
-    fn check_all_levels(a: &[u32], b: &[u32]) {
+    fn check_avx2(a: &[u32], b: &[u32]) {
         let want = linear_matches(a, b);
-        for level in [SimdLevel::Avx2, SimdLevel::Avx512] {
-            if let Some(got) = intersect_matches_at(level, a, b) {
-                assert_eq!(got, want, "{level} a={a:?} b={b:?}");
-            }
-            if let Some(got) = intersect_matches_at(level, b, a) {
-                assert_eq!(got, want, "{level} swapped a={a:?} b={b:?}");
-            }
+        if let Some(got) = intersect_matches_at(SimdLevel::Avx2, a, b) {
+            assert_eq!(got, want, "a={a:?} b={b:?}");
+        }
+        if let Some(got) = intersect_matches_at(SimdLevel::Avx2, b, a) {
+            assert_eq!(got, want, "swapped a={a:?} b={b:?}");
         }
     }
 
     #[test]
     fn env_grammar() {
-        for off in ["off", "0", "false", "NO", " Scalar "] {
+        for off in ["off", "0", "false", " NO "] {
             assert_eq!(parse_simd_mode(off), Some(SimdMode::Off), "{off:?}");
         }
         for auto in ["", "on", "1", "auto", "TRUE", "yes"] {
             assert_eq!(parse_simd_mode(auto), Some(SimdMode::Auto), "{auto:?}");
         }
-        assert_eq!(parse_simd_mode("AVX2"), Some(SimdMode::ForceAvx2));
-        assert_eq!(parse_simd_mode("avx512"), Some(SimdMode::ForceAvx512));
-        assert_eq!(parse_simd_mode("mmx"), None);
+        for gone in ["scalar", "avx2", "avx512", "mmx"] {
+            assert_eq!(parse_simd_mode(gone), None, "{gone:?}");
+        }
         assert_eq!(parse_simd_mode("2"), None);
     }
 
@@ -511,7 +367,7 @@ mod tests {
             ),
         ];
         for (a, b) in &cases {
-            check_all_levels(a, b);
+            check_avx2(a, b);
         }
     }
 

@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release --example graph_analytics`
 
 use tailors::eddo::TailorConfig;
-use tailors::sim::functional::{run, FunctionalConfig};
+use tailors::sim::functional::{run_with_threads, FunctionalConfig};
+use tailors::sim::threads_from_env;
 use tailors::sim::{GridMode, MemBudget};
 use tailors::tensor::gen::GenSpec;
 use tailors::tensor::ops::{approx_eq, spmspm_a_at};
@@ -42,8 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..overbooked
     };
 
-    let with_tailors = run(&graph, &overbooked)?;
-    let without = run(&graph, &buffet_only)?;
+    let with_tailors = run_with_threads(&graph, &overbooked, threads_from_env())?;
+    let without = run_with_threads(&graph, &buffet_only, threads_from_env())?;
 
     // Both must compute the same co-citation matrix…
     let reference = spmspm_a_at(&graph);

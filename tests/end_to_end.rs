@@ -2,7 +2,8 @@
 //! buffers) against the reference kernels and the analytical model, across
 //! the workload suite.
 
-use tailors::sim::functional::{run, FunctionalConfig};
+use tailors::sim::functional::{run_with_threads, FunctionalConfig};
+use tailors::sim::threads_from_env;
 use tailors::sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors::tensor::ops::{approx_eq, spmspm_a_at};
 use tailors::tensor::tiling::RowPanels;
@@ -26,7 +27,7 @@ fn functional_engine_is_correct_on_every_workload_family() {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let result = run(&a, &config).expect("functional run");
+        let result = run_with_threads(&a, &config, threads_from_env()).expect("functional run");
         let reference = spmspm_a_at(&a);
         assert!(
             approx_eq(&result.z, &reference, 1e-9),
@@ -55,10 +56,10 @@ fn functional_traffic_matches_analytical_closed_form() {
         grid: GridMode::Panels,
         auto_plan: false,
     };
-    let result = run(&a, &config).expect("functional run");
+    let result = run_with_threads(&a, &config, threads_from_env()).expect("functional run");
     // The 2-D grid's per-block accounting must reduce to the same closed
     // form (a sub-tile budget maximizes the number of private drivers).
-    let gridded = run(
+    let gridded = run_with_threads(
         &a,
         &FunctionalConfig {
             mem_budget: MemBudget::bytes(1),
@@ -66,6 +67,7 @@ fn functional_traffic_matches_analytical_closed_form() {
             auto_plan: false,
             ..config
         },
+        threads_from_env(),
     )
     .expect("2-D grid run");
     assert_eq!(gridded, result);
@@ -133,7 +135,7 @@ fn budgeted_functional_runs_match_unbudgeted_on_workloads() {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let unbudgeted = run(&a, &base).expect("unbudgeted run");
+        let unbudgeted = run_with_threads(&a, &base, threads_from_env()).expect("unbudgeted run");
         let one_tile_bytes = 8 * (base.rows_a as u64) * (base.cols_b as u64);
         for budget in [
             MemBudget::bytes(1), // clamps to a single streamed tile
@@ -141,7 +143,7 @@ fn budgeted_functional_runs_match_unbudgeted_on_workloads() {
             MemBudget::bytes(3 * one_tile_bytes),
         ] {
             for grid in [GridMode::Panels, GridMode::Grid2D] {
-                let budgeted = run(
+                let budgeted = run_with_threads(
                     &a,
                     &FunctionalConfig {
                         mem_budget: budget,
@@ -149,6 +151,7 @@ fn budgeted_functional_runs_match_unbudgeted_on_workloads() {
                         auto_plan: false,
                         ..base
                     },
+                    threads_from_env(),
                 )
                 .expect("budgeted run");
                 assert_eq!(budgeted, unbudgeted, "{name}: budget {budget} grid {grid}");
@@ -189,13 +192,14 @@ fn tailors_never_worse_than_buffets() {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let tailors = run(&a, &base).expect("tailors run");
-        let buffets = run(
+        let tailors = run_with_threads(&a, &base, threads_from_env()).expect("tailors run");
+        let buffets = run_with_threads(
             &a,
             &FunctionalConfig {
                 overbooking: false,
                 ..base
             },
+            threads_from_env(),
         )
         .expect("buffet run");
         assert!(approx_eq(&tailors.z, &buffets.z, 1e-9));
