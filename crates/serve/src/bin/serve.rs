@@ -530,19 +530,7 @@ fn run_wire_smoke(scale: f64, threads: usize) {
         WireTcpServer::spawn(Arc::clone(&runtime), "127.0.0.1:0").expect("bind wire server");
     let addr = server.addr();
 
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let batch: Vec<SimRequest> = tailors_workloads::suite()
-        .iter()
-        .flat_map(|wl| {
-            variants
-                .iter()
-                .filter_map(|&v| SimRequest::suite(wl.name, scale, v))
-        })
-        .collect();
+    let batch = suite_batch(scale);
     println!(
         "wire smoke: {} analytical requests at scale {scale} against {addr}",
         batch.len()
@@ -750,9 +738,9 @@ fn spawn_shard_fleet(n: usize, threads: usize) -> Vec<ChildShard> {
         .collect()
 }
 
-/// The suite batch every router mode drives: 22 workloads × 3 variants,
-/// in suite order (the same stream `--wire-smoke` uses).
-fn router_batch(scale: f64) -> Vec<SimRequest> {
+/// The suite batch `--wire-smoke` and every router mode drive: 22
+/// workloads × 3 variants, in suite order.
+fn suite_batch(scale: f64) -> Vec<SimRequest> {
     let variants = [
         Variant::ExTensorN,
         Variant::ExTensorP,
@@ -778,7 +766,7 @@ fn run_router_sweeps(
     sweeps: usize,
     config: RouterConfig,
 ) {
-    let batch = router_batch(scale);
+    let batch = suite_batch(scale);
     let works: Vec<Work> = batch.iter().cloned().map(Work::Sim).collect();
     println!(
         "router: {} requests/sweep over {} shards at scale {scale}, {threads} threads",
@@ -868,7 +856,7 @@ fn report_router(router: &ShardRouter) {
 /// additionally proves `timed_out == 0`: a replica absorbs the victim's
 /// keys with zero discovery cost.
 fn run_router_smoke(scale: f64, threads: usize, config: RouterConfig) {
-    let batch = router_batch(scale);
+    let batch = suite_batch(scale);
     let works: Vec<Work> = batch.iter().cloned().map(Work::Sim).collect();
     let replicated = matches!(config.placement, Placement::Replicated(r) if r > 1);
     println!(

@@ -25,6 +25,18 @@
 //! OR per effectual multiply, with extraction walking only set words/bits
 //! (ascending by construction — no per-row sort, no full zero-scan).
 //!
+//! # Resident and spilled operands
+//!
+//! One executor serves both storage tiers. The panel loop, block loop,
+//! kernel choice and output stitch are generic over a private `Operand`
+//! trait: the in-RAM matrix (with its transpose and tile view) for
+//! [`run_with_threads`] / [`run_grid`], or a file-backed [`MmapStorage`]
+//! for [`run_spilled`], whose panels page in on demand and whose streamed
+//! tiles are checked out of a residency cache with the next one
+//! prefetched. Both present the stationary panel through the same
+//! in-place view and each streamed `B` row as a slice pair, so the two
+//! tiers run the same traversal and produce the same bits.
+//!
 //! # Memory governance
 //!
 //! The per-panel scratch is governed by an [`ExecutionPlan`]: under a
@@ -72,10 +84,11 @@
 //! the retained seed engine [`reference_run`].
 
 use crate::exec::{run_balanced, BufferParams, ExecutionPlan, GridMode, MemBudget, PlanUnit};
+use std::sync::Arc;
 use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
 use tailors_tensor::storage::{
-    MmapStorage, PanelBuffers, PanelPayload, PoolHandle, PoolStats, ScratchPool, ShapeClass,
+    MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, ShapeClass, SpillTile,
 };
 use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
 
@@ -186,15 +199,18 @@ impl core::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Shared request validation for every engine entry point (and
+/// Shared request validation for every engine entry point, resident or
+/// spilled, over the operand's `nrows × ncols` shape (and for
 /// [`reference_run`], which must reject exactly what the rewritten engine
 /// rejects so the oracle stays callable wherever the engine is).
-fn validate(a: &CsrMatrix, config: &FunctionalConfig, threads: usize) -> Result<(), ConfigError> {
-    if a.nrows() != a.ncols() {
-        return Err(ConfigError::NonSquare {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-        });
+fn validate(
+    nrows: usize,
+    ncols: usize,
+    config: &FunctionalConfig,
+    threads: usize,
+) -> Result<(), ConfigError> {
+    if nrows != ncols {
+        return Err(ConfigError::NonSquare { nrows, ncols });
     }
     if config.capacity == 0 {
         return Err(ConfigError::ZeroCapacity);
@@ -330,26 +346,22 @@ pub fn run_with_threads(
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
     match config.grid {
-        GridMode::Panels => run_panels_mode(a, config, threads),
+        GridMode::Panels => {
+            let (op, plan) = engine_setup(a, config, threads)?;
+            run_panels(&op, config, &plan, threads)
+        }
         GridMode::Grid2D => Ok(run_grid(a, config, threads)?.0),
     }
 }
 
-/// Validated common setup for both grid modes: the streamed operand, the
-/// execution plan, and (when the memory guard allows) the tile
-/// column-pointer view.
-struct EngineSetup {
-    b: CsrMatrix,
-    plan: ExecutionPlan,
-    b_tiles: Option<TileColPtr>,
-}
-
-fn engine_setup(
-    a: &CsrMatrix,
+/// Validated common setup for both grid modes: the resident operand and
+/// the execution plan.
+fn engine_setup<'a>(
+    a: &'a CsrMatrix,
     config: &FunctionalConfig,
     threads: usize,
-) -> Result<EngineSetup, ConfigError> {
-    validate(a, config, threads)?;
+) -> Result<(Resident<'a>, ExecutionPlan), ConfigError> {
+    validate(a.nrows(), a.ncols(), config, threads)?;
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
@@ -371,35 +383,41 @@ fn engine_setup(
     } else {
         None
     };
-    Ok(EngineSetup { b, plan, b_tiles })
+    let op = Resident {
+        a,
+        b,
+        b_tiles,
+        cols_b: config.cols_b,
+    };
+    Ok((op, plan))
 }
 
-/// [`run_with_threads`] in [`GridMode::Panels`]: one work item per row
-/// panel, all blocks of a panel sharing its buffer driver.
-fn run_panels_mode(
-    a: &CsrMatrix,
+/// [`GridMode::Panels`] over any operand: one work item per row panel,
+/// all blocks of a panel sharing its buffer driver.
+fn run_panels<O: Operand>(
+    op: &O,
     config: &FunctionalConfig,
+    plan: &ExecutionPlan,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
-    let EngineSetup { b, plan, b_tiles } = engine_setup(a, config, threads)?;
-    let n = a.nrows();
+    let n = op.nrows();
     let n_a_tiles = plan.n_row_panels();
 
     // Streamed-operand traffic: every A tile streams all of B exactly once
     // (tile occupancies are row-pointer differences summing to nnz), so the
     // per-(ti, tj) row scans of the seed engine collapse to one constant.
-    let dram_b_per_a_tile: u64 = a.nnz() as u64;
+    let dram_b_per_a_tile: u64 = op.nnz() as u64;
 
     // Panel cost ≈ occupancy (what both the traversals and the accumulate
     // work scale with); +1 keeps empty panels schedulable.
     let costs: Vec<u128> = (0..n_a_tiles)
         .map(|ti| {
             let r = plan.panel_rows(ti);
-            a.row_range_nnz(r.start, r.end) as u128 + 1
+            op.row_range_nnz(r.start, r.end) as u128 + 1
         })
         .collect();
     let panel_results = run_balanced(n_a_tiles, &costs, threads, |ti| {
-        run_panel(a, &b, b_tiles.as_ref(), config, &plan, ti)
+        run_panel(op, config, plan, ti)
     });
 
     // Stitch disjoint row panels, in panel order, into one CSR output.
@@ -476,7 +494,7 @@ pub fn run_grid(
     config: &FunctionalConfig,
     threads: usize,
 ) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
-    let EngineSetup { b, plan, b_tiles } = engine_setup(a, config, threads)?;
+    let (op, plan) = engine_setup(a, config, threads)?;
     let n = a.nrows();
     let units: Vec<PlanUnit> = plan.units().collect();
 
@@ -491,7 +509,7 @@ pub fn run_grid(
         })
         .collect();
     let unit_results = run_balanced(units.len(), &costs, threads, |ui| {
-        run_unit(a, &b, b_tiles.as_ref(), config, &units[ui])
+        run_unit(&op, config, &units[ui])
     });
     let mut outputs: Vec<UnitOutput> = Vec::with_capacity(unit_results.len());
     let mut traffic: Vec<UnitTraffic> = Vec::with_capacity(unit_results.len());
@@ -626,45 +644,31 @@ const DENSE_FILL_THRESHOLD: f64 = 0.5;
 /// panel's elements meets the streamed elements sharing its `k`
 /// coordinate; `Σ_k panel_k × block_k` with both factors proportional to
 /// their totals), and writes-per-slot is that over the unit's area.
-fn dense_kernel_for(a: &CsrMatrix, unit: &PlanUnit) -> bool {
+fn dense_kernel_for<O: Operand>(op: &O, unit: &PlanUnit) -> bool {
     let slots = unit.rows.len() as f64 * unit.cols.len() as f64;
-    let nnz = a.nnz() as f64;
+    let nnz = op.nnz() as f64;
     if slots == 0.0 || nnz == 0.0 {
         return false;
     }
-    let occ_panel = a.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
+    let occ_panel = op.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
     // The streamed block's occupancy: B columns [c0, c1) are A rows.
-    let occ_block = a.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
+    let occ_block = op.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
     occ_panel * occ_block >= DENSE_FILL_THRESHOLD * slots * nnz
 }
 
 /// Runs one column block on whichever kernel [`dense_kernel_for`] picks
 /// for `unit` — the single dispatch point both grid modes go through.
-#[allow(clippy::too_many_arguments)]
-fn run_block_dispatch<S: TileSource>(
-    a: &CsrMatrix,
+fn run_block_dispatch<O: Operand, S: TileSource>(
+    op: &O,
     spa: &mut BlockedSpa,
     driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
     unit: &PlanUnit,
-    n: usize,
     sink: BlockSink<'_>,
-) -> Result<(), EddoError> {
-    if dense_kernel_for(a, unit) {
-        run_block(
-            &mut DenseMode(spa),
-            driver,
-            b,
-            b_tiles,
-            config,
-            unit,
-            n,
-            sink,
-        )
+) -> Result<(), EngineError> {
+    if dense_kernel_for(op, unit) {
+        run_block(&mut DenseMode(spa), driver, op, unit, sink)
     } else {
-        run_block(spa, driver, b, b_tiles, config, unit, n, sink)
+        run_block(spa, driver, op, unit, sink)
     }
 }
 
@@ -681,24 +685,32 @@ enum BlockSink<'a> {
 }
 
 /// Executes one column block of a stationary panel: shapes `spa` to the
-/// unit, runs all its tile traversals through `driver`, and drains every
-/// row into `sink`. Generic over the accumulator kernel — the caller
-/// picks the masked or dense mode per unit via [`dense_kernel_for`].
-#[allow(clippy::too_many_arguments)]
-fn run_block<S: TileSource, A: UnitSpa>(
+/// unit, runs one in-order traversal of the stationary tile through
+/// `driver` per streamed tile of the block (accumulating block-local
+/// columns, re-based at the block's first column), and drains every row
+/// into `sink`. Generic over the accumulator kernel — the caller picks
+/// the masked or dense mode per unit via [`dense_kernel_for`].
+fn run_block<O: Operand, S: TileSource, A: UnitSpa>(
     spa: &mut A,
     driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
+    op: &O,
     unit: &PlanUnit,
-    n: usize,
     sink: BlockSink<'_>,
-) -> Result<(), EddoError> {
+) -> Result<(), EngineError> {
     let (m0, c0) = (unit.rows.start, unit.cols.start);
     spa.reset_shape(unit.rows.len(), unit.cols.len());
     for tj in unit.tiles.clone() {
-        if let Err(e) = traverse_tile(driver, b, b_tiles, config, tj, n, m0, c0, spa) {
+        let traversed = op.tile(tj).and_then(|tile| {
+            driver.traverse(|&(m, k, va)| {
+                let (cols, vals) = op.tile_row(&tile, k as usize);
+                let local_row = m as usize - m0;
+                for (&nn, &vb) in cols.iter().zip(vals) {
+                    spa.accumulate(local_row, nn as usize - c0, va * vb);
+                }
+            })?;
+            Ok(())
+        });
+        if let Err(e) = traversed {
             // Restore the all-zero invariant before propagating.
             spa.clear();
             return Err(e);
@@ -727,116 +739,72 @@ fn run_block<S: TileSource, A: UnitSpa>(
     Ok(())
 }
 
-/// One in-order traversal of the stationary tile against streamed tile
-/// `tj`, accumulating into `spa` (block-local columns, re-based at `c0`).
-/// On error the caller must restore the scratch invariant via
-/// [`UnitSpa::clear`].
-#[allow(clippy::too_many_arguments)]
-fn traverse_tile<S: TileSource, A: UnitSpa>(
-    driver: &mut TileDriver<S>,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
-    config: &FunctionalConfig,
-    tj: usize,
-    n: usize,
-    m0: usize,
-    c0: usize,
-    spa: &mut A,
-) -> Result<(), EddoError> {
-    let b_row_ptr = b.row_ptr();
-    let b_cols = b.col_indices();
-    let b_vals = b.values();
-    let n0 = (tj * config.cols_b) as u32;
-    let n1 = ((tj + 1) * config.cols_b).min(n) as u32;
-    driver.traverse(|&(m, k, va)| {
-        let (lo, hi) = match b_tiles {
-            Some(view) => view.row_tile_range(k as usize, tj),
-            None => {
-                let (rlo, rhi) = (b_row_ptr[k as usize], b_row_ptr[k as usize + 1]);
-                let coords = &b_cols[rlo..rhi];
-                let start = rlo + coords.partition_point(|&c| c < n0);
-                let end = rlo + coords.partition_point(|&c| c < n1);
-                (start, end)
-            }
-        };
-        let local_row = m as usize - m0;
-        for (&nn, &vb) in b_cols[lo..hi].iter().zip(&b_vals[lo..hi]) {
-            spa.accumulate(local_row, nn as usize - c0, va * vb);
-        }
-    })
-}
-
 /// Executes all B-tile traversals for stationary panel `ti`, one plan
 /// column block at a time (all blocks share the panel's buffer driver, so
 /// traversal order — and therefore every DRAM fetch count — is identical
 /// for every memory budget). Each block runs on the accumulator kernel
 /// [`dense_kernel_for`] picks: the bitmask-blocked scratch in the sparse
 /// regime, the plain dense one when the block is predicted to fill.
-///
-/// `b_tiles == None` is the memory-guarded fallback: B-row × tile ranges
-/// are found by per-element binary search, as in the seed engine.
-fn run_panel(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
+fn run_panel<O: Operand>(
+    op: &O,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
     ti: usize,
-) -> Result<PanelOutput, EddoError> {
-    let n = a.nrows();
+) -> Result<PanelOutput, EngineError> {
     let rows = plan.panel_rows(ti);
-    let (m0, m1) = (rows.start, rows.end);
-    let tile = PanelElems::new(a, m0, m1);
-    let overbooked = tile.len() > config.capacity;
+    let panel_rows = rows.len();
+    op.with_panel(rows.start, rows.end, |tile| {
+        let overbooked = tile.len() > config.capacity;
 
-    // SPA scratch spanning the panel's output rows × one plan column
-    // block, and the panel's assembly buffers — both checked out of the
-    // worker's scratch pool by shape class, so steady-state runs on warm
-    // threads allocate nothing here. Extraction restores the SPA's
-    // all-zero invariant as it goes.
-    let panel_rows = m1 - m0;
-    let class = ShapeClass::of(panel_rows, plan.block_cols());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
+        // SPA scratch spanning the panel's output rows × one plan column
+        // block, and the panel's assembly buffers — both checked out of the
+        // worker's scratch pool by shape class, so steady-state runs on warm
+        // threads allocate nothing here. Extraction restores the SPA's
+        // all-zero invariant as it goes.
+        let class = ShapeClass::of(panel_rows, plan.block_cols());
+        SCRATCH_POOL.with(|pool| {
+            pool.set_retention(config.mem_budget.limit_bytes());
+            let mut spa = pool.checkout_spa(class);
+            let mut out = pool.checkout_buffers(class);
 
-        let mut driver = TileDriver::new(tile, config)?;
-        // Per-row staging across blocks. A single-block plan (the
-        // unbudgeted default) extracts rows directly into the flat output
-        // instead, skipping the staging copy on the historical hot path.
-        let multi_block = plan.n_col_blocks() > 1;
-        if multi_block {
-            out.ensure_staged_rows(panel_rows);
-        }
+            let mut driver = TileDriver::new(tile, config)?;
+            // Per-row staging across blocks. A single-block plan (the
+            // unbudgeted default) extracts rows directly into the flat
+            // output instead, skipping the staging copy on the historical
+            // hot path.
+            let multi_block = plan.n_col_blocks() > 1;
+            if multi_block {
+                out.ensure_staged_rows(panel_rows);
+            }
 
-        for unit in plan.panel_units(ti) {
-            let sink = if multi_block {
-                BlockSink::Staged(&mut out.staged[..panel_rows])
-            } else {
-                let PanelBuffers {
-                    row_lens,
-                    cols,
-                    vals,
-                    ..
-                } = &mut *out;
-                BlockSink::Direct {
-                    row_lens,
-                    cols,
-                    vals,
-                }
-            };
-            run_block_dispatch(a, &mut spa, &mut driver, b, b_tiles, config, &unit, n, sink)?;
-        }
+            for unit in plan.panel_units(ti) {
+                let sink = if multi_block {
+                    BlockSink::Staged(&mut out.staged[..panel_rows])
+                } else {
+                    let PanelBuffers {
+                        row_lens,
+                        cols,
+                        vals,
+                        ..
+                    } = &mut *out;
+                    BlockSink::Direct {
+                        row_lens,
+                        cols,
+                        vals,
+                    }
+                };
+                run_block_dispatch(op, &mut spa, &mut driver, &unit, sink)?;
+            }
 
-        if multi_block {
-            merge_staged(&mut out, panel_rows);
-        }
+            if multi_block {
+                merge_staged(&mut out, panel_rows);
+            }
 
-        Ok(PanelOutput {
-            out,
-            dram_a_fetches: driver.fetches(),
-            overbooked,
+            Ok(PanelOutput {
+                out,
+                dram_a_fetches: driver.fetches(),
+                overbooked,
+            })
         })
     })
 }
@@ -863,83 +831,65 @@ fn merge_staged(out: &mut PanelBuffers, panel_rows: usize) {
 
 /// Executes one (panel × block) unit with a private buffer driver,
 /// returning the block-restricted output and its [`UnitTraffic`].
-fn run_unit(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    b_tiles: Option<&TileColPtr>,
+fn run_unit<O: Operand>(
+    op: &O,
     config: &FunctionalConfig,
     unit: &PlanUnit,
-) -> Result<(UnitOutput, UnitTraffic), EddoError> {
-    let n = a.nrows();
-    let (m0, m1) = (unit.rows.start, unit.rows.end);
-    let tile = PanelElems::new(a, m0, m1);
-    let occ = tile.len() as u64;
-    let overbooked = tile.len() > config.capacity;
+) -> Result<(UnitOutput, UnitTraffic), EngineError> {
     // This unit's share of the streamed operand: the nonzeros of B columns
     // [c0, c1) are the nonzeros of A rows [c0, c1).
-    let dram_b = a.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
-
+    let dram_b = op.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
     let class = ShapeClass::of(unit.rows.len(), unit.cols.len());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
-        let mut driver = TileDriver::new(tile, config)?;
-        let PanelBuffers {
-            row_lens,
-            cols,
-            vals,
-            ..
-        } = &mut *out;
-        let sink = BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        };
-        if dense_kernel_for(a, unit) {
-            run_block(
-                &mut DenseMode(&mut spa),
-                &mut driver,
-                b,
-                b_tiles,
-                config,
-                unit,
-                n,
-                sink,
-            )?;
-        } else {
-            run_block(&mut *spa, &mut driver, b, b_tiles, config, unit, n, sink)?;
-        }
+    op.with_panel(unit.rows.start, unit.rows.end, |tile| {
+        let occ = tile.len() as u64;
+        let overbooked = tile.len() > config.capacity;
+        SCRATCH_POOL.with(|pool| {
+            pool.set_retention(config.mem_budget.limit_bytes());
+            let mut spa = pool.checkout_spa(class);
+            let mut out = pool.checkout_buffers(class);
+            let mut driver = TileDriver::new(tile, config)?;
+            let PanelBuffers {
+                row_lens,
+                cols,
+                vals,
+                ..
+            } = &mut *out;
+            let sink = BlockSink::Direct {
+                row_lens,
+                cols,
+                vals,
+            };
+            run_block_dispatch(op, &mut spa, &mut driver, unit, sink)?;
 
-        // The per-block reduction (see the module docs): block 0 is the
-        // shared driver's own prefix; later blocks replace their private
-        // cold fill (occ) with one steady-state refetch.
-        let private = driver.fetches();
-        debug_assert!(private >= occ, "a traversal fetches the tile at least once");
-        let dram_a = if unit.col_block == 0 {
-            private
-        } else {
-            private - occ + driver.steady_refetch()
-        };
-        Ok((
-            UnitOutput { out },
-            UnitTraffic {
-                row_panel: unit.row_panel,
-                col_block: unit.col_block,
-                dram_a_fetches: dram_a,
-                dram_a_private: private,
-                dram_b_fetches: dram_b,
-                overbooked: overbooked && unit.col_block == 0,
-            },
-        ))
+            // The per-block reduction (see the module docs): block 0 is the
+            // shared driver's own prefix; later blocks replace their private
+            // cold fill (occ) with one steady-state refetch.
+            let private = driver.fetches();
+            debug_assert!(private >= occ, "a traversal fetches the tile at least once");
+            let dram_a = if unit.col_block == 0 {
+                private
+            } else {
+                private - occ + driver.steady_refetch()
+            };
+            Ok((
+                UnitOutput { out },
+                UnitTraffic {
+                    row_panel: unit.row_panel,
+                    col_block: unit.col_block,
+                    dram_a_fetches: dram_a,
+                    dram_a_private: private,
+                    dram_b_fetches: dram_b,
+                    overbooked: overbooked && unit.col_block == 0,
+                },
+            ))
+        })
     })
 }
 
 thread_local! {
-    /// Per-thread scratch pool for [`run_panel`] / [`run_unit`] /
-    /// [`run_spilled`]: SPA accumulators (all-zero between panels by
-    /// construction — extraction drains them) and panel assembly buffers,
-    /// recycled by shape class across panels, runs, and served requests
+    /// Per-thread scratch pool for [`run_panel`] / [`run_unit`]: SPA
+    /// accumulators (all-zero between panels by construction — extraction
+    /// drains them) and panel assembly buffers, recycled by shape class across panels, runs, and served requests
     /// on the same thread. One SPA serves both dispatch kernels —
     /// [`DenseMode`] is a view over it — so the per-thread footprint
     /// stays within the planner's budget no matter how blocks dispatch;
@@ -968,13 +918,15 @@ pub fn clear_scratch_pool() {
 /// whose CSR payload exceeds the configured RAM budget stream through the
 /// planner's row-panel × column-block working sets.
 ///
-/// The traversal order, buffer-driver configuration, accumulation order,
-/// and traffic accounting are identical to [`run_with_threads`] in
-/// [`GridMode::Panels`] at the same plan, so the result — every field —
-/// is **bit-identical** to the in-RAM run and to [`reference_run`] (the
-/// property suite pins it). While a panel is traversed the engine
-/// prefetches the next column tile in [`ExecutionPlan`] order, keeping
-/// the tile cache's eviction aligned with the plan.
+/// It is the [`run_with_threads`] executor in [`GridMode::Panels`] over
+/// the spilled operand: the same panel loop, block loop, kernel choice,
+/// traversal order, buffer-driver configuration and traffic accounting at
+/// the same plan, so the result — every field — is **bit-identical** to
+/// the in-RAM run and to [`reference_run`] (the property suite pins it).
+/// Each streamed tile is checked out of the store's residency cache, and
+/// the next column tile in [`ExecutionPlan`] order is prefetched before
+/// the current one is traversed, keeping the cache's eviction aligned
+/// with the plan.
 ///
 /// `config.grid` and `config.auto_plan` are ignored: a spilled run is
 /// always panel-mode (a private driver per (panel, block) unit has no
@@ -993,27 +945,7 @@ pub fn run_spilled(
     config: &FunctionalConfig,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
-    let n = store.nrows();
-    if n != store.ncols() {
-        return Err(ConfigError::NonSquare {
-            nrows: n,
-            ncols: store.ncols(),
-        }
-        .into());
-    }
-    if config.capacity == 0 {
-        return Err(ConfigError::ZeroCapacity.into());
-    }
-    if config.rows_a == 0 || config.cols_b == 0 {
-        return Err(ConfigError::ZeroTileDims {
-            rows_a: config.rows_a,
-            cols_b: config.cols_b,
-        }
-        .into());
-    }
-    if threads == 0 {
-        return Err(ConfigError::ZeroThreads.into());
-    }
+    validate(store.nrows(), store.ncols(), config, threads)?;
     if config.cols_b != store.tile_cols() {
         return Err(ConfigError::SpillTileMismatch {
             file_cols: store.tile_cols(),
@@ -1021,232 +953,147 @@ pub fn run_spilled(
         }
         .into());
     }
-    let plan = ExecutionPlan::new(n, n, config.rows_a, config.cols_b, config.mem_budget);
-    let n_a_tiles = plan.n_row_panels();
-    let dram_b_per_a_tile: u64 = store.nnz() as u64;
+    let plan = config.execution_plan(store.nrows(), store.ncols());
+    run_panels(store, config, &plan, threads)
+}
 
-    // Panel costs from the resident row pointers — same formula as the
-    // in-RAM path, no I/O.
-    let costs: Vec<u128> = (0..n_a_tiles)
-        .map(|ti| {
-            let r = plan.panel_rows(ti);
-            store.row_range_nnz(r.start, r.end) as u128 + 1
-        })
-        .collect();
-    let panel_results = run_balanced(n_a_tiles, &costs, threads, |ti| {
-        run_spilled_panel(store, config, &plan, ti)
-    });
+/// The square operand `A` of `Z = A·Aᵀ` as the executor consumes it:
+/// resident in RAM ([`Resident`]) or paged in from a spill file
+/// ([`MmapStorage`]). The executor is generic over it (never `dyn`), so
+/// each storage format gets its own monomorphized traversal loop.
+trait Operand: Sync {
+    /// A streamed column tile of `B = Aᵀ`, held while it is traversed.
+    type Tile;
+    /// Rows (and columns) of `A`.
+    fn nrows(&self) -> usize;
+    /// Stored nonzeros of `A`.
+    fn nnz(&self) -> usize;
+    /// Stored nonzeros in rows `[m0, m1)` of `A` — from resident row
+    /// pointers, no I/O.
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize;
+    /// Runs `f` over rows `[m0, m1)` of `A` as a stationary tile.
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError>;
+    /// Streamed tile `tj` (columns `tj·cols_b ..` of `B`).
+    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError>;
+    /// Row `k` of `B` restricted to `tile`: global column indices and
+    /// values.
+    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]);
+}
 
-    let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    let mut dram_a = 0u64;
-    let mut dram_b = 0u64;
-    let mut overbooked = 0usize;
-    for result in panel_results {
-        let p = result?;
-        for &len in &p.out.row_lens {
-            row_ptr.push(row_ptr.last().expect("non-empty") + len);
-        }
-        cols.extend_from_slice(&p.out.cols);
-        vals.extend_from_slice(&p.out.vals);
-        dram_a += p.dram_a_fetches;
-        dram_b += dram_b_per_a_tile;
-        overbooked += usize::from(p.overbooked);
+/// The in-RAM operand: `A`, its transpose `B`, and (when the memory guard
+/// in `engine_setup` allows) `B`'s column-pointer view at the tile grid.
+struct Resident<'a> {
+    a: &'a CsrMatrix,
+    b: CsrMatrix,
+    b_tiles: Option<TileColPtr>,
+    cols_b: usize,
+}
+
+impl Operand for Resident<'_> {
+    /// The tile index and its global column range `[n0, n1)`.
+    type Tile = (usize, u32, u32);
+
+    fn nrows(&self) -> usize {
+        self.a.nrows()
     }
-    let z = CsrMatrix::from_parts(n, n, row_ptr, cols, vals)
-        .expect("panel emission produces canonical CSR");
-    Ok(FunctionalResult {
-        z,
-        dram_a_fetches: dram_a,
-        dram_b_fetches: dram_b,
-        overbooked_a_tiles: overbooked,
-    })
-}
 
-/// [`run_panel`] against the spill tier: pages the panel's `A` payload in
-/// once, then runs the plan's blocks with each streamed `B` tile checked
-/// out of (and the next one prefetched into) the store's residency cache.
-fn run_spilled_panel(
-    store: &MmapStorage,
-    config: &FunctionalConfig,
-    plan: &ExecutionPlan,
-    ti: usize,
-) -> Result<PanelOutput, EngineError> {
-    let rows = plan.panel_rows(ti);
-    let (m0, m1) = (rows.start, rows.end);
-    let payload = store.load_panel(m0, m1)?;
-    let tile = SpilledPanel::new(&payload, m0);
-    let overbooked = tile.len() > config.capacity;
-    let panel_rows = m1 - m0;
-    let class = ShapeClass::of(panel_rows, plan.block_cols());
-    SCRATCH_POOL.with(|pool| {
-        pool.set_retention(config.mem_budget.limit_bytes());
-        let mut spa = pool.checkout_spa(class);
-        let mut out = pool.checkout_buffers(class);
-
-        let mut driver = TileDriver::new(tile, config).map_err(EngineError::from)?;
-        let multi_block = plan.n_col_blocks() > 1;
-        if multi_block {
-            out.ensure_staged_rows(panel_rows);
-        }
-
-        for unit in plan.panel_units(ti) {
-            let sink = if multi_block {
-                BlockSink::Staged(&mut out.staged[..panel_rows])
-            } else {
-                let PanelBuffers {
-                    row_lens,
-                    cols,
-                    vals,
-                    ..
-                } = &mut *out;
-                BlockSink::Direct {
-                    row_lens,
-                    cols,
-                    vals,
-                }
-            };
-            // Kernel dispatch parity with the in-RAM path: the same
-            // predicted-fill inputs (panel occupancy, block occupancy,
-            // nnz) read from the resident row pointers.
-            if dense_kernel_for_spilled(store, &unit) {
-                run_spill_block(&mut DenseMode(&mut spa), &mut driver, store, &unit, sink)?;
-            } else {
-                run_spill_block(&mut *spa, &mut driver, store, &unit, sink)?;
-            }
-        }
-
-        if multi_block {
-            merge_staged(&mut out, panel_rows);
-        }
-
-        Ok(PanelOutput {
-            out,
-            dram_a_fetches: driver.fetches(),
-            overbooked,
-        })
-    })
-}
-
-/// [`dense_kernel_for`] with its inputs read from the spill store's
-/// resident row pointers — identical arithmetic, so a spilled run makes
-/// exactly the per-unit kernel choices the in-RAM run makes.
-fn dense_kernel_for_spilled(store: &MmapStorage, unit: &PlanUnit) -> bool {
-    let slots = unit.rows.len() as f64 * unit.cols.len() as f64;
-    let nnz = store.nnz() as f64;
-    if slots == 0.0 || nnz == 0.0 {
-        return false;
+    fn nnz(&self) -> usize {
+        self.a.nnz()
     }
-    let occ_panel = store.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
-    let occ_block = store.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
-    occ_panel * occ_block >= DENSE_FILL_THRESHOLD * slots * nnz
-}
 
-/// [`run_block`] against the spill tier: every streamed tile of the block
-/// is checked out of the store's cache (its `Arc` keeps it alive across
-/// eviction) and the *next* tile in plan order is prefetched before the
-/// traversal starts. Tile payloads carry global column indices and
-/// per-`B`-row slices, so the traversal body is the in-RAM one verbatim.
-fn run_spill_block<A: UnitSpa>(
-    spa: &mut A,
-    driver: &mut TileDriver<SpilledPanel<'_>>,
-    store: &MmapStorage,
-    unit: &PlanUnit,
-    sink: BlockSink<'_>,
-) -> Result<(), EngineError> {
-    let (m0, c0) = (unit.rows.start, unit.cols.start);
-    spa.reset_shape(unit.rows.len(), unit.cols.len());
-    for tj in unit.tiles.clone() {
-        let tile_b = match store.checkout_tile(tj) {
-            Ok(t) => t,
-            Err(e) => {
-                // Restore the all-zero invariant before propagating.
-                spa.clear();
-                return Err(e.into());
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
+        self.a.row_range_nnz(m0, m1)
+    }
+
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let a = self.a;
+        f(PanelElems::new(
+            &a.row_ptr()[m0..=m1],
+            a.col_indices(),
+            a.values(),
+            m0,
+        ))
+    }
+
+    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
+        let n0 = tj * self.cols_b;
+        let n1 = ((tj + 1) * self.cols_b).min(self.a.nrows());
+        Ok((tj, n0 as u32, n1 as u32))
+    }
+
+    #[inline]
+    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]) {
+        let &(tj, n0, n1) = tile;
+        let (b_cols, b_vals) = (self.b.col_indices(), self.b.values());
+        let (lo, hi) = match &self.b_tiles {
+            Some(view) => view.row_tile_range(k, tj),
+            // Memory-guarded fallback: per-element range searches within
+            // row k, as in the seed engine.
+            None => {
+                let (rlo, rhi) = (self.b.row_ptr()[k], self.b.row_ptr()[k + 1]);
+                let coords = &b_cols[rlo..rhi];
+                let start = rlo + coords.partition_point(|&c| c < n0);
+                let end = rlo + coords.partition_point(|&c| c < n1);
+                (start, end)
             }
         };
-        if tj + 1 < store.n_tiles() {
+        (&b_cols[lo..hi], &b_vals[lo..hi])
+    }
+}
+
+impl Operand for MmapStorage {
+    /// The checked-out tile; the `Arc` keeps it alive across eviction.
+    type Tile = Arc<SpillTile>;
+
+    fn nrows(&self) -> usize {
+        MmapStorage::nrows(self)
+    }
+
+    fn nnz(&self) -> usize {
+        MmapStorage::nnz(self)
+    }
+
+    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
+        MmapStorage::row_range_nnz(self, m0, m1)
+    }
+
+    /// Pages the panel's payload in once; its row pointers are rebased to
+    /// the panel, so the flat element index *is* the payload index.
+    fn with_panel<R>(
+        &self,
+        m0: usize,
+        m1: usize,
+        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
+    ) -> Result<R, EngineError> {
+        let p = self.load_panel(m0, m1)?;
+        f(PanelElems::new(&p.row_ptr, &p.cols, &p.vals, m0))
+    }
+
+    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
+        let tile = self.checkout_tile(tj)?;
+        if tj + 1 < self.n_tiles() {
             // Warm the cache for the next tile in plan order. A prefetch
             // failure is not fatal here: the demand checkout that
             // actually needs the tile reports it.
-            let _ = store.prefetch(tj + 1);
+            let _ = self.prefetch(tj + 1);
         }
-        let traversed = driver.traverse(|&(m, k, va)| {
-            let (lo, hi) = (tile_b.row_ptr[k as usize], tile_b.row_ptr[k as usize + 1]);
-            let local_row = m as usize - m0;
-            for (&nn, &vb) in tile_b.cols[lo..hi].iter().zip(&tile_b.vals[lo..hi]) {
-                spa.accumulate(local_row, nn as usize - c0, va * vb);
-            }
-        });
-        if let Err(e) = traversed {
-            spa.clear();
-            return Err(e.into());
-        }
-    }
-    match sink {
-        BlockSink::Staged(staged) => {
-            for (lr, (row_cols, row_vals)) in staged.iter_mut().enumerate() {
-                spa.drain_row(lr, c0 as u32, row_cols, row_vals);
-            }
-        }
-        BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        } => {
-            for lr in 0..unit.rows.len() {
-                let before = cols.len();
-                spa.drain_row(lr, c0 as u32, cols, vals);
-                row_lens.push(cols.len() - before);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A paged-in row panel of the spilled stationary operand, viewed as a
-/// [`TileSource`]: the payload's row pointers are rebased to the panel,
-/// so the flat element index *is* the payload index.
-struct SpilledPanel<'a> {
-    payload: &'a PanelPayload,
-    /// Amortized-O(1) row lookup, exactly as in [`PanelElems`].
-    cursor: core::cell::Cell<usize>,
-    m0: usize,
-}
-
-impl<'a> SpilledPanel<'a> {
-    fn new(payload: &'a PanelPayload, m0: usize) -> Self {
-        SpilledPanel {
-            payload,
-            cursor: core::cell::Cell::new(0),
-            m0,
-        }
-    }
-}
-
-impl TileSource for SpilledPanel<'_> {
-    fn len(&self) -> usize {
-        self.payload.cols.len()
+        Ok(tile)
     }
 
-    fn get(&self, i: usize) -> Elem {
-        debug_assert!(i < self.len());
-        let rp = &self.payload.row_ptr;
-        let mut lr = self.cursor.get();
-        if i < rp[lr] {
-            lr = 0;
-        }
-        while i >= rp[lr + 1] {
-            lr += 1;
-        }
-        self.cursor.set(lr);
-        (
-            (self.m0 + lr) as u32,
-            self.payload.cols[i],
-            self.payload.vals[i],
-        )
+    #[inline]
+    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]) {
+        let (lo, hi) = (tile.row_ptr[k], tile.row_ptr[k + 1]);
+        (&tile.cols[lo..hi], &tile.vals[lo..hi])
     }
 }
 
@@ -1261,12 +1108,14 @@ trait TileSource {
     fn get(&self, i: usize) -> Elem;
 }
 
-/// A row panel of a CSR matrix viewed in place — no materialization; flat
-/// indices address the matrix's own nonzero arrays.
+/// A row panel of a CSR payload viewed in place — no materialization.
+/// `row_ptr` holds the pointers of rows `m0..=m1` into `cols`/`vals`:
+/// the whole matrix's arrays for a resident operand, the panel's own
+/// (rebased, `row_ptr[0] == 0`) payload for a spilled one.
 struct PanelElems<'a> {
-    a: &'a CsrMatrix,
-    /// Row pointers of rows `m0..=m1`, re-based at the panel.
     row_ptr: &'a [usize],
+    cols: &'a [u32],
+    vals: &'a [f64],
     /// Last resolved local row — buffer fetches walk the tile in stream
     /// order (monotone, wrapping cyclically under overbooking), so row
     /// lookup from the hint is amortized O(1).
@@ -1277,15 +1126,16 @@ struct PanelElems<'a> {
 }
 
 impl<'a> PanelElems<'a> {
-    fn new(a: &'a CsrMatrix, m0: usize, m1: usize) -> Self {
-        let rp = a.row_ptr();
+    fn new(row_ptr: &'a [usize], cols: &'a [u32], vals: &'a [f64], m0: usize) -> Self {
+        let base = row_ptr[0];
         PanelElems {
-            a,
-            row_ptr: &rp[m0..=m1],
+            row_ptr,
+            cols,
+            vals,
             cursor: core::cell::Cell::new(0),
             m0,
-            base: rp[m0],
-            len: a.row_range_nnz(m0, m1),
+            base,
+            len: row_ptr[row_ptr.len() - 1] - base,
         }
     }
 }
@@ -1309,11 +1159,7 @@ impl TileSource for PanelElems<'_> {
             lr += 1;
         }
         self.cursor.set(lr);
-        (
-            (self.m0 + lr) as u32,
-            self.a.col_indices()[p],
-            self.a.values()[p],
-        )
+        ((self.m0 + lr) as u32, self.cols[p], self.vals[p])
     }
 }
 
@@ -1494,7 +1340,7 @@ pub fn reference_run(
 
     // The oracle ignores the thread count; validate with the always-legal 1
     // so it rejects exactly the configurations the rewritten engine rejects.
-    validate(a, config, 1)?;
+    validate(a.nrows(), a.ncols(), config, 1)?;
     let b = a.transpose();
     let n = a.nrows();
     let n_a_tiles = n.div_ceil(config.rows_a.max(1));
@@ -1857,16 +1703,15 @@ mod tests {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let plan = config.execution_plan(a.nrows(), a.ncols());
-        let unit = plan.unit(0, 0);
+        let (op, plan) = engine_setup(&a, &config, 1).unwrap();
         assert!(
-            dense_kernel_for(&a, &unit),
+            dense_kernel_for(&op, &plan.unit(0, 0)),
             "a 60%-dense unit must pick the dense kernel"
         );
         // And a sparse matrix must not.
         let sparse = small();
-        let splan = config.execution_plan(sparse.nrows(), sparse.ncols());
-        assert!(!dense_kernel_for(&sparse, &splan.unit(0, 0)));
+        let (sop, splan) = engine_setup(&sparse, &config, 1).unwrap();
+        assert!(!dense_kernel_for(&sop, &splan.unit(0, 0)));
         // The dispatched run stays bit-identical to the seed engine.
         let new = run_with_threads(&a, &config, 2).unwrap();
         let old = reference_run(&a, &config).unwrap();
@@ -2050,13 +1895,19 @@ mod tests {
     fn panel_elems_maps_flat_indices_through_empty_rows() {
         // Rows 1 and 2 are empty; flat indices must land in rows 0 and 3.
         let a = CsrMatrix::from_triplets(4, 4, &[(0, 0, 1.0), (0, 2, 2.0), (3, 1, 3.0)]).unwrap();
-        let panel = PanelElems::new(&a, 0, 4);
+        let (rp, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
+        let panel = PanelElems::new(rp, cols, vals, 0);
         assert_eq!(panel.len(), 3);
         assert_eq!(panel.get(0), (0, 0, 1.0));
         assert_eq!(panel.get(1), (0, 2, 2.0));
         assert_eq!(panel.get(2), (3, 1, 3.0));
-        let tail = PanelElems::new(&a, 2, 4);
+        // A resident tail panel addresses the matrix's arrays at its base;
+        // a spilled one addresses its own rebased payload — same elements.
+        let tail = PanelElems::new(&rp[2..=4], cols, vals, 2);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail.get(0), (3, 1, 3.0));
+        let payload = PanelElems::new(&[0, 0, 1], &cols[2..], &vals[2..], 2);
+        assert_eq!(payload.len(), 1);
+        assert_eq!(payload.get(0), (3, 1, 3.0));
     }
 }

@@ -129,8 +129,9 @@ proptest! {
 
     /// A spilled run — `A` panels and `B = Aᵀ` tiles paged in from the
     /// spill file under an arbitrary (often single-tile) residency
-    /// budget — is bit-identical to `reference_run` and to the in-RAM
-    /// engine in every reported field, at every thread count.
+    /// budget, through a Tailor or a buffet — is bit-identical to
+    /// `reference_run` and to the in-RAM engine in every reported field,
+    /// at every thread count.
     #[test]
     fn spilled_runs_diff_clean_vs_reference(
         seed in 0u64..30,
@@ -142,6 +143,7 @@ proptest! {
         budget_bytes in 0u64..40_000,
         residency_sel in 0usize..4,
         threads_sel in 0usize..3,
+        overbooking in proptest::bool::ANY,
     ) {
         let residency = [None, Some(1u64), Some(4_096), Some(1 << 20)][residency_sel];
         let threads = [1usize, 2, 4][threads_sel];
@@ -152,7 +154,14 @@ proptest! {
         };
         let a = spec.seed(seed).generate();
         let cols_b = 1usize << tile_exp; // 1..=64
-        let cfg = config(capacity, fifo_frac, rows_a, cols_b, true, MemBudget::bytes(budget_bytes));
+        let cfg = config(
+            capacity,
+            fifo_frac,
+            rows_a,
+            cols_b,
+            overbooking,
+            MemBudget::bytes(budget_bytes),
+        );
 
         let path = unique_spill_path("prop");
         MmapStorage::store(&a, cols_b, &path).expect("store spill file");
@@ -241,4 +250,99 @@ fn spill_tile_mismatch_is_rejected() {
         })
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// The spilled entry point rejects exactly what the resident one rejects,
+/// with the same typed error — and a degenerate config is reported as
+/// such before any spill-file check.
+#[test]
+fn spilled_validation_matches_resident_validation() {
+    use tailors_sim::functional::{ConfigError, EngineError};
+    let square = GenSpec::uniform(32, 32, 150).seed(3).generate();
+    let wide = GenSpec::uniform(16, 32, 80).seed(4).generate();
+    let ok = config(32, 50, 8, 8, true, MemBudget::Unbounded);
+    let cases = [
+        (
+            "capacity = 0",
+            &square,
+            FunctionalConfig { capacity: 0, ..ok },
+            1,
+        ),
+        (
+            "rows_a = 0",
+            &square,
+            FunctionalConfig { rows_a: 0, ..ok },
+            1,
+        ),
+        (
+            "cols_b = 0",
+            &square,
+            FunctionalConfig { cols_b: 0, ..ok },
+            1,
+        ),
+        ("threads = 0", &square, ok, 0),
+        ("non-square", &wide, ok, 1),
+    ];
+    for (name, a, cfg, threads) in cases {
+        let path = unique_spill_path("validate");
+        MmapStorage::store(a, 8, &path).expect("store spill file");
+        let store = MmapStorage::open(&path, None).expect("open spill file");
+        let spilled = run_spilled(&store, &cfg, threads).expect_err(name);
+        std::fs::remove_file(&path).ok();
+        let resident = run_with_threads(a, &cfg, threads).expect_err(name);
+        assert!(
+            matches!(resident, EngineError::Config(_)),
+            "{name}: {resident:?}"
+        );
+        assert_eq!(spilled, resident, "{name}");
+    }
+    // `cols_b = 0` also mismatches the file's tile width (8); the zero
+    // tile dimension is what gets reported.
+    let path = unique_spill_path("validate_order");
+    MmapStorage::store(&square, 8, &path).expect("store spill file");
+    let store = MmapStorage::open(&path, None).expect("open spill file");
+    let err = run_spilled(&store, &FunctionalConfig { cols_b: 0, ..ok }, 1);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        err,
+        Err(EngineError::Config(ConfigError::ZeroTileDims {
+            rows_a: 8,
+            cols_b: 0
+        }))
+    );
+}
+
+/// A spill file that goes short under an open store fails the run with a
+/// typed I/O error on the last tile — after earlier tiles have already
+/// accumulated into the pooled scratch — and the scratch is left clean:
+/// the next run of the same shape class on this thread is still exact.
+#[test]
+fn mid_run_spill_failure_is_typed_and_leaves_scratch_clean() {
+    use tailors_sim::functional::EngineError;
+    let a = GenSpec::power_law(48, 48, 400).seed(7).generate();
+    // One panel (rows_a = n) over six 8-column tiles.
+    let cfg = config(64, 25, 48, 8, true, MemBudget::Unbounded);
+    let path = unique_spill_path("truncated");
+    MmapStorage::store(&a, 8, &path).expect("store spill file");
+    let store = MmapStorage::open(&path, Some(1)).expect("open spill file");
+    assert!(store.n_tiles() > 1, "test needs several tiles");
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("second handle");
+    let len = file.metadata().expect("metadata").len();
+    file.set_len(len - 1).expect("shorten spill file");
+
+    let (_lock, _restore) = PoolingGuard::hold();
+    set_pooling(true);
+    let err = run_spilled(&store, &cfg, 1);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(
+        err,
+        Err(EngineError::Spill(std::io::ErrorKind::UnexpectedEof))
+    );
+
+    let run = run_with_threads(&a, &cfg, 1).expect("in-RAM run after the failure");
+    let oracle = reference_run(&a, &cfg).expect("seed engine");
+    assert_eq!(run, oracle);
 }

@@ -780,7 +780,8 @@ impl MmapStorage {
             header[3] as usize,
             header[4] as usize,
         );
-        if tile_cols == 0 || n_tiles != ncols.div_ceil(tile_cols) {
+        // Tiles partition the columns of `B = Aᵀ`, i.e. the rows of `A`.
+        if tile_cols == 0 || n_tiles != nrows.div_ceil(tile_cols) {
             return Err(bad("inconsistent spill tiling header"));
         }
         // Size cross-check before any payload-sized allocation: the fixed
@@ -1147,6 +1148,22 @@ mod tests {
                 assert_eq!(&tile.vals[ts..te], &b.values()[bs..be]);
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn spill_roundtrips_non_square_matrices() {
+        // B = Aᵀ tiles span the rows of A, not its columns.
+        let a = GenSpec::uniform(16, 40, 90).seed(2).generate();
+        let path = std::env::temp_dir().join(format!(
+            "tailors_storage_test_nonsquare_{}.tspill",
+            std::process::id()
+        ));
+        MmapStorage::store(&a, 8, &path).expect("store spill file");
+        let store = MmapStorage::open(&path, None).expect("open spill file");
+        assert_eq!((store.nrows(), store.ncols(), store.n_tiles()), (16, 40, 2));
+        let tile = store.checkout_tile(1).expect("checkout tile");
+        assert_eq!(tile.row_ptr.len(), a.ncols() + 1);
         std::fs::remove_file(&path).ok();
     }
 
