@@ -26,55 +26,13 @@ fn bench_intersection(c: &mut Criterion) {
     let b = GenSpec::uniform(1, 100_000, 10_000).seed(2).generate();
     let (fa, fb) = (a.row(0), b.row(0));
 
-    // Balanced operands: the scalar two-finger merge is the baseline; the
-    // `blocked` row pins the portable scalar superblock walk (so this
-    // trajectory row keeps meaning the same thing on every runner), and
-    // the `simd` row is what `intersect_counted` now dispatches to on
-    // this shape when the CPU allows (identical reported counts).
-    println!(
-        "fiber_intersection/simd dispatch level: {}",
-        tailors_tensor::simd::active_level()
-    );
     let mut g = c.benchmark_group("fiber_intersection");
     g.throughput(Throughput::Elements((fa.len() + fb.len()) as u64));
     g.bench_function("two_finger_10k_x_10k", |bch| {
-        bch.iter(|| black_box(fa.intersect_counted_linear(&fb)))
-    });
-    g.bench_function("blocked_10k_x_10k", |bch| {
-        bch.iter(|| black_box(fa.intersect_counted_blocked_scalar(&fb)))
-    });
-    g.bench_function("simd_10k_x_10k", |bch| {
-        bch.iter(|| black_box(fa.intersect_counted_blocked(&fb)))
+        bch.iter(|| black_box(fa.intersect_counted(&fb)))
     });
     g.bench_function("dot_product_10k_x_10k", |bch| {
         bch.iter(|| black_box(fa.dot(&fb)))
-    });
-    g.finish();
-
-    // Asymmetric operands: the adaptive dispatch gallops; the `_linear`
-    // row is the scalar baseline it replaces on this shape. The operand
-    // ratio is tied to the dispatch threshold so the rows keep measuring
-    // the galloping side of the crossover if `GALLOP_RATIO` moves.
-    let small = GenSpec::uniform(1, 100_000, 200).seed(5).generate();
-    let fs = small.row(0);
-    assert!(
-        fb.len() > fs.len() * tailors_tensor::fiber::GALLOP_RATIO,
-        "asymmetric rows must sit past the gallop crossover \
-         ({} x {} vs ratio {})",
-        fs.len(),
-        fb.len(),
-        tailors_tensor::fiber::GALLOP_RATIO,
-    );
-    let mut g = c.benchmark_group("fiber_intersection_asymmetric");
-    g.throughput(Throughput::Elements((fs.len() + fb.len()) as u64));
-    g.bench_function("two_finger_200_x_10k", |bch| {
-        bch.iter(|| black_box(fs.intersect_counted_linear(&fb)))
-    });
-    g.bench_function("galloping_200_x_10k", |bch| {
-        bch.iter(|| black_box(fs.intersect_counted(&fb)))
-    });
-    g.bench_function("galloping_10k_x_200", |bch| {
-        bch.iter(|| black_box(fb.intersect_counted(&fs)))
     });
     g.finish();
 }

@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p tailors-bench --bin run_all --
 //! [scale] [--threads N] [--mem-budget SPEC] [--grid MODE] [--auto-plan]
-//! [--calibrate] [--no-simd] [--no-gen-cache] [--serve]`
+//! [--calibrate] [--no-gen-cache] [--serve]`
 //!
 //! At `scale = 1.0` (default) the workloads are generated at the paper's
 //! full dimensions; expect a few minutes, dominated by tensor generation.
@@ -23,10 +23,6 @@
 //! fixed heights — the suite records the chosen plans in its scratch
 //! stats, and the functional smoke executes (and verifies) them.
 //!
-//! `--no-simd` forwards `TAILORS_SIMD=off`: every fiber intersection in
-//! every child takes the portable scalar superblock path instead of the
-//! runtime-dispatched SIMD kernel (results are bit-identical either way
-//! — this is the isolation knob CI runs the whole suite under).
 //! `--calibrate` forwards `TAILORS_CALIBRATE=1`: auto planners minimize
 //! measured per-term costs ([`CostModel::calibrated`]) instead of raw
 //! element touches; chosen tilings may differ, replayed results never do.
@@ -57,6 +53,9 @@
 //! shard processes and proven bit-identical to an in-process baseline,
 //! then replayed with one shard hard-killed mid-stream to prove failover
 //! completes with the fleet accounting ledger intact.
+//!
+//! Every child runs even if an earlier one fails; `run_all` then exits 1
+//! and lists the children that exited unsuccessfully or failed to launch.
 
 use std::process::Command;
 
@@ -67,14 +66,13 @@ fn main() {
     let mut grid: Option<String> = None;
     let mut auto_plan = false;
     let mut calibrate = false;
-    let mut no_simd = false;
     let mut gen_cache = true;
     let mut serve = false;
     let mut wire = false;
     let mut router = false;
     let mut args = std::env::args().skip(1);
     const USAGE: &str = "usage: run_all [scale] [--threads N] [--mem-budget SPEC] [--grid MODE] \
-         [--auto-plan] [--calibrate] [--no-simd] [--no-gen-cache] [--serve] [--wire] [--router]";
+         [--auto-plan] [--calibrate] [--no-gen-cache] [--serve] [--wire] [--router]";
     while let Some(arg) = args.next() {
         if arg == "--threads" {
             let n = args.next().expect("--threads requires a value");
@@ -100,8 +98,6 @@ fn main() {
             auto_plan = true;
         } else if arg == "--calibrate" {
             calibrate = true;
-        } else if arg == "--no-simd" {
-            no_simd = true;
         } else if arg == "--no-gen-cache" {
             gen_cache = false;
         } else if arg == "--serve" {
@@ -149,6 +145,7 @@ fn main() {
         // on top of everything the wire smoke covers.
         bins.push(("serve --router-smoke", "serve", &["--router-smoke"]));
     }
+    let mut failed = Vec::new();
     for (label, bin, extra) in bins {
         println!();
         println!("==================== {label} ====================");
@@ -176,19 +173,25 @@ fn main() {
         if calibrate {
             cmd.env("TAILORS_CALIBRATE", "1");
         }
-        if no_simd {
-            cmd.env("TAILORS_SIMD", "off");
-        }
         if gen_cache {
             cmd.env("TAILORS_GEN_CACHE", &cache_dir);
         } else {
             cmd.env_remove("TAILORS_GEN_CACHE");
         }
-        let status = cmd.status();
-        match status {
+        match cmd.status() {
             Ok(s) if s.success() => {}
-            Ok(s) => eprintln!("{label} exited with {s}"),
-            Err(e) => eprintln!("failed to launch {label}: {e}"),
+            Ok(s) => {
+                eprintln!("{label} exited with {s}");
+                failed.push(label);
+            }
+            Err(e) => {
+                eprintln!("failed to launch {label}: {e}");
+                failed.push(label);
+            }
         }
+    }
+    if !failed.is_empty() {
+        eprintln!("run_all: {} failed: {}", failed.len(), failed.join(", "));
+        std::process::exit(1);
     }
 }

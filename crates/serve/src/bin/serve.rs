@@ -5,20 +5,17 @@
 //!
 //! Usage: `cargo run --release -p tailors-serve --bin serve --
 //! [scale] [--sweeps N] [--threads N] [--mem-budget SPEC] [--grid MODE]
-//! [--auto-plan] [--calibrate] [--no-simd] [--verify] [--smoke-functional]
+//! [--auto-plan] [--calibrate] [--verify] [--smoke-functional]
 //! [--wire ADDR | --wire-stdio | --wire-smoke]
 //! [--router N | --shards ADDR,ADDR,... | --router-smoke]
 //! [--replicas R] [--probe-ms MS]`
 //!
-//! `--no-simd` pins `TAILORS_SIMD=off` for the process: every fiber
-//! intersection takes the portable scalar superblock path (results are
-//! bit-identical either way; this is the knob for isolating the SIMD
-//! dispatch when debugging or benchmarking). `--calibrate` plans
-//! auto-planned requests under the measured [`CostModel::calibrated`]
-//! weights instead of the uniform element-touch model; it also falls
-//! back to `TAILORS_CALIBRATE`, so `run_all --calibrate` reaches this
-//! binary the same way as the other knobs. Calibrated plans are
-//! versioned in the plan tier by the model fingerprint.
+//! `--calibrate` plans auto-planned requests under the measured
+//! [`CostModel::calibrated`] weights instead of the uniform element-touch
+//! model; it also falls back to `TAILORS_CALIBRATE`, so `run_all
+//! --calibrate` reaches this binary the same way as the other knobs.
+//! Calibrated plans are versioned in the plan tier by the model
+//! fingerprint.
 //!
 //! The three `--wire*` modes run the fault-tolerant service runtime
 //! (bounded priority mailbox + worker pool + admission control; see
@@ -107,7 +104,6 @@ fn main() {
     let mut grid: Option<GridMode> = None;
     let mut auto_plan = false;
     let mut calibrate = false;
-    let mut no_simd = false;
     let mut verify = false;
     let mut smoke_functional = false;
     let mut wire_addr: Option<String> = None;
@@ -144,7 +140,6 @@ fn main() {
             "--grid" => grid = Some(GridMode::parse(&next("--grid")).expect("--grid")),
             "--auto-plan" => auto_plan = true,
             "--calibrate" => calibrate = true,
-            "--no-simd" => no_simd = true,
             "--verify" => verify = true,
             "--smoke-functional" => smoke_functional = true,
             "--wire" => wire_addr = Some(next("--wire")),
@@ -179,11 +174,6 @@ fn main() {
         }
     }
     assert!(sweeps > 0, "--sweeps must be positive");
-    if no_simd {
-        // Before any intersection runs: the SIMD dispatch level is
-        // resolved lazily (once per process) from this variable.
-        std::env::set_var("TAILORS_SIMD", "off");
-    }
     let threads = threads.unwrap_or_else(threads_from_env);
     let budget = budget.unwrap_or_else(mem_budget_from_env);
     let grid = grid.unwrap_or_else(grid_from_env);
@@ -263,11 +253,10 @@ fn main() {
     println!(
         "serve: {} requests/sweep ({} workloads x {} variants) at scale {scale}, \
          {threads} threads, budget {budget}, grid {grid}, auto-plan {auto_plan}, \
-         simd {}, cost model {}",
+         cost model {}",
         batch.len(),
         batch.len() / variants.len(),
         variants.len(),
-        tailors_tensor::simd::active_level(),
         if cost_model.is_uniform() {
             "uniform".to_string()
         } else {

@@ -1282,14 +1282,8 @@ pub fn encode_reply_into(id: Option<u64>, outcome: &Result<Reply, ServeError>, o
     obj(vec![("id", id_json), (body.0, body.1)]).render_into(out);
 }
 
-/// Encodes the protocol-level error reply for an undecodable line.
-pub fn encode_malformed_reply(err: &WireError) -> String {
-    let mut out = String::new();
-    encode_malformed_reply_into(err, &mut out);
-    out
-}
-
-/// [`encode_malformed_reply`] into a reusable buffer (cleared first).
+/// Encodes the protocol-level error reply for an undecodable line into a
+/// reusable buffer (cleared first).
 pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
     obj(vec![
         ("id", Json::Null),

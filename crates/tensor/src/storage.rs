@@ -1,12 +1,7 @@
 //! Storage handles: where tensor and scratch bytes live.
 //!
-//! Everything hot in the engine used to assume one answer — a freshly
-//! heap-allocated `Vec` per run. This module makes the answer a policy by
-//! splitting *what* a buffer is from *where its bytes come from*:
+//! Two places bytes can come from besides a fresh heap allocation:
 //!
-//! * [`HeapStorage`] — today's behaviour, the default: every checkout is a
-//!   fresh allocation, every return frees it. Bit-identical to the
-//!   pre-storage engine by construction.
 //! * [`SlabStorage`] — a keyed arena that recycles allocations by
 //!   [`ShapeClass`] (power-of-two buckets of a plan unit's rows × width).
 //!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it; dropping
@@ -35,30 +30,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// A source of buffers: checkout by key, release by dropping the handle.
-///
-/// The three backends share this surface so engine code can be written
-/// against "a place buffers come from" without naming the policy:
-/// [`HeapStorage`] and [`SlabStorage`] are keyed by [`ShapeClass`] and
-/// hand out owned [`PoolHandle`]s; [`MmapStorage`] is keyed by column-tile
-/// index and hands out shared [`SpillTile`]s.
-pub trait Storage<T: ?Sized> {
-    /// What selects a buffer: a shape class for scratch arenas, a tile
-    /// index for the spill tier.
-    type Key: Copy;
-    /// The checked-out buffer; dropping it releases the checkout.
-    type Handle: core::ops::Deref<Target = T>;
-
-    /// Checks a buffer out. Heap and slab backends cannot fail; the spill
-    /// tier surfaces I/O errors.
-    fn checkout(&self, key: Self::Key) -> io::Result<Self::Handle>;
-
-    /// Bytes this backend currently holds resident on behalf of *idle*
-    /// buffers (slab inventory, cached spill tiles). Checked-out handles
-    /// are the caller's to account.
-    fn resident_bytes(&self) -> u64;
-}
 
 // ---------------------------------------------------------------------------
 // Shape classes
@@ -372,22 +343,9 @@ fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>) {
     st.stats.resident_bytes = st.resident_bytes;
 }
 
-impl<T: PoolItem> Storage<T> for SlabStorage<T> {
-    type Key = ShapeClass;
-    type Handle = PoolHandle<T>;
-
-    fn checkout(&self, key: ShapeClass) -> io::Result<PoolHandle<T>> {
-        Ok(SlabStorage::checkout(self, key))
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        lock_state(&self.state).resident_bytes
-    }
-}
-
 /// An owned, prepared buffer checked out of a [`SlabStorage`] (or
-/// detached, for the heap-backed default). Dropping it returns the buffer
-/// to its slab — or frees it, if detached.
+/// detached, when pooling is off). Dropping it returns the buffer to its
+/// slab — or frees it, if detached.
 #[derive(Debug)]
 pub struct PoolHandle<T: PoolItem> {
     /// `Some` until drop; taken exactly once by `Drop`.
@@ -398,7 +356,7 @@ pub struct PoolHandle<T: PoolItem> {
 
 impl<T: PoolItem> PoolHandle<T> {
     /// A slab-less handle: a fresh prepared buffer, freed on drop. This is
-    /// [`HeapStorage`]'s checkout and the pooling-disabled fallback.
+    /// the pooling-disabled fallback.
     pub fn detached(class: ShapeClass) -> Self {
         let mut item = T::default();
         item.prepare(class);
@@ -439,24 +397,6 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
             evict_over_cap(&mut st);
         }
         // Detached: the item (if any) drops here, freeing its heap.
-    }
-}
-
-/// The default backend: every checkout is a fresh allocation, freed when
-/// the handle drops. Exactly the engine's pre-storage behaviour.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HeapStorage;
-
-impl<T: PoolItem> Storage<T> for HeapStorage {
-    type Key = ShapeClass;
-    type Handle = PoolHandle<T>;
-
-    fn checkout(&self, key: ShapeClass) -> io::Result<PoolHandle<T>> {
-        Ok(PoolHandle::detached(key))
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -985,19 +925,6 @@ impl MmapStorage {
 
 fn lock_spill(state: &Mutex<SpillState>) -> MutexGuard<'_, SpillState> {
     state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl Storage<SpillTile> for MmapStorage {
-    type Key = usize;
-    type Handle = Arc<SpillTile>;
-
-    fn checkout(&self, key: usize) -> io::Result<Arc<SpillTile>> {
-        self.checkout_tile(key)
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        lock_spill(&self.state).resident
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,23 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tailors_tensor::fiber::Fiber;
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
-use tailors_tensor::simd;
 use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
 use tailors_tensor::{CooMatrix, CsrMatrix};
+
+/// `intersect_counted` matches `intersect(..).count()` in both operand
+/// orders, and its `scanned` count does not depend on the order.
+fn assert_counted_intersection(ca: &[u32], cb: &[u32]) {
+    let va = vec![1.0; ca.len()];
+    let vb = vec![1.0; cb.len()];
+    let a = Fiber::new(ca, &va);
+    let b = Fiber::new(cb, &vb);
+    let (matches, scanned) = a.intersect_counted(&b);
+    let flipped = b.intersect_counted(&a);
+    assert_eq!(matches, a.intersect(&b).count());
+    assert_eq!(flipped.0, b.intersect(&a).count());
+    assert_eq!(flipped.1, scanned);
+}
 
 fn triplets_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     proptest::collection::vec((0usize..24, 0usize..24, -10.0f64..10.0), 0..200)
@@ -289,10 +302,10 @@ proptest! {
         }
     }
 
-    /// Galloping intersection is exactly equivalent to the linear
-    /// two-finger merge — matches *and* the modeled scan count — on
-    /// arbitrary fibers, including the extreme length ratios that trigger
-    /// the automatic dispatch.
+    /// The counted two-finger merge agrees with the lazy iterator on the
+    /// match count in both operand orders, and its modeled scan count is
+    /// symmetric, on a short fiber against one up to 50x longer (extreme
+    /// length ratios, either side shorter).
     #[test]
     fn galloping_intersection_matches_linear(
         mut ca in proptest::collection::vec(0u32..5_000, 0..40),
@@ -302,31 +315,12 @@ proptest! {
         ca.dedup();
         cb.sort_unstable();
         cb.dedup();
-        let va = vec![1.0; ca.len()];
-        let vb = vec![1.0; cb.len()];
-        let a = Fiber::new(&ca, &va);
-        let b = Fiber::new(&cb, &vb);
-        let lin = a.intersect_counted_linear(&b);
-        prop_assert_eq!(a.intersect_counted_galloping(&b), lin);
-        prop_assert_eq!(a.intersect_counted_blocked(&b), lin);
-        prop_assert_eq!(a.intersect_counted(&b), lin);
-        // And flipped operands (gallop over either side).
-        let lin_flipped = b.intersect_counted_linear(&a);
-        prop_assert_eq!(b.intersect_counted_galloping(&a), lin_flipped);
-        prop_assert_eq!(b.intersect_counted_blocked(&a), lin_flipped);
-        prop_assert_eq!(b.intersect_counted(&a), lin_flipped);
-        prop_assert_eq!(lin.0, lin_flipped.0);
+        assert_counted_intersection(&ca, &cb);
     }
 
-    /// Every SIMD intersection kernel the CPU supports agrees exactly
-    /// with the linear two-finger merge, and the dispatched blocked path
-    /// (whatever level the environment resolves) reproduces the portable
-    /// scalar superblock path bit-for-bit — matches *and* modeled scan
-    /// counts. The fibers exercise the kernels' edge geometry: empty
-    /// operands, lengths below one SIMD width (so the whole intersection
-    /// is the scalar tail), ragged tails of every residue mod 16, and a
-    /// spliced fully-dense superblock (256 consecutive shared coords, the
-    /// all-hit mask path).
+    /// The same agreement on balanced fibers: empty operands, ragged
+    /// lengths and, optionally, a spliced fully-dense block of 256 shared
+    /// coordinates (every step of the merge a match).
     #[test]
     fn simd_intersection_matches_scalar(
         mut ca in proptest::collection::vec(0u32..4_000, 0..600),
@@ -345,23 +339,7 @@ proptest! {
             ca.extend(base..base + 256);
             cb.extend(base..base + 256);
         }
-        let va = vec![1.0; ca.len()];
-        let vb = vec![1.0; cb.len()];
-        let a = Fiber::new(&ca, &va);
-        let b = Fiber::new(&cb, &vb);
-        let lin = a.intersect_counted_linear(&b);
-        prop_assert_eq!(a.intersect_counted_blocked_scalar(&b), lin);
-        prop_assert_eq!(a.intersect_counted_blocked(&b), lin);
-        // None ⇔ this CPU lacks AVX2; Some must be exact.
-        let avx2 = simd::SimdLevel::Avx2;
-        if let Some(m) = simd::intersect_matches_at(avx2, &ca, &cb) {
-            prop_assert_eq!(m, lin.0, "AVX2 kernel diverged");
-        }
-        if let Some(m) = simd::intersect_matches_at(avx2, &cb, &ca) {
-            prop_assert_eq!(m, lin.0, "AVX2 kernel diverged flipped");
-        }
-        // Flipped operands through the dispatcher too.
-        prop_assert_eq!(b.intersect_counted_blocked(&a), b.intersect_counted_blocked_scalar(&a));
+        assert_counted_intersection(&ca, &cb);
     }
 
     /// The tile column-pointer span of a whole tile run equals the union
