@@ -16,7 +16,7 @@ use tailors_serve::{SimRequest, SimService};
 use tailors_sim::functional::{
     auto_execution_plan, reference_run, run_spilled, run_with_threads, FunctionalConfig,
 };
-use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
+use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
 use tailors_tensor::storage::MmapStorage;
@@ -125,7 +125,7 @@ fn bench_planner(c: &mut Criterion) {
         ..fixed
     };
     let fixed_plan = fixed.execution_plan(a.nrows(), a.ncols());
-    let auto_plan = auto_execution_plan(&a, &auto, tailors_sim::cost_model_from_env());
+    let auto_plan = auto_execution_plan(&a, &auto, CostModel::UNIFORM);
     println!(
         "planner/auto_vs_fixed at 64KiB: fixed {} rows x {} blocks \
          ({} row-drain passes) -> auto {} rows x {} blocks ({} passes)",
@@ -147,7 +147,7 @@ fn bench_planner(c: &mut Criterion) {
     // the check that planning in measured picoseconds instead of raw
     // element touches never *loses* to the uniform model where the
     // uniform model was already right.
-    let model = tailors_sim::CostModel::calibrated();
+    let model = CostModel::calibrated();
     let calibrated_plan = auto_execution_plan(&a, &auto, model);
     let calibrated = FunctionalConfig {
         rows_a: calibrated_plan.rows_a(),

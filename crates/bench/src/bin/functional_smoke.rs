@@ -23,8 +23,7 @@
 //! (`ExecutionPlan::from_strategy` over `TilingStrategy::Overbooked`),
 //! i.e. the same planning path the hardware variants use.
 //!
-//! `--auto-plan` (fallback: `TAILORS_AUTO_PLAN`, so `run_all --auto-plan`
-//! reaches this binary) hands the panel height to the budget-aware
+//! `--auto-plan` hands the panel height to the budget-aware
 //! [`AutoPlanner`](tailors_sim::AutoPlanner) instead: `--rows-a` becomes
 //! the baseline candidate and the engine runs whatever height minimizes
 //! the closed-form traffic model under the budget. `--verify` then diffs
@@ -35,20 +34,18 @@
 //! tensor under a 256 MiB per-thread scratch budget. Unbudgeted, one
 //! 4096-row panel over 50 k columns would need ~1.6 GiB of scratch per
 //! thread; the execution plan blocks it into 8192-column strips instead.
-//! `--mem-budget` falls back to `TAILORS_MEM_BUDGET` (so `run_all
-//! --mem-budget` reaches this binary too), then to 256 MiB. `--grid 2d`
-//! (fallback: `TAILORS_GRID`, then panels) runs the full 2-D
-//! (panel x block) grid decomposition — per-unit buffer drivers with
-//! block-local traffic accounting — whose results, `--verify` proves,
-//! are still bit-identical to the seed engine.
+//! `--mem-budget` defaults to 256 MiB. `--grid 2d` (default: panels)
+//! runs the full 2-D (panel x block) grid decomposition — per-unit
+//! buffer drivers with block-local traffic accounting — whose results,
+//! `--verify` proves, are still bit-identical to the seed engine.
 
 use std::time::Instant;
 
-use tailors_bench::{grid_from_env, threads_from_env};
+use tailors_bench::threads_from_env;
 use tailors_core::swiftiles::SwiftilesConfig;
 use tailors_core::TilingStrategy;
 use tailors_sim::functional::{reference_run, run_spilled, run_with_threads, FunctionalConfig};
-use tailors_sim::{ArchConfig, ExecutionPlan, GridMode, MemBudget};
+use tailors_sim::{ArchConfig, CostModel, ExecutionPlan, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::storage::MmapStorage;
 
@@ -59,8 +56,8 @@ fn main() {
     let mut cols_b = 2_048usize;
     let mut auto_tile = false;
     let mut auto_plan = false;
-    let mut budget: Option<MemBudget> = None;
-    let mut grid: Option<GridMode> = None;
+    let mut budget = MemBudget::mib(256);
+    let mut grid = GridMode::Panels;
     let mut threads: Option<usize> = None;
     let mut spill = false;
     let mut spill_residency = MemBudget::mib(16);
@@ -88,9 +85,9 @@ fn main() {
             "--auto-tile" => auto_tile = true,
             "--auto-plan" => auto_plan = true,
             "--mem-budget" => {
-                budget = Some(MemBudget::parse(&next("--mem-budget")).expect("--mem-budget"))
+                budget = MemBudget::parse(&next("--mem-budget")).expect("--mem-budget")
             }
-            "--grid" => grid = Some(GridMode::parse(&next("--grid")).expect("--grid")),
+            "--grid" => grid = GridMode::parse(&next("--grid")).expect("--grid"),
             "--threads" => {
                 threads = Some(
                     next("--threads")
@@ -108,13 +105,7 @@ fn main() {
         }
     }
     let nnz = nnz.unwrap_or(cols.saturating_mul(6));
-    let budget = budget.unwrap_or_else(|| match std::env::var("TAILORS_MEM_BUDGET") {
-        Ok(s) => MemBudget::parse(&s).expect("TAILORS_MEM_BUDGET"),
-        Err(_) => MemBudget::mib(256),
-    });
-    let grid = grid.unwrap_or_else(grid_from_env);
     let threads = threads.unwrap_or_else(threads_from_env);
-    let auto_plan = auto_plan || tailors_bench::auto_plan_from_env();
 
     println!("generating {cols} x {cols} power-law tensor, target nnz {nnz} ...");
     let t0 = Instant::now();
@@ -147,8 +138,7 @@ fn main() {
     let plan = if auto_plan {
         // The plan the engine will derive internally: the budget-aware
         // planner with `--rows-a` as the baseline candidate.
-        let model = tailors_sim::cost_model_from_env();
-        let auto = tailors_sim::functional::auto_execution_plan(&a, &config, model);
+        let auto = tailors_sim::functional::auto_execution_plan(&a, &config, CostModel::UNIFORM);
         println!(
             "auto-plan: cost model chose {}-row panels (baseline {rows_a}) -> {} col blocks",
             auto.rows_a(),

@@ -7,18 +7,14 @@
 //! Architecture capacities are scaled by the same factor so tensor-to-
 //! buffer ratios — and hence the evaluation's shape — are preserved.
 //!
-//! Cross-cutting environment knobs (all forwarded by `run_all` flags):
-//! `TAILORS_THREADS` pins suite worker threads, `TAILORS_MEM_BUDGET`
-//! bounds per-thread scratch via the execution planner (see
-//! [`mem_budget_from_env`]), `TAILORS_GRID` picks the functional grid
-//! decomposition (see [`grid_from_env`]), and `TAILORS_GEN_CACHE` names
-//! the on-disk tensor-generation cache directory (see
-//! [`generate_cached`]).
+//! Cross-cutting environment knobs: `TAILORS_THREADS` pins suite worker
+//! threads (see [`threads_from_env`]), and `TAILORS_GEN_CACHE` names the
+//! on-disk tensor-generation cache directory (see [`generate_cached`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use tailors_sim::{run_balanced, ArchConfig, CostModel, RunMetrics, Variant};
+use tailors_sim::{run_balanced, ArchConfig, GridMode, MemBudget, RunMetrics, Variant};
 use tailors_tensor::MatrixProfile;
 use tailors_workloads::Workload;
 
@@ -84,11 +80,9 @@ pub fn scale_from_args() -> f64 {
     }
 }
 
-// The environment-knob parsers live in `tailors-sim` next to the types
-// they produce (one definition for the figure binaries, the serving
-// sweeps, and anything else); re-exported here so existing
-// `tailors_bench::*_from_env` callers keep working.
-pub use tailors_sim::{auto_plan_from_env, grid_from_env, mem_budget_from_env, threads_from_env};
+// The thread-count knob lives in `tailors-sim`; re-exported here so
+// existing `tailors_bench::threads_from_env` callers keep working.
+pub use tailors_sim::threads_from_env;
 
 /// The architecture used by every figure, scaled consistently.
 pub fn arch_at(scale: f64) -> ArchConfig {
@@ -129,9 +123,6 @@ pub fn simulate_suite_served(
 ) -> Vec<SuiteRun> {
     assert!(threads > 0, "thread count must be positive");
     let arch = arch_at(scale);
-    let budget = mem_budget_from_env();
-    let grid = grid_from_env();
-    let auto_plan = auto_plan_from_env();
     let suite = tailors_workloads::suite();
     let variants = [
         Variant::ExTensorN,
@@ -145,9 +136,9 @@ pub fn simulate_suite_served(
                 workload: wl.scaled(scale),
                 variant,
                 arch,
-                budget,
-                grid,
-                auto_plan,
+                budget: MemBudget::Unbounded,
+                grid: GridMode::Panels,
+                auto_plan: false,
             })
         })
         .collect();
@@ -186,20 +177,10 @@ pub fn simulate_suite_served(
 pub fn simulate_suite_with_threads(scale: f64, threads: usize) -> Vec<SuiteRun> {
     assert!(threads > 0, "thread count must be positive");
     let arch = arch_at(scale);
-    // Budget, grid, and auto-planning never change hardware counts; they
-    // are recorded in each run's `scratch` stats so sweeps can report
-    // feasibility and parallel width.
-    let budget = mem_budget_from_env();
-    let grid = grid_from_env();
-    let auto_plan = auto_plan_from_env();
     let one = |wl: &Workload| {
         let (workload, profile) = profile_at(wl, scale);
-        let run = |v: Variant| {
-            let tile = v.plan(&profile, &arch);
-            let auto = auto_plan.then_some(CostModel::UNIFORM);
-            let exec = v.execution_plan(&profile, &arch, budget, &tile, auto);
-            v.run_planned(&profile, &arch, &tile, &exec, grid)
-        };
+        let run =
+            |v: Variant| v.run_gridded(&profile, &arch, MemBudget::Unbounded, GridMode::Panels);
         let n = run(Variant::ExTensorN);
         let p = run(Variant::ExTensorP);
         let ob = run(Variant::default_ob());

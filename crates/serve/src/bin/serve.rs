@@ -12,9 +12,7 @@
 //!
 //! `--calibrate` plans auto-planned requests under the measured
 //! [`CostModel::calibrated`] weights instead of the uniform element-touch
-//! model; it also falls back to `TAILORS_CALIBRATE`, so `run_all
-//! --calibrate` reaches this binary the same way as the other knobs.
-//! Calibrated plans are versioned in the plan tier by the model
+//! model. Calibrated plans are versioned in the plan tier by the model
 //! fingerprint.
 //!
 //! The three `--wire*` modes run the fault-tolerant service runtime
@@ -65,12 +63,12 @@
 //! The batch is the full 22-workload suite × the three variants at
 //! `scale` (default 1.0), submitted through
 //! [`SimService::submit_batch`]'s cost-balanced LPT scheduler. `--threads`
-//! falls back to `TAILORS_THREADS`, `--mem-budget` to
-//! `TAILORS_MEM_BUDGET`, `--grid` to `TAILORS_GRID`, and `--auto-plan`
-//! to `TAILORS_AUTO_PLAN`, so `run_all --serve` reaches this binary with
-//! the same knobs as every other child. With auto-planning on, execution
-//! plans come from the budget-aware auto planner (cached per request key
-//! like any other plan).
+//! falls back to `TAILORS_THREADS`, so `run_all --serve --threads N`
+//! reaches this binary like every other child. `--mem-budget` (default
+//! unbounded) and `--grid` (default panels) set the requests' scratch
+//! budget and grid. With `--auto-plan`, execution plans come from the
+//! budget-aware auto planner (cached per request key like any other
+//! plan).
 //!
 //! `--verify` additionally recomputes every response cold — a direct
 //! `Variant::execution_plan` + `Variant::run_planned` on a freshly built
@@ -90,18 +88,15 @@ use tailors_serve::{
     ServeError, ServiceRuntime, ShardRouter, SimRequest, SimService, Work,
 };
 use tailors_sim::functional::reference_run;
-use tailors_sim::{
-    auto_plan_from_env, cost_model_from_env, grid_from_env, mem_budget_from_env, threads_from_env,
-    ArchConfig, CostModel, GridMode, MemBudget, Variant,
-};
+use tailors_sim::{threads_from_env, ArchConfig, CostModel, GridMode, MemBudget, Variant};
 use tailors_workloads::{Workload, WorkloadClass};
 
 fn main() {
     let mut scale = 1.0f64;
     let mut sweeps = 3usize;
     let mut threads: Option<usize> = None;
-    let mut budget: Option<MemBudget> = None;
-    let mut grid: Option<GridMode> = None;
+    let mut budget = MemBudget::Unbounded;
+    let mut grid = GridMode::Panels;
     let mut auto_plan = false;
     let mut calibrate = false;
     let mut verify = false;
@@ -135,9 +130,9 @@ fn main() {
                 )
             }
             "--mem-budget" => {
-                budget = Some(MemBudget::parse(&next("--mem-budget")).expect("--mem-budget"))
+                budget = MemBudget::parse(&next("--mem-budget")).expect("--mem-budget")
             }
-            "--grid" => grid = Some(GridMode::parse(&next("--grid")).expect("--grid")),
+            "--grid" => grid = GridMode::parse(&next("--grid")).expect("--grid"),
             "--auto-plan" => auto_plan = true,
             "--calibrate" => calibrate = true,
             "--verify" => verify = true,
@@ -175,13 +170,10 @@ fn main() {
     }
     assert!(sweeps > 0, "--sweeps must be positive");
     let threads = threads.unwrap_or_else(threads_from_env);
-    let budget = budget.unwrap_or_else(mem_budget_from_env);
-    let grid = grid.unwrap_or_else(grid_from_env);
-    let auto_plan = auto_plan || auto_plan_from_env();
     let cost_model = if calibrate {
         CostModel::calibrated()
     } else {
-        cost_model_from_env()
+        CostModel::UNIFORM
     };
 
     if wire_stdio {

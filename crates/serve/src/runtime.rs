@@ -1278,10 +1278,8 @@ mod tests {
             .submit(Work::Functional(Box::new(req.clone())))
             .expect("served");
         let after_one = runtime.scratch_pool_stats();
-        if tailors_tensor::storage::pooling_enabled() {
-            assert!(after_one.checkouts > 0, "engine run must draw scratch");
-            assert_eq!(after_one.checkouts, after_one.hits + after_one.misses);
-        }
+        assert!(after_one.checkouts > 0, "engine run must draw scratch");
+        assert_eq!(after_one.checkouts, after_one.hits + after_one.misses);
         // Sim work never touches the functional scratch pool, so the
         // rolled-up counters stay put (slots publish before each reply).
         runtime.submit(sim_work("email-Enron")).expect("served");

@@ -9,10 +9,10 @@
 //!
 //! The functional path cannot be literally zero-alloc (each response
 //! carries a freshly assembled result matrix the caller keeps), so its
-//! pin is relative: with the scratch pool on, a steady-state request
-//! allocates strictly less than the same request with pooling disabled —
-//! the kernel + output-assembly scratch comes from recycled pool
-//! inventory instead of the allocator.
+//! pin is relative: a steady-state request through a warm scratch pool
+//! allocates strictly less than the same request right after the pool is
+//! cleared — the kernel + output-assembly scratch comes from recycled
+//! pool inventory instead of the allocator.
 //!
 //! Tests in this binary serialize on a mutex: the counters are global, so
 //! a concurrently running test would pollute a measurement window.
@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tailors_serve::{FunctionalRequest, SimRequest, SimService};
+use tailors_sim::functional::clear_scratch_pool;
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
-use tailors_tensor::storage::{pooling_enabled, set_pooling};
 
 /// Tallies allocator calls; frees are deliberately not counted (dropping
 /// a warmed response between windows must not perturb the measurement).
@@ -134,7 +134,7 @@ fn hot_served_suite_batch_allocates_nothing() {
 }
 
 /// The functional steady state: pooled scratch makes a warm request
-/// allocate strictly less than the identical request with pooling off.
+/// allocate strictly less than the identical request from a cleared pool.
 /// (The residual pooled allocations are the response's own result
 /// buffers, which the caller keeps — those can never come from a pool.)
 #[test]
@@ -154,8 +154,6 @@ fn pooled_functional_request_allocates_less_than_fresh() {
     let pinned = tailors_workloads::generate_cached(&req.workload);
     let service = SimService::new();
 
-    let was_pooling = pooling_enabled();
-    set_pooling(true);
     for _ in 0..2 {
         service.run_functional(&req).expect("warm pooled serve");
     }
@@ -163,12 +161,12 @@ fn pooled_functional_request_allocates_less_than_fresh() {
     black_box(service.run_functional(&req).expect("pooled serve"));
     let pooled = allocs() - before;
 
-    set_pooling(false);
-    service.run_functional(&req).expect("settle fresh serve");
+    // `threads: 1` runs the engine on this thread, so clearing this
+    // thread's pool makes the next request allocate its scratch afresh.
+    clear_scratch_pool();
     let before = allocs();
     black_box(service.run_functional(&req).expect("fresh serve"));
     let fresh = allocs() - before;
-    set_pooling(was_pooling);
 
     assert!(
         pooled < fresh,

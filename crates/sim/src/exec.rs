@@ -39,8 +39,8 @@ const SLOT_BYTES: u64 = core::mem::size_of::<f64>() as u64;
 /// A per-thread scratch-memory budget in bytes.
 ///
 /// `Unbounded` reproduces the historical behaviour (one block spanning all
-/// columns). The bench layer parses this from `--mem-budget` /
-/// `TAILORS_MEM_BUDGET` via [`MemBudget::parse`].
+/// columns). The binaries parse this from `--mem-budget` via
+/// [`MemBudget::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemBudget {
     /// No limit: the scratch spans every column of the output.
@@ -123,66 +123,6 @@ impl core::fmt::Display for MemBudget {
             }
             MemBudget::Bytes(b) => write!(f, "{b}B"),
         }
-    }
-}
-
-/// The per-thread scratch budget from the `TAILORS_MEM_BUDGET`
-/// environment variable (`run_all --mem-budget` forwards it to every
-/// child binary), or [`MemBudget::Unbounded`] when unset. The single
-/// definition every binary layer (bench figures, serving sweeps) parses
-/// this knob through.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_MEM_BUDGET` is set but unparseable (see
-/// [`MemBudget::parse`]).
-pub fn mem_budget_from_env() -> MemBudget {
-    match std::env::var("TAILORS_MEM_BUDGET") {
-        Err(_) => MemBudget::Unbounded,
-        Ok(s) => MemBudget::parse(&s).unwrap_or_else(|e| panic!("TAILORS_MEM_BUDGET: {e}")),
-    }
-}
-
-/// Whether auto-tiling is requested via the `TAILORS_AUTO_PLAN`
-/// environment variable (`run_all --auto-plan` forwards it to every child
-/// binary): `1` / `true` / `yes` (case-insensitive) enable it, `0` /
-/// `false` / `no` / unset leave every path on its fixed tiling.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_AUTO_PLAN` is set to anything else.
-pub fn auto_plan_from_env() -> bool {
-    match std::env::var("TAILORS_AUTO_PLAN") {
-        Err(_) => false,
-        Ok(s) => parse_auto_plan(&s)
-            .unwrap_or_else(|| panic!("TAILORS_AUTO_PLAN must be a boolean, got {s:?}")),
-    }
-}
-
-/// The boolean grammar behind [`auto_plan_from_env`], split out so the
-/// accepted spellings are testable without mutating the process
-/// environment. `None` means unparseable.
-fn parse_auto_plan(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" => Some(true),
-        "" | "0" | "false" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// The functional grid decomposition from the `TAILORS_GRID` environment
-/// variable (`run_all --grid` forwards it the same way), or the panels
-/// default when unset. Results never depend on this — it only changes
-/// the parallel width a functional replay exposes.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_GRID` is set but unparseable (see
-/// [`GridMode::parse`]).
-pub fn grid_from_env() -> GridMode {
-    match std::env::var("TAILORS_GRID") {
-        Err(_) => GridMode::default(),
-        Ok(s) => GridMode::parse(&s).unwrap_or_else(|e| panic!("TAILORS_GRID: {e}")),
     }
 }
 
@@ -813,30 +753,6 @@ fn measure_ps(elems_per_pass: usize, passes: usize, mut f: impl FnMut()) -> u64 
     best.max(1)
 }
 
-/// The planner cost model from the `TAILORS_CALIBRATE` environment
-/// variable (`run_all --calibrate` and `serve --calibrate` forward it):
-/// `1` / `true` / `yes` run [`CostModel::calibrated`] once and plan in
-/// measured picoseconds; `0` / `false` / `no` / unset keep the
-/// historical [`CostModel::UNIFORM`] element-touch model.
-///
-/// # Panics
-///
-/// Panics if `TAILORS_CALIBRATE` is set to anything else.
-pub fn cost_model_from_env() -> CostModel {
-    match std::env::var("TAILORS_CALIBRATE") {
-        Err(_) => CostModel::UNIFORM,
-        Ok(s) => {
-            if parse_auto_plan(&s)
-                .unwrap_or_else(|| panic!("TAILORS_CALIBRATE must be a boolean, got {s:?}"))
-            {
-                CostModel::calibrated()
-            } else {
-                CostModel::UNIFORM
-            }
-        }
-    }
-}
-
 /// The closed-form traffic of one auto-planner candidate, in
 /// element-touches (see [`AutoPlanner`] for the model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -860,18 +776,11 @@ pub struct PlanCost {
     pub extraction_passes: u128,
     /// `scratch_fills + b_refetch + extraction_passes` — the raw
     /// equal-weight element-touch total (kept for reporting and for the
-    /// historical tests' assertions; the spill term is deliberately
-    /// excluded so in-RAM totals are unchanged).
+    /// historical tests' assertions).
     pub total: u128,
-    /// Spill-tier page-in volume when the streamed operand is
-    /// file-backed: every panel demands one pass over the spilled tiles
-    /// (`n_row_panels × nnz`). Zero unless the planner was given a spill
-    /// weight ([`AutoPlanner::with_spill`]).
-    pub spill_traffic: u128,
     /// The planner's objective: the three terms weighted by its
     /// [`CostModel`] (equal to `total` under [`CostModel::UNIFORM`],
-    /// estimated picoseconds under a calibrated model), plus the
-    /// spill-weighted `spill_traffic` for file-backed plans.
+    /// estimated picoseconds under a calibrated model).
     pub weighted_total: u128,
 }
 
@@ -916,9 +825,6 @@ pub struct AutoPlanner<'a> {
     buffer: Option<BufferParams>,
     baseline_rows_a: Option<usize>,
     model: CostModel,
-    /// Weight (cost units per element) of paging one streamed element in
-    /// from the spill tier; `None` for in-RAM operands.
-    spill: Option<u64>,
 }
 
 impl<'a> AutoPlanner<'a> {
@@ -937,7 +843,6 @@ impl<'a> AutoPlanner<'a> {
             buffer: None,
             baseline_rows_a: None,
             model: CostModel::UNIFORM,
-            spill: None,
         }
     }
 
@@ -970,22 +875,6 @@ impl<'a> AutoPlanner<'a> {
         self
     }
 
-    /// Prices spill-tier traffic for a file-backed streamed operand:
-    /// every panel pages the whole spilled operand in once, so the term
-    /// is `n_row_panels × nnz × w_spill`. Disk touches cost orders of
-    /// magnitude more than the in-RAM B-refetch the equal-weight model
-    /// charges for the same volume, so any realistic `w_spill` pushes
-    /// the choice toward **taller panels** (fewer passes over the file)
-    /// — exactly the preference the paper's buffer model has for
-    /// stationary reuse, applied one tier down. The in-RAM `total` field
-    /// is unchanged; only the weighted objective (and the choice) move,
-    /// and the neighborhood sweep runs even under a uniform model since
-    /// the objective is no longer a uniform scaling of `total`.
-    pub fn with_spill(mut self, w_spill: u64) -> Self {
-        self.spill = Some(w_spill);
-        self
-    }
-
     /// The closed-form cost of one candidate height. O(`nrows / rows_a`)
     /// over the profile's prefix sums when a buffer model is set, O(1)
     /// otherwise.
@@ -1011,11 +900,6 @@ impl<'a> AutoPlanner<'a> {
         let scratch_fills = nnz + traversals.saturating_sub(1) * steady;
         let b_refetch = n_panels * nnz;
         let extraction_passes = nrows as u128 * n_blocks;
-        let spill_traffic = match self.spill {
-            Some(_) => n_panels * nnz,
-            None => 0,
-        };
-        let spill_cost = spill_traffic * self.spill.unwrap_or(0) as u128;
         PlanCost {
             rows_a,
             col_blocks: plan.n_col_blocks(),
@@ -1024,11 +908,9 @@ impl<'a> AutoPlanner<'a> {
             b_refetch,
             extraction_passes,
             total: scratch_fills + b_refetch + extraction_passes,
-            spill_traffic,
             weighted_total: self
                 .model
-                .weighted(scratch_fills, b_refetch, extraction_passes)
-                + spill_cost,
+                .weighted(scratch_fills, b_refetch, extraction_passes),
         }
     }
 
@@ -1061,7 +943,7 @@ impl<'a> AutoPlanner<'a> {
         // element-touch total, so the historical candidate set already
         // contains their optimum and the historical choices are
         // reproduced exactly.
-        if !self.model.is_uniform() || self.spill.is_some() {
+        if !self.model.is_uniform() {
             let incumbent = best.rows_a as i128;
             let radius = (incumbent / 4).max(1);
             let step = (radius / 4).max(1);
@@ -1309,36 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_weight_prefers_taller_panels() {
-        let p = uniform_profile();
-        let base = AutoPlanner::new(&p, 32, MemBudget::bytes(64 << 10))
-            .with_buffer(BufferParams {
-                capacity: 2_048,
-                fifo_region: 256,
-                overbooking: true,
-            })
-            .with_baseline(256);
-        let in_ram = base.choose();
-        // Disk touches dwarf every in-RAM term: the planner must trade
-        // extraction passes and scratch refetch for fewer passes over the
-        // spilled operand, i.e. panels at least as tall as the in-RAM
-        // choice (strictly taller at this operating point).
-        let spilled = base.with_spill(1_000_000).choose();
-        assert!(
-            spilled.rows_a > in_ram.rows_a,
-            "spill-aware choice {} not taller than in-RAM {}",
-            spilled.rows_a,
-            in_ram.rows_a
-        );
-        // The term is the page-in volume at the chosen height, and the
-        // equal-weight element-touch total is untouched by the weight.
-        let n_panels = p.nrows().div_ceil(spilled.rows_a) as u128;
-        assert_eq!(spilled.spill_traffic, n_panels * p.nnz() as u128);
-        assert_eq!(in_ram.spill_traffic, 0);
-        assert_eq!(base.cost_of(spilled.rows_a).total, spilled.total);
-    }
-
-    #[test]
     fn degenerate_calibration_reproduces_uniform_plan_choices() {
         // A calibration that measures all three terms equally expensive
         // (whatever the shared magnitude) must reproduce the historical
@@ -1492,22 +1344,6 @@ mod tests {
             ..tailor
         };
         assert_eq!(buffet.steady_refetch(100), 100, "whole-tile refill");
-    }
-
-    #[test]
-    fn auto_plan_env_parses_booleans() {
-        // Unset: off (the environment is not mutated here — the harness
-        // runs tests concurrently — so the variable itself only gets the
-        // unset-default probe; the grammar is tested directly).
-        assert!(!auto_plan_from_env());
-        for on in ["1", "true", "YES", " True "] {
-            assert_eq!(parse_auto_plan(on), Some(true), "{on:?}");
-        }
-        for off in ["0", "false", "No", "", "  "] {
-            assert_eq!(parse_auto_plan(off), Some(false), "{off:?}");
-        }
-        assert_eq!(parse_auto_plan("always"), None);
-        assert_eq!(parse_auto_plan("2"), None);
     }
 
     #[test]

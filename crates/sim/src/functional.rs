@@ -253,11 +253,11 @@ pub struct FunctionalConfig {
     /// Opt-in budget-aware auto-tiling: when set, `rows_a` is only the
     /// *baseline* candidate — the engine re-plans the panel height
     /// against `mem_budget` through the
-    /// [`AutoPlanner`](crate::exec::AutoPlanner) (see
-    /// [`auto_execution_plan`]) before running. The output matrix is
-    /// bit-identical to [`reference_run`] either way (results never
-    /// depend on the tiling); the DRAM counts are those of the chosen
-    /// tiling.
+    /// [`AutoPlanner`](crate::exec::AutoPlanner) under the uniform cost
+    /// model (see [`auto_execution_plan`]) before running. The output
+    /// matrix is bit-identical to [`reference_run`] either way (results
+    /// never depend on the tiling); the DRAM counts are those of the
+    /// chosen tiling.
     pub auto_plan: bool,
 }
 
@@ -291,13 +291,10 @@ impl FunctionalConfig {
 /// `plan.rows_a()` is bit-identical to the auto run in every reported
 /// field.
 ///
-/// The engine itself plans with
-/// [`cost_model_from_env`](crate::exec::cost_model_from_env) (the
-/// `TAILORS_CALIBRATE` knob): unset keeps the historical equal-weight
-/// model; `run_all --calibrate` switches every engine-internal auto plan
-/// to measured weights. Either way the *results* of the run are
-/// bit-identical — only the chosen tiling (and therefore the traffic
-/// counters) can move.
+/// The engine's own auto plans use
+/// [`CostModel::UNIFORM`](crate::exec::CostModel::UNIFORM); another
+/// `model` can only move the chosen tiling (and therefore the traffic
+/// counters), never the output matrix.
 pub fn auto_execution_plan(
     a: &CsrMatrix,
     config: &FunctionalConfig,
@@ -365,7 +362,7 @@ fn engine_setup<'a>(
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
-        auto_execution_plan(a, config, crate::exec::cost_model_from_env())
+        auto_execution_plan(a, config, crate::exec::CostModel::UNIFORM)
     } else {
         config.execution_plan(n, n)
     };
@@ -1654,8 +1651,7 @@ mod tests {
                     grid,
                     auto_plan: true,
                 };
-                let chosen =
-                    auto_execution_plan(&a, &auto_config, crate::exec::cost_model_from_env());
+                let chosen = auto_execution_plan(&a, &auto_config, crate::exec::CostModel::UNIFORM);
                 let fixed_config = FunctionalConfig {
                     rows_a: chosen.rows_a(),
                     auto_plan: false,

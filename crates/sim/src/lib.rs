@@ -51,8 +51,7 @@ pub mod variants;
 pub use arch::{ArchConfig, ArchKey};
 pub use dataflow::{simulate, simulate_planned};
 pub use exec::{
-    auto_plan_from_env, balanced_partition, cost_model_from_env, grid_from_env,
-    mem_budget_from_env, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,
+    balanced_partition, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,
     GridMode, MemBudget, PlanCost, PlanUnit, ScratchStats,
 };
 

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use tailors_sim::functional::{
     auto_execution_plan, reference_run, run_grid, run_with_threads, FunctionalConfig,
 };
-use tailors_sim::{cost_model_from_env, CostModel, GridMode, MemBudget};
+use tailors_sim::{CostModel, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{approx_eq, spmspm_a_at};
 use tailors_tensor::CsrMatrix;
@@ -153,7 +153,7 @@ proptest! {
             grid: if grid2d { GridMode::Grid2D } else { GridMode::Panels },
             auto_plan: true,
         };
-        let chosen = auto_execution_plan(&a, &auto_config, cost_model_from_env());
+        let chosen = auto_execution_plan(&a, &auto_config, CostModel::UNIFORM);
         let fixed_config = FunctionalConfig {
             rows_a: chosen.rows_a(),
             auto_plan: false,

@@ -1,5 +1,5 @@
 //! Property tests for the storage-handle layer: pooled-scratch runs are
-//! bit-identical to fresh-alloc runs across arbitrary interleavings of
+//! bit-identical to cold-pool runs across arbitrary interleavings of
 //! request shapes through one shared per-thread pool (shape-class
 //! collisions, pool eviction under tight `MemBudget`, 1/4/8 threads),
 //! and spilled runs ([`run_spilled`] over a file-backed operand paged in
@@ -9,34 +9,13 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use tailors_sim::functional::{
     clear_scratch_pool, reference_run, run_spilled, run_with_threads, scratch_pool_stats,
     FunctionalConfig,
 };
 use tailors_sim::{GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::storage::{pooling_enabled, set_pooling, MmapStorage};
-
-/// Serializes tests that toggle the process-wide pooling switch, so a
-/// concurrently running test never observes a half-finished toggle.
-static POOL_TOGGLE: Mutex<()> = Mutex::new(());
-
-/// Restores the pooling switch when a test scope ends, panic or not.
-struct PoolingGuard(bool);
-
-impl PoolingGuard {
-    fn hold() -> (std::sync::MutexGuard<'static, ()>, PoolingGuard) {
-        let lock = POOL_TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        (lock, PoolingGuard(pooling_enabled()))
-    }
-}
-
-impl Drop for PoolingGuard {
-    fn drop(&mut self) {
-        set_pooling(self.0);
-    }
-}
+use tailors_tensor::storage::MmapStorage;
 
 fn config(
     capacity: usize,
@@ -74,8 +53,9 @@ proptest! {
     /// An arbitrary interleaving of differently-shaped requests through
     /// one shared pool — shape-class collisions, recycled buffers, and
     /// eviction under arbitrary (including tiny) retention budgets —
-    /// produces bit-identical results to the same sequence with pooling
-    /// disabled (every buffer freshly allocated), at 1, 4, and 8 threads.
+    /// produces bit-identical results to the same requests each run from
+    /// a cold pool (every buffer freshly allocated), at 1, 4, and 8
+    /// threads.
     #[test]
     fn pooled_interleavings_match_fresh_alloc_runs(
         seed in 0u64..30,
@@ -99,8 +79,6 @@ proptest! {
             })
             .collect();
 
-        let (_lock, _restore) = PoolingGuard::hold();
-        set_pooling(true);
         let pooled: Vec<_> = configs
             .iter()
             .map(|c| run_with_threads(&a, c, threads).expect("pooled run"))
@@ -111,10 +89,15 @@ proptest! {
             .iter()
             .map(|c| run_with_threads(&a, c, threads).expect("warm pooled run"))
             .collect();
-        set_pooling(false);
+        // Pools are per thread: a single-threaded run uses this thread's
+        // pool, cleared here; wider runs spawn new scoped workers whose
+        // pools start empty.
         let fresh: Vec<_> = configs
             .iter()
-            .map(|c| run_with_threads(&a, c, threads).expect("fresh-alloc run"))
+            .map(|c| {
+                clear_scratch_pool();
+                run_with_threads(&a, c, threads).expect("fresh-alloc run")
+            })
             .collect();
         prop_assert_eq!(&pooled, &fresh);
         prop_assert_eq!(&warm, &fresh);
@@ -190,8 +173,6 @@ fn warm_pool_serves_repeat_runs_without_misses() {
     // pool (correctly) evicts between runs and every repeat re-allocates.
     let cfg = config(64, 25, 16, 16, true, MemBudget::bytes(1 << 20));
 
-    let (_lock, _restore) = PoolingGuard::hold();
-    set_pooling(true);
     clear_scratch_pool();
     run_with_threads(&a, &cfg, 1).expect("warmup run");
     let warm = scratch_pool_stats();
@@ -217,8 +198,6 @@ fn tight_budget_evicts_pool_inventory_without_changing_results() {
     // and the pool can retain nothing.
     let cfg = config(32, 50, 8, 8, true, MemBudget::bytes(1));
 
-    let (_lock, _restore) = PoolingGuard::hold();
-    set_pooling(true);
     clear_scratch_pool();
     let before = scratch_pool_stats();
     let run = run_with_threads(&a, &cfg, 1).expect("tight-budget run");
@@ -312,6 +291,41 @@ fn spilled_validation_matches_resident_validation() {
     );
 }
 
+/// Out-of-range column indices in a spill file's payload are a typed
+/// `InvalidData` spill error, not an out-of-bounds panic: an `A` column
+/// past `ncols`, and a `B` tile column outside the tile's column range.
+#[test]
+fn spill_column_index_out_of_range_is_typed() {
+    use tailors_sim::functional::EngineError;
+    let a = GenSpec::uniform(64, 64, 400).seed(2).generate();
+    let cfg = config(64, 25, 16, 16, true, MemBudget::Unbounded);
+    let path = unique_spill_path("clean");
+    MmapStorage::store(&a, 16, &path).expect("store spill file");
+    let bytes = std::fs::read(&path).expect("read spill file");
+    std::fs::remove_file(&path).ok();
+    // Layout: magic, 5 header words, `nrows + 1` row pointers and
+    // `n_tiles + 1` tile offsets, then `A`'s column indices; tile 0's
+    // column indices follow its `ncols + 1` row pointers.
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+    let (n, n_tiles) = (word(1) as usize, word(5) as usize);
+    let a_cols = 48 + (n + 1) * 8 + (n_tiles + 1) * 8;
+    let tile0_cols = word(6 + n + 1) as usize + (n + 1) * 8;
+    for at in [a_cols, tile0_cols] {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let path = unique_spill_path("badcol");
+        std::fs::write(&path, &bad).expect("write corrupt spill file");
+        let store = MmapStorage::open(&path, None).expect("header is intact");
+        let err = run_spilled(&store, &cfg, 1);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            err,
+            Err(EngineError::Spill(std::io::ErrorKind::InvalidData)),
+            "corrupt column index at byte {at}"
+        );
+    }
+}
+
 /// A spill file that goes short under an open store fails the run with a
 /// typed I/O error on the last tile — after earlier tiles have already
 /// accumulated into the pooled scratch — and the scratch is left clean:
@@ -333,8 +347,6 @@ fn mid_run_spill_failure_is_typed_and_leaves_scratch_clean() {
     let len = file.metadata().expect("metadata").len();
     file.set_len(len - 1).expect("shorten spill file");
 
-    let (_lock, _restore) = PoolingGuard::hold();
-    set_pooling(true);
     let err = run_spilled(&store, &cfg, 1);
     std::fs::remove_file(&path).ok();
     assert_eq!(

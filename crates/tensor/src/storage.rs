@@ -18,9 +18,7 @@
 //! The engine-facing composition is [`ScratchPool`]: one slab per scratch
 //! family (SPA accumulators, panel triplet buffers), kept per worker
 //! thread by `tailors_sim::functional` so steady-state serving performs no
-//! heap allocation in the kernel + assembly path. Pooling can be disabled
-//! globally ([`set_pooling`], `TAILORS_POOL=off`) — results are
-//! bit-identical either way, only allocation behaviour differs.
+//! heap allocation in the kernel + assembly path.
 
 use crate::ops::BlockedSpa;
 use crate::CsrMatrix;
@@ -28,8 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
 // Shape classes
@@ -150,39 +147,6 @@ impl PoolItem for PanelBuffers {
 }
 
 // ---------------------------------------------------------------------------
-// Global pooling switch
-// ---------------------------------------------------------------------------
-
-static POOLING: OnceLock<AtomicBool> = OnceLock::new();
-
-fn pooling_cell() -> &'static AtomicBool {
-    POOLING.get_or_init(|| {
-        let on = match std::env::var("TAILORS_POOL") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "off" | "0" | "false" | "no"
-            ),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether scratch pooling is enabled (default on; `TAILORS_POOL=off`
-/// disables it at startup, [`set_pooling`] toggles it in-process).
-pub fn pooling_enabled() -> bool {
-    pooling_cell().load(Ordering::Relaxed)
-}
-
-/// Enables or disables scratch pooling process-wide. With pooling off,
-/// [`ScratchPool`] checkouts are plain heap allocations freed on drop —
-/// results are bit-identical either way (the property suite pins it);
-/// only allocation behaviour and pool statistics differ.
-pub fn set_pooling(on: bool) {
-    pooling_cell().store(on, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Slab storage
 // ---------------------------------------------------------------------------
 
@@ -289,7 +253,7 @@ impl<T: PoolItem> SlabStorage<T> {
         PoolHandle {
             item: Some(item),
             class,
-            home: Some(Arc::clone(&self.state)),
+            home: Arc::clone(&self.state),
         }
     }
 
@@ -343,30 +307,17 @@ fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>) {
     st.stats.resident_bytes = st.resident_bytes;
 }
 
-/// An owned, prepared buffer checked out of a [`SlabStorage`] (or
-/// detached, when pooling is off). Dropping it returns the buffer to its
-/// slab — or frees it, if detached.
+/// An owned, prepared buffer checked out of a [`SlabStorage`]. Dropping
+/// it returns the buffer to its slab.
 #[derive(Debug)]
 pub struct PoolHandle<T: PoolItem> {
     /// `Some` until drop; taken exactly once by `Drop`.
     item: Option<T>,
     class: ShapeClass,
-    home: Option<Arc<Mutex<SlabState<T>>>>,
+    home: Arc<Mutex<SlabState<T>>>,
 }
 
 impl<T: PoolItem> PoolHandle<T> {
-    /// A slab-less handle: a fresh prepared buffer, freed on drop. This is
-    /// the pooling-disabled fallback.
-    pub fn detached(class: ShapeClass) -> Self {
-        let mut item = T::default();
-        item.prepare(class);
-        Self {
-            item: Some(item),
-            class,
-            home: None,
-        }
-    }
-
     /// The shape class this handle was checked out with.
     pub fn class(&self) -> ShapeClass {
         self.class
@@ -388,15 +339,13 @@ impl<T: PoolItem> core::ops::DerefMut for PoolHandle<T> {
 
 impl<T: PoolItem> Drop for PoolHandle<T> {
     fn drop(&mut self) {
-        let (item, home) = (self.item.take(), self.home.take());
-        if let (Some(item), Some(home)) = (item, home) {
-            let mut st = lock_state(&home);
+        if let Some(item) = self.item.take() {
+            let mut st = lock_state(&self.home);
             st.stats.returns += 1;
             st.resident_bytes += item.heap_bytes();
             st.by_class.entry(self.class).or_default().push(item);
             evict_over_cap(&mut st);
         }
-        // Detached: the item (if any) drops here, freeing its heap.
     }
 }
 
@@ -409,10 +358,6 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
 /// set. `tailors_sim::functional` keeps one per worker thread; a serve
 /// runtime worker therefore reuses the same warm buffers request after
 /// request, which is what makes the steady-state hot path allocation-free.
-///
-/// Checkouts respect the global pooling switch: with pooling disabled
-/// (`TAILORS_POOL=off` / [`set_pooling`]) they degrade to detached heap
-/// handles and the slabs stay untouched.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchPool {
     spa: SlabStorage<BlockedSpa>,
@@ -427,20 +372,12 @@ impl ScratchPool {
 
     /// Checks out a SPA accumulator for a `class`-shaped plan unit.
     pub fn checkout_spa(&self, class: ShapeClass) -> PoolHandle<BlockedSpa> {
-        if pooling_enabled() {
-            self.spa.checkout(class)
-        } else {
-            PoolHandle::detached(class)
-        }
+        self.spa.checkout(class)
     }
 
     /// Checks out the panel output-assembly buffer set.
     pub fn checkout_buffers(&self, class: ShapeClass) -> PoolHandle<PanelBuffers> {
-        if pooling_enabled() {
-            self.bufs.checkout(class)
-        } else {
-            PoolHandle::detached(class)
-        }
+        self.bufs.checkout(class)
     }
 
     /// Caps idle bytes retained *per family* (`None` is unbounded). The
@@ -612,6 +549,25 @@ fn parse_f64s(bytes: &[u8]) -> Vec<f64> {
         .collect()
 }
 
+/// The byte offset where `a_cols` begins and the total file length a
+/// spill header declares, or `None` if either overflows `u64` (the header
+/// is untrusted). Every tile segment carries its own `ncols + 1` row
+/// pointers.
+fn spill_sizes(nrows: u64, ncols: u64, nnz: u64, n_tiles: u64) -> Option<(u64, u64)> {
+    let words = |n: u64| n.checked_add(1)?.checked_mul(8);
+    let fixed = (8 + SPILL_HEADER_WORDS as u64 * 8)
+        .checked_add(words(nrows)?)?
+        .checked_add(words(n_tiles)?)?;
+    // `A` and `B` each hold `nnz` (u32 column, f64 value) pairs.
+    let payload = nnz.checked_mul(12)?;
+    let tile_ptrs = n_tiles.checked_mul(words(ncols)?)?;
+    let total = fixed
+        .checked_add(payload)?
+        .checked_add(payload)?
+        .checked_add(tile_ptrs)?;
+    Some((fixed, total))
+}
+
 fn monotonic(ptr: &[u64]) -> bool {
     ptr.windows(2).all(|w| w[0] <= w[1])
 }
@@ -724,16 +680,11 @@ impl MmapStorage {
         if tile_cols == 0 || n_tiles != nrows.div_ceil(tile_cols) {
             return Err(bad("inconsistent spill tiling header"));
         }
-        // Size cross-check before any payload-sized allocation: the fixed
-        // sections alone must fit, and the declared payload cannot exceed
-        // the file. Every tile segment adds at least its row_ptr bytes.
-        let fixed =
-            8 + (SPILL_HEADER_WORDS as u64) * 8 + (nrows as u64 + 1) * 8 + (n_tiles as u64 + 1) * 8;
-        let payload = (nnz as u64) * 12 + (n_tiles as u64) * (ncols as u64 + 1) * 8;
-        let expected = fixed + payload + (nnz as u64) * 12;
-        if file_len != expected {
-            return Err(bad("spill file size does not match header"));
-        }
+        // Size cross-check before any payload-sized allocation.
+        let fixed = match spill_sizes(header[0], header[1], header[2], header[4]) {
+            Some((fixed, expected)) if expected == file_len => fixed,
+            _ => return Err(bad("spill file size does not match header")),
+        };
         let a_row_ptr = read_u64s(&mut file, nrows + 1)?;
         let tile_offsets = read_u64s(&mut file, n_tiles + 1)?;
         if a_row_ptr.first() != Some(&0)
@@ -842,9 +793,13 @@ impl MmapStorage {
             st.stats.panel_loads += 1;
             st.stats.bytes_read += (n * 12) as u64;
         }
+        let cols = parse_u32s(&cols_bytes);
+        if cols.iter().any(|&c| c as usize >= self.ncols) {
+            return Err(bad("spill column index out of range"));
+        }
         Ok(PanelPayload {
             row_ptr,
-            cols: parse_u32s(&cols_bytes),
+            cols,
             vals: parse_f64s(&vals_bytes),
         })
     }
@@ -880,9 +835,16 @@ impl MmapStorage {
         {
             return Err(bad("corrupt spill tile row pointers"));
         }
+        // Tile `tile` holds the `B` columns in `[c0, c1)`.
+        let c0 = tile * self.tile_cols;
+        let c1 = (c0 + self.tile_cols).min(self.nrows);
+        let cols = parse_u32s(&seg[rp_bytes..rp_bytes + tnnz * 4]);
+        if cols.iter().any(|&c| !(c0..c1).contains(&(c as usize))) {
+            return Err(bad("spill tile column index out of range"));
+        }
         let arc = Arc::new(SpillTile {
             row_ptr: row_ptr_u64.into_iter().map(|p| p as usize).collect(),
-            cols: parse_u32s(&seg[rp_bytes..rp_bytes + tnnz * 4]),
+            cols,
             vals: parse_f64s(&seg[rp_bytes + tnnz * 4..]),
         });
         let bytes = arc.payload_bytes();
@@ -1025,13 +987,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn detached_handles_skip_the_slab() {
-        let mut h: PoolHandle<BlockedSpa> = PoolHandle::detached(ShapeClass::of(2, 64));
-        h.accumulate(0, 0, 1.0);
-        drop(h); // frees, nothing to assert beyond "no panic"
-    }
-
     fn spill_fixture(n: usize, nnz: usize, tile_cols: usize) -> (CsrMatrix, PathBuf) {
         let a = GenSpec::power_law(n, n, nnz).seed(11).generate();
         let path = std::env::temp_dir().join(format!(
@@ -1142,22 +1097,23 @@ mod tests {
     }
 
     #[test]
-    fn pooling_toggle_controls_scratch_pool() {
-        // Serialized via the env-independent in-process switch; restore on
-        // exit so parallel tests observing the flag are unaffected (tests
-        // that assert on stats use their own slabs directly).
-        let pool = ScratchPool::new();
-        let was = pooling_enabled();
-        set_pooling(false);
-        {
-            let _spa = pool.checkout_spa(ShapeClass::of(2, 64));
+    fn spill_open_rejects_overflowing_header() {
+        // One row, one tile, no nonzeros, and `ncols` chosen so a tile's
+        // row pointers, `(ncols + 1) × 8` bytes, overflow `u64` — and
+        // wrap to 0, which would make the 80-byte file look consistent.
+        let ncols = u64::MAX / 8;
+        let mut bytes = SPILL_MAGIC.to_vec();
+        for v in [1, ncols, 0, 1, 1, 0, 0, 80, 80] {
+            bytes.extend_from_slice(&u64::to_le_bytes(v));
         }
-        assert_eq!(pool.stats().checkouts, 0);
-        set_pooling(true);
-        {
-            let _spa = pool.checkout_spa(ShapeClass::of(2, 64));
-        }
-        assert_eq!(pool.stats().checkouts, 1);
-        set_pooling(was);
+        assert_eq!(bytes.len(), 80);
+        let path = std::env::temp_dir().join(format!(
+            "tailors_storage_test_overflow_{}.tspill",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let err = MmapStorage::open(&path, None).expect_err("overflowing header");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }
