@@ -178,27 +178,41 @@ mod tests {
         let wl = tailors_workloads::by_name("email-Enron")
             .unwrap()
             .scaled(1.0 / 512.0);
-        let req = FunctionalRequest {
-            workload: wl.clone(),
-            variant: Variant::default_ob(),
-            arch: ArchConfig::extensor().scaled(1.0 / 512.0),
-            budget: MemBudget::mib(4),
-            grid: GridMode::Grid2D,
-            auto_plan: false,
-            threads: 2,
-        };
-        let served = service.run_functional(&req).unwrap();
         let a = wl.generate();
-        for threads in [1, 3] {
-            let direct =
-                tailors_sim::functional::run_with_threads(&a, &served.config, threads).unwrap();
-            assert_eq!(served.result, direct, "threads={threads}");
+        let variants = [
+            Variant::ExTensorN,
+            Variant::ExTensorP,
+            Variant::default_ob(),
+        ];
+        for variant in variants {
+            let req = FunctionalRequest {
+                workload: wl.clone(),
+                variant,
+                arch: ArchConfig::extensor().scaled(1.0 / 512.0),
+                budget: MemBudget::mib(4),
+                grid: GridMode::Grid2D,
+                auto_plan: false,
+                threads: 2,
+            };
+            let name = variant.name();
+            let served = service.run_functional(&req).unwrap();
+            for threads in [1, 3] {
+                let direct =
+                    tailors_sim::functional::run_with_threads(&a, &served.config, threads).unwrap();
+                assert_eq!(served.result, direct, "{name} threads={threads}");
+            }
+            // The seed engine under the identical served configuration.
+            let oracle = tailors_sim::functional::reference_run(&a, &served.config).unwrap();
+            assert_eq!(served.result, oracle, "{name}: diverged from reference_run");
+            // Second submission: every tier hot, same payload.
+            let again = service.run_functional(&req).unwrap();
+            assert!(again.hits.tensor && again.hits.profile && again.hits.plan);
+            assert_eq!(again.result, served.result, "{name}");
         }
-        // Second submission: every tier hot, same payload.
-        let again = service.run_functional(&req).unwrap();
-        assert!(again.hits.tensor && again.hits.profile && again.hits.plan);
-        assert_eq!(again.result, served.result);
-        assert_eq!(service.stats().functional_requests, 2);
+        assert_eq!(
+            service.stats().functional_requests,
+            2 * variants.len() as u64
+        );
     }
 
     #[test]

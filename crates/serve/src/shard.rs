@@ -281,9 +281,8 @@ pub struct RouterConfig {
     pub placement: Placement,
     /// Health-probe cadence for down-marked shards. `None` (the default)
     /// disables the background prober — down marks stay sticky unless
-    /// [`ShardRouter::probe_now`] is called, exactly PR 9's semantics.
-    /// Deployments that want self-healing arm it explicitly (the serve
-    /// bin's `--probe-ms`).
+    /// [`ShardRouter::probe_now`] is called. Deployments that want
+    /// self-healing arm it explicitly by setting an interval here.
     pub probe_interval: Option<Duration>,
     /// Dial attempts a pool checkout may spend when the pool is empty
     /// before giving up with a typed [`PoolError`] — the cap that keeps

@@ -4,14 +4,17 @@
 //! worker pool — must still hand every client payloads bit-identical to
 //! a fully serial execution on a cold in-process service. Transport,
 //! queueing order, worker count, and codec round-tripping must all be
-//! invisible in the payload.
+//! invisible in the payload — and so must injected faults: under worker
+//! panics and latency every completed reply still matches, and severed
+//! connections are absorbed by client reconnects without touching the
+//! ledger.
 
 use std::sync::Arc;
 
 use tailors_serve::wire::WireTcpServer;
 use tailors_serve::{
-    FunctionalRequest, RuntimeConfig, ServiceRuntime, SimRequest, SimResponse, SimService,
-    WireClient,
+    FaultPlan, FunctionalRequest, Reply, RetryPolicy, RuntimeConfig, ServeError, ServiceRuntime,
+    SimRequest, SimResponse, SimService, WireClient, Work,
 };
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 
@@ -142,12 +145,13 @@ fn concurrent_wire_clients_match_serial_execution_at_every_worker_width() {
     }
 }
 
-#[test]
-fn functional_results_are_bit_identical_across_the_wire() {
+/// A small functional request: the heavyweight payload (CSR output
+/// matrix included) that must survive the wire bit-for-bit.
+fn functional_request() -> FunctionalRequest {
     let wl = tailors_workloads::by_name("email-Enron")
         .expect("suite workload")
         .scaled(1.0 / 512.0);
-    let req = FunctionalRequest {
+    FunctionalRequest {
         workload: wl,
         variant: Variant::default_ob(),
         arch: ArchConfig::extensor().scaled(1.0 / 512.0),
@@ -155,7 +159,12 @@ fn functional_results_are_bit_identical_across_the_wire() {
         grid: GridMode::Grid2D,
         auto_plan: true,
         threads: 2,
-    };
+    }
+}
+
+#[test]
+fn functional_results_are_bit_identical_across_the_wire() {
+    let req = functional_request();
     // Cold in-process ground truth.
     let baseline = SimService::new().run_functional(&req).expect("baseline");
 
@@ -185,4 +194,105 @@ fn functional_results_are_bit_identical_across_the_wire() {
     assert_eq!(report.unserved, 0);
     assert_eq!(runtime.stats().completed, 2);
     drop(wire);
+}
+
+#[test]
+fn injected_faults_over_tcp_keep_completed_replies_bit_identical_and_accounted() {
+    let reqs = batch();
+    let freq = functional_request();
+    // Cold, faultless, in-process ground truth.
+    let baseline_service = SimService::new();
+    let baseline = baseline_service.submit_batch(&reqs, 1);
+    let fbaseline = baseline_service.run_functional(&freq).expect("baseline");
+
+    let runtime = Arc::new(ServiceRuntime::new(RuntimeConfig {
+        faults: FaultPlan::parse("panic:7,latency:3").expect("fault spec"),
+        ..RuntimeConfig::default()
+    }));
+    let mut server =
+        WireTcpServer::spawn(Arc::clone(&runtime), "127.0.0.1:0").expect("bind wire server");
+    let mut clients: Vec<WireClient> = (0..2)
+        .map(|_| WireClient::connect(server.addr()).expect("connect"))
+        .collect();
+
+    // Client-side tally: [completed, faulted, rejected, timed_out].
+    let mut tally = [0u64; 4];
+    let mut count = |outcome: &Result<Reply, ServeError>| match outcome {
+        Ok(_) => tally[0] += 1,
+        Err(ServeError::Faulted { .. }) => tally[1] += 1,
+        Err(ServeError::Overloaded(_) | ServeError::BadRequest(_)) => tally[2] += 1,
+        Err(ServeError::Timeout { .. }) => tally[3] += 1,
+        Err(ServeError::Shutdown) => panic!("server shut down mid-stream"),
+    };
+    for (i, (req, expect)) in reqs.iter().zip(&baseline).enumerate() {
+        let outcome = clients[i % 2]
+            .call(&Work::Sim(req.clone()))
+            .expect("wire transport");
+        count(&outcome);
+        if let Ok(reply) = outcome {
+            let resp = reply.into_sim().expect("sim reply");
+            assert_same_payload(&resp, expect, &format!("faults, request {i}"));
+        }
+    }
+    let outcome = clients[0]
+        .call(&Work::Functional(Box::new(freq)))
+        .expect("wire transport");
+    count(&outcome);
+    if let Ok(reply) = outcome {
+        let resp = reply.into_functional().expect("functional reply");
+        assert_eq!(resp.config, fbaseline.config);
+        assert_eq!(
+            resp.result, fbaseline.result,
+            "functional reply under faults"
+        );
+    }
+
+    drop(clients);
+    server.stop();
+    let stats = runtime.shutdown().stats;
+    assert_eq!(stats.submitted, reqs.len() as u64 + 1);
+    assert_eq!(
+        tally.iter().sum::<u64>(),
+        stats.submitted,
+        "tally {tally:?}"
+    );
+    assert_eq!(stats.accounted(), stats.submitted);
+    assert!(tally[0] > 0, "some requests must complete");
+    assert!(stats.injected_panics > 0, "panic injection must fire");
+    assert_eq!(
+        stats.panics_isolated, stats.injected_panics,
+        "every injected panic is isolated, and nothing else panics"
+    );
+}
+
+#[test]
+fn dropped_connections_are_resent_over_fresh_ones_without_entering_the_ledger() {
+    let reqs = batch();
+    let baseline = SimService::new().submit_batch(&reqs, 1);
+
+    let runtime = Arc::new(ServiceRuntime::new(RuntimeConfig {
+        faults: FaultPlan::parse("drop_conn:5").expect("fault spec"),
+        ..RuntimeConfig::default()
+    }));
+    let mut server =
+        WireTcpServer::spawn(Arc::clone(&runtime), "127.0.0.1:0").expect("bind wire server");
+    let mut client = WireClient::connect(server.addr()).expect("connect");
+    let policy = RetryPolicy::default();
+    for (i, (req, expect)) in reqs.iter().zip(&baseline).enumerate() {
+        let resp = client
+            .call_with_retry(&Work::Sim(req.clone()), &policy)
+            .expect("reconnect absorbs the dropped session")
+            .expect("request served")
+            .into_sim()
+            .expect("sim reply");
+        assert_same_payload(&resp, expect, &format!("drop_conn, request {i}"));
+    }
+
+    server.stop();
+    let stats = runtime.shutdown().stats;
+    // Dropped requests never reached the runtime: only the resends count.
+    assert_eq!(stats.submitted, reqs.len() as u64);
+    assert_eq!(stats.completed, stats.submitted);
+    assert!(stats.injected_drops > 0, "drop_conn must fire");
+    assert_eq!(stats.injected_drops, client.reconnects());
 }
