@@ -8,7 +8,7 @@
 //! ```text
 //! submit ── validate ──► BadRequest (typed reject)
 //!    │
-//!    ├── admission ────► Overloaded{TensorBytes | PlanPressure}
+//!    ├── admission ────► Overloaded{TensorBytes}
 //!    │
 //!    ├── try_push ─────► Overloaded{MailboxFull}   (backpressure,
 //!    │                   value handed back — retry with capped
@@ -127,15 +127,6 @@ pub enum OverloadReason {
         /// The configured admission limit.
         limit: u64,
     },
-    /// The plan tier is thrashing (resident/capacity at the configured
-    /// threshold while the hit rate is below its floor); analytical
-    /// requests are shed until the tier stabilizes. Retryable.
-    PlanPressure {
-        /// Plan-tier occupancy in `[0, 1]` at rejection time.
-        pressure: f64,
-        /// Plan-tier hit rate in `[0, 1]` at rejection time.
-        hit_rate: f64,
-    },
 }
 
 /// Every way a submitted request can fail — always typed, never a worker
@@ -171,9 +162,7 @@ impl ServeError {
     pub fn retryable(&self) -> bool {
         matches!(
             self,
-            ServeError::Overloaded(
-                OverloadReason::MailboxFull { .. } | OverloadReason::PlanPressure { .. }
-            )
+            ServeError::Overloaded(OverloadReason::MailboxFull { .. })
         )
     }
 }
@@ -188,12 +177,6 @@ impl core::fmt::Display for ServeError {
                 write!(
                     f,
                     "overloaded: estimated tensor footprint {estimated} B exceeds limit {limit} B"
-                )
-            }
-            ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => {
-                write!(
-                    f,
-                    "overloaded: plan-cache pressure {pressure:.2} with hit rate {hit_rate:.2}"
                 )
             }
             ServeError::Timeout { deadline } => {
@@ -406,16 +389,6 @@ pub struct RuntimeConfig {
     /// Admission limit on a functional request's estimated resident
     /// tensor bytes (tensor + transpose + index structure).
     pub max_tensor_bytes: u64,
-    /// Plan-tier occupancy (resident/capacity) at or above which
-    /// analytical requests are pressure-checked.
-    pub plan_pressure_threshold: f64,
-    /// Plan-tier hit rate *below* which a pressure-checked analytical
-    /// request is shed. The default of `0.0` disables pressure shedding
-    /// (a hit rate is never negative).
-    pub plan_hit_rate_floor: f64,
-    /// Deadline applied to [`ServiceRuntime::submit`] when the caller
-    /// does not pass one.
-    pub default_deadline: Option<Duration>,
     /// Injected faults (see [`FaultPlan`]).
     pub faults: FaultPlan,
 }
@@ -429,9 +402,6 @@ impl Default for RuntimeConfig {
             // requests (a paper-scale webbase-1M functional run estimates
             // ~0.2 GiB), not a memory governor.
             max_tensor_bytes: 8 << 30,
-            plan_pressure_threshold: 1.0,
-            plan_hit_rate_floor: 0.0,
-            default_deadline: None,
             faults: FaultPlan::none(),
         }
     }
@@ -678,15 +648,14 @@ impl ServiceRuntime {
             .fold(PoolStats::default(), |acc, s| acc.merge(*s))
     }
 
-    /// Submits one request and blocks for its outcome, applying the
-    /// configured default deadline.
+    /// Submits one request and blocks for its outcome, with no deadline.
     ///
     /// # Errors
     ///
     /// Every failure is a typed [`ServeError`]; see the module docs for
     /// the lifecycle.
     pub fn submit(&self, work: Work) -> Result<Reply, ServeError> {
-        self.submit_with_deadline(work, self.config.default_deadline)
+        self.submit_with_deadline(work, None)
     }
 
     /// [`ServiceRuntime::submit`] with an explicit per-request deadline
@@ -714,7 +683,7 @@ impl ServiceRuntime {
     ///
     /// As [`ServiceRuntime::submit`].
     pub fn submit_warm(&self, work: Work) -> Result<Reply, ServeError> {
-        self.submit_accounted(work, self.config.default_deadline, Some(Priority::Low))
+        self.submit_accounted(work, None, Some(Priority::Low))
     }
 
     /// Whether the `drop_conn` fault fires for the wire session's next
@@ -818,31 +787,17 @@ impl ServiceRuntime {
         }
     }
 
-    /// Structural validation before queueing: requests the engines would
-    /// panic on are refused as [`ServeError::BadRequest`] instead.
+    /// Admission control before queueing: a functional request whose
+    /// estimated resident tensor footprint exceeds the configured limit
+    /// is refused as [`OverloadReason::TensorBytes`].
     fn admit(&self, work: &Work) -> Result<(), ServeError> {
-        match work {
-            Work::Functional(req) => {
-                let estimated = estimated_tensor_bytes(&req.workload);
-                if estimated > self.config.max_tensor_bytes {
-                    return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
-                        estimated,
-                        limit: self.config.max_tensor_bytes,
-                    }));
-                }
-            }
-            Work::Sim(_) => {
-                let stats = self.service.stats();
-                let pressure = stats.plan_pressure();
-                let hit_rate = stats.plan_hit_rate();
-                if pressure >= self.config.plan_pressure_threshold
-                    && hit_rate < self.config.plan_hit_rate_floor
-                {
-                    return Err(ServeError::Overloaded(OverloadReason::PlanPressure {
-                        pressure,
-                        hit_rate,
-                    }));
-                }
+        if let Work::Functional(req) = work {
+            let estimated = estimated_tensor_bytes(&req.workload);
+            if estimated > self.config.max_tensor_bytes {
+                return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
+                    estimated,
+                    limit: self.config.max_tensor_bytes,
+                }));
             }
         }
         Ok(())

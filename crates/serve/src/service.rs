@@ -272,18 +272,6 @@ impl ServeStats {
         }
     }
 
-    /// Plan-tier occupancy in `[0, 1]` — 1.0 means the tier is full and
-    /// every further distinct plan evicts another. Combined with a low
-    /// [`ServeStats::plan_hit_rate`] this is the thrash signal the
-    /// runtime's admission policy gates analytical requests on.
-    pub fn plan_pressure(&self) -> f64 {
-        if self.plan_capacity == 0 {
-            0.0
-        } else {
-            self.plan_resident as f64 / self.plan_capacity as f64
-        }
-    }
-
     /// Profile-tier hit rate in `[0, 1]` (1.0 when no lookups happened).
     pub fn profile_hit_rate(&self) -> f64 {
         let total = self.profile_hits + self.profile_misses;
@@ -376,8 +364,7 @@ impl SimService {
         }
     }
 
-    /// A snapshot of the cache counters, including tier occupancy (the
-    /// admission policy's plan-pressure signal).
+    /// A snapshot of the cache counters, including tier occupancy.
     pub fn stats(&self) -> ServeStats {
         let (profile_resident, profile_capacity) = {
             let p = self.profiles.lock();

@@ -613,18 +613,6 @@ impl ShardRouter {
         self.inner.fleet.read().ring.clone()
     }
 
-    /// Every slot's shard address, in member-id order (departed slots
-    /// included — the slot list only grows).
-    pub fn addrs(&self) -> Vec<SocketAddr> {
-        self.inner
-            .fleet
-            .read()
-            .shards
-            .iter()
-            .map(|s| s.addr)
-            .collect()
-    }
-
     /// The primary member for `work`'s matrix identity (ignoring down
     /// flags) — where the request goes when its shard is healthy.
     pub fn primary(&self, work: &Work) -> usize {

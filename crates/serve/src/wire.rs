@@ -1012,12 +1012,6 @@ fn encode_serve_error(e: &ServeError) -> Json {
             ("estimated", num_u64(*estimated)),
             ("limit", num_u64(*limit)),
         ]),
-        ServeError::Overloaded(OverloadReason::PlanPressure { pressure, hit_rate }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("plan-pressure".into())),
-            ("pressure", bits(*pressure)),
-            ("hit_rate", bits(*hit_rate)),
-        ]),
         ServeError::Timeout { deadline } => obj(vec![
             ("code", Json::Str("timeout".into())),
             ("deadline_secs", num_u64(deadline.as_secs())),
@@ -1048,10 +1042,6 @@ fn decode_serve_error(v: &Json) -> Result<ServeError, WireError> {
             "tensor-bytes" => Ok(ServeError::Overloaded(OverloadReason::TensorBytes {
                 estimated: v.get("estimated")?.u64_()?,
                 limit: v.get("limit")?.u64_()?,
-            })),
-            "plan-pressure" => Ok(ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: v.get("pressure")?.f64_bits()?,
-                hit_rate: v.get("hit_rate")?.f64_bits()?,
             })),
             other => Err(malformed(format!("unknown overload reason {other:?}"))),
         },
@@ -1986,10 +1976,6 @@ mod tests {
             ServeError::Overloaded(OverloadReason::TensorBytes {
                 estimated: 10,
                 limit: 5,
-            }),
-            ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: 1.0,
-                hit_rate: 0.125,
             }),
             ServeError::Timeout {
                 deadline: Duration::from_millis(1500),

@@ -194,7 +194,7 @@ proptest! {
 
     #[test]
     fn error_replies_round_trip(
-        sel in 0u8..7,
+        sel in 0u8..6,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         msg_chars in proptest::collection::vec(32u8..127, 0..60),
@@ -204,15 +204,11 @@ proptest! {
         let err = match sel {
             0 => ServeError::Overloaded(OverloadReason::MailboxFull { capacity: a as usize }),
             1 => ServeError::Overloaded(OverloadReason::TensorBytes { estimated: a, limit: b }),
-            2 => ServeError::Overloaded(OverloadReason::PlanPressure {
-                pressure: (a % 1000) as f64 / 500.0,
-                hit_rate: (b % 1000) as f64 / 1000.0,
-            }),
-            3 => ServeError::Timeout {
+            2 => ServeError::Timeout {
                 deadline: std::time::Duration::new(a % (1 << 40), (b % 1_000_000_000) as u32),
             },
-            4 => ServeError::Faulted { panic: panicked, message },
-            5 => ServeError::BadRequest(message),
+            3 => ServeError::Faulted { panic: panicked, message },
+            4 => ServeError::BadRequest(message),
             _ => ServeError::Shutdown,
         };
         let line = encode_reply(Some(a), &Err(err.clone()));

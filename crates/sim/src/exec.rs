@@ -126,21 +126,20 @@ impl core::fmt::Display for MemBudget {
     }
 }
 
-/// How the functional engine decomposes an [`ExecutionPlan`] across worker
-/// threads.
+/// How the functional engine cuts an [`ExecutionPlan`] into work items —
+/// a row panel paired with a contiguous range of its column blocks, run
+/// through one buffer driver — for its one executor to fan out.
 ///
-/// * [`GridMode::Panels`] — the historical 1-D fan-out: one work item per
-///   stationary row panel; all column blocks of a panel run on the
-///   panel's thread through one shared buffer driver, so every DRAM count
-///   is the shared-driver count by construction.
-/// * [`GridMode::Grid2D`] — full 2-D fan-out: one work item per
-///   (row panel × column block) [`PlanUnit`], each with its **own**
-///   buffer driver and block-local traffic accounting
-///   (`functional::UnitTraffic`). Reported totals use the per-block
-///   reduction (see [`crate::functional`]) and are bit-identical to the
-///   shared-driver totals, so results do not depend on the mode — only
-///   the available parallelism does (`panels × blocks` instead of
-///   `panels`).
+/// * [`GridMode::Panels`] — 1-D: one item per stationary row panel
+///   covering all its column blocks, so every DRAM count is the
+///   shared-driver count by construction.
+/// * [`GridMode::Grid2D`] — 2-D: one item per (row panel × column block)
+///   [`PlanUnit`], each with its **own** buffer driver and block-local
+///   traffic accounting (`functional::UnitTraffic`). Reported totals use
+///   the per-block reduction (see [`crate::functional`]) and are
+///   bit-identical to the shared-driver totals, so results do not depend
+///   on the mode — only the available parallelism does (`panels ×
+///   blocks` instead of `panels`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GridMode {
     /// 1-D: fan out over row panels (column blocks share the panel's
@@ -515,14 +514,10 @@ impl ExecutionPlan {
         }
     }
 
-    /// Iterates the column blocks of one panel, in column order.
-    pub fn panel_units(&self, pi: usize) -> impl Iterator<Item = PlanUnit> + '_ {
-        (0..self.n_col_blocks()).map(move |bi| self.unit(pi, bi))
-    }
-
     /// Iterates the whole 2-D grid in (panel, block) row-major order.
     pub fn units(&self) -> impl Iterator<Item = PlanUnit> + '_ {
-        (0..self.n_row_panels()).flat_map(move |pi| self.panel_units(pi))
+        (0..self.n_row_panels())
+            .flat_map(move |pi| (0..self.n_col_blocks()).map(move |bi| self.unit(pi, bi)))
     }
 }
 

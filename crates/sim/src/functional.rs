@@ -27,7 +27,7 @@
 //!
 //! # Resident and spilled operands
 //!
-//! One executor serves both storage tiers. The panel loop, block loop,
+//! One executor serves both storage tiers. The work items, block loop,
 //! kernel choice and output stitch are generic over a private `Operand`
 //! trait: the in-RAM matrix (with its transpose and tile view) for
 //! [`run_with_threads`] / [`run_grid`], or a file-backed [`MmapStorage`]
@@ -39,26 +39,31 @@
 //!
 //! # Memory governance
 //!
-//! The per-panel scratch is governed by an [`ExecutionPlan`]: under a
+//! The per-item scratch is governed by an [`ExecutionPlan`]: under a
 //! finite [`MemBudget`] the panel's streamed tiles are grouped into
 //! *column blocks* and the scratch spans `rows_a × block_cols` instead of
 //! `rows_a × ncols`. A block is a run of whole B tiles traversed in the
 //! same global order, every output coordinate is owned by exactly one
-//! block, and a panel's blocks are extracted and merged in column order —
+//! block, and a panel's blocks are stitched per row in column order —
 //! so the budgeted run is bit-identical to the unbudgeted one in every
 //! reported field, and large column counts become feasible (the scratch
 //! no longer scales with `ncols`).
 //!
-//! # Grid parallelism and per-block traffic accounting
+//! # Work items, grid parallelism and per-block traffic accounting
 //!
-//! [`GridMode`] picks the parallel decomposition. Under
-//! [`GridMode::Panels`] all column blocks of a panel run on the panel's
-//! thread through one shared buffer driver, so every DRAM count is the
-//! shared-driver count by construction. Under [`GridMode::Grid2D`] every
-//! (panel × block) [`PlanUnit`](crate::exec::PlanUnit) is its own work
-//! item with its **own** buffer driver — `panels × blocks`-way
-//! parallelism — and traffic is accounted per block ([`UnitTraffic`])
-//! with an exact reduction back to the shared-driver totals:
+//! Every entry point runs one executor over *work items*: a row panel
+//! paired with a contiguous range of its column blocks. An item pages its
+//! panel in once, runs its blocks in column order through **one** buffer
+//! driver, and drains each block straight into flat output buffers; one
+//! stitch then interleaves each panel's block segments row by row.
+//! [`GridMode`] only picks the item granularity. Under
+//! [`GridMode::Panels`] (and always in [`run_spilled`]) an item covers a
+//! whole panel, so all its blocks share one driver and every DRAM count
+//! is the shared-driver count by construction. Under [`GridMode::Grid2D`]
+//! every (panel × block) [`PlanUnit`](crate::exec::PlanUnit) is its own
+//! item with its **own** driver — `panels × blocks`-way parallelism — and
+//! traffic is accounted per item ([`UnitTraffic`]) with an exact
+//! reduction back to the shared-driver totals:
 //!
 //! * A private driver's first traversal cold-fills the whole panel
 //!   (`occ` fetches); in the shared traversal order only the *first*
@@ -66,18 +71,20 @@
 //!   refetches exactly the steady-state volume `r` (`occ − resident` for
 //!   an overbooked Tailor, `occ` for an overbooked buffet, `0` when the
 //!   tile fits — see `TileDriver::steady_refetch`).
-//! * So a non-first block with a private driver (`occ + (k−1)·r` actual
+//! * So an item that does not start at block 0 (`occ + (k−1)·r` actual
 //!   fetches over its `k` tiles) is charged `k·r`: its private fetches
 //!   minus the cold fill plus one steady refetch. Summed over a panel's
-//!   blocks this telescopes to `occ + (Σk − 1)·r` — **exactly** the
+//!   items this telescopes to `occ + (Σk − 1)·r` — **exactly** the
 //!   shared driver's count, for every tiling and budget (property-tested
-//!   in `crates/sim/tests/functional_equivalence.rs`).
-//! * Streamed-operand traffic partitions exactly: each unit owns the B
-//!   columns of its block, and per-panel block sums equal one full pass
-//!   over B (`nnz`).
+//!   in `crates/sim/tests/functional_equivalence.rs`). An item starting
+//!   at block 0 is charged its own count, which is why a whole-panel item
+//!   needs no reduction at all.
+//! * Streamed-operand traffic partitions exactly: each item owns the B
+//!   columns of its blocks, and per-panel sums equal one full pass over
+//!   B (`nnz`).
 //!
 //! Work items are distributed across threads by cost-balanced bins
-//! ([`crate::exec::balanced_partition`]) and reassembled in unit order,
+//! ([`crate::exec::balanced_partition`]) and reassembled in item order,
 //! so results — including every floating-point accumulation order and
 //! every reported traffic count — are bit-identical for every thread
 //! count, every memory budget, and both grid modes, and bit-identical to
@@ -342,16 +349,11 @@ pub fn run_with_threads(
     config: &FunctionalConfig,
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
-    match config.grid {
-        GridMode::Panels => {
-            let (op, plan) = engine_setup(a, config, threads)?;
-            run_panels(&op, config, &plan, threads)
-        }
-        GridMode::Grid2D => Ok(run_grid(a, config, threads)?.0),
-    }
+    let (op, plan) = engine_setup(a, config, threads)?;
+    Ok(run_items(&op, config, &plan, config.grid, threads)?.0)
 }
 
-/// Validated common setup for both grid modes: the resident operand and
+/// Validated common setup for the resident entry points: the operand and
 /// the execution plan.
 fn engine_setup<'a>(
     a: &'a CsrMatrix,
@@ -389,66 +391,119 @@ fn engine_setup<'a>(
     Ok((op, plan))
 }
 
-/// [`GridMode::Panels`] over any operand: one work item per row panel,
-/// all blocks of a panel sharing its buffer driver.
-fn run_panels<O: Operand>(
+/// One work item of the executor: row panel `panel` paired with a
+/// contiguous run of its column blocks, executed in column order through
+/// one buffer driver.
+struct WorkItem {
+    panel: usize,
+    blocks: core::ops::Range<usize>,
+}
+
+/// The work items of `plan` under `grid`, in (panel, first block) order:
+/// one per row panel covering all its blocks ([`GridMode::Panels`]), or
+/// one per (panel × block) [`PlanUnit`] ([`GridMode::Grid2D`]).
+fn work_items(plan: &ExecutionPlan, grid: GridMode) -> Vec<WorkItem> {
+    let n_blocks = plan.n_col_blocks();
+    let step = match grid {
+        GridMode::Panels => n_blocks.max(1),
+        GridMode::Grid2D => 1,
+    };
+    (0..plan.n_row_panels())
+        .flat_map(|panel| {
+            (0..n_blocks).step_by(step).map(move |b0| WorkItem {
+                panel,
+                blocks: b0..(b0 + step).min(n_blocks),
+            })
+        })
+        .collect()
+}
+
+/// The one executor behind every entry point: runs the work items `grid`
+/// cuts `plan` into across `threads` workers, stitches their outputs into
+/// one CSR matrix, and reports each item's [`UnitTraffic`].
+fn run_items<O: Operand>(
     op: &O,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
+    grid: GridMode,
     threads: usize,
-) -> Result<FunctionalResult, EngineError> {
-    let n = op.nrows();
-    let n_a_tiles = plan.n_row_panels();
+) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
+    let items = work_items(plan, grid);
 
-    // Streamed-operand traffic: every A tile streams all of B exactly once
-    // (tile occupancies are row-pointer differences summing to nnz), so the
-    // per-(ti, tj) row scans of the seed engine collapse to one constant.
-    let dram_b_per_a_tile: u64 = op.nnz() as u64;
-
-    // Panel cost ≈ occupancy (what both the traversals and the accumulate
-    // work scale with); +1 keeps empty panels schedulable.
-    let costs: Vec<u128> = (0..n_a_tiles)
-        .map(|ti| {
-            let r = plan.panel_rows(ti);
-            op.row_range_nnz(r.start, r.end) as u128 + 1
+    // Item cost ≈ panel occupancy × its share of the streamed operand
+    // (the accumulate work) plus the traversal cost of the panel itself.
+    let costs: Vec<u128> = items
+        .iter()
+        .map(|item| {
+            let rows = plan.panel_rows(item.panel);
+            let occ = op.row_range_nnz(rows.start, rows.end) as u128;
+            let cols = item_cols(plan, item);
+            let block = op.row_range_nnz(cols.start, cols.end) as u128;
+            occ * block + occ + block + 1
         })
         .collect();
-    let panel_results = run_balanced(n_a_tiles, &costs, threads, |ti| {
-        run_panel(op, config, plan, ti)
-    });
+    let outputs = run_balanced(items.len(), &costs, threads, |i| {
+        run_item(op, config, plan, &items[i])
+    })
+    .into_iter()
+    .collect::<Result<Vec<ItemOutput>, _>>()?;
 
-    // Stitch disjoint row panels, in panel order, into one CSR output.
+    // Stitch: items come in (panel, first block) order, and each drained
+    // its blocks one after another, one length per panel row per block.
+    // Per panel, every output row concatenates its block segments in
+    // column order; segment cursors advance monotonically because every
+    // block drained its rows in order.
+    let n = op.nrows();
+    let nnz: usize = outputs.iter().map(|o| o.out.cols.len()).sum();
     let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
     row_ptr.push(0);
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    let mut dram_a = 0u64;
-    let mut dram_b = 0u64;
-    let mut overbooked = 0usize;
-    for result in panel_results {
-        let p = result?;
-        for &len in &p.out.row_lens {
-            row_ptr.push(row_ptr.last().expect("non-empty") + len);
+    let mut cols: Vec<u32> = Vec::with_capacity(nnz);
+    let mut vals: Vec<f64> = Vec::with_capacity(nnz);
+    let mut segments: Vec<(&PanelBuffers, &[usize], usize)> = Vec::new();
+    for panel in outputs.chunk_by(|x, y| x.traffic.row_panel == y.traffic.row_panel) {
+        let panel_rows = plan.panel_rows(panel[0].traffic.row_panel).len();
+        segments.clear();
+        for item in panel {
+            let mut start = 0;
+            for lens in item.out.row_lens.chunks(panel_rows) {
+                segments.push((&item.out, lens, start));
+                start += lens.iter().sum::<usize>();
+            }
         }
-        cols.extend_from_slice(&p.out.cols);
-        vals.extend_from_slice(&p.out.vals);
-        dram_a += p.dram_a_fetches;
-        dram_b += dram_b_per_a_tile;
-        overbooked += usize::from(p.overbooked);
+        for lr in 0..panel_rows {
+            let before = cols.len();
+            for (out, lens, cursor) in &mut segments {
+                let end = *cursor + lens[lr];
+                cols.extend_from_slice(&out.cols[*cursor..end]);
+                vals.extend_from_slice(&out.vals[*cursor..end]);
+                *cursor = end;
+            }
+            row_ptr.push(row_ptr.last().expect("non-empty") + (cols.len() - before));
+        }
     }
     let z = CsrMatrix::from_parts(n, n, row_ptr, cols, vals)
-        .expect("panel emission produces canonical CSR");
-    Ok(FunctionalResult {
+        .expect("item emission produces canonical CSR");
+    let traffic: Vec<UnitTraffic> = outputs.iter().map(|o| o.traffic).collect();
+    let result = FunctionalResult {
         z,
-        dram_a_fetches: dram_a,
-        dram_b_fetches: dram_b,
-        overbooked_a_tiles: overbooked,
-    })
+        dram_a_fetches: traffic.iter().map(|t| t.dram_a_fetches).sum(),
+        dram_b_fetches: traffic.iter().map(|t| t.dram_b_fetches).sum(),
+        overbooked_a_tiles: traffic.iter().filter(|t| t.overbooked).count(),
+    };
+    Ok((result, traffic))
 }
 
-/// Block-local traffic accounting of one (panel × block)
-/// [`PlanUnit`](crate::exec::PlanUnit) executed with its own buffer
-/// driver ([`GridMode::Grid2D`]).
+/// The output columns `item` owns: its first block's start to its last
+/// block's end.
+fn item_cols(plan: &ExecutionPlan, item: &WorkItem) -> core::ops::Range<usize> {
+    let (first, _) = plan.block_extent(item.blocks.start);
+    let (last, _) = plan.block_extent(item.blocks.end - 1);
+    first.start..last.end
+}
+
+/// Per-item traffic accounting of the executor, as [`run_grid`] reports
+/// it: one entry per (panel × block) [`PlanUnit`], each executed with its
+/// own buffer driver ([`GridMode::Grid2D`]).
 ///
 /// `dram_a_fetches` applies the per-block reduction (see the
 /// [module docs](self)): per panel, block 0 is charged its private
@@ -492,84 +547,16 @@ pub fn run_grid(
     threads: usize,
 ) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
     let (op, plan) = engine_setup(a, config, threads)?;
-    let n = a.nrows();
-    let units: Vec<PlanUnit> = plan.units().collect();
-
-    // Unit cost ≈ panel occupancy × its share of the streamed operand
-    // (the accumulate work) plus the traversal cost of the panel itself.
-    let costs: Vec<u128> = units
-        .iter()
-        .map(|u| {
-            let occ = a.row_range_nnz(u.rows.start, u.rows.end) as u128;
-            let block = a.row_range_nnz(u.cols.start, u.cols.end) as u128;
-            occ * block + occ + block + 1
-        })
-        .collect();
-    let unit_results = run_balanced(units.len(), &costs, threads, |ui| {
-        run_unit(&op, config, &units[ui])
-    });
-    let mut outputs: Vec<UnitOutput> = Vec::with_capacity(unit_results.len());
-    let mut traffic: Vec<UnitTraffic> = Vec::with_capacity(unit_results.len());
-    for r in unit_results {
-        let (o, t) = r?;
-        outputs.push(o);
-        traffic.push(t);
-    }
-
-    // Stitch: units are in (panel, block) row-major order; per panel,
-    // concatenate each output row's block segments in block order —
-    // exactly the staged merge the shared-driver path performs. A
-    // zero-dimensional input has no blocks at all (`outputs` is empty and
-    // the chunk loop must simply not run); `max(1)` keeps `chunks` legal.
-    let n_blocks = plan.n_col_blocks().max(1);
-    let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
-    for (pi, panel_outputs) in outputs.chunks(n_blocks).enumerate() {
-        let panel_rows = plan.panel_rows(pi).len();
-        // Per-unit cursors advance monotonically because rows were
-        // drained in order.
-        let mut cursors = vec![0usize; panel_outputs.len()];
-        for lr in 0..panel_rows {
-            let before = cols.len();
-            for (u, cursor) in panel_outputs.iter().zip(cursors.iter_mut()) {
-                let len = u.out.row_lens[lr];
-                cols.extend_from_slice(&u.out.cols[*cursor..*cursor + len]);
-                vals.extend_from_slice(&u.out.vals[*cursor..*cursor + len]);
-                *cursor += len;
-            }
-            row_ptr.push(row_ptr.last().expect("non-empty") + (cols.len() - before));
-        }
-    }
-    let z = CsrMatrix::from_parts(n, n, row_ptr, cols, vals)
-        .expect("unit emission produces canonical CSR");
-    let result = FunctionalResult {
-        z,
-        dram_a_fetches: traffic.iter().map(|t| t.dram_a_fetches).sum(),
-        dram_b_fetches: traffic.iter().map(|t| t.dram_b_fetches).sum(),
-        overbooked_a_tiles: traffic.iter().filter(|t| t.overbooked).count(),
-    };
-    Ok((result, traffic))
+    run_items(&op, config, &plan, GridMode::Grid2D, threads)
 }
 
-/// Output of one stationary row panel.
-///
-/// The assembly buffers (`row_lens` per output row, sorted `cols`, and
-/// `vals`, rows concatenated) travel as a pooled handle: the stitch reads
-/// through it and the drop at end of stitching returns the buffers to the
-/// worker's scratch slab for the next panel.
-struct PanelOutput {
+/// Output of one work item: its blocks' rows drained one block after
+/// another into pooled assembly buffers (the stitch reads through the
+/// handle, and dropping it returns the buffers to the worker's scratch
+/// slab), plus the item's traffic.
+struct ItemOutput {
     out: PoolHandle<PanelBuffers>,
-    dram_a_fetches: u64,
-    overbooked: bool,
-}
-
-/// Output of one (panel × block) unit: the panel's rows restricted to the
-/// block's columns, in the same pooled assembly buffers as
-/// [`PanelOutput`].
-struct UnitOutput {
-    out: PoolHandle<PanelBuffers>,
+    traffic: UnitTraffic,
 }
 
 /// The accumulator interface the per-unit kernel dispatch needs: the
@@ -654,45 +641,34 @@ fn dense_kernel_for<O: Operand>(op: &O, unit: &PlanUnit) -> bool {
 }
 
 /// Runs one column block on whichever kernel [`dense_kernel_for`] picks
-/// for `unit` — the single dispatch point both grid modes go through.
+/// for `unit` — the single dispatch point every work item goes through.
 fn run_block_dispatch<O: Operand, S: TileSource>(
     op: &O,
     spa: &mut BlockedSpa,
     driver: &mut TileDriver<S>,
     unit: &PlanUnit,
-    sink: BlockSink<'_>,
+    out: &mut PanelBuffers,
 ) -> Result<(), EngineError> {
     if dense_kernel_for(op, unit) {
-        run_block(&mut DenseMode(spa), driver, op, unit, sink)
+        run_block(&mut DenseMode(spa), driver, op, unit, out)
     } else {
-        run_block(spa, driver, op, unit, sink)
+        run_block(spa, driver, op, unit, out)
     }
-}
-
-/// Where [`run_block`] extracts its rows to: per-row staging (a panel
-/// with several blocks, merged at the end) or straight into the flat
-/// output (single-block panels and 2-D grid units).
-enum BlockSink<'a> {
-    Staged(&'a mut [(Vec<u32>, Vec<f64>)]),
-    Direct {
-        row_lens: &'a mut Vec<usize>,
-        cols: &'a mut Vec<u32>,
-        vals: &'a mut Vec<f64>,
-    },
 }
 
 /// Executes one column block of a stationary panel: shapes `spa` to the
 /// unit, runs one in-order traversal of the stationary tile through
 /// `driver` per streamed tile of the block (accumulating block-local
 /// columns, re-based at the block's first column), and drains every row
-/// into `sink`. Generic over the accumulator kernel — the caller picks
-/// the masked or dense mode per unit via [`dense_kernel_for`].
+/// onto the end of `out`, one `row_lens` entry per panel row. Generic
+/// over the accumulator kernel — the caller picks the masked or dense
+/// mode per unit via [`dense_kernel_for`].
 fn run_block<O: Operand, S: TileSource, A: UnitSpa>(
     spa: &mut A,
     driver: &mut TileDriver<S>,
     op: &O,
     unit: &PlanUnit,
-    sink: BlockSink<'_>,
+    out: &mut PanelBuffers,
 ) -> Result<(), EngineError> {
     let (m0, c0) = (unit.rows.start, unit.cols.start);
     spa.reset_shape(unit.rows.len(), unit.cols.len());
@@ -713,181 +689,87 @@ fn run_block<O: Operand, S: TileSource, A: UnitSpa>(
             return Err(e);
         }
     }
-    // Extract in row order; blocks own disjoint column ranges and run
-    // left to right, so per-row concatenation preserves sorted order.
-    match sink {
-        BlockSink::Staged(staged) => {
-            for (lr, (row_cols, row_vals)) in staged.iter_mut().enumerate() {
-                spa.drain_row(lr, c0 as u32, row_cols, row_vals);
-            }
-        }
-        BlockSink::Direct {
-            row_lens,
-            cols,
-            vals,
-        } => {
-            for lr in 0..unit.rows.len() {
-                let before = cols.len();
-                spa.drain_row(lr, c0 as u32, cols, vals);
-                row_lens.push(cols.len() - before);
-            }
-        }
+    // Extract in row order; the stitch interleaves a panel's blocks per
+    // row, and blocks own disjoint column ranges in ascending order, so
+    // every stitched row stays sorted.
+    for lr in 0..unit.rows.len() {
+        let before = out.cols.len();
+        spa.drain_row(lr, c0 as u32, &mut out.cols, &mut out.vals);
+        out.row_lens.push(out.cols.len() - before);
     }
     Ok(())
 }
 
-/// Executes all B-tile traversals for stationary panel `ti`, one plan
-/// column block at a time (all blocks share the panel's buffer driver, so
-/// traversal order — and therefore every DRAM fetch count — is identical
-/// for every memory budget). Each block runs on the accumulator kernel
-/// [`dense_kernel_for`] picks: the bitmask-blocked scratch in the sparse
-/// regime, the plain dense one when the block is predicted to fill.
-fn run_panel<O: Operand>(
+/// Executes one work item: pages its panel in once and runs the item's
+/// column blocks in order through one buffer driver, each on the
+/// accumulator kernel [`dense_kernel_for`] picks — the bitmask-blocked
+/// scratch in the sparse regime, the plain dense one when the block is
+/// predicted to fill. Returns the drained blocks and the item's
+/// [`UnitTraffic`].
+fn run_item<O: Operand>(
     op: &O,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
-    ti: usize,
-) -> Result<PanelOutput, EngineError> {
-    let rows = plan.panel_rows(ti);
-    let panel_rows = rows.len();
+    item: &WorkItem,
+) -> Result<ItemOutput, EngineError> {
+    let rows = plan.panel_rows(item.panel);
+    // This item's share of the streamed operand: the nonzeros of B columns
+    // [c0, c1) are the nonzeros of A rows [c0, c1).
+    let cols = item_cols(plan, item);
+    let dram_b = op.row_range_nnz(cols.start, cols.end) as u64;
+    // The item's first block is its widest (only a plan's last block can
+    // be narrower), so its shape class bounds every block's scratch.
+    let (first_cols, _) = plan.block_extent(item.blocks.start);
+    let class = ShapeClass::of(rows.len(), first_cols.len());
     op.with_panel(rows.start, rows.end, |tile| {
+        let occ = tile.len() as u64;
         let overbooked = tile.len() > config.capacity;
-
-        // SPA scratch spanning the panel's output rows × one plan column
-        // block, and the panel's assembly buffers — both checked out of the
-        // worker's scratch pool by shape class, so steady-state runs on warm
+        // SPA scratch and assembly buffers both come out of the worker's
+        // scratch pool by shape class, so steady-state runs on warm
         // threads allocate nothing here. Extraction restores the SPA's
         // all-zero invariant as it goes.
-        let class = ShapeClass::of(panel_rows, plan.block_cols());
         SCRATCH_POOL.with(|pool| {
             pool.set_retention(config.mem_budget.limit_bytes());
             let mut spa = pool.checkout_spa(class);
             let mut out = pool.checkout_buffers(class);
-
             let mut driver = TileDriver::new(tile, config)?;
-            // Per-row staging across blocks. A single-block plan (the
-            // unbudgeted default) extracts rows directly into the flat
-            // output instead, skipping the staging copy on the historical
-            // hot path.
-            let multi_block = plan.n_col_blocks() > 1;
-            if multi_block {
-                out.ensure_staged_rows(panel_rows);
+            for bi in item.blocks.clone() {
+                let unit = plan.unit(item.panel, bi);
+                run_block_dispatch(op, &mut spa, &mut driver, &unit, &mut out)?;
             }
 
-            for unit in plan.panel_units(ti) {
-                let sink = if multi_block {
-                    BlockSink::Staged(&mut out.staged[..panel_rows])
-                } else {
-                    let PanelBuffers {
-                        row_lens,
-                        cols,
-                        vals,
-                        ..
-                    } = &mut *out;
-                    BlockSink::Direct {
-                        row_lens,
-                        cols,
-                        vals,
-                    }
-                };
-                run_block_dispatch(op, &mut spa, &mut driver, &unit, sink)?;
-            }
-
-            if multi_block {
-                merge_staged(&mut out, panel_rows);
-            }
-
-            Ok(PanelOutput {
+            // The per-block reduction (see the module docs): an item
+            // starting at block 0 is the shared driver's own prefix; a
+            // later one replaces its private cold fill (occ) with one
+            // steady-state refetch.
+            let private = driver.fetches();
+            debug_assert!(private >= occ, "a traversal fetches the tile at least once");
+            let first = item.blocks.start == 0;
+            let dram_a = if first {
+                private
+            } else {
+                private - occ + driver.steady_refetch()
+            };
+            Ok(ItemOutput {
                 out,
-                dram_a_fetches: driver.fetches(),
-                overbooked,
+                traffic: UnitTraffic {
+                    row_panel: item.panel,
+                    col_block: item.blocks.start,
+                    dram_a_fetches: dram_a,
+                    dram_a_private: private,
+                    dram_b_fetches: dram_b,
+                    overbooked: overbooked && first,
+                },
             })
         })
     })
 }
 
-/// Concatenates a panel's per-row staged block segments (in row order,
-/// blocks already in column order within each row) into the flat assembly
-/// buffers, draining each staging vector in place so its capacity is
-/// recycled with the pooled buffer set.
-fn merge_staged(out: &mut PanelBuffers, panel_rows: usize) {
-    let PanelBuffers {
-        row_lens,
-        cols,
-        vals,
-        staged,
-    } = out;
-    for (row_cols, row_vals) in staged[..panel_rows].iter_mut() {
-        row_lens.push(row_cols.len());
-        cols.extend_from_slice(row_cols);
-        vals.extend_from_slice(row_vals);
-        row_cols.clear();
-        row_vals.clear();
-    }
-}
-
-/// Executes one (panel × block) unit with a private buffer driver,
-/// returning the block-restricted output and its [`UnitTraffic`].
-fn run_unit<O: Operand>(
-    op: &O,
-    config: &FunctionalConfig,
-    unit: &PlanUnit,
-) -> Result<(UnitOutput, UnitTraffic), EngineError> {
-    // This unit's share of the streamed operand: the nonzeros of B columns
-    // [c0, c1) are the nonzeros of A rows [c0, c1).
-    let dram_b = op.row_range_nnz(unit.cols.start, unit.cols.end) as u64;
-    let class = ShapeClass::of(unit.rows.len(), unit.cols.len());
-    op.with_panel(unit.rows.start, unit.rows.end, |tile| {
-        let occ = tile.len() as u64;
-        let overbooked = tile.len() > config.capacity;
-        SCRATCH_POOL.with(|pool| {
-            pool.set_retention(config.mem_budget.limit_bytes());
-            let mut spa = pool.checkout_spa(class);
-            let mut out = pool.checkout_buffers(class);
-            let mut driver = TileDriver::new(tile, config)?;
-            let PanelBuffers {
-                row_lens,
-                cols,
-                vals,
-                ..
-            } = &mut *out;
-            let sink = BlockSink::Direct {
-                row_lens,
-                cols,
-                vals,
-            };
-            run_block_dispatch(op, &mut spa, &mut driver, unit, sink)?;
-
-            // The per-block reduction (see the module docs): block 0 is the
-            // shared driver's own prefix; later blocks replace their private
-            // cold fill (occ) with one steady-state refetch.
-            let private = driver.fetches();
-            debug_assert!(private >= occ, "a traversal fetches the tile at least once");
-            let dram_a = if unit.col_block == 0 {
-                private
-            } else {
-                private - occ + driver.steady_refetch()
-            };
-            Ok((
-                UnitOutput { out },
-                UnitTraffic {
-                    row_panel: unit.row_panel,
-                    col_block: unit.col_block,
-                    dram_a_fetches: dram_a,
-                    dram_a_private: private,
-                    dram_b_fetches: dram_b,
-                    overbooked: overbooked && unit.col_block == 0,
-                },
-            ))
-        })
-    })
-}
-
 thread_local! {
-    /// Per-thread scratch pool for [`run_panel`] / [`run_unit`]: SPA
-    /// accumulators (all-zero between panels by construction — extraction
-    /// drains them) and panel assembly buffers, recycled by shape class across panels, runs, and served requests
-    /// on the same thread. One SPA serves both dispatch kernels —
+    /// Per-thread scratch pool for [`run_item`]: SPA accumulators
+    /// (all-zero between items by construction — extraction drains them)
+    /// and item assembly buffers, recycled by shape class across items,
+    /// runs, and served requests on the same thread. One SPA serves both dispatch kernels —
     /// [`DenseMode`] is a view over it — so the per-thread footprint
     /// stays within the planner's budget no matter how blocks dispatch;
     /// retention is re-capped from each run's `MemBudget`.
@@ -916,7 +798,8 @@ pub fn clear_scratch_pool() {
 /// planner's row-panel × column-block working sets.
 ///
 /// It is the [`run_with_threads`] executor in [`GridMode::Panels`] over
-/// the spilled operand: the same panel loop, block loop, kernel choice,
+/// the spilled operand — one work item per panel, so each panel pages in
+/// once: the same work items, block loop, kernel choice,
 /// traversal order, buffer-driver configuration and traffic accounting at
 /// the same plan, so the result — every field — is **bit-identical** to
 /// the in-RAM run and to [`reference_run`] (the property suite pins it).
@@ -951,7 +834,7 @@ pub fn run_spilled(
         .into());
     }
     let plan = config.execution_plan(store.nrows(), store.ncols());
-    run_panels(store, config, &plan, threads)
+    Ok(run_items(store, config, &plan, GridMode::Panels, threads)?.0)
 }
 
 /// The square operand `A` of `Z = A·Aᵀ` as the executor consumes it:

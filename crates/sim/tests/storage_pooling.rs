@@ -151,6 +151,10 @@ proptest! {
         let store = MmapStorage::open(&path, residency).expect("open spill file");
         let spilled = run_spilled(&store, &cfg, threads).expect("spilled run");
         std::fs::remove_file(&path).ok();
+        // A budgeted spilled run pages each row panel in exactly once.
+        let n = a.nrows();
+        let plan = cfg.execution_plan(n, n);
+        prop_assert_eq!(store.stats().panel_loads, plan.n_row_panels() as u64);
 
         let in_ram = run_with_threads(&a, &cfg, 1).expect("in-RAM run");
         prop_assert_eq!(&spilled, &in_ram);

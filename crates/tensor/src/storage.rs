@@ -16,7 +16,7 @@
 //!   through the planner's existing row-panel × column-block working sets.
 //!
 //! The engine-facing composition is [`ScratchPool`]: one slab per scratch
-//! family (SPA accumulators, panel triplet buffers), kept per worker
+//! family (SPA accumulators, work-item output buffers), kept per worker
 //! thread by `tailors_sim::functional` so steady-state serving performs no
 //! heap allocation in the kernel + assembly path.
 
@@ -88,36 +88,22 @@ impl PoolItem for BlockedSpa {
     }
 }
 
-/// The per-panel output-assembly buffers the engine used to allocate
-/// fresh each panel: per-row lengths, the panel's concatenated
-/// column/value triplets, and the per-row staging vectors multi-block
-/// units drain into before the in-order merge.
+/// The output-assembly buffers of one engine work item: per-row lengths
+/// and the item's concatenated column/value pairs. An item drains its
+/// column blocks one after another, so `row_lens` holds one entry per
+/// panel row per block.
 ///
-/// Pooled as one unit because they live and die together: a panel checks
+/// Pooled as one unit because they live and die together: an item checks
 /// the whole set out, fills it, and the stitch releases it back to the
 /// slab when the output has been spliced into the result CSR.
 #[derive(Debug, Clone, Default)]
 pub struct PanelBuffers {
-    /// Per-row output lengths (one entry per panel row).
+    /// Per-row output lengths, block after block.
     pub row_lens: Vec<usize>,
-    /// Concatenated output column indices for the panel.
+    /// Concatenated output column indices for the item.
     pub cols: Vec<u32>,
-    /// Concatenated output values for the panel.
+    /// Concatenated output values for the item.
     pub vals: Vec<f64>,
-    /// Per-row staging (cols, vals) pairs for multi-block merges. Grown by
-    /// [`PanelBuffers::ensure_staged_rows`], never shrunk, so inner
-    /// capacities survive recycling.
-    pub staged: Vec<(Vec<u32>, Vec<f64>)>,
-}
-
-impl PanelBuffers {
-    /// Ensures at least `n` staging rows exist (growing, never shrinking,
-    /// so recycled inner capacities are preserved).
-    pub fn ensure_staged_rows(&mut self, n: usize) {
-        if self.staged.len() < n {
-            self.staged.resize_with(n, Default::default);
-        }
-    }
 }
 
 impl PoolItem for PanelBuffers {
@@ -125,24 +111,13 @@ impl PoolItem for PanelBuffers {
         self.row_lens.clear();
         self.cols.clear();
         self.vals.clear();
-        for (c, v) in &mut self.staged {
-            c.clear();
-            v.clear();
-        }
         self.row_lens.reserve(class.rows as usize);
     }
 
     fn heap_bytes(&self) -> u64 {
-        let staged: usize = self
-            .staged
-            .iter()
-            .map(|(c, v)| c.capacity() * 4 + v.capacity() * 8)
-            .sum();
         (self.row_lens.capacity() * core::mem::size_of::<usize>()
             + self.cols.capacity() * 4
-            + self.vals.capacity() * 8
-            + self.staged.capacity() * core::mem::size_of::<(Vec<u32>, Vec<f64>)>()
-            + staged) as u64
+            + self.vals.capacity() * 8) as u64
     }
 }
 
@@ -354,7 +329,7 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
 // ---------------------------------------------------------------------------
 
 /// One slab per scratch family the engine checks out: the per-unit
-/// [`BlockedSpa`] accumulator and the per-panel [`PanelBuffers`] output
+/// [`BlockedSpa`] accumulator and the per-work-item [`PanelBuffers`] output
 /// set. `tailors_sim::functional` keeps one per worker thread; a serve
 /// runtime worker therefore reuses the same warm buffers request after
 /// request, which is what makes the steady-state hot path allocation-free.
@@ -375,7 +350,7 @@ impl ScratchPool {
         self.spa.checkout(class)
     }
 
-    /// Checks out the panel output-assembly buffer set.
+    /// Checks out a work item's output-assembly buffer set.
     pub fn checkout_buffers(&self, class: ShapeClass) -> PoolHandle<PanelBuffers> {
         self.bufs.checkout(class)
     }
@@ -967,24 +942,26 @@ mod tests {
     }
 
     #[test]
-    fn panel_buffers_recycle_staged_capacity() {
+    fn panel_buffers_recycle_capacity() {
         let slab: SlabStorage<PanelBuffers> = SlabStorage::new();
         let class = ShapeClass::of(8, 64);
-        let caps: Vec<usize> = {
+        let caps = {
             let mut bufs = slab.checkout(class);
-            bufs.ensure_staged_rows(8);
-            for (c, v) in &mut bufs.staged {
-                c.extend_from_slice(&[1, 2, 3]);
-                v.extend_from_slice(&[1.0, 2.0, 3.0]);
-            }
-            bufs.staged.iter().map(|(c, _)| c.capacity()).collect()
+            bufs.row_lens.extend_from_slice(&[3; 16]);
+            bufs.cols.extend(0..48);
+            bufs.vals.extend((0..48).map(f64::from));
+            (
+                bufs.row_lens.capacity(),
+                bufs.cols.capacity(),
+                bufs.vals.capacity(),
+            )
         };
         let bufs = slab.checkout(class);
-        assert_eq!(bufs.staged.len(), 8);
-        for ((c, v), cap) in bufs.staged.iter().zip(&caps) {
-            assert!(c.is_empty() && v.is_empty());
-            assert!(c.capacity() >= *cap);
-        }
+        assert_eq!(slab.stats().hits, 1);
+        assert!(bufs.row_lens.is_empty() && bufs.cols.is_empty() && bufs.vals.is_empty());
+        assert!(bufs.row_lens.capacity() >= caps.0);
+        assert!(bufs.cols.capacity() >= caps.1);
+        assert!(bufs.vals.capacity() >= caps.2);
     }
 
     fn spill_fixture(n: usize, nnz: usize, tile_cols: usize) -> (CsrMatrix, PathBuf) {
