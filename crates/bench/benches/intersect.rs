@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the compute substrate: fiber intersection
 //! (ExTensor's core primitive), the reference SpMSpM, the analytical
-//! simulator itself, and the functional engine.
+//! simulator itself, the functional engine, and suite tensor generation
+//! and hashing.
 //!
 //! The `spmspm` group tracks the dense-scratch (SPA) rewrite against the
 //! retained seed kernels — `seed_hashmap_a_at_2k` and
@@ -194,6 +195,34 @@ fn bench_simulator(c: &mut Criterion) {
             bch.iter(|| black_box(v.run(&profile, &arch)))
         });
     }
+    g.finish();
+}
+
+fn bench_tensor(c: &mut Criterion) {
+    // The cold path's first two rungs, uncached: generating all 22 suite
+    // tensors at 1/64 scale, then their `content_hash` identities. A
+    // cold `suite_cold` request pays both before it profiles or plans.
+    let suite: Vec<_> = tailors_workloads::suite()
+        .iter()
+        .map(|wl| wl.scaled(1.0 / 64.0))
+        .collect();
+    let mut g = c.benchmark_group("tensor");
+    g.sample_size(10);
+    g.bench_function("generate_suite_1_64", |bch| {
+        bch.iter(|| {
+            for wl in &suite {
+                black_box(wl.generate());
+            }
+        })
+    });
+    let tensors: Vec<_> = suite.iter().map(|wl| wl.generate()).collect();
+    g.bench_function("content_hash_suite_1_64", |bch| {
+        bch.iter(|| {
+            for m in &tensors {
+                black_box(m.content_hash());
+            }
+        })
+    });
     g.finish();
 }
 
@@ -415,6 +444,7 @@ criterion_group!(
     bench_spmspm,
     bench_planner,
     bench_simulator,
+    bench_tensor,
     bench_suite,
     bench_serving,
     bench_spill

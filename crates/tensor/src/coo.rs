@@ -5,9 +5,11 @@ use crate::TensorError;
 /// A sparse matrix in coordinate (triplet) format.
 ///
 /// COO is the natural output format for the synthetic generators in
-/// [`crate::gen`] and the natural input format for building a
-/// [`crate::CsrMatrix`]. Entries may be unsorted and may contain duplicates;
-/// conversion to CSR sorts and sums duplicates.
+/// [`crate::gen`] that draw rows in random order, and the natural input
+/// format for building a [`crate::CsrMatrix`] from unordered entries
+/// (row-ordered input can go straight into a [`crate::CsrBuilder`]).
+/// Entries may be unsorted and may contain duplicates; conversion to CSR
+/// sorts and sums duplicates.
 ///
 /// # Example
 ///

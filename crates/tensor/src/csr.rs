@@ -135,65 +135,30 @@ impl CsrMatrix {
 
     /// Builds a CSR matrix from a COO matrix, sorting entries and summing
     /// duplicates.
+    ///
+    /// A counting sort groups the entries by row, each row keeping its
+    /// insertion order, and every row then goes through the same
+    /// sort-and-merge as [`CsrBuilder::finish_row`].
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let nrows = coo.nrows();
-        let ncols = coo.ncols();
-        // Counting sort by row, then sort each row's slice by column.
-        let mut counts = vec![0usize; nrows + 1];
+        let mut starts = vec![0usize; nrows + 1];
         for (r, _, _) in coo.iter() {
-            counts[r + 1] += 1;
+            starts[r + 1] += 1;
         }
         for i in 0..nrows {
-            counts[i + 1] += counts[i];
+            starts[i + 1] += starts[i];
         }
-        let total = counts[nrows];
-        let mut cols = vec![0u32; total];
-        let mut vals = vec![0f64; total];
-        let mut cursor = counts.clone();
+        let mut entries = vec![(0u32, 0f64); coo.len()];
+        let mut cursor = starts[..nrows].to_vec();
         for (r, c, v) in coo.iter() {
-            let at = cursor[r];
-            cols[at] = c as u32;
-            vals[at] = v;
+            entries[cursor[r]] = (c as u32, v);
             cursor[r] += 1;
         }
-        // Sort within each row and merge duplicates.
-        let mut out_cols = Vec::with_capacity(total);
-        let mut out_vals = Vec::with_capacity(total);
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for r in 0..nrows {
-            let (lo, hi) = (counts[r], counts[r + 1]);
-            scratch.clear();
-            scratch.extend(
-                cols[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(vals[lo..hi].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut iter = scratch.iter().copied().peekable();
-            while let Some((c, mut v)) = iter.next() {
-                while let Some(&(c2, v2)) = iter.peek() {
-                    if c2 == c {
-                        v += v2;
-                        iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                out_cols.push(c);
-                out_vals.push(v);
-            }
-            row_ptr.push(out_cols.len());
+        let mut out = CsrBuilder::with_capacity(nrows, coo.ncols(), entries.len());
+        for w in starts.windows(2) {
+            out.append_row(&mut entries[w[0]..w[1]]);
         }
-        CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx: out_cols,
-            vals: out_vals,
-        }
+        out.finish()
     }
 
     /// Builds a CSR matrix directly from `(row, col, value)` triplets.
@@ -219,17 +184,17 @@ impl CsrMatrix {
     /// Builds a dense-layout CSR matrix from a row-major 2-D array of values,
     /// skipping zeros.
     pub fn from_dense(rows: &[Vec<f64>]) -> Self {
-        let nrows = rows.len();
         let ncols = rows.iter().map(Vec::len).max().unwrap_or(0);
-        let mut coo = CooMatrix::new(nrows, ncols);
-        for (r, row) in rows.iter().enumerate() {
+        let mut out = CsrBuilder::with_capacity(rows.len(), ncols, 0);
+        for row in rows {
             for (c, &v) in row.iter().enumerate() {
                 if v != 0.0 {
-                    coo.push(r, c, v).expect("in bounds by construction");
+                    out.push(c as u32, v);
                 }
             }
+            out.finish_row();
         }
-        Self::from_coo(&coo)
+        out.finish()
     }
 
     /// Number of rows.
@@ -454,6 +419,115 @@ impl CsrMatrix {
     /// Raw value array, parallel to [`CsrMatrix::col_indices`].
     pub fn values(&self) -> &[f64] {
         &self.vals
+    }
+}
+
+/// Builds a [`CsrMatrix`] one row at a time, in row order.
+///
+/// Entries of the open row may arrive in any column order and may repeat a
+/// column; [`CsrBuilder::finish_row`] sorts the row and sums duplicates.
+/// This is the crate's one sort-and-merge: [`CsrMatrix::from_coo`] runs
+/// every row through it too, so a row pushed here in the order a COO
+/// matrix would hold it yields bit-identical output.
+///
+/// # Example
+///
+/// ```
+/// use tailors_tensor::CsrBuilder;
+///
+/// let mut b = CsrBuilder::with_capacity(2, 3, 3);
+/// b.push(2, 1.0);
+/// b.push(0, 2.0);
+/// b.push(2, 0.5); // duplicate: summed
+/// b.finish_row();
+/// b.finish_row(); // row 1 stays empty
+/// let m = b.finish();
+/// assert_eq!(m.row(0).coords(), &[0, 2]);
+/// assert_eq!(m.get(0, 2), Some(1.5));
+/// assert_eq!(m.row_nnz(1), 0);
+/// ```
+#[derive(Debug)]
+pub struct CsrBuilder {
+    nrows: usize,
+    ncols: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    vals: Vec<f64>,
+    /// The open row's entries, in push order.
+    open: Vec<(u32, f64)>,
+}
+
+impl CsrBuilder {
+    /// Starts an `nrows × ncols` matrix with room for `nnz` merged entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ncols` exceeds `u32::MAX`, the widest column index CSR
+    /// stores.
+    pub fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        assert!(ncols <= u32::MAX as usize, "column count must fit in u32");
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        CsrBuilder {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+            open: Vec::new(),
+        }
+    }
+
+    /// Adds `val` at column `col` of the open row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` is out of bounds.
+    pub fn push(&mut self, col: u32, val: f64) {
+        assert!((col as usize) < self.ncols, "column index out of bounds");
+        self.open.push((col, val));
+    }
+
+    /// Closes the open row: sorts it by column and sums duplicates.
+    pub fn finish_row(&mut self) {
+        let mut row = std::mem::take(&mut self.open);
+        self.append_row(&mut row);
+        row.clear();
+        self.open = row;
+    }
+
+    /// Returns the matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly `nrows` rows have been finished and no entry
+    /// is pending.
+    pub fn finish(self) -> CsrMatrix {
+        assert!(
+            self.row_ptr.len() == self.nrows + 1 && self.open.is_empty(),
+            "exactly nrows rows must be finished"
+        );
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            row_ptr: self.row_ptr,
+            col_idx: self.col_idx,
+            vals: self.vals,
+        }
+    }
+
+    /// Appends `row` as the next row, after sorting it by column with an
+    /// unstable sort and summing each run of equal columns left to right.
+    /// The sort is part of the output's bits: with three or more
+    /// duplicates, the order it leaves them in decides their rounded sum.
+    fn append_row(&mut self, row: &mut [(u32, f64)]) {
+        row.sort_unstable_by_key(|&(c, _)| c);
+        for run in row.chunk_by(|a, b| a.0 == b.0) {
+            self.col_idx.push(run[0].0);
+            self.vals
+                .push(run[1..].iter().fold(run[0].1, |sum, &(_, v)| sum + v));
+        }
+        self.row_ptr.push(self.col_idx.len());
     }
 }
 
@@ -755,5 +829,29 @@ mod tests {
         assert_eq!(m.sparsity(), 1.0);
         assert_eq!(m.transpose().nnz(), 0);
         assert_eq!(m.row(3).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly nrows rows must be finished")]
+    fn builder_rejects_unfinished_rows() {
+        let mut b = CsrBuilder::with_capacity(2, 2, 1);
+        b.push(1, 1.0);
+        b.finish_row();
+        let _ = b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly nrows rows must be finished")]
+    fn builder_rejects_extra_rows() {
+        let mut b = CsrBuilder::with_capacity(1, 2, 0);
+        b.finish_row();
+        b.finish_row();
+        let _ = b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "column index out of bounds")]
+    fn builder_rejects_out_of_bounds_column() {
+        CsrBuilder::with_capacity(1, 2, 1).push(2, 1.0);
     }
 }

@@ -12,12 +12,19 @@
 //!   road networks are near-diagonal with a few dense urban clusters.
 //!
 //! All generators are deterministic for a given seed.
+//!
+//! The banded and power-law generators draw their entries row by row, in
+//! row order, and stream each row straight into one [`CsrBuilder`]. The
+//! clustered and uniform generators draw rows in random order, so they
+//! collect a [`CooMatrix`] and convert it with [`CsrMatrix::from_coo`].
+//! Both routes share the builder's sort-and-merge, so a row yields the
+//! same bits whichever route it takes.
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{CooMatrix, CsrMatrix};
+use crate::{CooMatrix, CsrBuilder, CsrMatrix};
 
 /// Structural family of a synthetic matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +195,7 @@ impl GenSpec {
             "target_nnz exceeds the coordinate space"
         );
         let mut rng = StdRng::seed_from_u64(self.seed ^ SEED_MIX);
-        let coo = match &self.structure {
+        match &self.structure {
             Structure::Banded {
                 band_halfwidth_frac,
                 scatter_frac,
@@ -206,10 +213,9 @@ impl GenSpec {
             Structure::Clustered {
                 cluster_frac,
                 cluster_share,
-            } => self.gen_clustered(&mut rng, *cluster_frac, *cluster_share),
-            Structure::Uniform => self.gen_uniform(&mut rng),
-        };
-        CsrMatrix::from_coo(&coo)
+            } => CsrMatrix::from_coo(&self.gen_clustered(&mut rng, *cluster_frac, *cluster_share)),
+            Structure::Uniform => CsrMatrix::from_coo(&self.gen_uniform(&mut rng)),
+        }
     }
 
     /// Distributes `target_nnz` across rows according to per-row weights.
@@ -252,7 +258,7 @@ impl GenSpec {
         band_halfwidth_frac: f64,
         scatter_frac: f64,
         degree_variability: f64,
-    ) -> CooMatrix {
+    ) -> CsrMatrix {
         // The band must hold the per-row degree with headroom or duplicate
         // coordinates collapse; widen it beyond the nominal fraction when
         // rows are dense relative to the matrix size (small scaled runs).
@@ -286,7 +292,7 @@ impl GenSpec {
             .map(|r| coarse[r / coarse_block] * fine[r / fine_block])
             .collect();
         let degrees = self.degrees_from_weights(&weights);
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.target_nnz);
+        let mut csr = CsrBuilder::with_capacity(self.nrows, self.ncols, self.target_nnz);
         for (r, &deg) in degrees.iter().enumerate() {
             let lo = r
                 .saturating_sub(halfwidth)
@@ -298,14 +304,14 @@ impl GenSpec {
                 } else {
                     rng.gen_range(lo..hi)
                 };
-                coo.push(r, c, value(rng))
-                    .expect("in bounds by construction");
+                csr.push(c as u32, value(rng));
             }
+            csr.finish_row();
         }
-        coo
+        csr.finish()
     }
 
-    fn gen_power_law(&self, rng: &mut StdRng, alpha: f64, hub_clustering: f64) -> CooMatrix {
+    fn gen_power_law(&self, rng: &mut StdRng, alpha: f64, hub_clustering: f64) -> CsrMatrix {
         // Zipf rank weights, assigned to rows either clustered or shuffled.
         // Hub degrees are capped (real web/social graphs cap out well below
         // their nnz: webbase-1M's max degree is ≈4.7 K of 3.1 M nonzeros,
@@ -336,8 +342,7 @@ impl GenSpec {
         let cluster_base = rng.gen_range(0..self.nrows.max(1));
         let mut cluster_next = cluster_base;
         let mut scattered_next = 0usize;
-        for (rank, w) in rank_weights.drain(..).enumerate() {
-            let _ = rank;
+        for w in rank_weights {
             if rng.gen::<f64>() < hub_clustering {
                 row_weights[cluster_next % self.nrows] += w;
                 cluster_next += 1;
@@ -355,25 +360,32 @@ impl GenSpec {
             .map(|c| row_weights[c % self.nrows] + 0.5 * mean_w + 1e-12)
             .collect();
         let col_dist = WeightedIndex::new(&col_weights).expect("positive weights");
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.target_nnz);
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for (r, &deg) in degrees.iter().enumerate() {
+        let mut csr = CsrBuilder::with_capacity(self.nrows, self.ncols, self.target_nnz);
+        // `taken` marks the columns drawn into the current row; `row` lists
+        // them so the marks can be cleared without sweeping all columns.
+        let mut taken = vec![false; self.ncols];
+        let mut row: Vec<u32> = Vec::new();
+        for &deg in &degrees {
             // Sample distinct columns by rejection with a bounded budget;
-            // rows close to full width fall back to merging repeats away
+            // rows close to full width may end short of their degree
             // (degrees are capped at ncols upstream).
-            seen.clear();
             let budget = deg * 6 + 16;
             let mut attempts = 0;
-            while seen.len() < deg && attempts < budget {
+            while row.len() < deg && attempts < budget {
                 attempts += 1;
-                let c = col_dist.sample(rng) as u32;
-                if seen.insert(c) {
-                    coo.push(r, c as usize, value(rng))
-                        .expect("in bounds by construction");
+                let c = col_dist.sample(rng);
+                if !taken[c] {
+                    taken[c] = true;
+                    row.push(c as u32);
+                    csr.push(c as u32, value(rng));
                 }
             }
+            for c in row.drain(..) {
+                taken[c as usize] = false;
+            }
+            csr.finish_row();
         }
-        coo
+        csr.finish()
     }
 
     fn gen_clustered(&self, rng: &mut StdRng, cluster_frac: f64, cluster_share: f64) -> CooMatrix {

@@ -7,7 +7,7 @@ use tailors_tensor::fiber::Fiber;
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
 use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
-use tailors_tensor::{CooMatrix, CsrMatrix};
+use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix};
 
 /// `intersect_counted` matches `intersect(..).count()` in both operand
 /// orders, and its `scanned` count does not depend on the order.
@@ -32,6 +32,105 @@ fn triplets_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
 /// materialized count.
 fn positive_triplets_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     proptest::collection::vec((0usize..24, 0usize..24, 0.5f64..10.0), 0..200)
+}
+
+/// The COO-to-CSR conversion as it stood before [`CsrBuilder`]: a
+/// counting sort into separate column and value arrays, then a per-row
+/// sort and merge through a zipped scratch copy. Kept as the bit-level
+/// oracle for the builder. Returns `(row_ptr, col_idx, vals)`.
+fn oracle_from_coo(coo: &CooMatrix) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let nrows = coo.nrows();
+    let mut counts = vec![0usize; nrows + 1];
+    for (r, _, _) in coo.iter() {
+        counts[r + 1] += 1;
+    }
+    for i in 0..nrows {
+        counts[i + 1] += counts[i];
+    }
+    let total = counts[nrows];
+    let mut cols = vec![0u32; total];
+    let mut vals = vec![0f64; total];
+    let mut cursor = counts.clone();
+    for (r, c, v) in coo.iter() {
+        let at = cursor[r];
+        cols[at] = c as u32;
+        vals[at] = v;
+        cursor[r] += 1;
+    }
+    let mut out_cols = Vec::with_capacity(total);
+    let mut out_vals = Vec::with_capacity(total);
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    row_ptr.push(0);
+    let mut scratch: Vec<(u32, f64)> = Vec::new();
+    for r in 0..nrows {
+        let (lo, hi) = (counts[r], counts[r + 1]);
+        scratch.clear();
+        scratch.extend(
+            cols[lo..hi]
+                .iter()
+                .copied()
+                .zip(vals[lo..hi].iter().copied()),
+        );
+        scratch.sort_unstable_by_key(|&(c, _)| c);
+        let mut iter = scratch.iter().copied().peekable();
+        while let Some((c, mut v)) = iter.next() {
+            while let Some(&(c2, v2)) = iter.peek() {
+                if c2 == c {
+                    v += v2;
+                    iter.next();
+                } else {
+                    break;
+                }
+            }
+            out_cols.push(c);
+            out_vals.push(v);
+        }
+        row_ptr.push(out_cols.len());
+    }
+    (row_ptr, out_cols, out_vals)
+}
+
+/// Asserts `m` equals the oracle's parts, comparing values by their bits.
+fn assert_matches_oracle(m: &CsrMatrix, want: &(Vec<usize>, Vec<u32>, Vec<f64>)) {
+    assert_eq!(m.row_ptr(), want.0.as_slice());
+    assert_eq!(m.col_indices(), want.1.as_slice());
+    let bits = |vals: &[f64]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(m.values()), bits(&want.2));
+}
+
+type DuplicateGroup = (usize, usize, Vec<(f64, usize)>);
+
+/// Background scatter over 4 rows × 12 columns: rows of tens of entries,
+/// long enough that the per-row sort leaves its small-slice path.
+fn scatter_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+    proptest::collection::vec((0usize..4, 0usize..12, -1e3f64..1e3), 0..240)
+}
+
+/// Coordinates forced to repeat 3–8 times, each copy with its own value
+/// and insertion slot: the case where summation order decides the bits.
+fn duplicate_groups_strategy() -> impl Strategy<Value = Vec<DuplicateGroup>> {
+    proptest::collection::vec(
+        (
+            0usize..4,
+            0usize..12,
+            proptest::collection::vec((-1e3f64..1e3, 0usize..1_000), 3..9),
+        ),
+        1..6,
+    )
+}
+
+/// Inserts every copy of every duplicate group into `scatter` at its
+/// drawn slot, so the repeats interleave with other entries.
+fn with_duplicates(
+    mut triplets: Vec<(usize, usize, f64)>,
+    groups: &[DuplicateGroup],
+) -> Vec<(usize, usize, f64)> {
+    for (r, c, copies) in groups {
+        for &(v, slot) in copies {
+            triplets.insert(slot % (triplets.len() + 1), (*r, *c, v));
+        }
+    }
+    triplets
 }
 
 proptest! {
@@ -387,5 +486,30 @@ proptest! {
         let m = CsrMatrix::from_coo(&coo);
         let csr_mass: f64 = m.values().iter().sum();
         prop_assert!((mass - csr_mass).abs() < 1e-9);
+    }
+
+    /// `from_coo` and a row-by-row `CsrBuilder` fed the same entries in
+    /// the same order both reproduce the pre-builder conversion bit for
+    /// bit, including the rounded sums of 3-way-or-more duplicates.
+    #[test]
+    fn builder_and_from_coo_match_the_old_merge_bitwise(
+        scatter in scatter_strategy(),
+        groups in duplicate_groups_strategy(),
+    ) {
+        let triplets = with_duplicates(scatter, &groups);
+        let mut coo = CooMatrix::new(4, 12);
+        coo.extend(triplets.iter().copied());
+        let want = oracle_from_coo(&coo);
+        assert_matches_oracle(&CsrMatrix::from_coo(&coo), &want);
+        let mut b = CsrBuilder::with_capacity(4, 12, triplets.len());
+        for row in 0..4 {
+            for &(r, c, v) in &triplets {
+                if r == row {
+                    b.push(c as u32, v);
+                }
+            }
+            b.finish_row();
+        }
+        assert_matches_oracle(&b.finish(), &want);
     }
 }
