@@ -83,8 +83,8 @@ use crate::service::{request_cost, MatrixId, SpecKey};
 use crate::sync::{PoisonFreeCondvar, PoisonFreeMutex, PoisonFreeRwLock};
 use crate::wire::{WireClient, WireError};
 
-// FNV-1a, the same hash `CsrMatrix::content_hash` uses — tiny,
-// dependency-free, and well-mixed enough for ring placement.
+// FNV-1a (`tailors_tensor::fnv1a`) — tiny, dependency-free, and
+// well-mixed enough for ring placement.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// A consistent-hash ring: each member owns `vnodes` pseudo-random

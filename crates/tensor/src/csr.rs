@@ -380,30 +380,28 @@ impl CsrMatrix {
     ///
     /// Two matrices hash equal iff they are `==` (up to the usual 64-bit
     /// collision caveat), and the hash is *stable*: it depends only on the
-    /// matrix contents (FNV-1a over a fixed little-endian serialization),
-    /// never on allocation addresses, hasher seeds, process, or platform —
-    /// so it can key long-lived caches (the serving layer keys its profile
-    /// and execution-plan tiers by it) and be compared across runs.
+    /// matrix contents, never on allocation addresses, hasher seeds,
+    /// process, or platform — so it can key long-lived caches (the serving
+    /// layer keys its profile and execution-plan tiers by it) and be
+    /// compared across runs.
+    ///
+    /// The matrix is read as a stream of `u64` words: the header `nrows`,
+    /// `ncols`, `nnz` (which fixes where each array ends), then every row
+    /// pointer, every column index widened to `u64`, and every value's
+    /// `f64::to_bits`. Word `i` goes to accumulator lane `i % 4` through an
+    /// xxh64-style round, so the four multiply chains run independently;
+    /// the lanes are then merged and avalanched.
     ///
     /// Cost is one linear pass over the stored structure; callers that
     /// look up the same matrix repeatedly should hash once and reuse the
     /// key (see `tailors-serve`'s `MatrixId`).
     pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| h = crate::fnv1a(h, bytes);
-        eat(&(self.nrows as u64).to_le_bytes());
-        eat(&(self.ncols as u64).to_le_bytes());
-        eat(&(self.nnz() as u64).to_le_bytes());
-        for &p in &self.row_ptr {
-            eat(&(p as u64).to_le_bytes());
-        }
-        for &c in &self.col_idx {
-            eat(&c.to_le_bytes());
-        }
-        for &v in &self.vals {
-            eat(&v.to_bits().to_le_bytes());
-        }
-        h
+        let mut h = WordHash::new();
+        h.eat(&[self.nrows, self.ncols, self.nnz()], |n| n as u64);
+        h.eat(&self.row_ptr, |p| p as u64);
+        h.eat(&self.col_idx, u64::from);
+        h.eat(&self.vals, f64::to_bits);
+        h.finish()
     }
 
     /// Raw row-pointer array (length `nrows + 1`).
@@ -528,6 +526,79 @@ impl CsrBuilder {
                 .push(run[1..].iter().fold(run[0].1, |sum, &(_, v)| sum + v));
         }
         self.row_ptr.push(self.col_idx.len());
+    }
+}
+
+/// The word-at-a-time hash behind [`CsrMatrix::content_hash`]: xxh64's
+/// primes, rounds, lane merge and avalanche over a stream of `u64` words.
+struct WordHash {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl WordHash {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+    fn new() -> Self {
+        let lanes = [
+            Self::P1.wrapping_add(Self::P2),
+            Self::P2,
+            0,
+            Self::P1.wrapping_neg(),
+        ];
+        WordHash { lanes, words: 0 }
+    }
+
+    fn round(acc: u64, w: u64) -> u64 {
+        acc.wrapping_add(w.wrapping_mul(Self::P2))
+            .rotate_left(31)
+            .wrapping_mul(Self::P1)
+    }
+
+    /// Appends `xs` to the stream, one word each. The lanes are rotated
+    /// past a short tail so the next slice's first word lands on lane
+    /// `words % 4`, as if the slices were one array.
+    fn eat<T: Copy>(&mut self, xs: &[T], word: impl Fn(T) -> u64) {
+        let mut lanes = self.lanes;
+        let mut quads = xs.chunks_exact(4);
+        for quad in &mut quads {
+            for (acc, &x) in lanes.iter_mut().zip(quad) {
+                *acc = Self::round(*acc, word(x));
+            }
+        }
+        let tail = quads.remainder();
+        for (acc, &x) in lanes.iter_mut().zip(tail) {
+            *acc = Self::round(*acc, word(x));
+        }
+        lanes.rotate_left(tail.len());
+        self.lanes = lanes;
+        self.words += xs.len() as u64;
+    }
+
+    fn finish(self) -> u64 {
+        // Undo the tail rotations so lane `i` holds the words `≡ i (mod 4)`.
+        let mut lanes = self.lanes;
+        lanes.rotate_right((self.words % 4) as usize);
+        let [a, b, c, d] = lanes;
+        let mut h = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        for lane in lanes {
+            h = (h ^ Self::round(0, lane))
+                .wrapping_mul(Self::P1)
+                .wrapping_add(Self::P4);
+        }
+        h = h.wrapping_add(self.words);
+        h ^= h >> 33;
+        h = h.wrapping_mul(Self::P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(Self::P3);
+        h ^ (h >> 32)
     }
 }
 
@@ -817,9 +888,9 @@ mod tests {
         // Shape-only change (same triplets, wider matrix).
         let wider = CsrMatrix::from_triplets(3, 5, &m.iter().collect::<Vec<_>>()).unwrap();
         assert_ne!(m.content_hash(), wider.content_hash());
-        // Pinned literal: this hash keys on-disk and cross-run caches, so a
-        // change here is a cache-format break and must be deliberate.
-        assert_eq!(small().content_hash(), 0x05fc_2914_4165_d3d1);
+        // Pinned literal: the hash is every `MatrixId` and decides ring
+        // placement, so a change here moves both and must be declared.
+        assert_eq!(small().content_hash(), 0x04b8_00ab_2047_eddc);
     }
 
     #[test]

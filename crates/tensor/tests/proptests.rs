@@ -133,6 +133,49 @@ fn with_duplicates(
     triplets
 }
 
+/// The raw arrays of `m`, for rebuilding an edited copy through
+/// [`CsrMatrix::from_parts`] (which re-validates it).
+fn parts(m: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    (
+        m.row_ptr().to_vec(),
+        m.col_indices().to_vec(),
+        m.values().to_vec(),
+    )
+}
+
+/// Matrices of one shape and nonzero count built from the same column and
+/// value words, grouped differently: split at another row boundary, or
+/// with the column and value words traded between the two arrays. Column
+/// `k` and value `k` of a 4-entry row sit 4 words apart in the stream, so
+/// the trade keeps every lane's set of words: a hash that dropped the row
+/// pointers or folded each lane in an order-free way collides here.
+#[test]
+fn content_hash_separates_regrouped_words() {
+    let split = |row_ptr: Vec<usize>| {
+        CsrMatrix::from_parts(2, 8, row_ptr, vec![1, 2], vec![3.0, 4.0]).unwrap()
+    };
+    let rows = [
+        split(vec![0, 2, 2]),
+        split(vec![0, 1, 2]),
+        split(vec![0, 0, 2]),
+    ];
+    let trade = |cols: [u32; 4], vals: [u64; 4]| {
+        let vals = vals.map(f64::from_bits).to_vec();
+        CsrMatrix::from_parts(1, 16, vec![0, 4], cols.to_vec(), vals).unwrap()
+    };
+    let traded = [
+        trade([1, 2, 3, 4], [5, 6, 7, 8]),
+        trade([5, 6, 7, 8], [1, 2, 3, 4]),
+    ];
+    for group in [&rows[..], &traded[..]] {
+        for (i, a) in group.iter().enumerate() {
+            for b in &group[i + 1..] {
+                assert_ne!(a.content_hash(), b.content_hash(), "{a:?} vs {b:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     /// CSR construction from arbitrary (possibly duplicated) triplets
     /// agrees with a BTreeMap reference model.
@@ -511,5 +554,58 @@ proptest! {
             b.finish_row();
         }
         assert_matches_oracle(&b.finish(), &want);
+    }
+
+    /// `content_hash` is a function of the matrix, and one-word edits move
+    /// it: a flipped value bit, a changed column index, a wider shape, and
+    /// a row's last entry moved to the next row. Every edited copy is
+    /// rebuilt through `from_parts`, so it is a valid matrix.
+    #[test]
+    fn content_hash_tracks_one_word_edits(
+        triplets in triplets_strategy(),
+        pick in 0usize..1_000,
+        bit in 0u32..64,
+    ) {
+        const NCOLS: usize = 32;
+        let mut coo = CooMatrix::new(24, NCOLS);
+        coo.extend(triplets.iter().copied());
+        let m = CsrMatrix::from_coo(&coo);
+        let h = m.content_hash();
+        prop_assert_eq!(m.clone().content_hash(), h);
+        let edited = |ncols, (row_ptr, cols, vals)| {
+            CsrMatrix::from_parts(24, ncols, row_ptr, cols, vals).unwrap().content_hash()
+        };
+        prop_assert_ne!(edited(NCOLS + 1, parts(&m)), h);
+        if m.nnz() == 0 {
+            continue;
+        }
+        let (row_ptr, mut cols, mut vals) = parts(&m);
+        let i = pick % m.nnz();
+        vals[i] = f64::from_bits(vals[i].to_bits() ^ (1 << bit));
+        prop_assert_ne!(edited(NCOLS, (row_ptr.clone(), cols.clone(), vals)), h);
+
+        // The last entry of entry `i`'s row takes another column between
+        // its left neighbour and NCOLS (triplets stop at column 23).
+        let r = row_ptr.partition_point(|&p| p <= i) - 1;
+        let last = row_ptr[r + 1] - 1;
+        let lo = if last > row_ptr[r] { cols[last - 1] + 1 } else { 0 };
+        let mut c = lo + (pick % (NCOLS - lo as usize - 1)) as u32;
+        if c >= cols[last] {
+            c += 1;
+        }
+        cols[last] = c;
+        prop_assert_ne!(edited(NCOLS, (row_ptr, cols, m.values().to_vec())), h);
+
+        // Some row's last entry moves to the start of the next row, where
+        // it still sorts before that row's first column.
+        let (mut row_ptr, cols, vals) = parts(&m);
+        let movable = (0..23).find(|&r| {
+            let (end, next_end) = (row_ptr[r + 1], row_ptr[r + 2]);
+            end > row_ptr[r] && (end == next_end || cols[end - 1] < cols[end])
+        });
+        if let Some(r) = movable {
+            row_ptr[r + 1] -= 1;
+            prop_assert_ne!(edited(NCOLS, (row_ptr, cols, vals)), h);
+        }
     }
 }

@@ -1,15 +1,40 @@
 //! Pins the exact bits of every generated suite tensor.
 //!
-//! `content_hash` covers shape, row pointers, column indices and value
-//! bits, so any change to a generator's RNG draw order, to duplicate
+//! The pins hash a fixed serialization — shape, row pointers, column
+//! indices and value bits — with a test-local FNV-1a, so they guard the
+//! generators' bits independently of `CsrMatrix::content_hash` and so of
+//! `MatrixId`: any change to a generator's RNG draw order, to duplicate
 //! merging, or to the order duplicates are summed in fails here. A
 //! changed literal is a deliberate, declared bit change: it moves every
 //! `MatrixId`, the golden metrics and the end-to-end sentinels with it.
+//! Two `content_hash` pins ride along to catch a change to that hash.
 
 use tailors_tensor::gen::GenSpec;
+use tailors_tensor::{fnv1a, CsrMatrix};
 use tailors_workloads::suite;
 
-/// `content_hash` of every `suite()` entry at 1/64 scale, in suite order.
+/// FNV-1a over `nrows`, `ncols` and `nnz` as little-endian `u64`s, then
+/// every row pointer as a `u64`, every column index as a `u32` and every
+/// value's bits as a `u64`: the serialization the literals below were
+/// computed over.
+fn generator_bits(m: &CsrMatrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for n in [m.nrows(), m.ncols(), m.nnz()] {
+        h = fnv1a(h, &(n as u64).to_le_bytes());
+    }
+    for &p in m.row_ptr() {
+        h = fnv1a(h, &(p as u64).to_le_bytes());
+    }
+    for &c in m.col_indices() {
+        h = fnv1a(h, &c.to_le_bytes());
+    }
+    for &v in m.values() {
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// [`generator_bits`] of every `suite()` entry at 1/64 scale, in suite order.
 const SUITE_1_64: [(&str, u64); 22] = [
     ("rma10", 0x4566_d8e9_b6ca_204c),
     ("cant", 0x0e96_8ec1_74b9_a225),
@@ -41,15 +66,16 @@ fn suite_hashes_are_pinned_at_1_64() {
     assert_eq!(suite.len(), SUITE_1_64.len());
     for (wl, &(name, want)) in suite.iter().zip(&SUITE_1_64) {
         assert_eq!(wl.name, name);
-        let got = wl.scaled(1.0 / 64.0).generate().content_hash();
-        assert_eq!(got, want, "{name}: content_hash {got:#018x}");
+        let got = generator_bits(&wl.scaled(1.0 / 64.0).generate());
+        assert_eq!(got, want, "{name}: generator bits {got:#018x}");
     }
 }
 
 #[test]
 fn uniform_hash_is_pinned() {
     let m = GenSpec::uniform(200, 300, 2_000).seed(11).generate();
-    assert_eq!(m.content_hash(), 0xe5b4_35da_0436_233c);
+    assert_eq!(generator_bits(&m), 0xe5b4_35da_0436_233c);
+    assert_eq!(m.content_hash(), 0xe2db_4e4f_9949_1139);
 }
 
 /// Half the coordinate space: hub rows are capped at the full width and
@@ -59,5 +85,6 @@ fn uniform_hash_is_pinned() {
 fn dense_power_law_hash_is_pinned() {
     let m = GenSpec::power_law(64, 64, 2_048).seed(12).generate();
     assert!(m.nnz() < 2_048);
-    assert_eq!(m.content_hash(), 0xb818_3952_2010_adcc);
+    assert_eq!(generator_bits(&m), 0xb818_3952_2010_adcc);
+    assert_eq!(m.content_hash(), 0x808f_a24e_5237_e7f3);
 }
