@@ -93,10 +93,7 @@ pub use service::{
     CacheHits, FunctionalRequest, FunctionalResponse, MatrixId, ServeConfig, ServeStats,
     SimRequest, SimResponse, SimService,
 };
-pub use shard::{
-    HashRing, MembershipError, Placement, PoolError, RouterConfig, RouterStats, ShardRouter,
-    ShardStats,
-};
+pub use shard::{HashRing, PoolError, RouterConfig, RouterStats, ShardRouter, ShardStats};
 pub use wire::{
     WireClient, WireError, WireRequest, WireServeReport, WireStopReport, WireTcpServer,
 };

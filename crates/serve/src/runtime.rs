@@ -669,21 +669,19 @@ impl ServiceRuntime {
         work: Work,
         deadline: Option<Duration>,
     ) -> Result<Reply, ServeError> {
-        self.submit_accounted(work, deadline, None)
-    }
-
-    /// Submits warm-up replay work: identical to [`ServiceRuntime::submit`]
-    /// except the request is queued on the **low-priority lane** whatever
-    /// its kind, so cache-warming replay after a shard joins or recovers
-    /// never delays live analytical traffic. Warm work is accounted in
-    /// this runtime's ledger exactly like any other request — the
-    /// *router's* ledger is what excludes it (see `serve::shard`).
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceRuntime::submit`].
-    pub fn submit_warm(&self, work: Work) -> Result<Reply, ServeError> {
-        self.submit_accounted(work, None, Some(Priority::Low))
+        self.counters.submitted.fetch_add(1, Ordering::SeqCst);
+        let outcome = self.submit_inner(work, deadline);
+        match &outcome {
+            Ok(_) => self.counters.completed.fetch_add(1, Ordering::SeqCst),
+            Err(ServeError::Timeout { .. }) => {
+                self.counters.timed_out.fetch_add(1, Ordering::SeqCst)
+            }
+            Err(ServeError::Faulted { .. }) => self.counters.faulted.fetch_add(1, Ordering::SeqCst),
+            Err(ServeError::Overloaded(_) | ServeError::BadRequest(_) | ServeError::Shutdown) => {
+                self.counters.rejected.fetch_add(1, Ordering::SeqCst)
+            }
+        };
+        outcome
     }
 
     /// Whether the `drop_conn` fault fires for the wire session's next
@@ -699,27 +697,6 @@ impl ServiceRuntime {
             self.counters.injected_drops.fetch_add(1, Ordering::SeqCst);
         }
         fired
-    }
-
-    fn submit_accounted(
-        &self,
-        work: Work,
-        deadline: Option<Duration>,
-        priority: Option<Priority>,
-    ) -> Result<Reply, ServeError> {
-        self.counters.submitted.fetch_add(1, Ordering::SeqCst);
-        let outcome = self.submit_inner(work, deadline, priority);
-        match &outcome {
-            Ok(_) => self.counters.completed.fetch_add(1, Ordering::SeqCst),
-            Err(ServeError::Timeout { .. }) => {
-                self.counters.timed_out.fetch_add(1, Ordering::SeqCst)
-            }
-            Err(ServeError::Faulted { .. }) => self.counters.faulted.fetch_add(1, Ordering::SeqCst),
-            Err(ServeError::Overloaded(_) | ServeError::BadRequest(_) | ServeError::Shutdown) => {
-                self.counters.rejected.fetch_add(1, Ordering::SeqCst)
-            }
-        };
-        outcome
     }
 
     /// Submits with capped-exponential-backoff retries on transient
@@ -744,12 +721,7 @@ impl ServiceRuntime {
         }
     }
 
-    fn submit_inner(
-        &self,
-        work: Work,
-        deadline: Option<Duration>,
-        priority_override: Option<Priority>,
-    ) -> Result<Reply, ServeError> {
+    fn submit_inner(&self, work: Work, deadline: Option<Duration>) -> Result<Reply, ServeError> {
         validate(&work)?;
         self.admit(&work)?;
         if FaultState::fires(&self.faults.submissions, self.config.faults.reject_every) {
@@ -768,9 +740,8 @@ impl ServiceRuntime {
             deadline_budget,
             reply: tx,
         };
-        let priority = priority_override.unwrap_or_else(|| envelope.work.priority());
         self.mailbox
-            .try_push(priority, envelope)
+            .try_push(envelope.work.priority(), envelope)
             .map_err(|e| match e {
                 PushError::Full(_) => ServeError::Overloaded(OverloadReason::MailboxFull {
                     capacity: self.mailbox.capacity(),
@@ -1059,27 +1030,6 @@ mod tests {
             .map(|&s| policy.backoff_jittered(2, s))
             .collect();
         assert!(sleeps.windows(2).any(|w| w[0] != w[1]), "{sleeps:?}");
-    }
-
-    #[test]
-    fn warm_submissions_ride_the_low_lane_and_account_normally() {
-        let runtime = ServiceRuntime::new(RuntimeConfig {
-            workers: 1,
-            ..RuntimeConfig::default()
-        });
-        let reply = runtime.submit_warm(sim_work("email-Enron")).expect("warm");
-        assert!(matches!(reply, Reply::Sim(_)));
-        let stats = runtime.stats();
-        assert_eq!(stats.submitted, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.accounted(), stats.submitted);
-        // Bit parity with the high-lane path: the lane changes queueing
-        // order, never the answer.
-        let hot = runtime.submit(sim_work("email-Enron")).expect("served");
-        match (reply, hot) {
-            (Reply::Sim(a), Reply::Sim(b)) => assert_eq!(a.metrics, b.metrics),
-            _ => panic!("expected sim replies"),
-        }
     }
 
     #[test]

@@ -15,11 +15,7 @@
 //! pop) either completes or leaves the structure unchanged — there is no
 //! multi-step invariant a mid-operation unwind could tear.
 
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-    WaitTimeoutResult,
-};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A `std::sync::Mutex` whose `lock` recovers from poisoning instead of
 /// propagating it (`parking_lot`-style non-poisoning semantics, without
@@ -44,37 +40,6 @@ impl<T> PoisonFreeMutex<T> {
     }
 }
 
-/// A `std::sync::RwLock` whose `read`/`write` recover from poisoning
-/// instead of propagating it, for the same reason as
-/// [`PoisonFreeMutex`]: the router's fleet view is read on every request
-/// and written only by membership operations, and no critical section
-/// runs caller code while holding the lock.
-#[derive(Debug, Default)]
-pub struct PoisonFreeRwLock<T> {
-    inner: RwLock<T>,
-}
-
-impl<T> PoisonFreeRwLock<T> {
-    /// Wraps `value`.
-    pub fn new(value: T) -> Self {
-        PoisonFreeRwLock {
-            inner: RwLock::new(value),
-        }
-    }
-
-    /// Acquires a shared read guard, recovering it if a previous writer
-    /// panicked.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires the exclusive write guard, recovering it if a previous
-    /// writer panicked.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 /// A condition variable paired with [`PoisonFreeMutex`]: waits recover
 /// their guard from poisoning the same way `lock` does.
 #[derive(Debug, Default)]
@@ -93,17 +58,6 @@ impl PoisonFreeCondvar {
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.inner
             .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        self.inner
-            .wait_timeout(guard, timeout)
             .unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -137,20 +91,6 @@ mod tests {
         assert_eq!(*m.lock(), 7);
         *m.lock() = 8;
         assert_eq!(*m.lock(), 8);
-    }
-
-    #[test]
-    fn rwlock_survives_a_panicking_writer() {
-        let l = Arc::new(PoisonFreeRwLock::new(vec![1u32, 2]));
-        let l2 = Arc::clone(&l);
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            let _guard = l2.write();
-            panic!("writer dies");
-        }));
-        assert!(result.is_err());
-        assert_eq!(*l.read(), vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]

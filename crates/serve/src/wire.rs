@@ -1090,27 +1090,16 @@ pub fn encode_request(id: u64, work: &Work) -> String {
 /// that keeps one buffer per session renders steady-state requests
 /// without allocating the line itself.
 pub fn encode_request_into(id: u64, work: &Work, out: &mut String) {
-    encode_request_flagged_into(id, work, false, out);
-}
-
-/// [`encode_request_into`] with the warm-up flag: `warm == true` adds
-/// `"warm":true` to the envelope, asking the server to queue the request
-/// on its low-priority lane (cache-warming replay must never delay live
-/// traffic).
-pub fn encode_request_flagged_into(id: u64, work: &Work, warm: bool, out: &mut String) {
     let (kind, req) = match work {
         Work::Sim(r) => ("sim", encode_sim_request(r)),
         Work::Functional(r) => ("functional", encode_functional_request(r)),
     };
-    let mut fields = vec![
+    obj(vec![
         ("id", num_u64(id)),
         ("kind", Json::Str(kind.into())),
         ("req", req),
-    ];
-    if warm {
-        fields.push(("warm", Json::Bool(true)));
-    }
-    obj(fields).render_into(out);
+    ])
+    .render_into(out);
 }
 
 /// Encodes a ping request line: `{"id":N,"kind":"ping"}` — no payload.
@@ -1126,8 +1115,8 @@ pub fn encode_ping_into(id: u64, out: &mut String) {
 }
 
 /// Encodes the pong reply to a ping: the envelope carries a snapshot of
-/// the shard runtime's outcome counters, so one probe both proves
-/// liveness and fetches shard stats.
+/// the runtime's outcome counters, so one ping both proves liveness and
+/// fetches the server's stats.
 pub fn encode_pong_into(id: u64, stats: &RuntimeStats, out: &mut String) {
     obj(vec![
         ("id", num_u64(id)),
@@ -1174,8 +1163,7 @@ fn decode_runtime_stats(v: &Json) -> Result<RuntimeStats, WireError> {
     })
 }
 
-/// A decoded request envelope: real work (possibly flagged for the
-/// warm-up lane) or a session-level ping.
+/// A decoded request envelope: real work or a session-level ping.
 ///
 /// The size disparity between the variants is deliberate: one value
 /// exists per decoded line and is destructured immediately, so boxing
@@ -1188,10 +1176,8 @@ pub enum WireRequest {
     Work {
         /// The decoded work.
         work: Work,
-        /// Whether the client asked for the low-priority warm-up lane.
-        warm: bool,
     },
-    /// A liveness probe, answered in the session loop with a stats pong.
+    /// A liveness check, answered in the session loop with a stats pong.
     Ping,
 }
 
@@ -1214,25 +1200,7 @@ pub fn decode_request_line(line: &str) -> Result<(u64, WireRequest), WireError> 
         "functional" => Work::Functional(Box::new(decode_functional_request(req)?)),
         other => return Err(malformed(format!("unknown request kind {other:?}"))),
     };
-    let warm = match v.opt("warm") {
-        Some(w) => w.bool_()?,
-        None => false,
-    };
-    Ok((id, WireRequest::Work { work, warm }))
-}
-
-/// Decodes one *work* request line (the pre-ping compatibility surface:
-/// a ping envelope is `Malformed` here, and the warm flag is dropped).
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] for anything that is not a well-formed work
-/// request; never panics.
-pub fn decode_request(line: &str) -> Result<(u64, Work), WireError> {
-    match decode_request_line(line)? {
-        (id, WireRequest::Work { work, .. }) => Ok((id, work)),
-        (_, WireRequest::Ping) => Err(malformed("ping envelope where work was expected")),
-    }
+    Ok((id, WireRequest::Work { work }))
 }
 
 /// Encodes one reply line (no trailing newline). `id` is `None` only for
@@ -1326,8 +1294,8 @@ pub struct WireServeReport {
     pub served: u64,
     /// Undecodable lines answered with protocol-level error replies.
     pub protocol_errors: u64,
-    /// Liveness probes answered from the session loop (never submitted,
-    /// never in the runtime ledger).
+    /// Pings answered from the session loop (never submitted, never in
+    /// the runtime ledger).
     pub pings: u64,
 }
 
@@ -1381,9 +1349,8 @@ enum LineEnd {
 /// The `drop_conn` fault applies to every session alike: it severs the
 /// session after a work request decodes, before anything reaches the
 /// runtime, so the client sees EOF on an in-flight request and must
-/// reconnect and resend; nothing enters the ledger. Pings are exempt: a
-/// probe must stay answerable under the same fault plan the failover
-/// paths are being exercised with.
+/// reconnect and resend; nothing enters the ledger. Pings are exempt, so
+/// a ping still answers while a fault plan severs work requests.
 fn serve_session<R: BufRead, W: Write>(
     runtime: &ServiceRuntime,
     reader: R,
@@ -1450,17 +1417,12 @@ fn serve_session<R: BufRead, W: Write>(
                 report.pings += 1;
                 encode_pong_into(id, &runtime.stats(), &mut reply);
             }
-            Ok((id, WireRequest::Work { work, warm })) => {
+            Ok((id, WireRequest::Work { work })) => {
                 if runtime.fire_conn_drop() {
                     return Ok(report);
                 }
                 report.served += 1;
-                let outcome = if warm {
-                    runtime.submit_warm(work)
-                } else {
-                    runtime.submit(work)
-                };
-                encode_reply_into(Some(id), &outcome, &mut reply);
+                encode_reply_into(Some(id), &runtime.submit(work), &mut reply);
             }
             Err(e) => {
                 report.protocol_errors += 1;
@@ -1726,24 +1688,42 @@ impl WireClient {
     /// Outer: transport/protocol failure. Inner: the server's typed
     /// [`ServeError`] for this request.
     pub fn call(&mut self, work: &Work) -> Result<Result<Reply, ServeError>, WireError> {
-        self.call_flagged(work, false)
+        let id = self.next_id;
+        self.next_id += 1;
+        // One syscall per message: a trailing small write of just "\n"
+        // would re-trigger the Nagle stall `set_nodelay` avoids.
+        encode_request_into(id, work, &mut self.line);
+        self.line.push('\n');
+        self.writer
+            .write_all(self.line.as_bytes())
+            .and_then(|()| self.writer.flush())
+            .map_err(|e| WireError::Io(e.to_string()))?;
+        self.reply_line.clear();
+        let n = self
+            .reader
+            .read_line(&mut self.reply_line)
+            .map_err(|e| WireError::Io(e.to_string()))?;
+        if n == 0 {
+            return Err(WireError::Io("server closed the connection".into()));
+        }
+        let (reply_id, outcome) = decode_reply(self.reply_line.trim_end())?;
+        match reply_id {
+            // A protocol-level (id-less) error reply still answers *this*
+            // request: the protocol is strictly one reply per line, in
+            // order.
+            None => Ok(outcome),
+            Some(rid) if rid == id => Ok(outcome),
+            Some(rid) => Err(malformed(format!(
+                "reply id {rid} does not match request id {id}"
+            ))),
+        }
     }
 
-    /// [`WireClient::call`] on the warm-up lane: the request carries
-    /// `"warm":true`, so the server queues it at low priority. Used by
-    /// the router's warm-up replay after a shard joins or recovers.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::call`].
-    pub fn call_warm(&mut self, work: &Work) -> Result<Result<Reply, ServeError>, WireError> {
-        self.call_flagged(work, true)
-    }
-
-    /// Sends a ping and blocks for the pong, returning the shard
+    /// Sends a ping and blocks for the pong, returning the server
     /// runtime's stats snapshot. Answered in the server's session loop
-    /// (never queued), so a pong proves the session is alive even when
-    /// the worker pool is saturated.
+    /// (never queued, never in the ledger), so a pong proves the session
+    /// is alive even when the worker pool is saturated, and its round
+    /// trip is the floor under every [`WireClient::call`].
     ///
     /// # Errors
     ///
@@ -1777,42 +1757,6 @@ impl WireClient {
             return Err(malformed("ping answered by a non-pong reply"));
         }
         decode_runtime_stats(ok.get("stats")?)
-    }
-
-    fn call_flagged(
-        &mut self,
-        work: &Work,
-        warm: bool,
-    ) -> Result<Result<Reply, ServeError>, WireError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        // One syscall per message: a trailing small write of just "\n"
-        // would re-trigger the Nagle stall `set_nodelay` avoids.
-        encode_request_flagged_into(id, work, warm, &mut self.line);
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        self.reply_line.clear();
-        let n = self
-            .reader
-            .read_line(&mut self.reply_line)
-            .map_err(|e| WireError::Io(e.to_string()))?;
-        if n == 0 {
-            return Err(WireError::Io("server closed the connection".into()));
-        }
-        let (reply_id, outcome) = decode_reply(self.reply_line.trim_end())?;
-        match reply_id {
-            // A protocol-level (id-less) error reply still answers *this*
-            // request: the protocol is strictly one reply per line, in
-            // order.
-            None => Ok(outcome),
-            Some(rid) if rid == id => Ok(outcome),
-            Some(rid) => Err(malformed(format!(
-                "reply id {rid} does not match request id {id}"
-            ))),
-        }
     }
 
     /// [`WireClient::call`] with client-side capped-exponential-backoff
@@ -1955,9 +1899,12 @@ mod tests {
     fn request_lines_round_trip_bitwise() {
         let req = SimRequest::suite("email-Enron", 1.0 / 256.0, Variant::default_ob()).unwrap();
         let line = encode_request(42, &Work::Sim(req.clone()));
-        let (id, work) = decode_request(&line).unwrap();
+        let (id, parsed) = decode_request_line(&line).unwrap();
         assert_eq!(id, 42);
-        let Work::Sim(decoded) = work else {
+        let WireRequest::Work {
+            work: Work::Sim(decoded),
+        } = parsed
+        else {
             panic!("wrong kind")
         };
         assert_eq!(decoded.workload, req.workload);
@@ -1996,26 +1943,20 @@ mod tests {
 
     #[test]
     fn ping_and_warm_envelopes_round_trip() {
-        // Warm flag survives the codec; its absence decodes as false.
+        // A work line decodes as Work, a ping line as Ping.
         let req = SimRequest::suite("email-Enron", 1.0 / 512.0, Variant::ExTensorP).unwrap();
         let mut line = String::new();
-        encode_request_flagged_into(9, &Work::Sim(req.clone()), true, &mut line);
-        let (id, parsed) = decode_request_line(&line).unwrap();
-        assert_eq!(id, 9);
-        assert!(matches!(parsed, WireRequest::Work { warm: true, .. }));
-        let plain = encode_request(10, &Work::Sim(req));
+        encode_request_into(9, &Work::Sim(req), &mut line);
         assert!(matches!(
-            decode_request_line(&plain).unwrap().1,
-            WireRequest::Work { warm: false, .. }
+            decode_request_line(&line).unwrap(),
+            (9, WireRequest::Work { .. })
         ));
-        // Ping decodes as Ping, and the compat work decoder refuses it.
         line.clear();
         encode_ping_into(11, &mut line);
         assert!(matches!(
             decode_request_line(&line).unwrap(),
             (11, WireRequest::Ping)
         ));
-        assert!(decode_request(&line).is_err());
         // Pong carries the stats snapshot losslessly.
         let stats = RuntimeStats {
             submitted: 7,
@@ -2048,20 +1989,20 @@ mod tests {
         let req = SimRequest::suite("email-Enron", 1.0 / 512.0, Variant::ExTensorP).unwrap();
         let mut ping = String::new();
         encode_ping_into(1, &mut ping);
-        let mut warm = String::new();
-        encode_request_flagged_into(2, &Work::Sim(req), true, &mut warm);
-        let input = format!("{ping}\n{warm}\n");
+        let mut work = String::new();
+        encode_request_into(2, &Work::Sim(req), &mut work);
+        let input = format!("{ping}\n{work}\n");
         let mut out = Vec::new();
         let report = serve_lines(&runtime, input.as_bytes(), &mut out).unwrap();
         assert_eq!(report.pings, 1);
         assert_eq!(report.served, 1);
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(lines.len(), 2);
-        // The pong's stats snapshot predates the warm request.
+        // The pong's stats snapshot predates the work request.
         let v = Json::parse(lines[0]).unwrap();
         let pong_stats = decode_runtime_stats(v.get("ok").unwrap().get("stats").unwrap()).unwrap();
         assert_eq!(pong_stats.submitted, 0);
-        // The warm request completed and is in the shard-local ledger.
+        // The work request completed and is in the shard-local ledger.
         let (id, outcome) = decode_reply(lines[1]).unwrap();
         assert_eq!(id, Some(2));
         assert!(outcome.is_ok());

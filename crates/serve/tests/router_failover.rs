@@ -132,7 +132,7 @@ fn routed_batches_are_bit_identical_to_a_single_process() {
         ShardRouter::connect(&fleet.endpoints(), RouterConfig::default()).expect("router dials");
     let works: Vec<Work> = reqs.iter().cloned().map(Work::Sim).collect();
 
-    // Placement really shards: with 8 distinct matrices on a 3-shard
+    // The ring really shards: with 8 distinct matrices on a 3-shard
     // ring, more than one shard must own keys.
     let mut owners: Vec<usize> = works.iter().map(|w| router.primary(w)).collect();
     owners.sort_unstable();
@@ -182,6 +182,8 @@ fn killing_a_shard_mid_stream_fails_over_with_the_ledger_intact() {
     // Leg one: everything healthy.
     let first = sim_replies(router.submit_batch(&works));
     assert_bit_identical(&first, &baseline, "healthy leg");
+    let healthy = router.stats();
+    assert_eq!(healthy.accounted(), healthy.submitted, "healthy leg ledger");
 
     // Kill the victim, then replay the whole batch: its keys must fail
     // over to survivors and still produce bit-identical payloads.

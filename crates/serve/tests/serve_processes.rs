@@ -121,6 +121,12 @@ fn routed_wire_processes_survive_a_kill_and_drain_cleanly() {
     let endpoints: Vec<String> = shards.iter().map(|(_, _, addr)| addr.clone()).collect();
     let router = ShardRouter::connect(&endpoints, RouterConfig::default()).expect("router dials");
     assert_routed(&router, &works, &baseline, "healthy fleet");
+    let healthy = router.stats();
+    assert_eq!(
+        healthy.accounted(),
+        healthy.submitted,
+        "healthy fleet ledger"
+    );
 
     // Hard-kill a shard that owns the first key, as a crashed process:
     // no drain, connections reset.

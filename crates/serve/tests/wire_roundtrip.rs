@@ -5,8 +5,10 @@
 
 use proptest::prelude::*;
 
-use tailors_serve::wire::{decode_reply, decode_request, encode_reply, encode_request, Json};
-use tailors_serve::{FunctionalRequest, OverloadReason, Reply, ServeError, SimRequest, Work};
+use tailors_serve::wire::{decode_reply, decode_request_line, encode_reply, encode_request, Json};
+use tailors_serve::{
+    FunctionalRequest, OverloadReason, Reply, ServeError, SimRequest, WireRequest, Work,
+};
 use tailors_sim::functional::{FunctionalConfig, FunctionalResult};
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
@@ -84,6 +86,14 @@ fn assert_variants_bit_eq(a: Variant, b: Variant) {
     }
 }
 
+/// Decodes a work request line; a ping envelope fails the test.
+fn decode_work(line: &str) -> (u64, Work) {
+    match decode_request_line(line).expect("round trip") {
+        (id, WireRequest::Work { work }) => (id, work),
+        (_, WireRequest::Ping) => panic!("work line decoded as a ping"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -112,7 +122,7 @@ proptest! {
         };
         let line = encode_request(id, &Work::Sim(req.clone()));
         prop_assert!(!line.contains('\n'), "one request must stay one line");
-        let (decoded_id, decoded) = decode_request(&line).expect("round trip");
+        let (decoded_id, decoded) = decode_work(&line);
         prop_assert_eq!(decoded_id, id);
         let Work::Sim(d) = decoded else { panic!("wrong kind") };
         assert_workloads_bit_eq(&d.workload, &req.workload);
@@ -140,7 +150,7 @@ proptest! {
             threads,
         };
         let line = encode_request(3, &Work::Functional(Box::new(req.clone())));
-        let (_, decoded) = decode_request(&line).expect("round trip");
+        let (_, decoded) = decode_work(&line);
         let Work::Functional(d) = decoded else { panic!("wrong kind") };
         assert_workloads_bit_eq(&d.workload, &req.workload);
         prop_assert_eq!(d.threads, req.threads);
@@ -232,7 +242,7 @@ proptest! {
             cut += 1;
         }
         if cut < line.len() {
-            prop_assert!(decode_request(&line[..cut]).is_err());
+            prop_assert!(decode_request_line(&line[..cut]).is_err());
         }
     }
 
@@ -245,7 +255,7 @@ proptest! {
     ) {
         let text = String::from_utf8_lossy(&bytes);
         let _ = Json::parse(&text);
-        let _ = decode_request(&text);
+        let _ = decode_request_line(&text);
         let _ = decode_reply(&text);
     }
 
@@ -265,6 +275,6 @@ proptest! {
         let pos = (bytes.len() as u64 * u64::from(pos_frac) / 1000) as usize % bytes.len();
         bytes[pos] = replacement;
         let mutated = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = decode_request(&mutated);
+        let _ = decode_request_line(&mutated);
     }
 }

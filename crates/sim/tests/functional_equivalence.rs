@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use tailors_sim::functional::{
     auto_execution_plan, reference_run, run_grid, run_with_threads, FunctionalConfig,
 };
-use tailors_sim::{CostModel, GridMode, MemBudget};
+use tailors_sim::{AutoPlanner, BufferParams, CostModel, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{approx_eq, spmspm_a_at};
 use tailors_tensor::CsrMatrix;
@@ -312,6 +312,54 @@ proptest! {
                 .sum();
             prop_assert_eq!(panel_b, a.nnz() as u64);
         }
+    }
+
+    /// The auto planner's traffic model is exact, not an estimate: for
+    /// arbitrary inputs, buffers, tilings, budgets, grids and thread
+    /// counts, `AutoPlanner::cost_of` at a height predicts the DRAM
+    /// counts a run at that height reports — A-side fills equal
+    /// `scratch_fills`, B-side fetches equal `b_refetch`.
+    #[test]
+    fn planner_cost_model_matches_engine_traffic(
+        seed in 0u64..40,
+        heavy in proptest::bool::ANY,
+        large in proptest::bool::ANY,
+        capacity in 8usize..120,
+        fifo_frac in 1usize..90,
+        rows_a in 1usize..200,
+        cols_b in 1usize..200,
+        overbooking in proptest::bool::ANY,
+        threads in 1usize..5,
+        budget in (proptest::bool::ANY, 0u64..40_000),
+        grid2d in proptest::bool::ANY,
+    ) {
+        let n = if large { 160 } else { 48 };
+        let spec = if heavy {
+            GenSpec::power_law(n, n, n * 9)
+        } else {
+            GenSpec::uniform(n, n, n * 6)
+        };
+        let a = spec.seed(seed).generate();
+        let config = FunctionalConfig {
+            capacity,
+            fifo_region: (capacity * fifo_frac / 100).clamp(1, capacity - 1),
+            rows_a,
+            cols_b,
+            overbooking,
+            mem_budget: if budget.0 { MemBudget::bytes(budget.1) } else { MemBudget::Unbounded },
+            grid: if grid2d { GridMode::Grid2D } else { GridMode::Panels },
+            auto_plan: false,
+        };
+        let run = run_with_threads(&a, &config, threads).expect("run");
+        let cost = AutoPlanner::new(&a.profile(), cols_b, config.mem_budget)
+            .with_buffer(BufferParams {
+                capacity: config.capacity,
+                fifo_region: config.fifo_region,
+                overbooking,
+            })
+            .cost_of(rows_a);
+        prop_assert_eq!(cost.scratch_fills, u128::from(run.dram_a_fetches));
+        prop_assert_eq!(cost.b_refetch, u128::from(run.dram_b_fetches));
     }
 }
 
