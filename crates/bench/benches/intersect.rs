@@ -199,9 +199,11 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 fn bench_tensor(c: &mut Criterion) {
-    // The cold path's first two rungs, uncached: generating all 22 suite
-    // tensors at 1/64 scale, then their `content_hash` identities. A
-    // cold `suite_cold` request pays both before it profiles or plans.
+    // The cold path's rungs, uncached: generating all 22 suite tensors at
+    // 1/64 scale, their `pattern_hash` identities, and the pattern-only
+    // stream that yields profile and identity without building a tensor.
+    // A cold analytical `suite_cold` request pays only the last; the
+    // first two are the functional and figure paths' cost.
     let suite: Vec<_> = tailors_workloads::suite()
         .iter()
         .map(|wl| wl.scaled(1.0 / 64.0))
@@ -215,11 +217,18 @@ fn bench_tensor(c: &mut Criterion) {
             }
         })
     });
+    g.bench_function("pattern_suite_1_64", |bch| {
+        bch.iter(|| {
+            for wl in &suite {
+                black_box(wl.pattern());
+            }
+        })
+    });
     let tensors: Vec<_> = suite.iter().map(|wl| wl.generate()).collect();
-    g.bench_function("content_hash_suite_1_64", |bch| {
+    g.bench_function("pattern_hash_suite_1_64", |bch| {
         bch.iter(|| {
             for m in &tensors {
-                black_box(m.content_hash());
+                black_box(m.pattern_hash());
             }
         })
     });
@@ -263,12 +272,12 @@ fn bench_suite(c: &mut Criterion) {
 
 fn bench_serving(c: &mut Criterion) {
     // Cold vs hot request latency through the serving layer: one batch of
-    // 22 workloads × 3 variants at 1/64 scale. The tensors are pinned so
-    // the cold row measures the serving layer's own per-request work —
-    // content hashing, profiling, tile/execution planning — and the hot
-    // row what remains once the profile and plan tiers answer (the pure
-    // `run_planned` replay). The gap is the construction cost every
-    // steady-state request skips.
+    // 22 workloads × 3 variants at 1/64 scale. The cold row measures the
+    // serving layer's whole per-request work on a fresh service — the
+    // generators' pattern-only streams (profile and identity, no tensor),
+    // tile/execution planning — and the hot row what remains once the
+    // profile and plan tiers answer (the pure `run_planned` replay). The
+    // gap is the construction cost every steady-state request skips.
     let scale = 1.0 / 64.0;
     let arch = ArchConfig::extensor().scaled(scale);
     let reqs: Vec<SimRequest> = tailors_workloads::suite()
@@ -288,10 +297,6 @@ fn bench_serving(c: &mut Criterion) {
                 auto_plan: false,
             })
         })
-        .collect();
-    let pinned: Vec<_> = reqs
-        .iter()
-        .map(|r| tailors_bench::generate_cached(&r.workload))
         .collect();
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
@@ -385,7 +390,6 @@ fn bench_serving(c: &mut Criterion) {
     }
     server.stop();
     runtime.shutdown();
-    drop(pinned);
 }
 
 fn bench_spill(c: &mut Criterion) {

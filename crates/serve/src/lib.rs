@@ -11,18 +11,20 @@
 //! budget) and replaying thereafter. [`SimService`] keeps three cache
 //! tiers hot across requests:
 //!
-//! 1. **Tensors** — resolved through the generation cache
+//! 1. **Identities** — each workload spec's [`MatrixId`], memoized so a
+//!    known spec never regenerates anything. An analytical cold miss
+//!    reads the identity and the profile from the generator's pattern
+//!    stream ([`Workload::pattern`](tailors_workloads::Workload::pattern))
+//!    and never builds the tensor. Only functional requests need one;
+//!    they resolve it through the generation cache
 //!    (`tailors_workloads::generate_cached`: in-process weak map plus the
-//!    optional `TAILORS_GEN_CACHE` disk layer). The service additionally
-//!    memoizes each workload spec's [`MatrixId`] so analytical requests
-//!    for a known spec skip the tensor entirely while their profile
-//!    stays tiered.
+//!    optional `TAILORS_GEN_CACHE` disk layer).
 //! 2. **Profiles** — `MatrixId` → [`MatrixProfile`](tailors_tensor::MatrixProfile)
 //!    in a bounded LRU. The service builds profiles itself (never through
 //!    the unbounded strong `profile_cached` map), so
 //!    [`ServeConfig::profile_capacity`] is a real bound on resident
-//!    profile memory; an evicted profile costs one re-resolution +
-//!    O(nnz) re-profiling on next use.
+//!    profile memory; an evicted profile costs one rerun of the
+//!    generator's pattern stream on next use.
 //! 3. **Plans** — (`MatrixId`,
 //!    [`Variant::cache_key`](tailors_sim::Variant::cache_key),
 //!    [`ArchConfig::cache_key`](tailors_sim::ArchConfig::cache_key),
@@ -34,10 +36,12 @@
 //!    [`Variant::run_planned`](tailors_sim::Variant::run_planned) and
 //!    perform no planning.
 //!
-//! Matrix identity is the *content* hash
-//! ([`CsrMatrix::content_hash`](tailors_tensor::CsrMatrix::content_hash)),
+//! Matrix identity is the *pattern* hash
+//! ([`CsrMatrix::pattern_hash`](tailors_tensor::CsrMatrix::pattern_hash)),
 //! not an allocation or spec identity, so two requests naming the same
-//! bytes share cached artifacts no matter how the matrix arrived.
+//! nonzero pattern share cached artifacts no matter how the matrix
+//! arrived. Values are not part of it: profiles and plans read only the
+//! pattern, so keying them by pattern is exact.
 //!
 //! **Determinism contract:** every response payload (metrics, functional
 //! results) is bit-identical to the corresponding cold
@@ -103,6 +107,7 @@ mod tests {
     use super::*;
     use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
     use tailors_tensor::gen::GenSpec;
+    use tailors_tensor::CsrMatrix;
 
     #[test]
     fn hot_requests_hit_every_tier_and_match_cold_payloads() {
@@ -141,32 +146,50 @@ mod tests {
     }
 
     #[test]
-    fn matrix_identity_is_content_based() {
+    fn matrix_identity_is_pattern_based() {
         let a = GenSpec::uniform(64, 64, 300).seed(1).generate();
         let b = a.clone();
         let c = GenSpec::uniform(64, 64, 300).seed(2).generate();
+        // Same pattern, every value changed.
+        let revalued = CsrMatrix::from_parts(
+            a.nrows(),
+            a.ncols(),
+            a.row_ptr().to_vec(),
+            a.col_indices().to_vec(),
+            a.values().iter().map(|v| 2.0 * v + 1.0).collect(),
+        )
+        .unwrap();
         assert_eq!(MatrixId::of(&a), MatrixId::of(&b));
+        assert_eq!(MatrixId::of(&a), MatrixId::of(&revalued));
         assert_ne!(MatrixId::of(&a), MatrixId::of(&c));
         // Two services agree on identities; one service reuses plans for
-        // equal content arriving as distinct allocations.
+        // an equal pattern arriving as distinct allocations, values
+        // included.
         let service = SimService::new();
         let arch = ArchConfig::tiny(200, 40);
-        let (m1, h1) = service.run_matrix(
-            &a,
-            Variant::ExTensorP,
-            &arch,
-            MemBudget::Unbounded,
-            GridMode::Panels,
-        );
-        let (m2, h2) = service.run_matrix(
-            &b,
-            Variant::ExTensorP,
-            &arch,
-            MemBudget::Unbounded,
-            GridMode::Panels,
-        );
-        assert!(!h1.plan && h2.plan && h2.profile);
+        let run = |m: &CsrMatrix| {
+            service.run_matrix(
+                m,
+                Variant::ExTensorP,
+                &arch,
+                MemBudget::Unbounded,
+                GridMode::Panels,
+            )
+        };
+        let (m1, h1) = run(&a);
+        let (m2, h2) = run(&b);
+        let (m3, h3) = run(&revalued);
+        assert!(!h1.plan && h2.plan && h2.profile && h3.plan && h3.profile);
         assert_eq!(m1, m2);
+        assert_eq!(m1, m3);
+        // The spec path resolves to the same identity as the built tensor.
+        let wl = tailors_workloads::by_name("email-Enron")
+            .unwrap()
+            .scaled(1.0 / 512.0);
+        let (id, profile) = MatrixId::of_pattern(&wl);
+        let t = wl.generate();
+        assert_eq!(id, MatrixId::of(&t));
+        assert_eq!(profile, t.profile());
     }
 
     #[test]

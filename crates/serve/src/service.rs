@@ -16,13 +16,17 @@ use tailors_workloads::{generate_cached, Workload};
 use crate::lru::Lru;
 use crate::sync::PoisonFreeMutex;
 
-/// The identity of a matrix for cache keying: its stable content hash
-/// (see [`CsrMatrix::content_hash`]) plus shape and nonzero count, so a
+/// The identity of a matrix for cache keying: its stable pattern hash
+/// (see [`CsrMatrix::pattern_hash`]) plus shape and nonzero count, so a
 /// 64-bit hash collision additionally has to match the matrix's
-/// dimensions before two distinct matrices could share cached artifacts.
+/// dimensions before two distinct patterns could share cached artifacts.
+///
+/// Values are deliberately not part of the identity: the profile and plan
+/// tiers it keys hold artifacts built from the nonzero pattern alone, so
+/// two matrices that differ only in their values share them exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixId {
-    /// Stable content hash of the matrix.
+    /// Stable pattern hash of the matrix.
     pub hash: u64,
     /// Rows.
     pub nrows: usize,
@@ -36,18 +40,32 @@ impl MatrixId {
     /// The identity of `a` (one linear hashing pass).
     pub fn of(a: &CsrMatrix) -> MatrixId {
         MatrixId {
-            hash: a.content_hash(),
+            hash: a.pattern_hash(),
             nrows: a.nrows(),
             ncols: a.ncols(),
             nnz: a.nnz(),
         }
+    }
+
+    /// The identity and occupancy profile of `wl`'s tensor, read from the
+    /// generator's pattern stream ([`Workload::pattern`]) without
+    /// building the tensor. Equal to `MatrixId::of(&wl.generate())`.
+    pub(crate) fn of_pattern(wl: &Workload) -> (MatrixId, MatrixProfile) {
+        let (profile, hash) = wl.pattern();
+        let id = MatrixId {
+            hash,
+            nrows: profile.nrows(),
+            ncols: profile.ncols(),
+            nnz: profile.nnz() as usize,
+        };
+        (id, profile)
     }
 }
 
 /// A workload spec's identity — the same fields the generation cache keys
 /// by, so equal specs resolve to one [`MatrixId`] without regeneration.
 /// Shared with the shard router, which memoizes spec → identity the same
-/// way to route requests by content hash without regenerating tensors.
+/// way to route requests by pattern hash without rerunning the generator.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SpecKey {
     name: &'static str,
@@ -95,8 +113,8 @@ pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
 /// software execution-plan knobs.
 #[derive(Debug, Clone)]
 pub struct SimRequest {
-    /// The workload spec; its tensor resolves through the generation
-    /// cache and its identity keys the profile/plan tiers.
+    /// The workload spec; its generator's pattern stream yields the
+    /// identity that keys the profile/plan tiers, and the profile.
     pub workload: Workload,
     /// The accelerator variant to plan and simulate.
     pub variant: Variant,
@@ -140,7 +158,7 @@ impl SimRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheHits {
     /// The workload spec had already been resolved to a matrix identity
-    /// (no tensor regeneration or rehash was needed).
+    /// (no pattern regeneration or rehash was needed).
     pub tensor: bool,
     /// The occupancy profile came from the profile tier.
     pub profile: bool,
@@ -245,7 +263,8 @@ pub struct ServeStats {
     pub functional_requests: u64,
     /// Profile-tier hits.
     pub profile_hits: u64,
-    /// Profile-tier misses (profile was built from the tensor).
+    /// Profile-tier misses (profile was built from the workload's pattern
+    /// stream, or from the tensor of a functional or raw-matrix request).
     pub profile_misses: u64,
     /// Plan-tier hits.
     pub plan_hits: u64,
@@ -405,12 +424,12 @@ impl SimService {
             // First sight of the spec: resolve_identity just built and
             // tiered the profile (counted as the miss it is).
             Some(profile) => (profile, false),
-            // Eviction refill: re-resolve the tensor (generation cache)
-            // and profile it again — the documented cost of a bounded
-            // tier. Deliberately NOT `profile_cached`: its process-global
-            // map is strong and unbounded, and routing misses through it
-            // would quietly void this tier's memory bound.
-            None => self.profile_of(id, || Arc::new(generate_cached(&req.workload).profile())),
+            // Eviction refill: rerun the generator's pattern stream — the
+            // documented cost of a bounded tier. Deliberately NOT
+            // `profile_cached`: its process-global map is strong and
+            // unbounded, and routing misses through it would quietly void
+            // this tier's memory bound.
+            None => self.profile_of(id, || Arc::new(req.workload.pattern().0)),
         };
         let (planned, plan_hit) = self.plans_of(
             id,
@@ -563,23 +582,21 @@ impl SimService {
         })
     }
 
-    /// Resolves a workload spec to its matrix identity, generating (or
-    /// disk-loading) the tensor only on the first sight of the spec. On
-    /// that cold path the profile is built while the tensor is live,
-    /// tiered, counted as the profile miss it is, and returned so the
-    /// caller does not immediately re-consult the tier. The service
-    /// builds profiles itself rather than through the unbounded
-    /// `profile_cached` strong map, so [`ServeConfig::profile_capacity`]
-    /// is a real bound on what the service retains.
+    /// Resolves a workload spec to its matrix identity, running the
+    /// generator's pattern stream only on the first sight of the spec; no
+    /// tensor is built. That pass yields the profile too, which is tiered,
+    /// counted as the profile miss it is, and returned so the caller does
+    /// not immediately re-consult the tier. The service builds profiles
+    /// itself rather than through the unbounded `profile_cached` strong
+    /// map, so [`ServeConfig::profile_capacity`] is a real bound on what
+    /// the service retains.
     fn resolve_identity(&self, wl: &Workload) -> (MatrixId, bool, Option<Arc<MatrixProfile>>) {
         let spec = SpecKey::of(wl);
         if let Some(id) = self.ids.lock().get(&spec) {
             return (*id, true, None);
         }
-        let tensor = generate_cached(wl);
-        let id = MatrixId::of(&tensor);
-        let profile = Arc::new(tensor.profile());
-        drop(tensor);
+        let (id, profile) = MatrixId::of_pattern(wl);
+        let profile = Arc::new(profile);
         self.profile_misses.fetch_add(1, Ordering::Relaxed);
         self.profiles.lock().insert(id, Arc::clone(&profile));
         self.ids.lock().insert(spec, id);

@@ -8,7 +8,7 @@
 //! processes, fixed when the router connects:
 //!
 //! * **Routing** — every request's workload spec resolves to its
-//!   [`MatrixId`] (content hash + shape; memoized per spec exactly as
+//!   [`MatrixId`] (pattern hash + shape; memoized per spec exactly as
 //!   [`SimService`](crate::SimService) memoizes it), and a
 //!   consistent-hash [`HashRing`] maps that identity to a *primary*
 //!   shard. Each shard therefore sees a stable slice of the corpus and
@@ -364,9 +364,9 @@ pub struct ShardRouter {
     config: RouterConfig,
     counters: RouterCounters,
     /// Spec → identity memo, mirroring `SimService`'s: the first request
-    /// for a spec generates (or disk-loads) the tensor once to learn its
-    /// content hash; every later request routes without touching tensor
-    /// bytes.
+    /// for a spec runs the generator's pattern stream once to learn its
+    /// pattern hash (no tensor is built); every later request routes
+    /// without generating anything.
     ids: PoisonFreeMutex<HashMap<SpecKey, MatrixId>>,
 }
 
@@ -630,16 +630,16 @@ impl ShardRouter {
         }
     }
 
-    /// Resolves `work`'s routing identity, generating the tensor only on
-    /// first sight of its spec (see the `ids` field).
+    /// Resolves `work`'s routing identity, running the generator's
+    /// pattern stream only on first sight of its spec (see the `ids`
+    /// field).
     fn identify(&self, work: &Work) -> MatrixId {
         let wl = work.workload();
         let spec = SpecKey::of(wl);
         if let Some(id) = self.ids.lock().get(&spec) {
             return *id;
         }
-        let tensor = tailors_workloads::generate_cached(wl);
-        let id = MatrixId::of(&tensor);
+        let (id, _) = MatrixId::of_pattern(wl);
         self.ids.lock().insert(spec, id);
         id
     }

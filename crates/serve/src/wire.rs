@@ -511,7 +511,8 @@ impl<'a> Parser<'a> {
 // ---------------------------------------------------------------------------
 // Interning: wire messages carry owned strings, but `Workload::name`,
 // `SimResponse::name`, and `RunMetrics::bound_by` are `&'static str`.
-// Suite names resolve back to their existing statics; anything else is
+// Suite names resolve back to their existing statics (a scan of the
+// Table 2 rows; the suite itself is never built); anything else is
 // leaked once into a deduplicating pool (bounded by the number of
 // distinct names a process ever decodes).
 // ---------------------------------------------------------------------------

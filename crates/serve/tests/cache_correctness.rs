@@ -156,3 +156,34 @@ fn cost_model_versions_auto_plans_but_not_fixed_ones() {
         assert_eq!(again.metrics, skewed_resp.metrics);
     }
 }
+
+/// Spec-keyed requests through a one-profile tier: every switch evicts
+/// the other workloads' profiles, so the second round refills each one
+/// from the generator's pattern stream while its identity and plan stay
+/// cached. Every response must equal the cold run on the built tensor's
+/// profile, for a banded, a power-law and a clustered workload.
+#[test]
+fn evicted_spec_profiles_refill_bit_identically() {
+    let scale = 1.0 / 256.0;
+    let service = SimService::with_config(ServeConfig {
+        profile_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let reqs: Vec<SimRequest> = ["cant", "email-Enron", "roadNet-CA"]
+        .iter()
+        .map(|name| SimRequest::suite(name, scale, Variant::default_ob()).unwrap())
+        .collect();
+    for round in 0..2 {
+        for req in &reqs {
+            let resp = service.submit(req);
+            let profile = req.workload.generate().profile();
+            let cold = req
+                .variant
+                .run_gridded(&profile, &req.arch, req.budget, req.grid);
+            assert_eq!(resp.metrics, cold, "{} round {round}", resp.name);
+            if round == 1 {
+                assert!(resp.hits.tensor && !resp.hits.profile && resp.hits.plan);
+            }
+        }
+    }
+}

@@ -102,12 +102,6 @@ fn suite_requests(scale: f64) -> Vec<SimRequest> {
 fn hot_served_suite_batch_allocates_nothing() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let reqs = suite_requests(1.0 / 64.0);
-    // Pin the tensors so the generation cache cannot evict and force a
-    // regeneration mid-window.
-    let pinned: Vec<_> = reqs
-        .iter()
-        .map(|r| tailors_workloads::generate_cached(&r.workload))
-        .collect();
     let service = SimService::new();
     // Two warm passes: the first fills the profile/plan tiers, the
     // second flushes any one-time lazy work so the window sees only the
@@ -130,7 +124,6 @@ fn hot_served_suite_batch_allocates_nothing() {
         "hot suite batch must not touch the allocator ({} requests)",
         reqs.len()
     );
-    drop(pinned);
 }
 
 /// The functional steady state: pooled scratch makes a warm request

@@ -1,6 +1,6 @@
 //! Coordinate-list (COO) sparse matrix format.
 
-use crate::TensorError;
+use crate::{RowSink, TensorError};
 
 /// A sparse matrix in coordinate (triplet) format.
 ///
@@ -112,6 +112,32 @@ impl CooMatrix {
             .zip(&self.cols)
             .zip(&self.vals)
             .map(|((&r, &c), &v)| (r as usize, c as usize, v))
+    }
+
+    /// Streams the entries into `sink` row by row, in row order, each row
+    /// keeping its insertion order: a counting sort by row. This is the
+    /// one bucketing pass behind [`crate::CsrMatrix::from_coo`] and the
+    /// COO-drawn generator families, whatever sink they write to.
+    pub(crate) fn feed_rows(&self, sink: &mut impl RowSink) {
+        let mut starts = vec![0usize; self.nrows + 1];
+        for &r in &self.rows {
+            starts[r as usize + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            starts[i + 1] += starts[i];
+        }
+        let mut entries = vec![(0u32, 0f64); self.len()];
+        let mut cursor = starts[..self.nrows].to_vec();
+        for (r, c, v) in self.iter() {
+            entries[cursor[r]] = (c as u32, v);
+            cursor[r] += 1;
+        }
+        for w in starts.windows(2) {
+            for &(c, v) in &entries[w[0]..w[1]] {
+                sink.push(c, v);
+            }
+            sink.finish_row();
+        }
     }
 }
 

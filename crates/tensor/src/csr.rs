@@ -137,27 +137,11 @@ impl CsrMatrix {
     /// duplicates.
     ///
     /// A counting sort groups the entries by row, each row keeping its
-    /// insertion order, and every row then goes through the same
-    /// sort-and-merge as [`CsrBuilder::finish_row`].
+    /// insertion order, and every row then goes through the sort-and-merge
+    /// of [`CsrBuilder`]'s [`RowSink::finish_row`].
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let nrows = coo.nrows();
-        let mut starts = vec![0usize; nrows + 1];
-        for (r, _, _) in coo.iter() {
-            starts[r + 1] += 1;
-        }
-        for i in 0..nrows {
-            starts[i + 1] += starts[i];
-        }
-        let mut entries = vec![(0u32, 0f64); coo.len()];
-        let mut cursor = starts[..nrows].to_vec();
-        for (r, c, v) in coo.iter() {
-            entries[cursor[r]] = (c as u32, v);
-            cursor[r] += 1;
-        }
-        let mut out = CsrBuilder::with_capacity(nrows, coo.ncols(), entries.len());
-        for w in starts.windows(2) {
-            out.append_row(&mut entries[w[0]..w[1]]);
-        }
+        let mut out = CsrBuilder::with_capacity(coo.nrows(), coo.ncols(), coo.len());
+        coo.feed_rows(&mut out);
         out.finish()
     }
 
@@ -375,33 +359,35 @@ impl CsrMatrix {
         }
     }
 
-    /// A stable 64-bit content hash of the matrix: shape, structure, and
-    /// exact value bit patterns.
+    /// A stable 64-bit hash of the matrix's shape and nonzero *pattern*:
+    /// which coordinates are stored, never their values.
     ///
-    /// Two matrices hash equal iff they are `==` (up to the usual 64-bit
-    /// collision caveat), and the hash is *stable*: it depends only on the
-    /// matrix contents, never on allocation addresses, hasher seeds,
-    /// process, or platform — so it can key long-lived caches (the serving
-    /// layer keys its profile and execution-plan tiers by it) and be
-    /// compared across runs.
+    /// Two matrices with the same shape and the same stored coordinates
+    /// hash equal whatever their values; any other pair differs up to the
+    /// usual 64-bit collision caveat. The hash depends only on the
+    /// pattern, never on allocation addresses, hasher seeds, process, or
+    /// platform, so it can key long-lived caches: the serving layer keys
+    /// its profile and execution-plan tiers by it, which is exact because
+    /// profiles and plans read only the pattern.
     ///
-    /// The matrix is read as a stream of `u64` words: the header `nrows`,
-    /// `ncols`, `nnz` (which fixes where each array ends), then every row
-    /// pointer, every column index widened to `u64`, and every value's
-    /// `f64::to_bits`. Word `i` goes to accumulator lane `i % 4` through an
-    /// xxh64-style round, so the four multiply chains run independently;
-    /// the lanes are then merged and avalanched.
+    /// Each stored `(row, col)` contributes a bijective 64-bit mix of the
+    /// packed coordinate; the terms are summed, so the sum does not depend
+    /// on the order entries are visited in, and the shape and nonzero count
+    /// are folded in last. [`GenSpec::pattern`](crate::gen::GenSpec::pattern)
+    /// computes the same value straight from a generator's row stream,
+    /// without building the matrix.
     ///
-    /// Cost is one linear pass over the stored structure; callers that
+    /// Cost is one linear pass over the column indices; callers that
     /// look up the same matrix repeatedly should hash once and reuse the
     /// key (see `tailors-serve`'s `MatrixId`).
-    pub fn content_hash(&self) -> u64 {
-        let mut h = WordHash::new();
-        h.eat(&[self.nrows, self.ncols, self.nnz()], |n| n as u64);
-        h.eat(&self.row_ptr, |p| p as u64);
-        h.eat(&self.col_idx, u64::from);
-        h.eat(&self.vals, f64::to_bits);
-        h.finish()
+    pub fn pattern_hash(&self) -> u64 {
+        let mut sum = 0u64;
+        for (r, w) in self.row_ptr.windows(2).enumerate() {
+            for &c in &self.col_idx[w[0]..w[1]] {
+                sum = sum.wrapping_add(pattern_term(r, c));
+            }
+        }
+        seal_pattern(self.nrows, self.ncols, self.nnz(), sum)
     }
 
     /// Raw row-pointer array (length `nrows + 1`).
@@ -420,10 +406,24 @@ impl CsrMatrix {
     }
 }
 
+/// A consumer of a sparse matrix streamed row by row, in row order: the
+/// interface every generator in [`crate::gen`] writes to.
+///
+/// Entries of the open row may arrive in any column order and may repeat a
+/// column; what a repeat means is the sink's business ([`CsrBuilder`]
+/// sums duplicates, a pattern-only sink counts the coordinate once).
+pub trait RowSink {
+    /// Adds `val` at column `col` of the open row.
+    fn push(&mut self, col: u32, val: f64);
+
+    /// Closes the open row; the next push starts the following row.
+    fn finish_row(&mut self);
+}
+
 /// Builds a [`CsrMatrix`] one row at a time, in row order.
 ///
 /// Entries of the open row may arrive in any column order and may repeat a
-/// column; [`CsrBuilder::finish_row`] sorts the row and sums duplicates.
+/// column; [`RowSink::finish_row`] sorts the row and sums duplicates.
 /// This is the crate's one sort-and-merge: [`CsrMatrix::from_coo`] runs
 /// every row through it too, so a row pushed here in the order a COO
 /// matrix would hold it yields bit-identical output.
@@ -431,7 +431,7 @@ impl CsrMatrix {
 /// # Example
 ///
 /// ```
-/// use tailors_tensor::CsrBuilder;
+/// use tailors_tensor::{CsrBuilder, RowSink};
 ///
 /// let mut b = CsrBuilder::with_capacity(2, 3, 3);
 /// b.push(2, 1.0);
@@ -476,24 +476,6 @@ impl CsrBuilder {
         }
     }
 
-    /// Adds `val` at column `col` of the open row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of bounds.
-    pub fn push(&mut self, col: u32, val: f64) {
-        assert!((col as usize) < self.ncols, "column index out of bounds");
-        self.open.push((col, val));
-    }
-
-    /// Closes the open row: sorts it by column and sums duplicates.
-    pub fn finish_row(&mut self) {
-        let mut row = std::mem::take(&mut self.open);
-        self.append_row(&mut row);
-        row.clear();
-        self.open = row;
-    }
-
     /// Returns the matrix.
     ///
     /// # Panics
@@ -513,93 +495,53 @@ impl CsrBuilder {
             vals: self.vals,
         }
     }
+}
 
-    /// Appends `row` as the next row, after sorting it by column with an
-    /// unstable sort and summing each run of equal columns left to right.
-    /// The sort is part of the output's bits: with three or more
-    /// duplicates, the order it leaves them in decides their rounded sum.
-    fn append_row(&mut self, row: &mut [(u32, f64)]) {
-        row.sort_unstable_by_key(|&(c, _)| c);
-        for run in row.chunk_by(|a, b| a.0 == b.0) {
+impl RowSink for CsrBuilder {
+    /// # Panics
+    ///
+    /// Panics if `col` is out of bounds.
+    fn push(&mut self, col: u32, val: f64) {
+        assert!((col as usize) < self.ncols, "column index out of bounds");
+        self.open.push((col, val));
+    }
+
+    /// Sorts the open row by column with an unstable sort and sums each
+    /// run of equal columns left to right. The sort is part of the
+    /// output's bits: with three or more duplicates, the order it leaves
+    /// them in decides their rounded sum.
+    fn finish_row(&mut self) {
+        self.open.sort_unstable_by_key(|&(c, _)| c);
+        for run in self.open.chunk_by(|a, b| a.0 == b.0) {
             self.col_idx.push(run[0].0);
             self.vals
                 .push(run[1..].iter().fold(run[0].1, |sum, &(_, v)| sum + v));
         }
+        self.open.clear();
         self.row_ptr.push(self.col_idx.len());
     }
 }
 
-/// The word-at-a-time hash behind [`CsrMatrix::content_hash`]: xxh64's
-/// primes, rounds, lane merge and avalanche over a stream of `u64` words.
-struct WordHash {
-    lanes: [u64; 4],
-    words: u64,
+/// One stored coordinate's term in [`CsrMatrix::pattern_hash`]: the
+/// SplitMix64 output for the packed coordinate `row << 32 | col`, a
+/// bijection on the packed word, so distinct coordinates never share a
+/// term.
+pub(crate) fn pattern_term(row: usize, col: u32) -> u64 {
+    mix64(((row as u64) << 32 | u64::from(col)).wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
-impl WordHash {
-    const P1: u64 = 0x9e37_79b1_85eb_ca87;
-    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
-    const P3: u64 = 0x1656_67b1_9e37_79f9;
-    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+/// Folds the shape and nonzero count into a sum of [`pattern_term`]s.
+pub(crate) fn seal_pattern(nrows: usize, ncols: usize, nnz: usize, sum: u64) -> u64 {
+    [nrows, ncols, nnz].into_iter().fold(sum, |h, n| {
+        mix64(h ^ (n as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
+    })
+}
 
-    fn new() -> Self {
-        let lanes = [
-            Self::P1.wrapping_add(Self::P2),
-            Self::P2,
-            0,
-            Self::P1.wrapping_neg(),
-        ];
-        WordHash { lanes, words: 0 }
-    }
-
-    fn round(acc: u64, w: u64) -> u64 {
-        acc.wrapping_add(w.wrapping_mul(Self::P2))
-            .rotate_left(31)
-            .wrapping_mul(Self::P1)
-    }
-
-    /// Appends `xs` to the stream, one word each. The lanes are rotated
-    /// past a short tail so the next slice's first word lands on lane
-    /// `words % 4`, as if the slices were one array.
-    fn eat<T: Copy>(&mut self, xs: &[T], word: impl Fn(T) -> u64) {
-        let mut lanes = self.lanes;
-        let mut quads = xs.chunks_exact(4);
-        for quad in &mut quads {
-            for (acc, &x) in lanes.iter_mut().zip(quad) {
-                *acc = Self::round(*acc, word(x));
-            }
-        }
-        let tail = quads.remainder();
-        for (acc, &x) in lanes.iter_mut().zip(tail) {
-            *acc = Self::round(*acc, word(x));
-        }
-        lanes.rotate_left(tail.len());
-        self.lanes = lanes;
-        self.words += xs.len() as u64;
-    }
-
-    fn finish(self) -> u64 {
-        // Undo the tail rotations so lane `i` holds the words `≡ i (mod 4)`.
-        let mut lanes = self.lanes;
-        lanes.rotate_right((self.words % 4) as usize);
-        let [a, b, c, d] = lanes;
-        let mut h = a
-            .rotate_left(1)
-            .wrapping_add(b.rotate_left(7))
-            .wrapping_add(c.rotate_left(12))
-            .wrapping_add(d.rotate_left(18));
-        for lane in lanes {
-            h = (h ^ Self::round(0, lane))
-                .wrapping_mul(Self::P1)
-                .wrapping_add(Self::P4);
-        }
-        h = h.wrapping_add(self.words);
-        h ^= h >> 33;
-        h = h.wrapping_mul(Self::P2);
-        h ^= h >> 29;
-        h = h.wrapping_mul(Self::P3);
-        h ^ (h >> 32)
-    }
+/// SplitMix64's finalizer: a bijective avalanche of one 64-bit word.
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Column-tile pointers for one matrix at one tile width; see
@@ -854,9 +796,9 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_tracks_equality_and_is_pinned() {
+    fn pattern_hash_tracks_the_pattern_and_is_pinned() {
         let m = small();
-        assert_eq!(m.content_hash(), m.clone().content_hash());
+        assert_eq!(m.pattern_hash(), m.clone().pattern_hash());
         // Structure-only change.
         let moved = CsrMatrix::from_triplets(
             3,
@@ -870,8 +812,9 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_ne!(m.content_hash(), moved.content_hash());
-        // Value-only change (same structure).
+        assert_ne!(m.pattern_hash(), moved.pattern_hash());
+        // Value-only change (same structure): the pattern, and so the
+        // hash, is unchanged.
         let revalued = CsrMatrix::from_triplets(
             3,
             4,
@@ -884,13 +827,13 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_ne!(m.content_hash(), revalued.content_hash());
+        assert_eq!(m.pattern_hash(), revalued.pattern_hash());
         // Shape-only change (same triplets, wider matrix).
         let wider = CsrMatrix::from_triplets(3, 5, &m.iter().collect::<Vec<_>>()).unwrap();
-        assert_ne!(m.content_hash(), wider.content_hash());
+        assert_ne!(m.pattern_hash(), wider.pattern_hash());
         // Pinned literal: the hash is every `MatrixId` and decides ring
         // placement, so a change here moves both and must be declared.
-        assert_eq!(small().content_hash(), 0x04b8_00ab_2047_eddc);
+        assert_eq!(small().pattern_hash(), 0xc2f0_8aa4_24e8_fbcb);
     }
 
     #[test]

@@ -13,18 +13,25 @@
 //!
 //! All generators are deterministic for a given seed.
 //!
-//! The banded and power-law generators draw their entries row by row, in
-//! row order, and stream each row straight into one [`CsrBuilder`]. The
-//! clustered and uniform generators draw rows in random order, so they
-//! collect a [`CooMatrix`] and convert it with [`CsrMatrix::from_coo`].
-//! Both routes share the builder's sort-and-merge, so a row yields the
-//! same bits whichever route it takes.
+//! Each family has one body that writes its rows, in row order, into a
+//! [`RowSink`]. The banded and power-law generators draw their entries row
+//! by row and stream them straight in. The clustered and uniform
+//! generators draw rows in random order, so they collect a [`CooMatrix`]
+//! and stream it through the same row bucketing as
+//! [`CsrMatrix::from_coo`]. [`GenSpec::generate`] points the stream at a
+//! [`CsrBuilder`], whose sort-and-merge decides the matrix's bits.
+//! [`GenSpec::pattern`] points the same stream at a pattern-only sink that
+//! keeps neither values nor sorted rows: it yields the occupancy profile
+//! and [`CsrMatrix::pattern_hash`] of the matrix `generate` would build.
+//! Both sinks see the same RNG draws, values included, so the two agree
+//! exactly.
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{CooMatrix, CsrBuilder, CsrMatrix};
+use crate::csr::{pattern_term, seal_pattern};
+use crate::{CooMatrix, CsrBuilder, CsrMatrix, MatrixProfile, RowSink};
 
 /// Structural family of a synthetic matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -185,6 +192,37 @@ impl GenSpec {
     /// Panics if the spec is degenerate (zero dimensions with nonzero target,
     /// or a target that exceeds the coordinate space).
     pub fn generate(&self) -> CsrMatrix {
+        let mut csr = CsrBuilder::with_capacity(self.nrows, self.ncols, self.target_nnz);
+        self.emit(&mut csr);
+        csr.finish()
+    }
+
+    /// The occupancy profile and [`CsrMatrix::pattern_hash`] of the matrix
+    /// [`GenSpec::generate`] builds, computed from the same row stream
+    /// without storing a value or sorting a row.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use tailors_tensor::gen::GenSpec;
+    ///
+    /// let spec = GenSpec::banded(2_000, 2_000, 20_000).seed(3);
+    /// let m = spec.generate();
+    /// assert_eq!(spec.pattern(), (m.profile(), m.pattern_hash()));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`GenSpec::generate`].
+    pub fn pattern(&self) -> (MatrixProfile, u64) {
+        let mut sink = PatternSink::new(self.nrows, self.ncols);
+        self.emit(&mut sink);
+        sink.finish()
+    }
+
+    /// Streams the spec's rows into `sink`: the one body per family that
+    /// both [`GenSpec::generate`] and [`GenSpec::pattern`] run.
+    fn emit(&self, sink: &mut impl RowSink) {
         assert!(
             self.target_nnz == 0 || (self.nrows > 0 && self.ncols > 0),
             "cannot place nonzeros in an empty matrix"
@@ -205,16 +243,19 @@ impl GenSpec {
                 *band_halfwidth_frac,
                 *scatter_frac,
                 *degree_variability,
+                sink,
             ),
             Structure::PowerLaw {
                 alpha,
                 hub_clustering,
-            } => self.gen_power_law(&mut rng, *alpha, *hub_clustering),
+            } => self.gen_power_law(&mut rng, *alpha, *hub_clustering, sink),
             Structure::Clustered {
                 cluster_frac,
                 cluster_share,
-            } => CsrMatrix::from_coo(&self.gen_clustered(&mut rng, *cluster_frac, *cluster_share)),
-            Structure::Uniform => CsrMatrix::from_coo(&self.gen_uniform(&mut rng)),
+            } => self
+                .gen_clustered(&mut rng, *cluster_frac, *cluster_share)
+                .feed_rows(sink),
+            Structure::Uniform => self.gen_uniform(&mut rng).feed_rows(sink),
         }
     }
 
@@ -258,7 +299,8 @@ impl GenSpec {
         band_halfwidth_frac: f64,
         scatter_frac: f64,
         degree_variability: f64,
-    ) -> CsrMatrix {
+        sink: &mut impl RowSink,
+    ) {
         // The band must hold the per-row degree with headroom or duplicate
         // coordinates collapse; widen it beyond the nominal fraction when
         // rows are dense relative to the matrix size (small scaled runs).
@@ -292,7 +334,6 @@ impl GenSpec {
             .map(|r| coarse[r / coarse_block] * fine[r / fine_block])
             .collect();
         let degrees = self.degrees_from_weights(&weights);
-        let mut csr = CsrBuilder::with_capacity(self.nrows, self.ncols, self.target_nnz);
         for (r, &deg) in degrees.iter().enumerate() {
             let lo = r
                 .saturating_sub(halfwidth)
@@ -304,14 +345,19 @@ impl GenSpec {
                 } else {
                     rng.gen_range(lo..hi)
                 };
-                csr.push(c as u32, value(rng));
+                sink.push(c as u32, value(rng));
             }
-            csr.finish_row();
+            sink.finish_row();
         }
-        csr.finish()
     }
 
-    fn gen_power_law(&self, rng: &mut StdRng, alpha: f64, hub_clustering: f64) -> CsrMatrix {
+    fn gen_power_law(
+        &self,
+        rng: &mut StdRng,
+        alpha: f64,
+        hub_clustering: f64,
+        sink: &mut impl RowSink,
+    ) {
         // Zipf rank weights, assigned to rows either clustered or shuffled.
         // Hub degrees are capped (real web/social graphs cap out well below
         // their nnz: webbase-1M's max degree is ≈4.7 K of 3.1 M nonzeros,
@@ -360,7 +406,6 @@ impl GenSpec {
             .map(|c| row_weights[c % self.nrows] + 0.5 * mean_w + 1e-12)
             .collect();
         let col_dist = WeightedIndex::new(&col_weights).expect("positive weights");
-        let mut csr = CsrBuilder::with_capacity(self.nrows, self.ncols, self.target_nnz);
         // `taken` marks the columns drawn into the current row; `row` lists
         // them so the marks can be cleared without sweeping all columns.
         let mut taken = vec![false; self.ncols];
@@ -377,15 +422,14 @@ impl GenSpec {
                 if !taken[c] {
                     taken[c] = true;
                     row.push(c as u32);
-                    csr.push(c as u32, value(rng));
+                    sink.push(c as u32, value(rng));
                 }
             }
             for c in row.drain(..) {
                 taken[c as usize] = false;
             }
-            csr.finish_row();
+            sink.finish_row();
         }
-        csr.finish()
     }
 
     fn gen_clustered(&self, rng: &mut StdRng, cluster_frac: f64, cluster_share: f64) -> CooMatrix {
@@ -457,6 +501,67 @@ impl GenSpec {
                 .expect("in bounds by construction");
         }
         coo
+    }
+}
+
+/// The pattern-only [`RowSink`] behind [`GenSpec::pattern`]: it counts
+/// each row's distinct columns into the profile and sums their
+/// [`CsrMatrix::pattern_hash`] terms, dropping values and never sorting.
+struct PatternSink {
+    ncols: usize,
+    /// `stamp[c] == r + 1` once column `c` has been seen in open row `r`,
+    /// so a repeated coordinate counts once, as `CsrBuilder` merges it.
+    stamp: Vec<u32>,
+    /// Distinct entries per finished row; its length is the open row.
+    row_nnz: Vec<u32>,
+    col_nnz: Vec<u32>,
+    /// Distinct entries in the open row.
+    open: u32,
+    /// Running sum of the distinct coordinates' hash terms.
+    sum: u64,
+}
+
+impl PatternSink {
+    fn new(nrows: usize, ncols: usize) -> Self {
+        assert!(
+            nrows < u32::MAX as usize,
+            "row count must fit the u32 stamps"
+        );
+        PatternSink {
+            ncols,
+            stamp: vec![0; ncols],
+            row_nnz: Vec::with_capacity(nrows),
+            col_nnz: vec![0; ncols],
+            open: 0,
+            sum: 0,
+        }
+    }
+
+    fn finish(self) -> (MatrixProfile, u64) {
+        let nrows = self.row_nnz.len();
+        let nnz = self.row_nnz.iter().map(|&n| n as usize).sum();
+        let hash = seal_pattern(nrows, self.ncols, nnz, self.sum);
+        let profile = MatrixProfile::new(nrows, self.ncols, self.row_nnz, self.col_nnz);
+        (profile, hash)
+    }
+}
+
+impl RowSink for PatternSink {
+    fn push(&mut self, col: u32, _val: f64) {
+        let row = self.row_nnz.len();
+        let mark = row as u32 + 1;
+        let seen = &mut self.stamp[col as usize];
+        if *seen != mark {
+            *seen = mark;
+            self.col_nnz[col as usize] += 1;
+            self.open += 1;
+            self.sum = self.sum.wrapping_add(pattern_term(row, col));
+        }
+    }
+
+    fn finish_row(&mut self) {
+        self.row_nnz.push(self.open);
+        self.open = 0;
     }
 }
 

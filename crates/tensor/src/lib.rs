@@ -6,7 +6,8 @@
 //! * [`CooMatrix`] / [`CsrMatrix`] — concrete sparse formats; CSR doubles as
 //!   a compressed-sparse-fiber view (each row is a fiber of
 //!   (coordinate, value) pairs, see [`fiber`]). [`CsrBuilder`] builds CSR
-//!   row by row and holds the one sort-and-merge both paths share.
+//!   row by row through the [`RowSink`] interface every generator writes
+//!   to, and holds the one sort-and-merge both paths share.
 //! * [`MatrixProfile`] — the per-row / per-column nonzero-count summary that
 //!   the analytical accelerator model consumes. Panel (tile) occupancies are
 //!   O(1) prefix-sum lookups.
@@ -51,7 +52,7 @@ pub mod storage;
 pub mod tiling;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrBuilder, CsrMatrix, TileColPtr};
+pub use csr::{CsrBuilder, CsrMatrix, RowSink, TileColPtr};
 pub use profile::MatrixProfile;
 
 /// Errors produced when constructing or manipulating sparse matrices.

@@ -4,10 +4,11 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use tailors_tensor::fiber::Fiber;
+use tailors_tensor::gen::{GenSpec, Structure};
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
 use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
-use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix};
+use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix, RowSink};
 
 /// `intersect_counted` matches `intersect(..).count()` in both operand
 /// orders, and its `scanned` count does not depend on the order.
@@ -143,14 +144,12 @@ fn parts(m: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
     )
 }
 
-/// Matrices of one shape and nonzero count built from the same column and
-/// value words, grouped differently: split at another row boundary, or
-/// with the column and value words traded between the two arrays. Column
-/// `k` and value `k` of a 4-entry row sit 4 words apart in the stream, so
-/// the trade keeps every lane's set of words: a hash that dropped the row
-/// pointers or folded each lane in an order-free way collides here.
+/// Matrices of one shape and nonzero count built from the same column
+/// words, grouped into rows differently, plus a coordinate and its
+/// transpose: a hash that dropped the row of an entry, or mixed row and
+/// column symmetrically, collides here.
 #[test]
-fn content_hash_separates_regrouped_words() {
+fn pattern_hash_separates_regrouped_rows() {
     let split = |row_ptr: Vec<usize>| {
         CsrMatrix::from_parts(2, 8, row_ptr, vec![1, 2], vec![3.0, 4.0]).unwrap()
     };
@@ -159,20 +158,57 @@ fn content_hash_separates_regrouped_words() {
         split(vec![0, 1, 2]),
         split(vec![0, 0, 2]),
     ];
-    let trade = |cols: [u32; 4], vals: [u64; 4]| {
-        let vals = vals.map(f64::from_bits).to_vec();
-        CsrMatrix::from_parts(1, 16, vec![0, 4], cols.to_vec(), vals).unwrap()
-    };
-    let traded = [
-        trade([1, 2, 3, 4], [5, 6, 7, 8]),
-        trade([5, 6, 7, 8], [1, 2, 3, 4]),
-    ];
-    for group in [&rows[..], &traded[..]] {
+    let one = |r, c| CsrMatrix::from_triplets(2, 2, &[(r, c, 1.0)]).unwrap();
+    let transposed = [one(0, 1), one(1, 0)];
+    for group in [&rows[..], &transposed[..]] {
         for (i, a) in group.iter().enumerate() {
             for b in &group[i + 1..] {
-                assert_ne!(a.content_hash(), b.content_hash(), "{a:?} vs {b:?}");
+                assert_ne!(a.pattern_hash(), b.pattern_hash(), "{a:?} vs {b:?}");
             }
         }
+    }
+}
+
+/// One of the four generator families, its knobs drawn from `k`.
+fn structure(family: usize, k: (f64, f64, f64)) -> Structure {
+    match family {
+        0 => Structure::Banded {
+            band_halfwidth_frac: 0.2 * k.0,
+            scatter_frac: k.1,
+            degree_variability: 1.5 * k.2,
+        },
+        1 => Structure::PowerLaw {
+            alpha: 0.2 + k.0,
+            hub_clustering: k.1,
+        },
+        2 => Structure::Clustered {
+            cluster_frac: 0.01 + 0.2 * k.0,
+            cluster_share: k.1,
+        },
+        _ => Structure::Uniform,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The pattern-only stream of every generator family yields exactly
+    /// the profile and pattern hash of the matrix it generates.
+    #[test]
+    fn generator_pattern_matches_the_generated_matrix(
+        family in 0usize..4,
+        nrows in 1usize..300,
+        ncols in 1usize..300,
+        fill in 0.0f64..0.6,
+        seed in 0u64..1_000,
+        knobs in (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let target = ((nrows * ncols) as f64 * fill) as usize;
+        let spec = GenSpec::uniform(nrows, ncols, target)
+            .structure(structure(family, knobs))
+            .seed(seed);
+        let m = spec.generate();
+        prop_assert_eq!(spec.pattern(), (m.profile(), m.pattern_hash()));
     }
 }
 
@@ -556,12 +592,13 @@ proptest! {
         assert_matches_oracle(&b.finish(), &want);
     }
 
-    /// `content_hash` is a function of the matrix, and one-word edits move
-    /// it: a flipped value bit, a changed column index, a wider shape, and
-    /// a row's last entry moved to the next row. Every edited copy is
-    /// rebuilt through `from_parts`, so it is a valid matrix.
+    /// `pattern_hash` is a function of the shape and the stored
+    /// coordinates: a values-only edit keeps it, while moving an entry,
+    /// adding an entry and widening the matrix each change it. Every
+    /// edited copy is rebuilt through `from_parts`, so it is a valid
+    /// matrix.
     #[test]
-    fn content_hash_tracks_one_word_edits(
+    fn pattern_hash_tracks_pattern_edits(
         triplets in triplets_strategy(),
         pick in 0usize..1_000,
         bit in 0u32..64,
@@ -570,22 +607,34 @@ proptest! {
         let mut coo = CooMatrix::new(24, NCOLS);
         coo.extend(triplets.iter().copied());
         let m = CsrMatrix::from_coo(&coo);
-        let h = m.content_hash();
-        prop_assert_eq!(m.clone().content_hash(), h);
+        let h = m.pattern_hash();
+        prop_assert_eq!(m.clone().pattern_hash(), h);
         let edited = |ncols, (row_ptr, cols, vals)| {
-            CsrMatrix::from_parts(24, ncols, row_ptr, cols, vals).unwrap().content_hash()
+            CsrMatrix::from_parts(24, ncols, row_ptr, cols, vals).unwrap().pattern_hash()
         };
         prop_assert_ne!(edited(NCOLS + 1, parts(&m)), h);
+
+        // A new entry in column 24..NCOLS (triplets stop at column 23),
+        // appended to row `pick % 24`.
+        let (mut row_ptr, mut cols, mut vals) = parts(&m);
+        let r = pick % 24;
+        let at = row_ptr[r + 1];
+        cols.insert(at, 24 + (pick % (NCOLS - 24)) as u32);
+        vals.insert(at, 1.0);
+        for p in &mut row_ptr[r + 1..] {
+            *p += 1;
+        }
+        prop_assert_ne!(edited(NCOLS, (row_ptr, cols, vals)), h);
         if m.nnz() == 0 {
             continue;
         }
         let (row_ptr, mut cols, mut vals) = parts(&m);
         let i = pick % m.nnz();
         vals[i] = f64::from_bits(vals[i].to_bits() ^ (1 << bit));
-        prop_assert_ne!(edited(NCOLS, (row_ptr.clone(), cols.clone(), vals)), h);
+        prop_assert_eq!(edited(NCOLS, (row_ptr.clone(), cols.clone(), vals)), h);
 
         // The last entry of entry `i`'s row takes another column between
-        // its left neighbour and NCOLS (triplets stop at column 23).
+        // its left neighbour and NCOLS.
         let r = row_ptr.partition_point(|&p| p <= i) - 1;
         let last = row_ptr[r + 1] - 1;
         let lo = if last > row_ptr[r] { cols[last - 1] + 1 } else { 0 };

@@ -14,6 +14,12 @@
 //!   directory by default), so the *next binary in the sequence* skips
 //!   generation too.
 //!
+//! The cache holds *built* tensors, which only the functional engine and
+//! the figure binaries need. The serving layer's analytical path never
+//! comes here: it reads each workload's profile and pattern identity
+//! from [`Workload::pattern`], which streams the generator without
+//! building a tensor, and keys its own tiers by that identity.
+//!
 //! Cache keys are the scaled workload's full identity — name, seed, and
 //! concrete dimensions/nnz target (which encode the scale) — so distinct
 //! scales never collide. Disk entries carry a format-version magic and are

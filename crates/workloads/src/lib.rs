@@ -31,7 +31,7 @@
 pub mod gencache;
 
 use tailors_tensor::gen::{GenSpec, Structure};
-use tailors_tensor::CsrMatrix;
+use tailors_tensor::{CsrMatrix, MatrixProfile};
 
 pub use gencache::{generate_cached, profile_cached};
 
@@ -123,6 +123,14 @@ impl Workload {
         self.gen_spec().generate()
     }
 
+    /// The occupancy profile and
+    /// [`CsrMatrix::pattern_hash`] of the tensor [`Workload::generate`]
+    /// builds, from the generator's row stream without building it (see
+    /// [`GenSpec::pattern`]).
+    pub fn pattern(&self) -> (MatrixProfile, u64) {
+        self.gen_spec().pattern()
+    }
+
     /// Sparsity implied by the target nnz (matches
     /// [`Workload::paper_sparsity`] up to rounding in Table 2).
     pub fn target_sparsity(&self) -> f64 {
@@ -130,15 +138,41 @@ impl Workload {
     }
 }
 
+/// One Table 2 row: name, dimension, printed sparsity, family,
+/// variability knob and generator seed.
+type Entry = (&'static str, usize, f64, WorkloadClass, f64, u64);
+
+/// The 22 tensors of Table 2, in [`suite`] order.
+const TABLE2: [Entry; 22] = {
+    use WorkloadClass::*;
+    [
+        ("rma10", 47_000, 0.9989, LinearSystem, 0.80, 101),
+        ("cant", 63_000, 0.9990, LinearSystem, 0.75, 102),
+        ("consph", 83_000, 0.99913, LinearSystem, 0.75, 103),
+        ("shipsec1", 141_000, 0.99960, LinearSystem, 0.85, 104),
+        ("pwtk", 218_000, 0.99971, LinearSystem, 0.80, 105),
+        ("cop20k_A", 121_000, 0.99982, LinearSystem, 0.90, 106),
+        ("mac_econ_fwd500", 207_000, 0.99997, LinearSystem, 0.85, 107),
+        ("mc2depi", 525_000, 0.999992, LinearSystem, 0.50, 108),
+        ("pdb1HYS", 36_000, 0.9967, LinearSystem, 0.80, 109),
+        ("sx-mathoverflow", 24_000, 0.9996, Graph, 0.50, 110),
+        ("email-Enron", 37_000, 0.99973, Graph, 0.40, 111),
+        ("cage12", 130_000, 0.99988, LinearSystem, 0.60, 112),
+        ("soc-Epinions1", 76_000, 0.99991, Graph, 0.45, 113),
+        ("soc-sign-epinions", 131_000, 0.99995, Graph, 0.40, 114),
+        ("p2p-Gnutella31", 63_000, 0.99996, Graph, 0.30, 115),
+        ("sx-askubuntu", 159_000, 0.99997, Graph, 0.40, 116),
+        ("amazon0312", 400_000, 0.99998, Graph, 0.55, 117),
+        ("patents_main", 241_000, 0.99999, Graph, 0.10, 118),
+        ("email-EuAll", 265_000, 0.999994, Graph, 0.60, 119),
+        ("web-Google", 916_000, 0.9999958, Graph, 0.10, 120),
+        ("webbase-1M", 1_000_000, 0.9999968, Graph, 0.70, 121),
+        ("roadNet-CA", 2_000_000, 0.9999986, RoadNetwork, 0.30, 122),
+    ]
+};
+
 /// Builds one Table 2 entry; nnz is derived from the printed sparsity.
-fn entry(
-    name: &'static str,
-    n: usize,
-    sparsity: f64,
-    class: WorkloadClass,
-    variability: f64,
-    seed: u64,
-) -> Workload {
+fn entry(&(name, n, sparsity, class, variability, seed): &Entry) -> Workload {
     let target_nnz = ((n as f64) * (n as f64) * (1.0 - sparsity)).round() as usize;
     Workload {
         name,
@@ -161,36 +195,12 @@ fn entry(
 /// distributed sparsity (overbooking ≈ prescient), and the diagonal FEM
 /// matrices have deterministic band-dominated distributions.
 pub fn suite() -> Vec<Workload> {
-    use WorkloadClass::*;
-    vec![
-        entry("rma10", 47_000, 0.9989, LinearSystem, 0.80, 101),
-        entry("cant", 63_000, 0.9990, LinearSystem, 0.75, 102),
-        entry("consph", 83_000, 0.99913, LinearSystem, 0.75, 103),
-        entry("shipsec1", 141_000, 0.99960, LinearSystem, 0.85, 104),
-        entry("pwtk", 218_000, 0.99971, LinearSystem, 0.80, 105),
-        entry("cop20k_A", 121_000, 0.99982, LinearSystem, 0.90, 106),
-        entry("mac_econ_fwd500", 207_000, 0.99997, LinearSystem, 0.85, 107),
-        entry("mc2depi", 525_000, 0.999992, LinearSystem, 0.50, 108),
-        entry("pdb1HYS", 36_000, 0.9967, LinearSystem, 0.80, 109),
-        entry("sx-mathoverflow", 24_000, 0.9996, Graph, 0.50, 110),
-        entry("email-Enron", 37_000, 0.99973, Graph, 0.40, 111),
-        entry("cage12", 130_000, 0.99988, LinearSystem, 0.60, 112),
-        entry("soc-Epinions1", 76_000, 0.99991, Graph, 0.45, 113),
-        entry("soc-sign-epinions", 131_000, 0.99995, Graph, 0.40, 114),
-        entry("p2p-Gnutella31", 63_000, 0.99996, Graph, 0.30, 115),
-        entry("sx-askubuntu", 159_000, 0.99997, Graph, 0.40, 116),
-        entry("amazon0312", 400_000, 0.99998, Graph, 0.55, 117),
-        entry("patents_main", 241_000, 0.99999, Graph, 0.10, 118),
-        entry("email-EuAll", 265_000, 0.999994, Graph, 0.60, 119),
-        entry("web-Google", 916_000, 0.9999958, Graph, 0.10, 120),
-        entry("webbase-1M", 1_000_000, 0.9999968, Graph, 0.70, 121),
-        entry("roadNet-CA", 2_000_000, 0.9999986, RoadNetwork, 0.30, 122),
-    ]
+    TABLE2.iter().map(entry).collect()
 }
 
-/// Looks up a workload by its SuiteSparse name.
+/// Looks up a workload by its SuiteSparse name, building only that entry.
 pub fn by_name(name: &str) -> Option<Workload> {
-    suite().into_iter().find(|w| w.name == name)
+    TABLE2.iter().find(|e| e.0 == name).map(entry)
 }
 
 /// The scale factor used by this workspace's tests and quick examples

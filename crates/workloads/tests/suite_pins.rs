@@ -2,12 +2,14 @@
 //!
 //! The pins hash a fixed serialization — shape, row pointers, column
 //! indices and value bits — with a test-local FNV-1a, so they guard the
-//! generators' bits independently of `CsrMatrix::content_hash` and so of
+//! generators' bits independently of `CsrMatrix::pattern_hash` and so of
 //! `MatrixId`: any change to a generator's RNG draw order, to duplicate
 //! merging, or to the order duplicates are summed in fails here. A
 //! changed literal is a deliberate, declared bit change: it moves every
 //! `MatrixId`, the golden metrics and the end-to-end sentinels with it.
-//! Two `content_hash` pins ride along to catch a change to that hash.
+//! Two `pattern_hash` pins ride along to catch a change to that hash, and
+//! every suite entry's pattern-only stream is checked against the tensor
+//! it generates.
 
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::{fnv1a, CsrMatrix};
@@ -71,11 +73,32 @@ fn suite_hashes_are_pinned_at_1_64() {
     }
 }
 
+/// The analytical cold path reads a workload's profile and identity from
+/// `Workload::pattern`, never from a built tensor: both must match the
+/// tensor `Workload::generate` builds, for every family in the suite.
+#[test]
+fn suite_patterns_match_the_generated_tensors_at_1_64() {
+    for wl in suite() {
+        for seed in [0, 7] {
+            let wl = tailors_workloads::Workload {
+                seed,
+                ..wl.scaled(1.0 / 64.0)
+            };
+            let m = wl.generate();
+            assert!(
+                wl.pattern() == (m.profile(), m.pattern_hash()),
+                "{} seed {seed}: pattern diverged from the generated tensor",
+                wl.name
+            );
+        }
+    }
+}
+
 #[test]
 fn uniform_hash_is_pinned() {
     let m = GenSpec::uniform(200, 300, 2_000).seed(11).generate();
     assert_eq!(generator_bits(&m), 0xe5b4_35da_0436_233c);
-    assert_eq!(m.content_hash(), 0xe2db_4e4f_9949_1139);
+    assert_eq!(m.pattern_hash(), 0x921f_0d7a_8974_2037);
 }
 
 /// Half the coordinate space: hub rows are capped at the full width and
@@ -86,5 +109,5 @@ fn dense_power_law_hash_is_pinned() {
     let m = GenSpec::power_law(64, 64, 2_048).seed(12).generate();
     assert!(m.nnz() < 2_048);
     assert_eq!(generator_bits(&m), 0xb818_3952_2010_adcc);
-    assert_eq!(m.content_hash(), 0x808f_a24e_5237_e7f3);
+    assert_eq!(m.pattern_hash(), 0x09b7_280b_3603_5891);
 }
