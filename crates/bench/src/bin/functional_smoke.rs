@@ -10,7 +10,7 @@
 //!
 //! `--spill` stores the generated tensor to a panel-granular TSPILL file
 //! and runs the engine out-of-core
-//! ([`run_spilled`](tailors_sim::functional::run_spilled)): `A` row
+//! ([`tailors_sim::functional::run_spilled`]): `A` row
 //! panels and `B = Aᵀ` column tiles page in on demand under the
 //! `--spill-residency` tile-cache cap (default 16 MiB — deliberately
 //! smaller than the CI acceptance matrix, so the clock-LRU cache must
@@ -35,8 +35,8 @@
 //! 4096-row panel over 50 k columns would need ~1.6 GiB of scratch per
 //! thread; the execution plan blocks it into 8192-column strips instead.
 //! `--mem-budget` defaults to 256 MiB. `--grid 2d` (default: panels)
-//! runs the full 2-D (panel x block) grid decomposition — per-unit
-//! buffer drivers with block-local traffic accounting — whose results,
+//! runs the full 2-D (panel x block) grid decomposition — one work item
+//! per unit, with block-local traffic accounting — whose results,
 //! `--verify` proves, are still bit-identical to the seed engine.
 
 use std::time::Instant;

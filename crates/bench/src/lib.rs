@@ -164,9 +164,9 @@ pub fn simulate_suite_served(
 /// in suite order, so the output is identical for any count.
 ///
 /// The fan-out is *cost-chunked*: workloads land in
-/// [`balanced_partition`] bins weighted by their scaled size instead of
-/// uniform contiguous splits. The suite's sizes span two orders of
-/// magnitude (Table 2 runs from 63 k- to 2 M-row tensors), so a uniform
+/// [`tailors_sim::balanced_partition`] bins weighted by their scaled size
+/// instead of uniform contiguous splits. The suite's sizes span two orders
+/// of magnitude (Table 2 runs from 63 k- to 2 M-row tensors), so a uniform
 /// split leaves every thread but the one holding the giants idle —
 /// cost-shaped bins are what actually separates the parallel and serial
 /// curves (the vendored rayon never steals work).

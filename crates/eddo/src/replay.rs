@@ -12,9 +12,10 @@
 //!   bumped remainder: `len + (passes-1) × (len - resident)` fetches
 //!   (Fig. 3, Tailors row).
 //!
-//! The per-tile accounting here is exactly what the analytical model in
-//! `tailors-sim` uses in closed form; an integration test cross-checks the
-//! two.
+//! The per-tile accounting here is exactly what the analytical model and
+//! the functional engine in `tailors-sim` charge in closed form; that
+//! engine's oracle (`reference_run`) drives its buffers through these
+//! replays, and integration tests cross-check the two.
 
 use crate::{Buffet, EddoError, Tailor, TailorConfig};
 
@@ -64,7 +65,7 @@ pub fn replay_tailor<T: Clone + PartialEq + core::fmt::Debug>(
     let mut t: Tailor<T> = Tailor::new(config);
     t.set_tile_len(tile.len());
     let mut fetches = 0u64;
-    for pass in 0..passes {
+    for _ in 0..passes {
         for (i, expect) in tile.iter().enumerate() {
             // Ensure index i is present, streaming if necessary.
             loop {
@@ -95,7 +96,6 @@ pub fn replay_tailor<T: Clone + PartialEq + core::fmt::Debug>(
                 }
             }
         }
-        let _ = pass;
     }
     Ok(TraversalReport {
         passes,

@@ -245,7 +245,7 @@ impl std::error::Error for FaultSpecError {}
 pub struct FaultPlan {
     /// Panic inside the worker on every `N`-th executed request.
     pub panic_every: Option<u64>,
-    /// Sleep [`FaultPlan::latency`] before every `N`-th executed request.
+    /// Sleep [`FaultPlan::latency_ms`] before every `N`-th executed request.
     pub latency_every: Option<u64>,
     /// Injected latency duration (default 1 ms).
     pub latency_ms: u64,

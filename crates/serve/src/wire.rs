@@ -1,6 +1,6 @@
 //! The wire front door: a line-delimited JSON protocol over stdio or
 //! TCP, hand-rolled (no serde — the container pins the dependency set)
-//! on top of the [`ServiceRuntime`](crate::runtime::ServiceRuntime).
+//! on top of the [`crate::runtime::ServiceRuntime`].
 //!
 //! # Protocol
 //!

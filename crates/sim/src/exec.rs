@@ -127,19 +127,17 @@ impl core::fmt::Display for MemBudget {
 }
 
 /// How the functional engine cuts an [`ExecutionPlan`] into work items —
-/// a row panel paired with a contiguous range of its column blocks, run
-/// through one buffer driver — for its one executor to fan out.
+/// a row panel paired with a contiguous range of its column blocks — for
+/// its one executor to fan out.
 ///
 /// * [`GridMode::Panels`] — 1-D: one item per stationary row panel
-///   covering all its column blocks, so every DRAM count is the
-///   shared-driver count by construction.
+///   covering all its column blocks.
 /// * [`GridMode::Grid2D`] — 2-D: one item per (row panel × column block)
-///   [`PlanUnit`], each with its **own** buffer driver and block-local
-///   traffic accounting (`functional::UnitTraffic`). Reported totals use
-///   the per-block reduction (see [`crate::functional`]) and are
-///   bit-identical to the shared-driver totals, so results do not depend
-///   on the mode — only the available parallelism does (`panels ×
-///   blocks` instead of `panels`).
+///   [`PlanUnit`], with block-local traffic accounting
+///   (`functional::UnitTraffic`). The closed-form charges (see
+///   [`crate::functional`]) sum to the whole-panel totals bit for bit, so
+///   results do not depend on the mode — only the available parallelism
+///   does (`panels × blocks` instead of `panels`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GridMode {
     /// 1-D: fan out over row panels (column blocks share the panel's
@@ -521,14 +519,14 @@ impl ExecutionPlan {
     }
 }
 
-/// Operand-buffer parameters the auto planner's A-side refetch term
-/// mirrors from the functional engine's [`TileDriver`]: a stationary
-/// panel whose occupancy exceeds `capacity` refetches its steady-state
-/// volume on every traversal after the first — the bumped remainder
-/// (`occ − (capacity − fifo_region)`) through a Tailor, the whole panel
-/// through a plain buffet.
-///
-/// [`TileDriver`]: crate::functional
+/// The stationary operand's buffer: one traffic model shared by the auto
+/// planner's A-side refetch term and the functional engine's DRAM
+/// charges. A stationary panel whose occupancy exceeds `capacity`
+/// refetches its steady-state volume on every traversal after the first —
+/// the bumped remainder (`occ − (capacity − fifo_region)`) through a
+/// Tailor, the whole panel through a plain buffet. `tailors_eddo::replay`
+/// drives real buffers through the same traversals, and the functional
+/// oracle (`reference_run`) counts with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferParams {
     /// Operand-buffer capacity in nonzeros.
@@ -542,14 +540,14 @@ pub struct BufferParams {
 
 impl BufferParams {
     /// Per-traversal steady-state refetch volume of a panel of `occ`
-    /// nonzeros — exactly the quantity `TileDriver::steady_refetch`
-    /// reports: zero when the panel fits, the bumped remainder through a
-    /// Tailor, the whole panel through a buffet. Deliberately **unlike**
-    /// the analytical dataflow model's refetch term, there is no
-    /// single-row exemption here: the hardware model assumes the address
-    /// generator K-splits an over-capacity single-row fiber, but the
-    /// software engine this planner prices has no such split and really
-    /// does restream an overbooked one-row panel every traversal.
+    /// nonzeros (the first traversal fetches all `occ`): zero when the
+    /// panel fits, the bumped remainder through a Tailor, the whole panel
+    /// through a buffet. Deliberately **unlike** the analytical dataflow
+    /// model's refetch term, there is no single-row exemption here: the
+    /// hardware model assumes the address generator K-splits an
+    /// over-capacity single-row fiber, but the software engine has no such
+    /// split and really does restream an overbooked one-row panel every
+    /// traversal.
     pub fn steady_refetch(&self, occ: u64) -> u64 {
         if occ <= self.capacity as u64 {
             0

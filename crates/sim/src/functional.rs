@@ -1,5 +1,5 @@
-//! The functional engine: executes the tiled `Z = A·Aᵀ` dataflow
-//! operation-by-operation through real `tailors-eddo` buffers.
+//! The functional engine: executes the tiled `Z = A·Aᵀ` dataflow and
+//! counts its DRAM traffic.
 //!
 //! This is the ground truth the analytical model is validated against:
 //!
@@ -10,7 +10,9 @@
 //!
 //! The engine models one buffered level (DRAM → operand buffer → compute),
 //! i.e. the analytical model with a degenerate PE level — exactly the part
-//! of the hierarchy overbooking changes.
+//! of the hierarchy overbooking changes. The fast engine charges that
+//! buffer's traffic in closed form; the oracle [`reference_run`] drives
+//! real `tailors-eddo` buffers element by element.
 //!
 //! # Execution substrate
 //!
@@ -49,36 +51,31 @@
 //! reported field, and large column counts become feasible (the scratch
 //! no longer scales with `ncols`).
 //!
-//! # Work items, grid parallelism and per-block traffic accounting
+//! # Work items, grid parallelism and traffic accounting
 //!
 //! Every entry point runs one executor over *work items*: a row panel
 //! paired with a contiguous range of its column blocks. An item pages its
-//! panel in once, runs its blocks in column order through **one** buffer
-//! driver, and drains each block straight into flat output buffers; one
-//! stitch then interleaves each panel's block segments row by row.
-//! [`GridMode`] only picks the item granularity. Under
-//! [`GridMode::Panels`] (and always in [`run_spilled`]) an item covers a
-//! whole panel, so all its blocks share one driver and every DRAM count
-//! is the shared-driver count by construction. Under [`GridMode::Grid2D`]
-//! every (panel × block) [`PlanUnit`](crate::exec::PlanUnit) is its own
-//! item with its **own** driver — `panels × blocks`-way parallelism — and
-//! traffic is accounted per item ([`UnitTraffic`]) with an exact
-//! reduction back to the shared-driver totals:
+//! panel in once, runs its blocks in column order, and drains each block
+//! straight into flat output buffers; one stitch then interleaves each
+//! panel's block segments row by row. [`GridMode`] only picks the item
+//! granularity: a whole panel per item under [`GridMode::Panels`] (and
+//! always in [`run_spilled`]), one (panel × block) [`PlanUnit`] per item
+//! under [`GridMode::Grid2D`] — `panels × blocks`-way parallelism, with
+//! the traffic reported per item ([`UnitTraffic`]).
 //!
-//! * A private driver's first traversal cold-fills the whole panel
-//!   (`occ` fetches); in the shared traversal order only the *first*
-//!   block of a panel pays that cold fill, and every later traversal
-//!   refetches exactly the steady-state volume `r` (`occ − resident` for
-//!   an overbooked Tailor, `occ` for an overbooked buffet, `0` when the
-//!   tile fits — see `TileDriver::steady_refetch`).
-//! * So an item that does not start at block 0 (`occ + (k−1)·r` actual
-//!   fetches over its `k` tiles) is charged `k·r`: its private fetches
-//!   minus the cold fill plus one steady refetch. Summed over a panel's
-//!   items this telescopes to `occ + (Σk − 1)·r` — **exactly** the
-//!   shared driver's count, for every tiling and budget (property-tested
-//!   in `crates/sim/tests/functional_equivalence.rs`). An item starting
-//!   at block 0 is charged its own count, which is why a whole-panel item
-//!   needs no reduction at all.
+//! * Stationary-operand traffic is charged in closed form. A panel of
+//!   `occ` nonzeros is traversed once per streamed tile; the first
+//!   traversal fills the whole panel and every later one refetches the
+//!   steady-state volume `r` = [`BufferParams::steady_refetch`] (`0` when
+//!   the panel fits, the bumped remainder `occ − resident` through an
+//!   overbooked Tailor, `occ` through an overbooked buffet, which cannot
+//!   rewind). An item of `k` traversals is charged `k·r`, plus `occ − r`
+//!   if it holds the panel's first block. Summed over a panel's items
+//!   this is `occ + (Σk − 1)·r`, one traversal sequence's count, for every
+//!   tiling, budget and grid mode. The auto planner prices the same
+//!   formula, and [`reference_run`] replays the traversals through real
+//!   buffers (`tailors_eddo::replay`); the property suite in
+//!   `crates/sim/tests/functional_equivalence.rs` holds all three equal.
 //! * Streamed-operand traffic partitions exactly: each item owns the B
 //!   columns of its blocks, and per-panel sums equal one full pass over
 //!   B (`nnz`).
@@ -92,7 +89,8 @@
 
 use crate::exec::{run_balanced, BufferParams, ExecutionPlan, GridMode, MemBudget, PlanUnit};
 use std::sync::Arc;
-use tailors_eddo::{Buffet, EddoError, Tailor, TailorConfig};
+use tailors_eddo::replay::{replay_buffet, replay_tailor};
+use tailors_eddo::{EddoError, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
 use tailors_tensor::storage::{
     MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, ShapeClass, SpillTile,
@@ -162,14 +160,17 @@ impl core::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Everything a functional run can fail with: a rejected configuration or
-/// a buffer-protocol error (the latter never occurs for well-formed
-/// input — it indicates an engine bug).
+/// Everything a functional run can fail with: a rejected configuration,
+/// an invalid Tailor sizing, or a spill-tier I/O failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
     /// The configuration was rejected before any work ran.
     Config(ConfigError),
-    /// A buffer-protocol violation surfaced mid-run.
+    /// The operand buffer's sizing was rejected before any work ran
+    /// ([`EddoError::BadConfig`]: `fifo_region == 0` or
+    /// `fifo_region >= capacity` while overbooking). The oracle
+    /// [`reference_run`] also reports a buffer-protocol violation here;
+    /// none occurs for well-formed input.
     Buffer(EddoError),
     /// The spill tier failed to page an operand in ([`run_spilled`]);
     /// carries the I/O error kind (the error itself is not `Copy`).
@@ -253,7 +254,7 @@ pub struct FunctionalConfig {
     /// bit-identical results; it only bounds memory.
     pub mem_budget: MemBudget,
     /// Parallel decomposition: row panels only, or the full 2-D
-    /// (panel × block) grid with per-unit buffer drivers. Either mode
+    /// (panel × block) grid with one work item per unit. Either mode
     /// yields bit-identical results; it only changes the available
     /// parallelism.
     pub grid: GridMode,
@@ -278,14 +279,22 @@ impl FunctionalConfig {
         ExecutionPlan::new(nrows, ncols, self.rows_a, self.cols_b, self.mem_budget)
     }
 
-    /// The operand-buffer parameters the auto planner prices its refetch
-    /// term against — exactly the buffer [`TileDriver`] drives.
+    /// The operand buffer, as the engine charges its traffic and the auto
+    /// planner prices its refetch term.
     fn buffer_params(&self) -> BufferParams {
         BufferParams {
             capacity: self.capacity,
             fifo_region: self.fifo_region,
             overbooking: self.overbooking,
         }
+    }
+
+    /// The Tailor sizing of an overbooking run (`None` for a plain
+    /// buffet). Every entry point checks it once, before any work runs.
+    fn tailor(&self) -> Result<Option<TailorConfig>, EddoError> {
+        self.overbooking
+            .then(|| TailorConfig::new(self.capacity, self.fifo_region))
+            .transpose()
     }
 }
 
@@ -328,10 +337,6 @@ pub struct FunctionalResult {
     pub overbooked_a_tiles: usize,
 }
 
-/// One stored nonzero of the stationary operand as it moves through the
-/// buffer.
-type Elem = (u32, u32, f64);
-
 /// Executes the tiled dataflow on `a` with `threads` workers (`1` = fully
 /// serial, deterministic-by-construction path), returning the output and
 /// DRAM traffic counts. The result does not depend on the thread count.
@@ -340,10 +345,9 @@ type Elem = (u32, u32, f64);
 ///
 /// [`EngineError::Config`] if `a` is not square or the configuration is
 /// degenerate (`capacity == 0`, `rows_a == 0`, `cols_b == 0`, or
-/// `threads == 0`); [`EngineError::Buffer`] for buffer-protocol errors,
-/// including an invalid Tailor sizing (`fifo_region == 0` or
-/// `fifo_region >= capacity` while overbooking). No caller input panics
-/// the engine.
+/// `threads == 0`); [`EngineError::Buffer`] for an invalid Tailor sizing
+/// (`fifo_region == 0` or `fifo_region >= capacity` while overbooking).
+/// No caller input panics the engine.
 pub fn run_with_threads(
     a: &CsrMatrix,
     config: &FunctionalConfig,
@@ -359,8 +363,9 @@ fn engine_setup<'a>(
     a: &'a CsrMatrix,
     config: &FunctionalConfig,
     threads: usize,
-) -> Result<(Resident<'a>, ExecutionPlan), ConfigError> {
+) -> Result<(Resident<'a>, ExecutionPlan), EngineError> {
     validate(a.nrows(), a.ncols(), config, threads)?;
+    config.tailor()?;
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
@@ -392,8 +397,7 @@ fn engine_setup<'a>(
 }
 
 /// One work item of the executor: row panel `panel` paired with a
-/// contiguous run of its column blocks, executed in column order through
-/// one buffer driver.
+/// contiguous run of its column blocks, executed in column order.
 struct WorkItem {
     panel: usize,
     blocks: core::ops::Range<usize>,
@@ -502,28 +506,21 @@ fn item_cols(plan: &ExecutionPlan, item: &WorkItem) -> core::ops::Range<usize> {
 }
 
 /// Per-item traffic accounting of the executor, as [`run_grid`] reports
-/// it: one entry per (panel × block) [`PlanUnit`], each executed with its
-/// own buffer driver ([`GridMode::Grid2D`]).
+/// it: one entry per (panel × block) [`PlanUnit`] ([`GridMode::Grid2D`]).
 ///
-/// `dram_a_fetches` applies the per-block reduction (see the
-/// [module docs](self)): per panel, block 0 is charged its private
-/// fetches and every later block `private − occ + steady_refetch`, which
-/// sums *exactly* to the shared-driver total. `dram_a_private` is what
-/// this unit's driver actually fetched (the cost of making blocks
-/// independent: each non-first block cold-fills the panel once).
+/// `dram_a_fetches` is charged in closed form (see the
+/// [module docs](self)): per panel, block 0 pays the cold fill and every
+/// block its steady-state refetches, which sums *exactly* to the panel's
+/// total over one traversal sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitTraffic {
     /// Row-panel index of the unit.
     pub row_panel: usize,
     /// Column-block index of the unit.
     pub col_block: usize,
-    /// Shared-driver-equivalent stationary-operand fetches charged to this
-    /// unit; summing these over a panel's blocks reproduces the shared
-    /// driver's count exactly.
+    /// Stationary-operand fetches charged to this unit; summing these over
+    /// a panel's blocks reproduces the panel's count exactly.
     pub dram_a_fetches: u64,
-    /// Stationary-operand fetches this unit's private driver actually
-    /// performed.
-    pub dram_a_private: u64,
     /// Streamed-operand nonzeros this unit owns (the B columns of its
     /// block); per-panel block sums equal one full pass over B.
     pub dram_b_fetches: u64,
@@ -535,8 +532,7 @@ pub struct UnitTraffic {
 /// [`run_with_threads`] in [`GridMode::Grid2D`], also returning the
 /// per-unit traffic breakdown. The [`FunctionalResult`] is bit-identical
 /// to the [`GridMode::Panels`] run (and to [`reference_run`]) in every
-/// field; the breakdown additionally exposes what each unit's private
-/// driver really did.
+/// field.
 ///
 /// # Errors
 ///
@@ -642,51 +638,47 @@ fn dense_kernel_for<O: Operand>(op: &O, unit: &PlanUnit) -> bool {
 
 /// Runs one column block on whichever kernel [`dense_kernel_for`] picks
 /// for `unit` — the single dispatch point every work item goes through.
-fn run_block_dispatch<O: Operand, S: TileSource>(
+fn run_block_dispatch<O: Operand>(
     op: &O,
     spa: &mut BlockedSpa,
-    driver: &mut TileDriver<S>,
+    panel: &PanelElems<'_>,
     unit: &PlanUnit,
     out: &mut PanelBuffers,
 ) -> Result<(), EngineError> {
     if dense_kernel_for(op, unit) {
-        run_block(&mut DenseMode(spa), driver, op, unit, out)
+        run_block(&mut DenseMode(spa), panel, op, unit, out)
     } else {
-        run_block(spa, driver, op, unit, out)
+        run_block(spa, panel, op, unit, out)
     }
 }
 
 /// Executes one column block of a stationary panel: shapes `spa` to the
-/// unit, runs one in-order traversal of the stationary tile through
-/// `driver` per streamed tile of the block (accumulating block-local
-/// columns, re-based at the block's first column), and drains every row
-/// onto the end of `out`, one `row_lens` entry per panel row. Generic
-/// over the accumulator kernel — the caller picks the masked or dense
-/// mode per unit via [`dense_kernel_for`].
-fn run_block<O: Operand, S: TileSource, A: UnitSpa>(
+/// unit, walks the panel's rows in stream (row-major) order once per
+/// streamed tile of the block (accumulating block-local columns, re-based
+/// at the block's first column), and drains every row onto the end of
+/// `out`, one `row_lens` entry per panel row. Generic over the
+/// accumulator kernel — the caller picks the masked or dense mode per
+/// unit via [`dense_kernel_for`].
+fn run_block<O: Operand, A: UnitSpa>(
     spa: &mut A,
-    driver: &mut TileDriver<S>,
+    panel: &PanelElems<'_>,
     op: &O,
     unit: &PlanUnit,
     out: &mut PanelBuffers,
 ) -> Result<(), EngineError> {
-    let (m0, c0) = (unit.rows.start, unit.cols.start);
+    let c0 = unit.cols.start;
     spa.reset_shape(unit.rows.len(), unit.cols.len());
     for tj in unit.tiles.clone() {
-        let traversed = op.tile(tj).and_then(|tile| {
-            driver.traverse(|&(m, k, va)| {
+        // A paging error restores the all-zero invariant before propagating.
+        let tile = op.tile(tj).inspect_err(|_| spa.clear())?;
+        for lr in 0..unit.rows.len() {
+            let (ks, vas) = panel.row(lr);
+            for (&k, &va) in ks.iter().zip(vas) {
                 let (cols, vals) = op.tile_row(&tile, k as usize);
-                let local_row = m as usize - m0;
                 for (&nn, &vb) in cols.iter().zip(vals) {
-                    spa.accumulate(local_row, nn as usize - c0, va * vb);
+                    spa.accumulate(lr, nn as usize - c0, va * vb);
                 }
-            })?;
-            Ok(())
-        });
-        if let Err(e) = traversed {
-            // Restore the all-zero invariant before propagating.
-            spa.clear();
-            return Err(e);
+            }
         }
     }
     // Extract in row order; the stitch interleaves a panel's blocks per
@@ -701,11 +693,10 @@ fn run_block<O: Operand, S: TileSource, A: UnitSpa>(
 }
 
 /// Executes one work item: pages its panel in once and runs the item's
-/// column blocks in order through one buffer driver, each on the
-/// accumulator kernel [`dense_kernel_for`] picks — the bitmask-blocked
-/// scratch in the sparse regime, the plain dense one when the block is
-/// predicted to fill. Returns the drained blocks and the item's
-/// [`UnitTraffic`].
+/// column blocks in order, each on the accumulator kernel
+/// [`dense_kernel_for`] picks — the bitmask-blocked scratch in the sparse
+/// regime, the plain dense one when the block is predicted to fill.
+/// Returns the drained blocks and the item's [`UnitTraffic`].
 fn run_item<O: Operand>(
     op: &O,
     config: &FunctionalConfig,
@@ -717,13 +708,23 @@ fn run_item<O: Operand>(
     // [c0, c1) are the nonzeros of A rows [c0, c1).
     let cols = item_cols(plan, item);
     let dram_b = op.row_range_nnz(cols.start, cols.end) as u64;
+    // The stationary panel's traffic in closed form (see the module docs):
+    // every traversal refetches the steady-state volume r, and the panel's
+    // first block also pays the rest of the cold fill, occ − r.
+    let occ = op.row_range_nnz(rows.start, rows.end) as u64;
+    let r = config.buffer_params().steady_refetch(occ);
+    let traversals: u64 = item
+        .blocks
+        .clone()
+        .map(|bi| plan.block_extent(bi).1.len() as u64)
+        .sum();
+    let first = item.blocks.start == 0;
+    let dram_a = traversals * r + if first { occ - r } else { 0 };
     // The item's first block is its widest (only a plan's last block can
     // be narrower), so its shape class bounds every block's scratch.
     let (first_cols, _) = plan.block_extent(item.blocks.start);
     let class = ShapeClass::of(rows.len(), first_cols.len());
-    op.with_panel(rows.start, rows.end, |tile| {
-        let occ = tile.len() as u64;
-        let overbooked = tile.len() > config.capacity;
+    op.with_panel(rows.start, rows.end, |panel| {
         // SPA scratch and assembly buffers both come out of the worker's
         // scratch pool by shape class, so steady-state runs on warm
         // threads allocate nothing here. Extraction restores the SPA's
@@ -732,33 +733,18 @@ fn run_item<O: Operand>(
             pool.set_retention(config.mem_budget.limit_bytes());
             let mut spa = pool.checkout_spa(class);
             let mut out = pool.checkout_buffers(class);
-            let mut driver = TileDriver::new(tile, config)?;
             for bi in item.blocks.clone() {
                 let unit = plan.unit(item.panel, bi);
-                run_block_dispatch(op, &mut spa, &mut driver, &unit, &mut out)?;
+                run_block_dispatch(op, &mut spa, &panel, &unit, &mut out)?;
             }
-
-            // The per-block reduction (see the module docs): an item
-            // starting at block 0 is the shared driver's own prefix; a
-            // later one replaces its private cold fill (occ) with one
-            // steady-state refetch.
-            let private = driver.fetches();
-            debug_assert!(private >= occ, "a traversal fetches the tile at least once");
-            let first = item.blocks.start == 0;
-            let dram_a = if first {
-                private
-            } else {
-                private - occ + driver.steady_refetch()
-            };
             Ok(ItemOutput {
                 out,
                 traffic: UnitTraffic {
                     row_panel: item.panel,
                     col_block: item.blocks.start,
                     dram_a_fetches: dram_a,
-                    dram_a_private: private,
                     dram_b_fetches: dram_b,
-                    overbooked: overbooked && first,
+                    overbooked: occ > config.capacity as u64 && first,
                 },
             })
         })
@@ -799,9 +785,8 @@ pub fn clear_scratch_pool() {
 ///
 /// It is the [`run_with_threads`] executor in [`GridMode::Panels`] over
 /// the spilled operand — one work item per panel, so each panel pages in
-/// once: the same work items, block loop, kernel choice,
-/// traversal order, buffer-driver configuration and traffic accounting at
-/// the same plan, so the result — every field — is **bit-identical** to
+/// once: the same work items, block loop, kernel choice, traversal
+/// order and traffic accounting at the same plan, so the result — every field — is **bit-identical** to
 /// the in-RAM run and to [`reference_run`] (the property suite pins it).
 /// Each streamed tile is checked out of the store's residency cache, and
 /// the next column tile in [`ExecutionPlan`] order is prefetched before
@@ -809,8 +794,8 @@ pub fn clear_scratch_pool() {
 /// with the plan.
 ///
 /// `config.grid` and `config.auto_plan` are ignored: a spilled run is
-/// always panel-mode (a private driver per (panel, block) unit has no
-/// residency advantage when tiles page in per checkout anyway), and
+/// always panel-mode (splitting a panel into (panel, block) items would
+/// page the panel in once per item), and
 /// auto-planning needs the occupancy profile of a resident matrix —
 /// callers that want an auto plan derive it where the profile lives and
 /// pass the chosen `rows_a` in.
@@ -833,6 +818,7 @@ pub fn run_spilled(
         }
         .into());
     }
+    config.tailor()?;
     let plan = config.execution_plan(store.nrows(), store.ncols());
     Ok(run_items(store, config, &plan, GridMode::Panels, threads)?.0)
 }
@@ -896,13 +882,11 @@ impl Operand for Resident<'_> {
         m1: usize,
         f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
     ) -> Result<R, EngineError> {
-        let a = self.a;
-        f(PanelElems::new(
-            &a.row_ptr()[m0..=m1],
-            a.col_indices(),
-            a.values(),
-            m0,
-        ))
+        f(PanelElems {
+            row_ptr: &self.a.row_ptr()[m0..=m1],
+            cols: self.a.col_indices(),
+            vals: self.a.values(),
+        })
     }
 
     fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
@@ -948,7 +932,7 @@ impl Operand for MmapStorage {
     }
 
     /// Pages the panel's payload in once; its row pointers are rebased to
-    /// the panel, so the flat element index *is* the payload index.
+    /// the panel, so they index the payload directly.
     fn with_panel<R>(
         &self,
         m0: usize,
@@ -956,7 +940,11 @@ impl Operand for MmapStorage {
         f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
     ) -> Result<R, EngineError> {
         let p = self.load_panel(m0, m1)?;
-        f(PanelElems::new(&p.row_ptr, &p.cols, &p.vals, m0))
+        f(PanelElems {
+            row_ptr: &p.row_ptr,
+            cols: &p.cols,
+            vals: &p.vals,
+        })
     }
 
     fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
@@ -977,241 +965,46 @@ impl Operand for MmapStorage {
     }
 }
 
-/// Indexed access to a stationary tile's elements.
-///
-/// The parent's address generator walks the tile in stream (row-major)
-/// order; implementations map a flat element index to `(m, k, value)`.
-trait TileSource {
-    /// Number of elements in the tile.
-    fn len(&self) -> usize;
-    /// The `i`-th element in stream order.
-    fn get(&self, i: usize) -> Elem;
-}
-
 /// A row panel of a CSR payload viewed in place — no materialization.
-/// `row_ptr` holds the pointers of rows `m0..=m1` into `cols`/`vals`:
-/// the whole matrix's arrays for a resident operand, the panel's own
-/// (rebased, `row_ptr[0] == 0`) payload for a spilled one.
+/// `row_ptr` holds the pointers of the panel's rows (one past the last
+/// included) into `cols`/`vals`: the whole matrix's arrays for a resident
+/// operand, the panel's own (rebased, `row_ptr[0] == 0`) payload for a
+/// spilled one.
 struct PanelElems<'a> {
     row_ptr: &'a [usize],
     cols: &'a [u32],
     vals: &'a [f64],
-    /// Last resolved local row — buffer fetches walk the tile in stream
-    /// order (monotone, wrapping cyclically under overbooking), so row
-    /// lookup from the hint is amortized O(1).
-    cursor: core::cell::Cell<usize>,
-    m0: usize,
-    base: usize,
-    len: usize,
 }
 
-impl<'a> PanelElems<'a> {
-    fn new(row_ptr: &'a [usize], cols: &'a [u32], vals: &'a [f64], m0: usize) -> Self {
-        let base = row_ptr[0];
-        PanelElems {
-            row_ptr,
-            cols,
-            vals,
-            cursor: core::cell::Cell::new(0),
-            m0,
-            base,
-            len: row_ptr[row_ptr.len() - 1] - base,
-        }
+impl PanelElems<'_> {
+    /// Local row `lr` of the panel: its column indices and values.
+    #[inline]
+    fn row(&self, lr: usize) -> (&[u32], &[f64]) {
+        let (lo, hi) = (self.row_ptr[lr], self.row_ptr[lr + 1]);
+        (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 }
 
-impl TileSource for PanelElems<'_> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn get(&self, i: usize) -> Elem {
-        debug_assert!(i < self.len);
-        let p = self.base + i;
-        // Row containing flat index p, found by advancing the cursor from
-        // its last position (rewinding to the panel start when the stream
-        // wraps); `p < row_ptr[last]` bounds the walk.
-        let mut lr = self.cursor.get();
-        if p < self.row_ptr[lr] {
-            lr = 0;
-        }
-        while p >= self.row_ptr[lr + 1] {
-            lr += 1;
-        }
-        self.cursor.set(lr);
-        ((self.m0 + lr) as u32, self.cols[p], self.vals[p])
-    }
-}
-
-impl TileSource for &[Elem] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn get(&self, i: usize) -> Elem {
-        self[i]
-    }
-}
-
-/// Drives sequential traversals of one stationary tile through either a
-/// Tailor or a buffet, counting parent fetches.
-enum TileDriver<S: TileSource> {
-    Tailor {
-        tile: S,
-        buf: Tailor<Elem>,
-        fetches: u64,
-        steady: u64,
-    },
-    Buffet {
-        tile: S,
-        buf: Buffet<Elem>,
-        window_start: usize,
-        window_end: usize,
-        fetches: u64,
-        steady: u64,
-    },
-}
-
-impl<S: TileSource> TileDriver<S> {
-    fn new(tile: S, config: &FunctionalConfig) -> Result<Self, EddoError> {
-        let occ = tile.len();
-        if config.overbooking {
-            let tc = TailorConfig::new(config.capacity, config.fifo_region)?;
-            let mut buf = Tailor::new(tc);
-            buf.set_tile_len(occ);
-            // Every traversal after the first refetches exactly the bumped
-            // remainder: the streaming period (occ − resident) strictly
-            // exceeds the FIFO region whenever occ > capacity, so each
-            // bumped index is evicted before its next read and streamed
-            // around exactly once per traversal.
-            let steady = if occ > config.capacity {
-                (occ - tc.resident_region()) as u64
-            } else {
-                0
-            };
-            Ok(TileDriver::Tailor {
-                tile,
-                buf,
-                fetches: 0,
-                steady,
-            })
-        } else {
-            // A sliding-window buffet cannot rewind: an overbooked tile is
-            // dropped and refilled whole on every traversal (Fig. 3).
-            let steady = if occ > config.capacity { occ as u64 } else { 0 };
-            Ok(TileDriver::Buffet {
-                tile,
-                buf: Buffet::new(config.capacity),
-                window_start: 0,
-                window_end: 0,
-                fetches: 0,
-                steady,
-            })
-        }
-    }
-
-    fn fetches(&self) -> u64 {
-        match self {
-            TileDriver::Tailor { fetches, .. } => *fetches,
-            TileDriver::Buffet { fetches, .. } => *fetches,
-        }
-    }
-
-    /// Parent fetches every traversal after the first performs — the
-    /// steady-state refetch volume the per-block accounting reduction is
-    /// built on (zero when the tile fits its buffer). The first traversal
-    /// always cold-fills the whole tile (`tile.len()` fetches).
-    fn steady_refetch(&self) -> u64 {
-        match self {
-            TileDriver::Tailor { steady, .. } => *steady,
-            TileDriver::Buffet { steady, .. } => *steady,
-        }
-    }
-
-    /// One full in-order traversal of the tile, calling `visit` on every
-    /// element exactly once.
-    fn traverse<F: FnMut(&Elem)>(&mut self, mut visit: F) -> Result<(), EddoError> {
-        match self {
-            TileDriver::Tailor {
-                tile, buf, fetches, ..
-            } => {
-                for i in 0..tile.len() {
-                    loop {
-                        match buf.read(i) {
-                            Ok(e) => {
-                                visit(&e);
-                                break;
-                            }
-                            Err(EddoError::NotYetFilled { .. }) => {
-                                match buf.fill(tile.get(buf.occupancy())) {
-                                    Ok(()) => *fetches += 1,
-                                    Err(EddoError::Full) => {
-                                        let idx =
-                                            buf.next_stream_index().unwrap_or(buf.occupancy());
-                                        buf.ow_fill(tile.get(idx))?;
-                                        *fetches += 1;
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                            Err(EddoError::Bumped { .. }) => {
-                                let idx = buf.next_stream_index().expect("overbooked");
-                                buf.ow_fill(tile.get(idx))?;
-                                *fetches += 1;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Ok(())
-            }
-            TileDriver::Buffet {
-                tile,
-                buf,
-                window_start,
-                window_end,
-                fetches,
-                ..
-            } => {
-                for i in 0..tile.len() {
-                    if i < *window_start {
-                        // Sliding window cannot rewind: drop and refill.
-                        let occ = buf.occupancy();
-                        buf.shrink(occ)?;
-                        *window_start = i;
-                        *window_end = i;
-                    }
-                    while i >= *window_end {
-                        if buf.is_full() {
-                            buf.shrink(1)?;
-                            *window_start += 1;
-                        }
-                        buf.fill(tile.get(*window_end))?;
-                        *window_end += 1;
-                        *fetches += 1;
-                    }
-                    let e = buf.read(i - *window_start)?;
-                    visit(&e);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// The seed engine, retained verbatim as the oracle for the rewritten
-/// [`run_with_threads`]: materializes each stationary tile as a coordinate list,
-/// re-searches each B row per element, and accumulates into a hash map.
-/// `mem_budget` is ignored — the oracle always uses the unpartitioned
-/// global accumulator.
+/// The seed engine, retained as the oracle for the rewritten
+/// [`run_with_threads`]: materializes each stationary tile as a coordinate
+/// list, re-searches each B row per element, and accumulates into a hash
+/// map. Its DRAM counts come from driving a real `tailors-eddo` [`Tailor`]
+/// or [`Buffet`] through one traversal of the tile's `(m, k)` coordinates
+/// per streamed tile ([`replay_tailor`] / [`replay_buffet`], which check
+/// every element the buffer returns). `mem_budget` is ignored — the oracle
+/// always uses the unpartitioned global accumulator.
 ///
-/// Property tests assert [`run_with_threads`] is bit-identical to this on arbitrary
-/// inputs and budgets; benchmarks measure the gap.
+/// Property tests assert [`run_with_threads`] is bit-identical to this on
+/// arbitrary inputs and budgets; benchmarks measure the gap.
+///
+/// [`Tailor`]: tailors_eddo::Tailor
+/// [`Buffet`]: tailors_eddo::Buffet
 ///
 /// # Errors
 ///
-/// As [`run_with_threads`]: a typed [`ConfigError`] for a rejected configuration,
-/// buffer-protocol errors otherwise (none occur for well-formed input).
+/// As [`run_with_threads`]: a typed [`ConfigError`] for a rejected
+/// configuration, [`EngineError::Buffer`] for an invalid Tailor sizing or
+/// a buffer-protocol error (none occurs for well-formed input).
 pub fn reference_run(
     a: &CsrMatrix,
     config: &FunctionalConfig,
@@ -1221,6 +1014,7 @@ pub fn reference_run(
     // The oracle ignores the thread count; validate with the always-legal 1
     // so it rejects exactly the configurations the rewritten engine rejects.
     validate(a.nrows(), a.ncols(), config, 1)?;
+    let tailor = config.tailor()?;
     let b = a.transpose();
     let n = a.nrows();
     let n_a_tiles = n.div_ceil(config.rows_a.max(1));
@@ -1235,7 +1029,7 @@ pub fn reference_run(
         let m0 = ti * config.rows_a;
         let m1 = ((ti + 1) * config.rows_a).min(n);
         // Materialize the tile's elements in stream (row-major) order.
-        let tile: Vec<Elem> = (m0..m1)
+        let tile: Vec<(u32, u32, f64)> = (m0..m1)
             .flat_map(|m| {
                 let row = a.row(m);
                 row.coords()
@@ -1249,7 +1043,15 @@ pub fn reference_run(
             overbooked += 1;
         }
 
-        let mut driver = TileDriver::new(tile.as_slice(), config)?;
+        // One buffer traversal per streamed tile, over coordinates only (a
+        // NaN value would fail replay's equality check).
+        let coords: Vec<(u32, u32)> = tile.iter().map(|&(m, k, _)| (m, k)).collect();
+        let passes = n_b_tiles as u64;
+        dram_a += match tailor {
+            Some(tc) => replay_tailor(&coords, tc, passes)?,
+            None => replay_buffet(&coords, config.capacity, passes)?,
+        }
+        .parent_fetches;
         for tj in 0..n_b_tiles {
             let n0 = (tj * config.cols_b) as u32;
             let n1 = (((tj + 1) * config.cols_b).min(n)) as u32;
@@ -1258,7 +1060,7 @@ pub fn reference_run(
             for col in n0..n1 {
                 dram_b += a.row_nnz(col as usize) as u64;
             }
-            driver.traverse(|&(m, k, va)| {
+            for &(m, k, va) in &tile {
                 let row_b = b.row(k as usize);
                 let coords = row_b.coords();
                 let start = coords.partition_point(|&c| c < n0);
@@ -1269,9 +1071,8 @@ pub fn reference_run(
                     let vb = row_b.values()[start + idx];
                     *acc.entry((m, nn)).or_insert(0.0) += va * vb;
                 }
-            })?;
+            }
         }
-        dram_a += driver.fetches();
     }
 
     let mut coo = CooMatrix::with_capacity(n, n, acc.len());
@@ -1467,8 +1268,8 @@ mod tests {
     fn per_unit_traffic_reduces_exactly_to_shared_driver_counts() {
         let a = small();
         for overbooking in [false, true] {
-            // One streamed tile per block: the most private drivers (and
-            // the most cold fills the reduction has to cancel out).
+            // One streamed tile per block: the most work items per panel
+            // (and the most charges that have to sum to the panel's count).
             let config = FunctionalConfig {
                 capacity: 40,
                 fifo_region: 8,
@@ -1493,12 +1294,9 @@ mod tests {
             assert_eq!(result, shared, "ob={overbooking}");
             let plan = config.execution_plan(a.nrows(), a.ncols());
             assert_eq!(traffic.len(), plan.parallel_units(GridMode::Grid2D));
-            // Adjusted counts sum exactly; private counts only exceed them
-            // (each non-first block pays its own cold fill).
+            // Per-unit charges sum exactly to the whole-panel counts.
             let adjusted: u64 = traffic.iter().map(|t| t.dram_a_fetches).sum();
-            let private: u64 = traffic.iter().map(|t| t.dram_a_private).sum();
             assert_eq!(adjusted, shared.dram_a_fetches);
-            assert!(private >= adjusted);
             assert_eq!(
                 traffic.iter().map(|t| t.dram_b_fetches).sum::<u64>(),
                 shared.dram_b_fetches
@@ -1768,25 +1566,5 @@ mod tests {
         assert_eq!(new.z, old.z);
         assert_eq!(new.dram_a_fetches, old.dram_a_fetches);
         assert_eq!(new.dram_b_fetches, old.dram_b_fetches);
-    }
-
-    #[test]
-    fn panel_elems_maps_flat_indices_through_empty_rows() {
-        // Rows 1 and 2 are empty; flat indices must land in rows 0 and 3.
-        let a = CsrMatrix::from_triplets(4, 4, &[(0, 0, 1.0), (0, 2, 2.0), (3, 1, 3.0)]).unwrap();
-        let (rp, cols, vals) = (a.row_ptr(), a.col_indices(), a.values());
-        let panel = PanelElems::new(rp, cols, vals, 0);
-        assert_eq!(panel.len(), 3);
-        assert_eq!(panel.get(0), (0, 0, 1.0));
-        assert_eq!(panel.get(1), (0, 2, 2.0));
-        assert_eq!(panel.get(2), (3, 1, 3.0));
-        // A resident tail panel addresses the matrix's arrays at its base;
-        // a spilled one addresses its own rebased payload — same elements.
-        let tail = PanelElems::new(&rp[2..=4], cols, vals, 2);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail.get(0), (3, 1, 3.0));
-        let payload = PanelElems::new(&[0, 0, 1], &cols[2..], &vals[2..], 2);
-        assert_eq!(payload.len(), 1);
-        assert_eq!(payload.get(0), (3, 1, 3.0));
     }
 }

@@ -7,6 +7,7 @@
 //! in every reported field.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tailors_sim::functional::{
@@ -15,7 +16,7 @@ use tailors_sim::functional::{
 };
 use tailors_sim::{GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::storage::MmapStorage;
+use tailors_tensor::storage::{MmapStorage, ShapeClass};
 
 fn config(
     capacity: usize,
@@ -213,6 +214,99 @@ fn tight_budget_evicts_pool_inventory_without_changing_results() {
     assert_eq!(run.z, oracle.z);
     assert_eq!(run.dram_a_fetches, oracle.dram_a_fetches);
     assert_eq!(run.dram_b_fetches, oracle.dram_b_fetches);
+}
+
+/// A 2-D grid whose last column block and last panel are ragged, under a
+/// budget that fits exactly one full-size SPA: the pool charges a SPA in
+/// the planner's coin (so the full-size one fits the cap) and keeps the
+/// class just returned (so a narrow block does not push the full-size
+/// one out). A warm repeat then re-allocates its SPA only around class
+/// switches, not on every work item; the item output buffers, all
+/// outstanding until the stitch, can miss at most once per item.
+#[test]
+fn budgeted_grid_pool_keeps_scratch_across_a_ragged_last_block() {
+    // 264 columns = 16 full 16-column tiles plus an 8-column one; 64-row
+    // panels leave an 8-row last panel.
+    let a = GenSpec::uniform(264, 264, 400).seed(7).generate();
+    let cfg = FunctionalConfig {
+        grid: GridMode::Grid2D,
+        ..config(64, 25, 64, 16, true, MemBudget::bytes(64 * 16 * 8))
+    };
+    let plan = cfg.execution_plan(a.nrows(), a.ncols());
+    assert_eq!(plan.block_cols(), 16, "one tile per block");
+    let units = plan.parallel_units(GridMode::Grid2D) as u64;
+    let classes: BTreeSet<ShapeClass> = plan
+        .units()
+        .map(|u| ShapeClass::of(u.rows.len(), u.cols.len()))
+        .collect();
+    assert_eq!((units, classes.len()), (85, 4));
+
+    clear_scratch_pool();
+    let cold = run_with_threads(&a, &cfg, 1).expect("cold run");
+    let before = scratch_pool_stats();
+    let warm = run_with_threads(&a, &cfg, 1).expect("warm repeat");
+    let misses = scratch_pool_stats().misses - before.misses;
+    assert!(
+        misses <= units + classes.len() as u64,
+        "{misses} misses in a warm repeat of {units} units"
+    );
+    assert_eq!(cold, warm);
+    let oracle = reference_run(&a, &cfg).expect("seed engine");
+    assert_eq!(warm.z, oracle.z);
+    assert_eq!(warm.dram_a_fetches, oracle.dram_a_fetches);
+}
+
+/// An invalid Tailor sizing — no FIFO region, or one that leaves no
+/// resident region — is a typed buffer error from every entry point,
+/// checked before any work runs; a plain buffet ignores `fifo_region`,
+/// so the same sizes are accepted without overbooking.
+#[test]
+fn invalid_tailor_sizing_is_a_typed_buffer_error_from_every_entry_point() {
+    use tailors_eddo::EddoError;
+    use tailors_sim::functional::{run_grid, EngineError};
+    let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
+    let path = unique_spill_path("tailor_sizing");
+    MmapStorage::store(&a, 8, &path).expect("store spill file");
+    let store = MmapStorage::open(&path, None).expect("open spill file");
+    let ok = config(32, 50, 8, 8, true, MemBudget::Unbounded);
+    for fifo_region in [0, 32, 33] {
+        let bad = FunctionalConfig { fifo_region, ..ok };
+        let is_bad_config = |r: Result<_, EngineError>| {
+            matches!(r, Err(EngineError::Buffer(EddoError::BadConfig(_))))
+        };
+        assert!(
+            is_bad_config(run_with_threads(&a, &bad, 2).map(|_| ())),
+            "fifo {fifo_region}"
+        );
+        assert!(
+            is_bad_config(run_grid(&a, &bad, 2).map(|_| ())),
+            "fifo {fifo_region}"
+        );
+        assert!(
+            is_bad_config(run_spilled(&store, &bad, 2).map(|_| ())),
+            "fifo {fifo_region}"
+        );
+        assert!(
+            is_bad_config(reference_run(&a, &bad).map(|_| ())),
+            "fifo {fifo_region}"
+        );
+
+        let buffet = FunctionalConfig {
+            overbooking: false,
+            ..bad
+        };
+        let oracle = reference_run(&a, &buffet).expect("buffet oracle");
+        assert_eq!(
+            run_with_threads(&a, &buffet, 2).expect("buffet run"),
+            oracle
+        );
+        assert_eq!(run_grid(&a, &buffet, 2).expect("buffet grid").0, oracle);
+        assert_eq!(
+            run_spilled(&store, &buffet, 2).expect("buffet spill"),
+            oracle
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Mismatched `cols_b` is a typed config error, not a wrong answer.

@@ -12,7 +12,7 @@
 //! touched-coordinate list. [`spmspm_into`] exposes the allocation-reusing
 //! entry point; [`SpmspmScratch`] carries the scratch between calls.
 //!
-//! The seed's hash-accumulator kernel lives on in [`reference`] — it is the
+//! The seed's hash-accumulator kernel lives on in [`mod@reference`] — it is the
 //! obviously-correct ground truth the property tests and benchmarks compare
 //! against, never the kernel anything hot calls.
 
@@ -104,17 +104,6 @@ impl BlockedSpa {
     /// Allocated dense slots (grows monotonically across reshapes).
     pub fn capacity_slots(&self) -> usize {
         self.dense.len()
-    }
-
-    /// Heap bytes currently backing the accumulator (capacities, not the
-    /// logical shape) — what slab-pool retention accounting charges for
-    /// keeping this scratch warm.
-    pub fn heap_bytes(&self) -> u64 {
-        let touched_inner: usize = self.touched.iter().map(|t| t.capacity() * 4).sum();
-        (self.dense.capacity() * 8
-            + self.mask.capacity() * 8
-            + self.touched.capacity() * core::mem::size_of::<Vec<u32>>()
-            + touched_inner) as u64
     }
 
     /// Adds `v` to slot (`row`, `col`) and marks its occupancy bit.

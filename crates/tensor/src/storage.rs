@@ -7,7 +7,8 @@
 //!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it; dropping
 //!   the [`PoolHandle`] returns the buffer to its slab. Retained bytes are
 //!   capped by [`SlabStorage::set_retention`], so pooled scratch counts
-//!   against the same memory budget the planner already honors.
+//!   against the same memory budget the planner already honors, in the
+//!   planner's own coin ([`PoolItem::budget_bytes`]).
 //! * [`MmapStorage`] — read-only file-backed CSR payloads with
 //!   panel-granular residency: the operand's row pointers stay resident,
 //!   row-panel payloads and column-tile segments of `B = Aᵀ` are paged in
@@ -71,9 +72,9 @@ pub trait PoolItem: Default + Send + 'static {
     /// logical contents (keeping capacity) and grow backing storage to the
     /// class bounds, so subsequent in-shape use allocates nothing.
     fn prepare(&mut self, class: ShapeClass);
-    /// Heap bytes currently backing the buffer (capacities, not lengths) —
-    /// the coin of slab retention accounting.
-    fn heap_bytes(&self) -> u64;
+    /// Bytes the buffer charges against the slab's retention cap while
+    /// idle, in the coin the memory budget sizes the buffer by.
+    fn budget_bytes(&self) -> u64;
 }
 
 impl PoolItem for BlockedSpa {
@@ -83,8 +84,12 @@ impl PoolItem for BlockedSpa {
         self.reset_shape(class.rows as usize, class.width as usize);
     }
 
-    fn heap_bytes(&self) -> u64 {
-        self.heap_bytes()
+    /// The dense slots at 8 bytes each: the planner sizes a block's
+    /// scratch in exactly this coin, so a SPA that fills the budget also
+    /// fits the retention cap. The occupancy mask (1/64 of the dense
+    /// bytes) and the per-row touched lists are not counted.
+    fn budget_bytes(&self) -> u64 {
+        (self.capacity_slots() * core::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -114,7 +119,8 @@ impl PoolItem for PanelBuffers {
         self.row_lens.reserve(class.rows as usize);
     }
 
-    fn heap_bytes(&self) -> u64 {
+    /// Heap capacity of the three vectors.
+    fn budget_bytes(&self) -> u64 {
         (self.row_lens.capacity() * core::mem::size_of::<usize>()
             + self.cols.capacity() * 4
             + self.vals.capacity() * 8) as u64
@@ -138,7 +144,8 @@ pub struct PoolStats {
     pub returns: u64,
     /// Idle buffers freed to respect the retention cap.
     pub evictions: u64,
-    /// Bytes currently held by idle slab inventory.
+    /// Bytes currently held by idle slab inventory, counted in
+    /// [`PoolItem::budget_bytes`].
     pub resident_bytes: u64,
 }
 
@@ -161,7 +168,7 @@ impl PoolStats {
 #[derive(Debug)]
 struct SlabState<T> {
     /// Idle inventory by shape class. Invariant: no empty buckets.
-    /// `BTreeMap` so eviction order (largest class first) is deterministic.
+    /// `BTreeMap` so eviction order is deterministic.
     by_class: BTreeMap<ShapeClass, Vec<T>>,
     resident_bytes: u64,
     retain: Option<u64>,
@@ -214,7 +221,7 @@ impl<T: PoolItem> SlabStorage<T> {
                         st.by_class.remove(&class);
                     }
                     st.stats.hits += 1;
-                    st.resident_bytes -= item.heap_bytes();
+                    st.resident_bytes -= item.budget_bytes();
                     st.stats.resident_bytes = st.resident_bytes;
                     item
                 }
@@ -233,11 +240,12 @@ impl<T: PoolItem> SlabStorage<T> {
     }
 
     /// Caps the bytes idle inventory may hold; `None` is unbounded.
-    /// Enforced at return time, evicting largest-class buffers first.
+    /// Enforced at return time, evicting largest-class buffers first but
+    /// the class just returned last (see [`PoolHandle`]'s drop).
     pub fn set_retention(&self, cap: Option<u64>) {
         let mut st = lock_state(&self.state);
         st.retain = cap;
-        evict_over_cap(&mut st);
+        evict_over_cap(&mut st, None);
     }
 
     /// Slab counters since construction.
@@ -255,28 +263,25 @@ impl<T: PoolItem> SlabStorage<T> {
     }
 }
 
-fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>) {
-    st.stats.resident_bytes = st.resident_bytes;
-    let cap = match st.retain {
-        Some(cap) => cap,
-        None => return,
-    };
-    while st.resident_bytes > cap {
-        let class = match st.by_class.iter().next_back() {
-            Some((&class, _)) => class,
-            None => break,
-        };
-        match st.by_class.get_mut(&class).and_then(Vec::pop) {
-            Some(victim) => {
-                st.resident_bytes -= victim.heap_bytes();
-                st.stats.evictions += 1;
-                if st.by_class.get(&class).is_some_and(Vec::is_empty) {
-                    st.by_class.remove(&class);
-                }
-            }
-            None => {
+/// Evicts idle buffers until the retention cap holds: largest class
+/// first, except that `keep` (the class just returned) goes last.
+/// Otherwise an idle small buffer, such as a ragged last block's SPA,
+/// would make every larger buffer returned after it evict itself, and
+/// every later checkout of that larger class would miss.
+fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>, keep: Option<ShapeClass>) {
+    if let Some(cap) = st.retain {
+        while st.resident_bytes > cap {
+            let others_first = st.by_class.keys().rev().find(|&&c| Some(c) != keep);
+            let Some(&class) = others_first.or_else(|| st.by_class.keys().next()) else {
+                break;
+            };
+            let bucket = st.by_class.get_mut(&class).expect("class is present");
+            let victim = bucket.pop().expect("no empty buckets");
+            if bucket.is_empty() {
                 st.by_class.remove(&class);
             }
+            st.resident_bytes -= victim.budget_bytes();
+            st.stats.evictions += 1;
         }
     }
     st.stats.resident_bytes = st.resident_bytes;
@@ -317,9 +322,9 @@ impl<T: PoolItem> Drop for PoolHandle<T> {
         if let Some(item) = self.item.take() {
             let mut st = lock_state(&self.home);
             st.stats.returns += 1;
-            st.resident_bytes += item.heap_bytes();
+            st.resident_bytes += item.budget_bytes();
             st.by_class.entry(self.class).or_default().push(item);
-            evict_over_cap(&mut st);
+            evict_over_cap(&mut st, Some(self.class));
         }
     }
 }
@@ -942,6 +947,24 @@ mod tests {
     }
 
     #[test]
+    fn retention_counts_dense_slots_and_keeps_the_class_just_returned() {
+        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
+        let (wide, narrow) = (ShapeClass::of(8, 128), ShapeClass::of(8, 64));
+        // A cap of exactly one wide SPA's dense slots holds that SPA.
+        slab.set_retention(Some(8 * 128 * 8));
+        drop(slab.checkout(wide));
+        let stats = slab.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (0, 8 * 128 * 8));
+        // A narrow return overflows the cap: the wide SPA goes, not the
+        // one just returned.
+        drop(slab.checkout(narrow));
+        let stats = slab.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (1, 8 * 64 * 8));
+        drop(slab.checkout(narrow));
+        assert_eq!(slab.stats().hits, 1);
+    }
+
+    #[test]
     fn panel_buffers_recycle_capacity() {
         let slab: SlabStorage<PanelBuffers> = SlabStorage::new();
         let class = ShapeClass::of(8, 64);
@@ -964,14 +987,17 @@ mod tests {
         assert!(bufs.vals.capacity() >= caps.2);
     }
 
+    /// A spill file of a generated matrix at a path no other test (in
+    /// this process or another) writes: tests run concurrently, and two
+    /// sharing a fixture shape must not store over or delete each other's
+    /// file.
     fn spill_fixture(n: usize, nnz: usize, tile_cols: usize) -> (CsrMatrix, PathBuf) {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let a = GenSpec::power_law(n, n, nnz).seed(11).generate();
         let path = std::env::temp_dir().join(format!(
-            "tailors_storage_test_{}_{}_{}_{}.tspill",
+            "tailors_storage_test_{}_{}.tspill",
             std::process::id(),
-            n,
-            nnz,
-            tile_cols
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         MmapStorage::store(&a, tile_cols, &path).expect("store spill file");
         (a, path)

@@ -58,7 +58,7 @@ fn functional_traffic_matches_analytical_closed_form() {
     };
     let result = run_with_threads(&a, &config, threads_from_env()).expect("functional run");
     // The 2-D grid's per-block accounting must reduce to the same closed
-    // form (a sub-tile budget maximizes the number of private drivers).
+    // form (a sub-tile budget maximizes the number of work items).
     let gridded = run_with_threads(
         &a,
         &FunctionalConfig {
