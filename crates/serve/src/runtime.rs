@@ -151,6 +151,12 @@ pub enum ServeError {
     },
     /// The request was structurally invalid (caught before queueing).
     BadRequest(String),
+    /// The request line was longer than the wire session's cap; the
+    /// session ends after this reply.
+    TooLarge {
+        /// The cap in bytes, newline included.
+        limit: u64,
+    },
     /// The runtime is shutting down and did not serve the request.
     Shutdown,
 }
@@ -190,6 +196,9 @@ impl core::fmt::Display for ServeError {
                 }
             }
             ServeError::BadRequest(m) => write!(f, "bad request: {m}"),
+            ServeError::TooLarge { limit } => {
+                write!(f, "request line exceeds the {limit}-byte cap")
+            }
             ServeError::Shutdown => write!(f, "runtime is shutting down"),
         }
     }
@@ -635,12 +644,10 @@ impl ServiceRuntime {
     }
 
     /// The worker pool's scratch-pool counters, rolled up across all
-    /// workers (each worker owns one thread-local [`ScratchPool`] and
+    /// workers (each worker keeps its own thread-local engine scratch and
     /// publishes a snapshot after every request it serves). A healthy
     /// steady state shows `misses` flat while `checkouts` climbs: hot
-    /// requests run entirely on recycled pool inventory.
-    ///
-    /// [`ScratchPool`]: tailors_tensor::storage::ScratchPool
+    /// requests run entirely on recycled scratch.
     pub fn scratch_pool_stats(&self) -> PoolStats {
         self.pool_slots
             .lock()
@@ -677,9 +684,12 @@ impl ServiceRuntime {
                 self.counters.timed_out.fetch_add(1, Ordering::SeqCst)
             }
             Err(ServeError::Faulted { .. }) => self.counters.faulted.fetch_add(1, Ordering::SeqCst),
-            Err(ServeError::Overloaded(_) | ServeError::BadRequest(_) | ServeError::Shutdown) => {
-                self.counters.rejected.fetch_add(1, Ordering::SeqCst)
-            }
+            Err(
+                ServeError::Overloaded(_)
+                | ServeError::BadRequest(_)
+                | ServeError::TooLarge { .. }
+                | ServeError::Shutdown,
+            ) => self.counters.rejected.fetch_add(1, Ordering::SeqCst),
         };
         outcome
     }

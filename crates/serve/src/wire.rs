@@ -18,9 +18,11 @@
 //! A malformed or truncated line gets a *protocol-level error reply*
 //! (`code: "malformed"`, `id: null`) — the connection stays up and later
 //! well-formed requests are served; nothing panics and nothing is
-//! dropped. Every server-side failure travels back as the typed
-//! [`ServeError`] it was, so a wire client sees exactly the outcomes an
-//! in-process caller sees.
+//! dropped. A line longer than the session's cap gets one `id: null`
+//! reply with `code: "too-large"` and the cap in `limit`, and ends the
+//! session (the rest of the line is never read). Every server-side
+//! failure travels back as the typed [`ServeError`] it was, so a wire
+//! client sees exactly the outcomes an in-process caller sees.
 //!
 //! # Bit-exactness
 //!
@@ -1030,6 +1032,10 @@ fn encode_serve_error(e: &ServeError) -> Json {
             ("code", Json::Str("bad-request".into())),
             ("message", Json::Str(m.clone())),
         ]),
+        ServeError::TooLarge { limit } => obj(vec![
+            ("code", Json::Str("too-large".into())),
+            ("limit", num_u64(*limit)),
+        ]),
         ServeError::Shutdown => obj(vec![("code", Json::Str("shutdown".into()))]),
     }
 }
@@ -1065,6 +1071,9 @@ fn decode_serve_error(v: &Json) -> Result<ServeError, WireError> {
         "bad-request" => Ok(ServeError::BadRequest(
             v.get("message")?.str_()?.to_string(),
         )),
+        "too-large" => Ok(ServeError::TooLarge {
+            limit: v.get("limit")?.u64_()?,
+        }),
         "shutdown" => Ok(ServeError::Shutdown),
         // A protocol-level error reply from the server: surface it as the
         // bad request it (from the server's view) was.
@@ -1304,8 +1313,8 @@ pub struct WireServeReport {
 /// line to `writer`, until the reader reaches end of stream. Malformed
 /// lines are answered (never dropped, never fatal); requests are
 /// submitted to `runtime` in arrival order. A line longer than
-/// `MAX_REQUEST_LINE_BYTES` is answered as malformed and ends the
-/// session.
+/// `MAX_REQUEST_LINE_BYTES` is answered with [`ServeError::TooLarge`]
+/// and ends the session.
 ///
 /// # Errors
 ///
@@ -1400,10 +1409,17 @@ fn serve_session<R: BufRead, W: Write>(
                 Err(e) => return Err(e),
             }
         };
+        if end == LineEnd::TooLong {
+            // The rest of the line is never read, so the session ends here.
+            report.protocol_errors += 1;
+            let limit = MAX_REQUEST_LINE_BYTES as u64;
+            encode_reply_into(None, &Err(ServeError::TooLarge { limit }), &mut reply);
+            reply.push('\n');
+            writer.write_all(reply.as_bytes())?;
+            writer.flush()?;
+            return Ok(report);
+        }
         let decoded = match std::str::from_utf8(&line) {
-            _ if end == LineEnd::TooLong => Err(malformed(format!(
-                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
-            ))),
             Err(e) => Err(malformed(format!("request line is not UTF-8: {e}"))),
             Ok(text) if text.trim().is_empty() => {
                 if end == LineEnd::Eof {
@@ -1933,6 +1949,7 @@ mod tests {
                 message: "injected fault: worker panic".into(),
             },
             ServeError::BadRequest("no".into()),
+            ServeError::TooLarge { limit: 1 << 20 },
             ServeError::Shutdown,
         ] {
             let line = encode_reply(Some(7), &Err(err.clone()));
@@ -2037,12 +2054,15 @@ mod tests {
     /// A newline-free line twice the request-line cap.
     const OVERSIZED: usize = 2 << 20;
 
-    fn assert_malformed(reply: &str) {
+    fn assert_too_large(reply: &str) {
         let (id, outcome) = decode_reply(reply).unwrap();
         assert_eq!(id, None);
-        assert!(
-            matches!(outcome, Err(ServeError::BadRequest(_))),
-            "{outcome:?}"
+        let limit = MAX_REQUEST_LINE_BYTES as u64;
+        assert_eq!(outcome.unwrap_err(), ServeError::TooLarge { limit });
+        let v = Json::parse(reply).unwrap();
+        assert_eq!(
+            v.get("err").unwrap().get("code").unwrap().str_().unwrap(),
+            "too-large"
         );
     }
 
@@ -2062,7 +2082,7 @@ mod tests {
         );
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
         assert_eq!(lines.len(), 1);
-        assert_malformed(lines[0]);
+        assert_too_large(lines[0]);
         // The session stopped reading at the cap.
         assert_eq!(reader.len(), OVERSIZED - MAX_REQUEST_LINE_BYTES);
     }
@@ -2084,7 +2104,7 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
-        assert_malformed(reply.trim_end());
+        assert_too_large(reply.trim_end());
         // Then the session is gone: EOF, or a reset for the unread bytes.
         let mut rest = String::new();
         assert!(

@@ -220,7 +220,9 @@ fn injected_faults_over_tcp_keep_completed_replies_bit_identical_and_accounted()
     let mut count = |outcome: &Result<Reply, ServeError>| match outcome {
         Ok(_) => tally[0] += 1,
         Err(ServeError::Faulted { .. }) => tally[1] += 1,
-        Err(ServeError::Overloaded(_) | ServeError::BadRequest(_)) => tally[2] += 1,
+        Err(
+            ServeError::Overloaded(_) | ServeError::BadRequest(_) | ServeError::TooLarge { .. },
+        ) => tally[2] += 1,
         Err(ServeError::Timeout { .. }) => tally[3] += 1,
         Err(ServeError::Shutdown) => panic!("server shut down mid-stream"),
     };

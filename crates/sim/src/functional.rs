@@ -51,6 +51,12 @@
 //! reported field, and large column counts become feasible (the scratch
 //! no longer scales with `ncols`).
 //!
+//! Each worker thread keeps its scratch between work items, runs and
+//! served requests: one SPA, reshaped to exactly each block's extent,
+//! and a free list of item output buffers. What a thread keeps idle is
+//! capped per family by the run's budget, so steady-state runs on warm
+//! threads allocate no scratch ([`scratch_pool_stats`] counts it).
+//!
 //! # Work items, grid parallelism and traffic accounting
 //!
 //! Every entry point runs one executor over *work items*: a row panel
@@ -88,13 +94,13 @@
 //! the retained seed engine [`reference_run`].
 
 use crate::exec::{run_balanced, BufferParams, ExecutionPlan, GridMode, MemBudget, PlanUnit};
+use std::cell::RefCell;
 use std::sync::Arc;
+use std::thread::ThreadId;
 use tailors_eddo::replay::{replay_buffet, replay_tailor};
 use tailors_eddo::{EddoError, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
-use tailors_tensor::storage::{
-    MmapStorage, PanelBuffers, PoolHandle, PoolStats, ScratchPool, ShapeClass, SpillTile,
-};
+use tailors_tensor::storage::{MmapStorage, PanelBuffers, PoolStats, SpillTile};
 use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
 
 /// A structurally invalid engine configuration, reported through the
@@ -488,6 +494,14 @@ fn run_items<O: Operand>(
     let z = CsrMatrix::from_parts(n, n, row_ptr, cols, vals)
         .expect("item emission produces canonical CSR");
     let traffic: Vec<UnitTraffic> = outputs.iter().map(|o| o.traffic).collect();
+    // Buffers go back to the thread that filled them if that is this one;
+    // a scoped worker's scratch ended with the worker.
+    let here = std::thread::current().id();
+    SCRATCH.with_borrow_mut(|s| {
+        for o in outputs.into_iter().filter(|o| o.home == here) {
+            s.put_bufs(o.out);
+        }
+    });
     let result = FunctionalResult {
         z,
         dram_a_fetches: traffic.iter().map(|t| t.dram_a_fetches).sum(),
@@ -547,11 +561,11 @@ pub fn run_grid(
 }
 
 /// Output of one work item: its blocks' rows drained one block after
-/// another into pooled assembly buffers (the stitch reads through the
-/// handle, and dropping it returns the buffers to the worker's scratch
-/// slab), plus the item's traffic.
+/// another into assembly buffers taken from the scratch of thread
+/// `home`, plus the item's traffic.
 struct ItemOutput {
-    out: PoolHandle<PanelBuffers>,
+    out: PanelBuffers,
+    home: ThreadId,
     traffic: UnitTraffic,
 }
 
@@ -720,61 +734,161 @@ fn run_item<O: Operand>(
         .sum();
     let first = item.blocks.start == 0;
     let dram_a = traversals * r + if first { occ - r } else { 0 };
-    // The item's first block is its widest (only a plan's last block can
-    // be narrower), so its shape class bounds every block's scratch.
-    let (first_cols, _) = plan.block_extent(item.blocks.start);
-    let class = ShapeClass::of(rows.len(), first_cols.len());
     op.with_panel(rows.start, rows.end, |panel| {
-        // SPA scratch and assembly buffers both come out of the worker's
-        // scratch pool by shape class, so steady-state runs on warm
-        // threads allocate nothing here. Extraction restores the SPA's
-        // all-zero invariant as it goes.
-        SCRATCH_POOL.with(|pool| {
-            pool.set_retention(config.mem_budget.limit_bytes());
-            let mut spa = pool.checkout_spa(class);
-            let mut out = pool.checkout_buffers(class);
-            for bi in item.blocks.clone() {
-                let unit = plan.unit(item.panel, bi);
-                run_block_dispatch(op, &mut spa, &panel, &unit, &mut out)?;
-            }
-            Ok(ItemOutput {
-                out,
-                traffic: UnitTraffic {
-                    row_panel: item.panel,
-                    col_block: item.blocks.start,
-                    dram_a_fetches: dram_a,
-                    dram_b_fetches: dram_b,
-                    overbooked: occ > config.capacity as u64 && first,
-                },
-            })
+        // The SPA and assembly buffers come from the worker's scratch, so
+        // steady-state runs on warm threads allocate nothing here. Each
+        // block reshapes the SPA to exactly its own extent, and extraction
+        // restores the all-zero invariant as it goes.
+        let (mut spa, mut out) = SCRATCH.with_borrow_mut(|s| {
+            s.set_cap(config.mem_budget.limit_bytes());
+            (s.take_spa(), s.take_bufs())
+        });
+        out.row_lens.reserve(rows.len() * item.blocks.len());
+        let run = item.blocks.clone().try_for_each(|bi| {
+            let unit = plan.unit(item.panel, bi);
+            run_block_dispatch(op, &mut spa, &panel, &unit, &mut out)
+        });
+        SCRATCH.with_borrow_mut(|s| s.put_spa(spa));
+        run?;
+        Ok(ItemOutput {
+            out,
+            home: std::thread::current().id(),
+            traffic: UnitTraffic {
+                row_panel: item.panel,
+                col_block: item.blocks.start,
+                dram_a_fetches: dram_a,
+                dram_b_fetches: dram_b,
+                overbooked: occ > config.capacity as u64 && first,
+            },
         })
     })
 }
 
-thread_local! {
-    /// Per-thread scratch pool for [`run_item`]: SPA accumulators
-    /// (all-zero between items by construction — extraction drains them)
-    /// and item assembly buffers, recycled by shape class across items,
-    /// runs, and served requests on the same thread. One SPA serves both dispatch kernels —
-    /// [`DenseMode`] is a view over it — so the per-thread footprint
-    /// stays within the planner's budget no matter how blocks dispatch;
-    /// retention is re-capped from each run's `MemBudget`.
-    static SCRATCH_POOL: ScratchPool = ScratchPool::new();
+/// The engine scratch one thread keeps between work items: one SPA and a
+/// free list of item output buffers. One SPA serves both dispatch
+/// kernels ([`DenseMode`] is a view over it), and [`run_block`] reshapes
+/// it to each block's exact extent; it only grows, so it holds the
+/// largest block this thread has run since it was last dropped.
+///
+/// What the thread keeps idle is capped per family by the current run's
+/// [`MemBudget`] limit, in the coin the planner sizes scratch by: a SPA's
+/// dense slots at 8 bytes each (its occupancy mask and touched lists are
+/// not counted), the buffers by heap capacity. Anything over the cap is
+/// dropped and counted as an eviction.
+#[derive(Debug, Default)]
+struct Scratch {
+    spa: Option<BlockedSpa>,
+    bufs: Vec<PanelBuffers>,
+    /// Heap bytes of `bufs`.
+    buf_bytes: u64,
+    cap: Option<u64>,
+    stats: PoolStats,
 }
 
-/// Counters of the **calling thread's** engine scratch pool (each worker
+/// A SPA's retention charge: its dense slots at 8 bytes each.
+fn spa_bytes(spa: &BlockedSpa) -> u64 {
+    (spa.capacity_slots() * core::mem::size_of::<f64>()) as u64
+}
+
+impl Scratch {
+    fn fits(&self, bytes: u64) -> bool {
+        self.cap.is_none_or(|cap| bytes <= cap)
+    }
+
+    /// Sets the retention cap and evicts idle inventory over it.
+    fn set_cap(&mut self, cap: Option<u64>) {
+        self.cap = cap;
+        if self
+            .spa
+            .as_ref()
+            .is_some_and(|spa| !self.fits(spa_bytes(spa)))
+        {
+            self.spa = None;
+            self.stats.evictions += 1;
+        }
+        while !self.fits(self.buf_bytes) {
+            let bufs = self.bufs.pop().expect("over the cap means some bytes");
+            self.buf_bytes -= bufs.heap_bytes();
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn count_checkout(&mut self, hit: bool) {
+        self.stats.checkouts += 1;
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
+    }
+
+    fn take_spa(&mut self) -> BlockedSpa {
+        let spa = self.spa.take();
+        self.count_checkout(spa.is_some());
+        spa.unwrap_or_default()
+    }
+
+    /// Keeps `spa` (drained, so all-zero) if it fits the cap.
+    fn put_spa(&mut self, spa: BlockedSpa) {
+        self.stats.returns += 1;
+        if self.fits(spa_bytes(&spa)) {
+            self.spa = Some(spa);
+        } else {
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn take_bufs(&mut self) -> PanelBuffers {
+        let bufs = self.bufs.pop();
+        self.count_checkout(bufs.is_some());
+        let bufs = bufs.unwrap_or_default();
+        self.buf_bytes -= bufs.heap_bytes();
+        bufs
+    }
+
+    /// Keeps `bufs`, emptied, if they fit the cap beside those kept.
+    fn put_bufs(&mut self, mut bufs: PanelBuffers) {
+        self.stats.returns += 1;
+        let bytes = bufs.heap_bytes();
+        if self.fits(self.buf_bytes + bytes) {
+            bufs.clear();
+            self.buf_bytes += bytes;
+            self.bufs.push(bufs);
+        } else {
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn stats(&self) -> PoolStats {
+        PoolStats {
+            resident_bytes: self.spa.as_ref().map_or(0, spa_bytes) + self.buf_bytes,
+            ..self.stats
+        }
+    }
+
+    fn clear(&mut self) {
+        self.spa = None;
+        self.bufs.clear();
+        self.buf_bytes = 0;
+    }
+}
+
+thread_local! {
+    /// Per-thread scratch for [`run_item`], reused across items, runs and
+    /// served requests on the same thread.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Counters of the **calling thread's** engine scratch (each worker
 /// thread keeps its own; a serve runtime worker reports its own numbers).
 /// `misses` staying flat across warmed runs is what "the kernel path
 /// allocates nothing" looks like from the inside; the allocator-level
 /// regression test in `tailors-serve` pins it from the outside.
 pub fn scratch_pool_stats() -> PoolStats {
-    SCRATCH_POOL.with(|pool| pool.stats())
+    SCRATCH.with_borrow(Scratch::stats)
 }
 
-/// Frees the calling thread's idle pooled scratch (outstanding handles
-/// are unaffected). Useful for tests that want a cold pool.
+/// Frees the calling thread's idle engine scratch. Useful for tests that
+/// want a cold start.
 pub fn clear_scratch_pool() {
-    SCRATCH_POOL.with(|pool| pool.clear());
+    SCRATCH.with_borrow_mut(Scratch::clear);
 }
 
 /// Executes the tiled dataflow against a file-backed operand
@@ -1566,5 +1680,97 @@ mod tests {
         assert_eq!(new.z, old.z);
         assert_eq!(new.dram_a_fetches, old.dram_a_fetches);
         assert_eq!(new.dram_b_fetches, old.dram_b_fetches);
+    }
+
+    #[test]
+    fn scratch_recycles_spa_and_buffers() {
+        let mut scratch = Scratch::default();
+        let mut spa = scratch.take_spa();
+        spa.reset_shape(16, 200);
+        spa.accumulate(3, 17, 1.0);
+        let mut out = scratch.take_bufs();
+        spa.drain_row(3, 0, &mut out.cols, &mut out.vals);
+        scratch.put_spa(spa);
+        scratch.put_bufs(out);
+        let stats = scratch.stats();
+        assert_eq!((stats.checkouts, stats.misses, stats.returns), (2, 2, 2));
+        assert!(stats.resident_bytes >= 16 * 200 * 8);
+        // Recycled: the SPA keeps its exact extent, the buffers come back
+        // empty with their capacity.
+        assert_eq!(scratch.take_spa().capacity_slots(), 16 * 200);
+        let out = scratch.take_bufs();
+        assert!(out.cols.is_empty() && out.cols.capacity() > 0);
+        let stats = scratch.stats();
+        assert_eq!(
+            (stats.checkouts, stats.hits, stats.resident_bytes),
+            (4, 2, 0)
+        );
+    }
+
+    #[test]
+    fn returned_spa_is_clear_on_next_checkout() {
+        let mut scratch = Scratch::default();
+        let mut spa = scratch.take_spa();
+        spa.reset_shape(4, 64);
+        spa.accumulate(0, 1, 2.0);
+        let (mut c, mut v) = (Vec::new(), Vec::new());
+        spa.drain_row(0, 0, &mut c, &mut v);
+        assert_eq!((c, v), (vec![1], vec![2.0]));
+        scratch.put_spa(spa);
+        let mut spa = scratch.take_spa();
+        assert!(spa.is_clear());
+        // A narrower reshape reuses the allocation.
+        spa.reset_shape(2, 64);
+        spa.accumulate(1, 1, 5.0);
+        let (mut c, mut v) = (Vec::new(), Vec::new());
+        spa.drain_row(1, 0, &mut c, &mut v);
+        assert_eq!((c, v), (vec![1], vec![5.0]));
+        assert_eq!(spa.capacity_slots(), 4 * 64);
+    }
+
+    #[test]
+    fn retention_cap_evicts_idle_inventory() {
+        let mut scratch = Scratch::default();
+        scratch.set_cap(Some(0));
+        let mut spa = scratch.take_spa();
+        spa.reset_shape(8, 512);
+        scratch.put_spa(spa);
+        let mut out = scratch.take_bufs();
+        out.cols.push(1);
+        scratch.put_bufs(out);
+        let stats = scratch.stats();
+        assert_eq!((stats.returns, stats.evictions), (2, 2));
+        assert_eq!(stats.resident_bytes, 0);
+        // Next checkouts miss again: nothing was retained.
+        scratch.take_spa();
+        scratch.take_bufs();
+        assert_eq!(scratch.stats().misses, 4);
+    }
+
+    #[test]
+    fn retention_counts_dense_slots() {
+        let mut scratch = Scratch::default();
+        let mut spa = scratch.take_spa();
+        spa.reset_shape(8, 128);
+        // A cap of exactly the SPA's dense slots holds it: the occupancy
+        // mask and touched lists are not charged.
+        scratch.set_cap(Some(8 * 128 * 8));
+        scratch.put_spa(spa);
+        let stats = scratch.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (0, 8 * 128 * 8));
+        // A tighter cap evicts the idle SPA at once.
+        scratch.set_cap(Some(8 * 128 * 8 - 1));
+        let stats = scratch.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (1, 0));
+        // Buffers are kept while their heap bytes fit beside those kept.
+        scratch.set_cap(Some(64 * 8));
+        for _ in 0..3 {
+            scratch.put_bufs(PanelBuffers {
+                vals: Vec::with_capacity(32),
+                ..PanelBuffers::default()
+            });
+        }
+        let stats = scratch.stats();
+        assert_eq!((stats.evictions, stats.resident_bytes), (2, 64 * 8));
     }
 }

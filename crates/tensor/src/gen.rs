@@ -272,20 +272,11 @@ impl GenSpec {
         // Distribute the rounding remainder to the highest-weighted rows so
         // the total hits the target exactly (pre-dedup).
         let assigned: usize = degrees.iter().sum();
-        let mut remainder = self.target_nnz.saturating_sub(assigned);
-        if remainder > 0 {
-            let mut order: Vec<usize> = (0..self.nrows).collect();
-            order.sort_unstable_by(|&a, &b| {
-                weights[b].partial_cmp(&weights[a]).expect("finite weights")
-            });
-            for &r in order.iter().cycle().take(remainder) {
-                degrees[r] += 1;
-                remainder -= 1;
-                if remainder == 0 {
-                    break;
-                }
-            }
-        }
+        bump_heaviest(
+            &mut degrees,
+            weights,
+            self.target_nnz.saturating_sub(assigned),
+        );
         // No row can exceed the column count.
         for d in &mut degrees {
             *d = (*d).min(self.ncols);
@@ -571,6 +562,47 @@ fn value(rng: &mut StdRng) -> f64 {
     0.5 + rng.gen::<f64>()
 }
 
+/// Adds one to the degree of each of the `remainder` heaviest rows, in
+/// descending weight order, cycling through all rows again while any
+/// remainder is left.
+///
+/// Usually the remainder is smaller than the row count and the rows it
+/// reaches are set apart from the rest by weight alone; a selection then
+/// finds them in linear time and bumps each once. When a tie straddles
+/// the boundary, or the remainder wraps, the rows are fully sorted. The
+/// bits of tied rows then depend on the order std's unstable sort leaves
+/// them in: a toolchain upgrade can move them, and the generator-bit pins
+/// in `crates/workloads/tests/suite_pins.rs` catch it.
+fn bump_heaviest(degrees: &mut [usize], weights: &[f64], remainder: usize) {
+    if remainder == 0 {
+        return;
+    }
+    let heavier = |a: &usize, b: &usize| {
+        weights[*b]
+            .partial_cmp(&weights[*a])
+            .expect("finite weights")
+    };
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    if remainder < order.len() {
+        let (top, pivot, _) = order.select_nth_unstable_by(remainder, heavier);
+        let cut = weights[*pivot];
+        if top.iter().all(|&r| weights[r] > cut) {
+            for &r in top.iter() {
+                degrees[r] += 1;
+            }
+            return;
+        }
+        // The full sort starts from row order: tied rows' bits depend on it.
+        for (i, r) in order.iter_mut().enumerate() {
+            *r = i;
+        }
+    }
+    order.sort_unstable_by(heavier);
+    for &r in order.iter().cycle().take(remainder) {
+        degrees[r] += 1;
+    }
+}
+
 /// Seed-mixing constant so `seed(0)` does not collide with `StdRng` defaults
 /// elsewhere in the workspace.
 const SEED_MIX: u64 = 0x7A11_0B5E_ED5E_ED00;
@@ -662,6 +694,49 @@ mod tests {
             (s.max as f64) < 1.5 * s.mean,
             "uniform scatter should have even panels: {s:?}"
         );
+    }
+
+    /// The remainder bump as a full descending sort, cycling.
+    fn bump_by_full_sort(degrees: &mut [usize], weights: &[f64], remainder: usize) {
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_unstable_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap());
+        for &r in order.iter().cycle().take(remainder) {
+            degrees[r] += 1;
+        }
+    }
+
+    #[test]
+    fn selected_remainder_bumps_the_rows_a_full_sort_bumps() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..200 {
+            let n = rng.gen_range(1..80usize);
+            // Odd cases draw from a few levels, so ties are common,
+            // including across the selection boundary.
+            let weights: Vec<f64> = (0..n)
+                .map(|_| match case % 2 {
+                    0 => rng.gen::<f64>(),
+                    _ => rng.gen_range(0..4u32) as f64,
+                })
+                .collect();
+            let remainder = rng.gen_range(0..2 * n + 2);
+            let base: Vec<usize> = (0..n).map(|_| rng.gen_range(0..5usize)).collect();
+            let (mut got, mut want) = (base.clone(), base);
+            bump_heaviest(&mut got, &weights, remainder);
+            bump_by_full_sort(&mut want, &weights, remainder);
+            assert_eq!(
+                got, want,
+                "case {case}: weights {weights:?}, remainder {remainder}"
+            );
+        }
+        // A tie exactly at the boundary: two of three rows share the
+        // second-heaviest weight and only one of them is bumped.
+        let weights = [1.0, 3.0, 1.0];
+        let (mut got, mut want) = (vec![0; 3], vec![0; 3]);
+        bump_heaviest(&mut got, &weights, 2);
+        bump_by_full_sort(&mut want, &weights, 2);
+        assert_eq!(got, want);
+        assert_eq!(got.iter().sum::<usize>(), 2);
+        assert_eq!(got[1], 1);
     }
 
     #[test]

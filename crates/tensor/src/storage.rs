@@ -1,106 +1,38 @@
 //! Storage handles: where tensor and scratch bytes live.
 //!
-//! Two places bytes can come from besides a fresh heap allocation:
-//!
-//! * [`SlabStorage`] — a keyed arena that recycles allocations by
-//!   [`ShapeClass`] (power-of-two buckets of a plan unit's rows × width).
-//!   Checkout pops a warm buffer and [`PoolItem::prepare`]s it; dropping
-//!   the [`PoolHandle`] returns the buffer to its slab. Retained bytes are
-//!   capped by [`SlabStorage::set_retention`], so pooled scratch counts
-//!   against the same memory budget the planner already honors, in the
-//!   planner's own coin ([`PoolItem::budget_bytes`]).
+//! * [`PanelBuffers`] and [`PoolStats`] — the engine's reusable output
+//!   buffers and the counters of its per-thread scratch.
+//!   `tailors_sim::functional` keeps one [`crate::ops::BlockedSpa`] and a
+//!   free list of [`PanelBuffers`] per worker thread, reshapes the SPA
+//!   exactly to each block, and caps what a thread keeps idle by the
+//!   run's memory budget, so steady-state serving performs no heap
+//!   allocation in the kernel + assembly path.
 //! * [`MmapStorage`] — read-only file-backed CSR payloads with
 //!   panel-granular residency: the operand's row pointers stay resident,
 //!   row-panel payloads and column-tile segments of `B = Aᵀ` are paged in
 //!   on demand through a clock-LRU tile cache bounded by a byte budget.
 //!   This is the spill tier that lets matrices larger than RAM stream
 //!   through the planner's existing row-panel × column-block working sets.
-//!
-//! The engine-facing composition is [`ScratchPool`]: one slab per scratch
-//! family (SPA accumulators, work-item output buffers), kept per worker
-//! thread by `tailors_sim::functional` so steady-state serving performs no
-//! heap allocation in the kernel + assembly path.
 
-use crate::ops::BlockedSpa;
 use crate::CsrMatrix;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 // ---------------------------------------------------------------------------
-// Shape classes
+// Engine scratch
 // ---------------------------------------------------------------------------
-
-/// A power-of-two bucket of plan-unit scratch shapes.
-///
-/// Pool keys must collide across *similar* shapes or a pool serving mixed
-/// workloads retains one buffer per exact shape and recycles nothing.
-/// Bucketing rows and width up to the next power of two bounds internal
-/// waste at 4× slots while collapsing the long tail of near-identical
-/// plan units onto shared slabs. [`PoolItem::prepare`] sizes a buffer for
-/// the *class* bounds, so every later in-shape resize is allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ShapeClass {
-    /// Bucketed row count (power of two, at least 1).
-    pub rows: u32,
-    /// Bucketed width (power of two, at least 1).
-    pub width: u32,
-}
-
-impl ShapeClass {
-    /// Buckets an actual `rows × width` scratch shape.
-    pub fn of(rows: usize, width: usize) -> Self {
-        fn bucket(v: usize) -> u32 {
-            v.max(1)
-                .next_power_of_two()
-                .min(u32::MAX as usize)
-                .try_into()
-                .expect("bucket bounded by u32::MAX")
-        }
-        Self {
-            rows: bucket(rows),
-            width: bucket(width),
-        }
-    }
-}
-
-/// A buffer a [`SlabStorage`] can recycle.
-pub trait PoolItem: Default + Send + 'static {
-    /// Readies the buffer for a checkout of shape class `class`: clear
-    /// logical contents (keeping capacity) and grow backing storage to the
-    /// class bounds, so subsequent in-shape use allocates nothing.
-    fn prepare(&mut self, class: ShapeClass);
-    /// Bytes the buffer charges against the slab's retention cap while
-    /// idle, in the coin the memory budget sizes the buffer by.
-    fn budget_bytes(&self) -> u64;
-}
-
-impl PoolItem for BlockedSpa {
-    fn prepare(&mut self, class: ShapeClass) {
-        // Pre-grow to the class bounds; the engine's own `reset_shape`
-        // calls (always ≤ the class by construction) then never allocate.
-        self.reset_shape(class.rows as usize, class.width as usize);
-    }
-
-    /// The dense slots at 8 bytes each: the planner sizes a block's
-    /// scratch in exactly this coin, so a SPA that fills the budget also
-    /// fits the retention cap. The occupancy mask (1/64 of the dense
-    /// bytes) and the per-row touched lists are not counted.
-    fn budget_bytes(&self) -> u64 {
-        (self.capacity_slots() * core::mem::size_of::<f64>()) as u64
-    }
-}
 
 /// The output-assembly buffers of one engine work item: per-row lengths
 /// and the item's concatenated column/value pairs. An item drains its
 /// column blocks one after another, so `row_lens` holds one entry per
 /// panel row per block.
 ///
-/// Pooled as one unit because they live and die together: an item checks
-/// the whole set out, fills it, and the stitch releases it back to the
-/// slab when the output has been spliced into the result CSR.
+/// Reused as one unit because they live and die together: an item takes
+/// the whole set, fills it, and the stitch gives it back once the output
+/// has been spliced into the result CSR.
 #[derive(Debug, Clone, Default)]
 pub struct PanelBuffers {
     /// Per-row output lengths, block after block.
@@ -111,48 +43,43 @@ pub struct PanelBuffers {
     pub vals: Vec<f64>,
 }
 
-impl PoolItem for PanelBuffers {
-    fn prepare(&mut self, class: ShapeClass) {
+impl PanelBuffers {
+    /// Empties the three vectors, keeping their capacity.
+    pub fn clear(&mut self) {
         self.row_lens.clear();
         self.cols.clear();
         self.vals.clear();
-        self.row_lens.reserve(class.rows as usize);
     }
 
-    /// Heap capacity of the three vectors.
-    fn budget_bytes(&self) -> u64 {
+    /// Heap capacity of the three vectors, in bytes.
+    pub fn heap_bytes(&self) -> u64 {
         (self.row_lens.capacity() * core::mem::size_of::<usize>()
             + self.cols.capacity() * 4
             + self.vals.capacity() * 8) as u64
     }
 }
 
-// ---------------------------------------------------------------------------
-// Slab storage
-// ---------------------------------------------------------------------------
-
-/// Counters describing a slab (or merged [`ScratchPool`]) history.
+/// Counters of a thread's engine scratch (or several threads' merged).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Buffers handed out.
     pub checkouts: u64,
-    /// Checkouts served from slab inventory (no allocation).
+    /// Checkouts served from idle inventory (no allocation).
     pub hits: u64,
     /// Checkouts that fell back to a fresh allocation.
     pub misses: u64,
-    /// Handles returned to the slab.
+    /// Buffers given back after use.
     pub returns: u64,
     /// Idle buffers freed to respect the retention cap.
     pub evictions: u64,
-    /// Bytes currently held by idle slab inventory, counted in
-    /// [`PoolItem::budget_bytes`].
+    /// Bytes currently held by idle inventory: a SPA's dense slots at 8
+    /// bytes each, buffers by heap capacity.
     pub resident_bytes: u64,
 }
 
 impl PoolStats {
-    /// Combines two counter snapshots field-by-field — e.g. the two slab
-    /// families of a [`ScratchPool`], or one pool per worker thread
-    /// rolled up into a service-wide view.
+    /// Combines two counter snapshots field-by-field — e.g. one per
+    /// worker thread rolled up into a service-wide view.
     pub fn merge(self, other: PoolStats) -> PoolStats {
         PoolStats {
             checkouts: self.checkouts + other.checkouts,
@@ -162,221 +89,6 @@ impl PoolStats {
             evictions: self.evictions + other.evictions,
             resident_bytes: self.resident_bytes + other.resident_bytes,
         }
-    }
-}
-
-#[derive(Debug)]
-struct SlabState<T> {
-    /// Idle inventory by shape class. Invariant: no empty buckets.
-    /// `BTreeMap` so eviction order is deterministic.
-    by_class: BTreeMap<ShapeClass, Vec<T>>,
-    resident_bytes: u64,
-    retain: Option<u64>,
-    stats: PoolStats,
-}
-
-impl<T> Default for SlabState<T> {
-    fn default() -> Self {
-        Self {
-            by_class: BTreeMap::new(),
-            resident_bytes: 0,
-            retain: None,
-            stats: PoolStats::default(),
-        }
-    }
-}
-
-fn lock_state<T>(state: &Mutex<SlabState<T>>) -> MutexGuard<'_, SlabState<T>> {
-    // A panicking holder leaves the inventory structurally intact (every
-    // mutation is a single push/pop), so poisoning is not a correctness
-    // signal here — recover the guard.
-    state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A keyed arena recycling buffers by [`ShapeClass`].
-///
-/// Cloning shares the underlying slab (handles may outlive the clone they
-/// were checked out from). Thread-safe; the engine keeps one per worker
-/// thread so the lock is uncontended on the hot path.
-#[derive(Debug, Clone, Default)]
-pub struct SlabStorage<T: PoolItem> {
-    state: Arc<Mutex<SlabState<T>>>,
-}
-
-impl<T: PoolItem> SlabStorage<T> {
-    /// Creates an empty slab with unbounded retention.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks a buffer of class `class` out of the slab (recycling idle
-    /// inventory when available), prepared per [`PoolItem::prepare`].
-    pub fn checkout(&self, class: ShapeClass) -> PoolHandle<T> {
-        let mut item = {
-            let mut st = lock_state(&self.state);
-            st.stats.checkouts += 1;
-            match st.by_class.get_mut(&class).and_then(Vec::pop) {
-                Some(item) => {
-                    if st.by_class.get(&class).is_some_and(Vec::is_empty) {
-                        st.by_class.remove(&class);
-                    }
-                    st.stats.hits += 1;
-                    st.resident_bytes -= item.budget_bytes();
-                    st.stats.resident_bytes = st.resident_bytes;
-                    item
-                }
-                None => {
-                    st.stats.misses += 1;
-                    T::default()
-                }
-            }
-        };
-        item.prepare(class);
-        PoolHandle {
-            item: Some(item),
-            class,
-            home: Arc::clone(&self.state),
-        }
-    }
-
-    /// Caps the bytes idle inventory may hold; `None` is unbounded.
-    /// Enforced at return time, evicting largest-class buffers first but
-    /// the class just returned last (see [`PoolHandle`]'s drop).
-    pub fn set_retention(&self, cap: Option<u64>) {
-        let mut st = lock_state(&self.state);
-        st.retain = cap;
-        evict_over_cap(&mut st, None);
-    }
-
-    /// Slab counters since construction.
-    pub fn stats(&self) -> PoolStats {
-        lock_state(&self.state).stats
-    }
-
-    /// Frees all idle inventory (outstanding handles are unaffected and
-    /// still return to the slab on drop).
-    pub fn clear(&self) {
-        let mut st = lock_state(&self.state);
-        st.by_class.clear();
-        st.resident_bytes = 0;
-        st.stats.resident_bytes = 0;
-    }
-}
-
-/// Evicts idle buffers until the retention cap holds: largest class
-/// first, except that `keep` (the class just returned) goes last.
-/// Otherwise an idle small buffer, such as a ragged last block's SPA,
-/// would make every larger buffer returned after it evict itself, and
-/// every later checkout of that larger class would miss.
-fn evict_over_cap<T: PoolItem>(st: &mut SlabState<T>, keep: Option<ShapeClass>) {
-    if let Some(cap) = st.retain {
-        while st.resident_bytes > cap {
-            let others_first = st.by_class.keys().rev().find(|&&c| Some(c) != keep);
-            let Some(&class) = others_first.or_else(|| st.by_class.keys().next()) else {
-                break;
-            };
-            let bucket = st.by_class.get_mut(&class).expect("class is present");
-            let victim = bucket.pop().expect("no empty buckets");
-            if bucket.is_empty() {
-                st.by_class.remove(&class);
-            }
-            st.resident_bytes -= victim.budget_bytes();
-            st.stats.evictions += 1;
-        }
-    }
-    st.stats.resident_bytes = st.resident_bytes;
-}
-
-/// An owned, prepared buffer checked out of a [`SlabStorage`]. Dropping
-/// it returns the buffer to its slab.
-#[derive(Debug)]
-pub struct PoolHandle<T: PoolItem> {
-    /// `Some` until drop; taken exactly once by `Drop`.
-    item: Option<T>,
-    class: ShapeClass,
-    home: Arc<Mutex<SlabState<T>>>,
-}
-
-impl<T: PoolItem> PoolHandle<T> {
-    /// The shape class this handle was checked out with.
-    pub fn class(&self) -> ShapeClass {
-        self.class
-    }
-}
-
-impl<T: PoolItem> core::ops::Deref for PoolHandle<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.item.as_ref().expect("pool handle accessed after drop")
-    }
-}
-
-impl<T: PoolItem> core::ops::DerefMut for PoolHandle<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.item.as_mut().expect("pool handle accessed after drop")
-    }
-}
-
-impl<T: PoolItem> Drop for PoolHandle<T> {
-    fn drop(&mut self) {
-        if let Some(item) = self.item.take() {
-            let mut st = lock_state(&self.home);
-            st.stats.returns += 1;
-            st.resident_bytes += item.budget_bytes();
-            st.by_class.entry(self.class).or_default().push(item);
-            evict_over_cap(&mut st, Some(self.class));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The engine-facing scratch pool
-// ---------------------------------------------------------------------------
-
-/// One slab per scratch family the engine checks out: the per-unit
-/// [`BlockedSpa`] accumulator and the per-work-item [`PanelBuffers`] output
-/// set. `tailors_sim::functional` keeps one per worker thread; a serve
-/// runtime worker therefore reuses the same warm buffers request after
-/// request, which is what makes the steady-state hot path allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct ScratchPool {
-    spa: SlabStorage<BlockedSpa>,
-    bufs: SlabStorage<PanelBuffers>,
-}
-
-impl ScratchPool {
-    /// Creates an empty pool with unbounded retention.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks out a SPA accumulator for a `class`-shaped plan unit.
-    pub fn checkout_spa(&self, class: ShapeClass) -> PoolHandle<BlockedSpa> {
-        self.spa.checkout(class)
-    }
-
-    /// Checks out a work item's output-assembly buffer set.
-    pub fn checkout_buffers(&self, class: ShapeClass) -> PoolHandle<PanelBuffers> {
-        self.bufs.checkout(class)
-    }
-
-    /// Caps idle bytes retained *per family* (`None` is unbounded). The
-    /// engine passes its `MemBudget` limit through here, so pooled scratch
-    /// answers to the same budget the planner sized the working sets for.
-    pub fn set_retention(&self, cap: Option<u64>) {
-        self.spa.set_retention(cap);
-        self.bufs.set_retention(cap);
-    }
-
-    /// Merged counters across both families.
-    pub fn stats(&self) -> PoolStats {
-        self.spa.stats().merge(self.bufs.stats())
-    }
-
-    /// Frees all idle inventory in both families.
-    pub fn clear(&self) {
-        self.spa.clear();
-        self.bufs.clear();
     }
 }
 
@@ -875,116 +587,16 @@ mod tests {
     use crate::gen::GenSpec;
 
     #[test]
-    fn shape_class_buckets_to_powers_of_two() {
-        assert_eq!(ShapeClass::of(0, 0), ShapeClass { rows: 1, width: 1 });
-        assert_eq!(ShapeClass::of(1, 64), ShapeClass { rows: 1, width: 64 });
-        assert_eq!(
-            ShapeClass::of(33, 100),
-            ShapeClass {
-                rows: 64,
-                width: 128
-            }
-        );
-        // Same bucket → same slab key.
-        assert_eq!(ShapeClass::of(33, 100), ShapeClass::of(64, 65));
-    }
-
-    #[test]
-    fn slab_recycles_by_class() {
-        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        let class = ShapeClass::of(16, 200);
-        {
-            let mut spa = slab.checkout(class);
-            spa.accumulate(3, 17, 1.0);
-            let (mut c, mut v) = (Vec::new(), Vec::new());
-            spa.drain_row(3, 0, &mut c, &mut v);
-        }
-        let stats = slab.stats();
-        assert_eq!((stats.checkouts, stats.misses, stats.returns), (1, 1, 1));
-        assert!(stats.resident_bytes > 0);
-        {
-            let spa = slab.checkout(class);
-            // Recycled: already grown to the class bounds.
-            assert!(spa.capacity_slots() >= 16 * 200);
-        }
-        let stats = slab.stats();
-        assert_eq!((stats.checkouts, stats.hits), (2, 1));
-    }
-
-    #[test]
-    fn returned_spa_is_prepared_clear_on_next_checkout() {
-        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        let class = ShapeClass::of(4, 64);
-        {
-            let mut spa = slab.checkout(class);
-            spa.accumulate(0, 1, 2.0);
-            let (mut c, mut v) = (Vec::new(), Vec::new());
-            spa.drain_row(0, 0, &mut c, &mut v);
-            assert_eq!((c, v), (vec![1], vec![2.0]));
-        }
-        let mut spa = slab.checkout(class);
-        assert!(spa.is_clear());
-        spa.accumulate(0, 1, 5.0);
-        let (mut c, mut v) = (Vec::new(), Vec::new());
-        spa.drain_row(0, 0, &mut c, &mut v);
-        assert_eq!((c, v), (vec![1], vec![5.0]));
-    }
-
-    #[test]
-    fn retention_cap_evicts_idle_inventory() {
-        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        slab.set_retention(Some(0));
-        {
-            let _spa = slab.checkout(ShapeClass::of(8, 512));
-        }
-        let stats = slab.stats();
-        assert_eq!(stats.returns, 1);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.resident_bytes, 0);
-        // Next checkout misses again: nothing was retained.
-        let _spa = slab.checkout(ShapeClass::of(8, 512));
-        assert_eq!(slab.stats().misses, 2);
-    }
-
-    #[test]
-    fn retention_counts_dense_slots_and_keeps_the_class_just_returned() {
-        let slab: SlabStorage<BlockedSpa> = SlabStorage::new();
-        let (wide, narrow) = (ShapeClass::of(8, 128), ShapeClass::of(8, 64));
-        // A cap of exactly one wide SPA's dense slots holds that SPA.
-        slab.set_retention(Some(8 * 128 * 8));
-        drop(slab.checkout(wide));
-        let stats = slab.stats();
-        assert_eq!((stats.evictions, stats.resident_bytes), (0, 8 * 128 * 8));
-        // A narrow return overflows the cap: the wide SPA goes, not the
-        // one just returned.
-        drop(slab.checkout(narrow));
-        let stats = slab.stats();
-        assert_eq!((stats.evictions, stats.resident_bytes), (1, 8 * 64 * 8));
-        drop(slab.checkout(narrow));
-        assert_eq!(slab.stats().hits, 1);
-    }
-
-    #[test]
     fn panel_buffers_recycle_capacity() {
-        let slab: SlabStorage<PanelBuffers> = SlabStorage::new();
-        let class = ShapeClass::of(8, 64);
-        let caps = {
-            let mut bufs = slab.checkout(class);
-            bufs.row_lens.extend_from_slice(&[3; 16]);
-            bufs.cols.extend(0..48);
-            bufs.vals.extend((0..48).map(f64::from));
-            (
-                bufs.row_lens.capacity(),
-                bufs.cols.capacity(),
-                bufs.vals.capacity(),
-            )
-        };
-        let bufs = slab.checkout(class);
-        assert_eq!(slab.stats().hits, 1);
+        let mut bufs = PanelBuffers::default();
+        bufs.row_lens.extend_from_slice(&[3; 16]);
+        bufs.cols.extend(0..48);
+        bufs.vals.extend((0..48).map(f64::from));
+        let bytes = bufs.heap_bytes();
+        assert!(bytes >= 16 * 8 + 48 * 4 + 48 * 8);
+        bufs.clear();
         assert!(bufs.row_lens.is_empty() && bufs.cols.is_empty() && bufs.vals.is_empty());
-        assert!(bufs.row_lens.capacity() >= caps.0);
-        assert!(bufs.cols.capacity() >= caps.1);
-        assert!(bufs.vals.capacity() >= caps.2);
+        assert_eq!(bufs.heap_bytes(), bytes, "clearing keeps the capacity");
     }
 
     /// A spill file of a generated matrix at a path no other test (in
