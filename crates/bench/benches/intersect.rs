@@ -21,6 +21,7 @@ use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
 use tailors_tensor::storage::MmapStorage;
+use tailors_workloads::WorkloadClass;
 
 fn bench_intersection(c: &mut Criterion) {
     let a = GenSpec::uniform(1, 100_000, 10_000).seed(1).generate();
@@ -201,9 +202,12 @@ fn bench_simulator(c: &mut Criterion) {
 fn bench_tensor(c: &mut Criterion) {
     // The cold path's rungs, uncached: generating all 22 suite tensors at
     // 1/64 scale, their `pattern_hash` identities, and the pattern-only
-    // stream that yields profile and identity without building a tensor.
-    // A cold analytical `suite_cold` request pays only the last; the
-    // first two are the functional and figure paths' cost.
+    // stream that yields profile and identity without building a tensor,
+    // one row per generator family (banded linear systems, power-law
+    // graphs, the clustered road network) since each family draws its
+    // entries its own way. A cold analytical `suite_cold` request pays
+    // only the pattern rows; the other two are the functional and figure
+    // paths' cost.
     let suite: Vec<_> = tailors_workloads::suite()
         .iter()
         .map(|wl| wl.scaled(1.0 / 64.0))
@@ -217,13 +221,20 @@ fn bench_tensor(c: &mut Criterion) {
             }
         })
     });
-    g.bench_function("pattern_suite_1_64", |bch| {
-        bch.iter(|| {
-            for wl in &suite {
-                black_box(wl.pattern());
-            }
-        })
-    });
+    for (family, class) in [
+        ("banded", WorkloadClass::LinearSystem),
+        ("power_law", WorkloadClass::Graph),
+        ("clustered", WorkloadClass::RoadNetwork),
+    ] {
+        let members: Vec<_> = suite.iter().filter(|wl| wl.class == class).collect();
+        g.bench_function(format!("pattern_{family}_1_64"), |bch| {
+            bch.iter(|| {
+                for wl in &members {
+                    black_box(wl.pattern());
+                }
+            })
+        });
+    }
     let tensors: Vec<_> = suite.iter().map(|wl| wl.generate()).collect();
     g.bench_function("pattern_hash_suite_1_64", |bch| {
         bch.iter(|| {

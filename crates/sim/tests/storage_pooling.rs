@@ -167,9 +167,9 @@ proptest! {
 }
 
 /// The steady-state contract behind the serve-side zero-alloc pin, seen
-/// from the pool's own counters: once a shape class has been through the
-/// per-thread pool, repeating the same request is all hits — the kernel
-/// path allocates no new scratch.
+/// from the pool's own counters: once a request's SPA shape and output
+/// buffers have been through this thread's scratch, repeating the same
+/// request is all hits — the kernel path allocates no new scratch.
 #[test]
 fn warm_pool_serves_repeat_runs_without_misses() {
     let a = GenSpec::power_law(64, 64, 700).seed(5).generate();
@@ -448,7 +448,7 @@ fn spill_column_index_out_of_range_is_typed() {
 /// A spill file that goes short under an open store fails the run with a
 /// typed I/O error on the last tile — after earlier tiles have already
 /// accumulated into the pooled scratch — and the scratch is left clean:
-/// the next run of the same shape class on this thread is still exact.
+/// the next run of the same shape on this thread is still exact.
 #[test]
 fn mid_run_spill_failure_is_typed_and_leaves_scratch_clean() {
     use tailors_sim::functional::EngineError;

@@ -115,29 +115,56 @@ impl CooMatrix {
     }
 
     /// Streams the entries into `sink` row by row, in row order, each row
-    /// keeping its insertion order: a counting sort by row. This is the
-    /// one bucketing pass behind [`crate::CsrMatrix::from_coo`] and the
-    /// COO-drawn generator families, whatever sink they write to.
+    /// keeping its insertion order (see [`bucket_rows`]).
     pub(crate) fn feed_rows(&self, sink: &mut impl RowSink) {
-        let mut starts = vec![0usize; self.nrows + 1];
-        for &r in &self.rows {
-            starts[r as usize + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            starts[i + 1] += starts[i];
-        }
-        let mut entries = vec![(0u32, 0f64); self.len()];
-        let mut cursor = starts[..self.nrows].to_vec();
-        for (r, c, v) in self.iter() {
-            entries[cursor[r]] = (c as u32, v);
-            cursor[r] += 1;
-        }
-        for w in starts.windows(2) {
-            for &(c, v) in &entries[w[0]..w[1]] {
+        let entries = self.cols.iter().zip(&self.vals).map(|(&c, &v)| (c, v));
+        bucket_rows(self.nrows, &self.rows, entries, |row| {
+            for &(c, v) in row {
                 sink.push(c, v);
             }
             sink.finish_row();
-        }
+        });
+    }
+}
+
+/// Groups `payload` by the parallel `rows` (each `< nrows`) with a
+/// counting sort and hands every row's payload to `visit`, in row order,
+/// empty rows included, each row keeping insertion order. This is the one
+/// bucketing pass behind [`crate::CsrMatrix::from_coo`] and the
+/// random-order generator families, whatever payload they keep.
+///
+/// # Panics
+///
+/// Panics if a row is out of range or there are more than `u32::MAX`
+/// entries.
+pub(crate) fn bucket_rows<P: Copy + Default>(
+    nrows: usize,
+    rows: &[u32],
+    payload: impl IntoIterator<Item = P>,
+    mut visit: impl FnMut(&[P]),
+) {
+    assert!(
+        rows.len() <= u32::MAX as usize,
+        "entry count must fit the u32 row starts"
+    );
+    // `bounds[r + 2]` counts row `r`; after the prefix sum `bounds[r + 1]`
+    // is row `r`'s start and serves as its cursor, so once every entry is
+    // placed row `r` spans `bounds[r]..bounds[r + 1]`.
+    let mut bounds = vec![0u32; nrows + 2];
+    for &r in rows {
+        bounds[r as usize + 2] += 1;
+    }
+    for i in 2..bounds.len() {
+        bounds[i] += bounds[i - 1];
+    }
+    let mut bucketed = vec![P::default(); rows.len()];
+    for (&r, p) in rows.iter().zip(payload) {
+        let at = &mut bounds[r as usize + 1];
+        bucketed[*at as usize] = p;
+        *at += 1;
+    }
+    for w in bounds[..=nrows].windows(2) {
+        visit(&bucketed[w[0] as usize..w[1] as usize]);
     }
 }
 

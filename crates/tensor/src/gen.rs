@@ -16,22 +16,30 @@
 //! Each family has one body that writes its rows, in row order, into a
 //! [`RowSink`]. The banded and power-law generators draw their entries row
 //! by row and stream them straight in. The clustered and uniform
-//! generators draw rows in random order, so they collect a [`CooMatrix`]
-//! and stream it through the same row bucketing as
+//! generators draw rows in random order, so they collect their entries
+//! and bucket them by row with the counting sort behind
 //! [`CsrMatrix::from_coo`]. [`GenSpec::generate`] points the stream at a
 //! [`CsrBuilder`], whose sort-and-merge decides the matrix's bits.
 //! [`GenSpec::pattern`] points the same stream at a pattern-only sink that
 //! keeps neither values nor sorted rows: it yields the occupancy profile
 //! and [`CsrMatrix::pattern_hash`] of the matrix `generate` would build.
 //! Both sinks see the same RNG draws, values included, so the two agree
-//! exactly.
+//! exactly. What a sink keeps sets what the random-order families
+//! collect: a column and its value for [`CsrBuilder`], the column alone
+//! for the pattern sink, which still draws the value to keep the stream.
+//!
+//! The power-law family draws its columns by weight through a guide
+//! table: the draw of rand's `WeightedIndex` (one uniform `f64` scaled to
+//! the total weight, then the first cumulative weight above it), found
+//! from a per-bucket start index and a short scan instead of a binary
+//! search, so the chosen column is the same, bit for bit.
 
-use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::coo::bucket_rows;
 use crate::csr::{pattern_term, seal_pattern};
-use crate::{CooMatrix, CsrBuilder, CsrMatrix, MatrixProfile, RowSink};
+use crate::{CsrBuilder, CsrMatrix, MatrixProfile, RowSink};
 
 /// Structural family of a synthetic matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,7 +230,7 @@ impl GenSpec {
 
     /// Streams the spec's rows into `sink`: the one body per family that
     /// both [`GenSpec::generate`] and [`GenSpec::pattern`] run.
-    fn emit(&self, sink: &mut impl RowSink) {
+    fn emit(&self, sink: &mut impl GenSink) {
         assert!(
             self.target_nnz == 0 || (self.nrows > 0 && self.ncols > 0),
             "cannot place nonzeros in an empty matrix"
@@ -252,10 +260,8 @@ impl GenSpec {
             Structure::Clustered {
                 cluster_frac,
                 cluster_share,
-            } => self
-                .gen_clustered(&mut rng, *cluster_frac, *cluster_share)
-                .feed_rows(sink),
-            Structure::Uniform => self.gen_uniform(&mut rng).feed_rows(sink),
+            } => self.gen_clustered(&mut rng, *cluster_frac, *cluster_share, sink),
+            Structure::Uniform => self.gen_uniform(&mut rng, sink),
         }
     }
 
@@ -393,10 +399,9 @@ impl GenSpec {
         // column degrees are heavy-tailed too), mixed with a uniform floor
         // to bound duplicate-sampling collisions on hub rows.
         let mean_w = row_weights.iter().sum::<f64>() / self.nrows.max(1) as f64;
-        let col_weights: Vec<f64> = (0..self.ncols)
-            .map(|c| row_weights[c % self.nrows] + 0.5 * mean_w + 1e-12)
-            .collect();
-        let col_dist = WeightedIndex::new(&col_weights).expect("positive weights");
+        let col_dist = GuideTable::new(
+            (0..self.ncols).map(|c| row_weights[c % self.nrows] + 0.5 * mean_w + 1e-12),
+        );
         // `taken` marks the columns drawn into the current row; `row` lists
         // them so the marks can be cleared without sweeping all columns.
         let mut taken = vec![false; self.ncols];
@@ -423,10 +428,16 @@ impl GenSpec {
         }
     }
 
-    fn gen_clustered(&self, rng: &mut StdRng, cluster_frac: f64, cluster_share: f64) -> CooMatrix {
+    fn gen_clustered<S: GenSink>(
+        &self,
+        rng: &mut StdRng,
+        cluster_frac: f64,
+        cluster_share: f64,
+        sink: &mut S,
+    ) {
         let in_cluster_nnz = (self.target_nnz as f64 * cluster_share) as usize;
         let background_nnz = self.target_nnz - in_cluster_nnz;
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.target_nnz);
+        let mut drawn = Scattered::with_capacity(self.target_nnz);
         // Background: near-diagonal low-degree structure (grid roads). Size
         // the band so duplicate collapse stays small (≥4 cells per sample).
         let min_halfwidth = (4 * background_nnz / self.nrows.max(1)).div_ceil(2);
@@ -442,8 +453,7 @@ impl GenSpec {
             } else {
                 rng.gen_range(0..self.ncols)
             };
-            coo.push(r, c, value(rng))
-                .expect("in bounds by construction");
+            drawn.push(r, S::entry(c as u32, value(rng)));
         }
         // Clusters: dense diagonal blocks ("urban cores") with power-law
         // sizes, so the tile-occupancy distribution stays heavy-tailed at
@@ -476,22 +486,173 @@ impl GenSpec {
             for _ in 0..q {
                 let r = (start + rng.gen_range(0..side)).min(self.nrows - 1);
                 let c = (start + rng.gen_range(0..side)).min(self.ncols - 1);
-                coo.push(r, c, value(rng))
-                    .expect("in bounds by construction");
+                drawn.push(r, S::entry(c as u32, value(rng)));
             }
         }
-        coo
+        drawn.feed_rows(self.nrows, sink);
     }
 
-    fn gen_uniform(&self, rng: &mut StdRng) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.target_nnz);
+    fn gen_uniform<S: GenSink>(&self, rng: &mut StdRng, sink: &mut S) {
+        let mut drawn = Scattered::with_capacity(self.target_nnz);
         for _ in 0..self.target_nnz {
             let r = rng.gen_range(0..self.nrows);
             let c = rng.gen_range(0..self.ncols);
-            coo.push(r, c, value(rng))
-                .expect("in bounds by construction");
+            drawn.push(r, S::entry(c as u32, value(rng)));
         }
-        coo
+        drawn.feed_rows(self.nrows, sink);
+    }
+}
+
+/// A [`RowSink`] the generators drive, together with what a random-order
+/// family keeps of each drawn entry until it is bucketed by row: the
+/// column and value where the sink stores values, the column alone where
+/// it drops them.
+trait GenSink: RowSink {
+    /// What one drawn entry keeps.
+    type Entry: Copy + Default;
+
+    /// The entry kept for `val` at column `col`.
+    fn entry(col: u32, val: f64) -> Self::Entry;
+
+    /// Adds a kept entry to the open row, as [`RowSink::push`] would add
+    /// the column and value it was made from.
+    fn push_entry(&mut self, entry: Self::Entry);
+}
+
+impl GenSink for CsrBuilder {
+    type Entry = (u32, f64);
+
+    fn entry(col: u32, val: f64) -> (u32, f64) {
+        (col, val)
+    }
+
+    fn push_entry(&mut self, (col, val): (u32, f64)) {
+        self.push(col, val);
+    }
+}
+
+/// Entries a random-order family has drawn, in draw order, with the
+/// payload its sink keeps.
+struct Scattered<E> {
+    rows: Vec<u32>,
+    entries: Vec<E>,
+}
+
+impl<E: Copy + Default> Scattered<E> {
+    fn with_capacity(cap: usize) -> Self {
+        Scattered {
+            rows: Vec::with_capacity(cap),
+            entries: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Records `entry` in `row`, which lies inside the matrix by
+    /// construction.
+    fn push(&mut self, row: usize, entry: E) {
+        self.rows.push(row as u32);
+        self.entries.push(entry);
+    }
+
+    /// Streams the entries into `sink` in row order, each row keeping
+    /// draw order, as [`CsrMatrix::from_coo`] would stream them.
+    fn feed_rows(self, nrows: usize, sink: &mut impl GenSink<Entry = E>) {
+        bucket_rows(nrows, &self.rows, self.entries, |row| {
+            for &e in row {
+                sink.push_entry(e);
+            }
+            sink.finish_row();
+        });
+    }
+}
+
+/// Draws indices in proportion to non-negative weights, exactly as the
+/// `rand` shim's `WeightedIndex` does: one `gen::<f64>()` scaled by the
+/// total weight, then the first index whose cumulative weight exceeds it,
+/// clamped to the last index. A guide table replaces the binary search.
+/// The draw falls in one of `len` buckets of equal weight, and the bucket
+/// stores the first index past its lower edge. When no weight is far
+/// below the mean (every power-law column weight is at least about a
+/// third of it), the answer lies within a few indices after that start,
+/// so the scan from there is short and, over its first window,
+/// branch-free. It steps back first in case rounding put the draw below
+/// its bucket's edge, so the index is exact whatever the bucket
+/// arithmetic did.
+struct GuideTable {
+    cumulative: Vec<f64>,
+    /// `guide[b]` is the first index whose cumulative weight exceeds the
+    /// lower edge of bucket `b`.
+    guide: Vec<u32>,
+    total: f64,
+    /// Buckets per unit of weight.
+    scale: f64,
+}
+
+impl GuideTable {
+    /// # Panics
+    ///
+    /// Panics if there are no weights, if a weight is negative or NaN, or
+    /// if the total is zero or infinite.
+    fn new(weights: impl IntoIterator<Item = f64>) -> Self {
+        let mut total = 0.0f64;
+        let cumulative: Vec<f64> = weights
+            .into_iter()
+            .map(|w| {
+                assert!(w >= 0.0, "weights must be non-negative");
+                total += w;
+                total
+            })
+            .collect();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "weights must have a positive, finite total"
+        );
+        let len = cumulative.len();
+        assert!(
+            len <= u32::MAX as usize,
+            "index count must fit the u32 guide"
+        );
+        let scale = len as f64 / total;
+        let mut i = 0;
+        let guide = (0..len)
+            .map(|b| {
+                let edge = b as f64 / scale;
+                while i < len && cumulative[i] <= edge {
+                    i += 1;
+                }
+                i as u32
+            })
+            .collect();
+        GuideTable {
+            cumulative,
+            guide,
+            total,
+            scale,
+        }
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        self.locate(rng.gen::<f64>() * self.total)
+    }
+
+    /// The first index whose cumulative weight exceeds `x`, clamped to the
+    /// last index.
+    fn locate(&self, x: f64) -> usize {
+        let c = &self.cumulative[..];
+        let bucket = ((x * self.scale) as usize).min(c.len() - 1);
+        let mut i = self.guide[bucket] as usize;
+        while i > 0 && c[i - 1] > x {
+            i -= 1;
+        }
+        // Every index before `i` is now at most `x`. The cumulative weights
+        // never fall, so those in the window that are at most `x` are its
+        // prefix, and counting them steps `i` past it without a branch.
+        if let Some(window) = c.get(i..i + GUIDE_WINDOW) {
+            i += window.iter().map(|&w| usize::from(w <= x)).sum::<usize>();
+        }
+        while i < c.len() && c[i] <= x {
+            i += 1;
+        }
+        i.min(c.len() - 1)
     }
 }
 
@@ -499,17 +660,24 @@ impl GenSpec {
 /// each row's distinct columns into the profile and sums their
 /// [`CsrMatrix::pattern_hash`] terms, dropping values and never sorting.
 struct PatternSink {
-    ncols: usize,
-    /// `stamp[c] == r + 1` once column `c` has been seen in open row `r`,
-    /// so a repeated coordinate counts once, as `CsrBuilder` merges it.
-    stamp: Vec<u32>,
+    /// One slot per column, so a push touches one cache line.
+    cols: Vec<ColSlot>,
     /// Distinct entries per finished row; its length is the open row.
     row_nnz: Vec<u32>,
-    col_nnz: Vec<u32>,
     /// Distinct entries in the open row.
     open: u32,
     /// Running sum of the distinct coordinates' hash terms.
     sum: u64,
+}
+
+/// A [`PatternSink`] column.
+#[derive(Clone, Copy, Default)]
+struct ColSlot {
+    /// `r + 1` once the column has been seen in open row `r`, so a
+    /// repeated coordinate counts once, as `CsrBuilder` merges it.
+    stamp: u32,
+    /// Distinct entries in the column so far.
+    nnz: u32,
 }
 
 impl PatternSink {
@@ -519,40 +687,55 @@ impl PatternSink {
             "row count must fit the u32 stamps"
         );
         PatternSink {
-            ncols,
-            stamp: vec![0; ncols],
+            cols: vec![ColSlot::default(); ncols],
             row_nnz: Vec::with_capacity(nrows),
-            col_nnz: vec![0; ncols],
             open: 0,
             sum: 0,
         }
     }
 
+    fn add(&mut self, col: u32) {
+        let row = self.row_nnz.len();
+        let mark = row as u32 + 1;
+        let slot = &mut self.cols[col as usize];
+        if slot.stamp != mark {
+            slot.stamp = mark;
+            slot.nnz += 1;
+            self.open += 1;
+            self.sum = self.sum.wrapping_add(pattern_term(row, col));
+        }
+    }
+
     fn finish(self) -> (MatrixProfile, u64) {
-        let nrows = self.row_nnz.len();
+        let (nrows, ncols) = (self.row_nnz.len(), self.cols.len());
         let nnz = self.row_nnz.iter().map(|&n| n as usize).sum();
-        let hash = seal_pattern(nrows, self.ncols, nnz, self.sum);
-        let profile = MatrixProfile::new(nrows, self.ncols, self.row_nnz, self.col_nnz);
+        let hash = seal_pattern(nrows, ncols, nnz, self.sum);
+        let col_nnz = self.cols.iter().map(|s| s.nnz).collect();
+        let profile = MatrixProfile::new(nrows, ncols, self.row_nnz, col_nnz);
         (profile, hash)
     }
 }
 
 impl RowSink for PatternSink {
     fn push(&mut self, col: u32, _val: f64) {
-        let row = self.row_nnz.len();
-        let mark = row as u32 + 1;
-        let seen = &mut self.stamp[col as usize];
-        if *seen != mark {
-            *seen = mark;
-            self.col_nnz[col as usize] += 1;
-            self.open += 1;
-            self.sum = self.sum.wrapping_add(pattern_term(row, col));
-        }
+        self.add(col);
     }
 
     fn finish_row(&mut self) {
         self.row_nnz.push(self.open);
         self.open = 0;
+    }
+}
+
+impl GenSink for PatternSink {
+    type Entry = u32;
+
+    fn entry(col: u32, _val: f64) -> u32 {
+        col
+    }
+
+    fn push_entry(&mut self, col: u32) {
+        self.add(col);
     }
 }
 
@@ -602,6 +785,11 @@ fn bump_heaviest(degrees: &mut [usize], weights: &[f64], remainder: usize) {
         degrees[r] += 1;
     }
 }
+
+/// Cumulative weights [`GuideTable::locate`] compares without branching
+/// before it scans on: a bucket one mean weight wide rarely holds more
+/// boundaries than this when every weight is at least a third of the mean.
+const GUIDE_WINDOW: usize = 3;
 
 /// Seed-mixing constant so `seed(0)` does not collide with `StdRng` defaults
 /// elsewhere in the workspace.
@@ -737,6 +925,85 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(got.iter().sum::<usize>(), 2);
         assert_eq!(got[1], 1);
+    }
+
+    /// Weights of one of five shapes the column sampler must draw exactly:
+    /// continuous, a few tied levels with zeros among them, a single
+    /// weight, the `1e-12` floor alone, and capped Zipf hubs over a floor
+    /// of half the mean (the power-law column weights).
+    fn sampler_weights(kind: usize, len: usize, rng: &mut StdRng) -> Vec<f64> {
+        let len = if kind == 2 { 1 } else { len };
+        let mut w: Vec<f64> = match kind {
+            0 | 2 => (0..len).map(|_| rng.gen::<f64>() * 10.0).collect(),
+            1 => (0..len).map(|_| rng.gen_range(0..3u32) as f64).collect(),
+            3 => vec![1e-12; len],
+            _ => {
+                let zipf: Vec<f64> = (0..len).map(|i| 1.0 / (i + 1) as f64).collect();
+                let cap = zipf.iter().sum::<f64>() * 0.05;
+                let mean = zipf.iter().sum::<f64>() / len as f64;
+                zipf.iter()
+                    .map(|&z| z.min(cap) + 0.5 * mean + 1e-12)
+                    .collect()
+            }
+        };
+        if w.iter().all(|&x| x == 0.0) {
+            w[len - 1] = 1.0;
+        }
+        w
+    }
+
+    /// The indices `WeightedIndex` defines, for draws at `x`.
+    fn partition_rule(cumulative: &[f64], x: f64) -> usize {
+        cumulative
+            .partition_point(|&c| c <= x)
+            .min(cumulative.len() - 1)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The guide table picks the index the `partition_point` rule and
+        /// the shim's `WeightedIndex` pick, draw for draw on one seeded
+        /// stream, and at every cumulative boundary and bucket edge, where
+        /// rounding decides.
+        #[test]
+        fn guide_table_draws_what_weighted_index_draws(
+            kind in 0usize..5,
+            len in 1usize..300,
+            seed in 0u64..1_000,
+        ) {
+            use rand::distributions::{Distribution, WeightedIndex};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let weights = sampler_weights(kind, len, &mut rng);
+            let guide = GuideTable::new(weights.iter().copied());
+            let weighted = WeightedIndex::new(&weights).expect("a positive weight");
+            let mut total = 0.0;
+            let cumulative: Vec<f64> = weights
+                .iter()
+                .map(|w| {
+                    total += w;
+                    total
+                })
+                .collect();
+            let (mut by_guide, mut by_weighted) = (rng.clone(), rng.clone());
+            for _ in 0..400 {
+                let want = partition_rule(&cumulative, rng.gen::<f64>() * total);
+                proptest::prop_assert_eq!(guide.sample(&mut by_guide), want);
+                proptest::prop_assert_eq!(weighted.sample(&mut by_weighted), want);
+            }
+            let edges = (0..cumulative.len()).map(|b| b as f64 / guide.scale);
+            for x in cumulative.iter().copied().chain(edges).chain([0.0, total]) {
+                for x in [x, f64::from_bits(x.to_bits().saturating_sub(1)), f64::from_bits(x.to_bits() + 1)] {
+                    proptest::prop_assert_eq!(
+                        guide.locate(x),
+                        partition_rule(&cumulative, x),
+                        "kind {}, x {}",
+                        kind,
+                        x
+                    );
+                }
+            }
+        }
     }
 
     #[test]

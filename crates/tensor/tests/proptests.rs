@@ -212,6 +212,40 @@ proptest! {
     }
 }
 
+/// The clustered family buckets its entries by row without their values
+/// on the pattern path; its pattern stream still matches the generated
+/// matrix at wide, tall, square and degenerate shapes and at both ends of
+/// the cluster knobs.
+#[test]
+fn clustered_pattern_matches_the_generated_matrix_across_shapes() {
+    let shapes = [
+        (1, 1, 1),
+        (1, 700, 300),
+        (700, 1, 300),
+        (37, 4_000, 9_000),
+        (3_000, 200, 20_000),
+        (2_000, 2_000, 30_000),
+        (5_000, 5_000, 4_000),
+    ];
+    for (nrows, ncols, nnz) in shapes {
+        for (seed, knobs) in [
+            (0, (0.0, 0.0, 0.0)),
+            (7, (0.5, 0.5, 0.0)),
+            (13, (1.0, 1.0, 0.0)),
+        ] {
+            let spec = GenSpec::clustered(nrows, ncols, nnz)
+                .structure(structure(2, knobs))
+                .seed(seed);
+            let m = spec.generate();
+            assert_eq!(
+                spec.pattern(),
+                (m.profile(), m.pattern_hash()),
+                "{nrows}x{ncols}, {nnz} nnz, seed {seed}"
+            );
+        }
+    }
+}
+
 proptest! {
     /// CSR construction from arbitrary (possibly duplicated) triplets
     /// agrees with a BTreeMap reference model.
