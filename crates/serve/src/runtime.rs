@@ -842,12 +842,16 @@ pub struct ShutdownReport {
 /// Estimated resident bytes of a functional request's tensor working set:
 /// the CSR matrix and its transpose (values + column indices) plus both
 /// row-pointer arrays. The admission gate compares this against
-/// [`RuntimeConfig::max_tensor_bytes`].
+/// [`RuntimeConfig::max_tensor_bytes`]. The arithmetic saturates, so a
+/// hostile size reads as `u64::MAX` rather than wrapping to a small figure
+/// that would pass the gate.
 pub fn estimated_tensor_bytes(wl: &tailors_workloads::Workload) -> u64 {
     let nnz = wl.target_nnz as u64;
     let rows = wl.nrows as u64;
     let cols = wl.ncols as u64;
-    2 * nnz * (8 + 4) + (rows + cols + 2) * 8
+    let row_ptrs = rows.saturating_add(cols).saturating_add(2);
+    nnz.saturating_mul(2 * (8 + 4))
+        .saturating_add(row_ptrs.saturating_mul(8))
 }
 
 fn validate(work: &Work) -> Result<(), ServeError> {
@@ -868,6 +872,13 @@ fn validate(work: &Work) -> Result<(), ServeError> {
         return Err(ServeError::BadRequest(format!(
             "workload {:?} targets zero nonzeros; planners require a non-empty tensor",
             wl.name
+        )));
+    }
+    // The generator's own precondition, checked before anything allocates.
+    if wl.target_nnz as u128 > wl.nrows as u128 * wl.ncols as u128 {
+        return Err(ServeError::BadRequest(format!(
+            "workload {:?} targets {} nonzeros, more than its {}x{} coordinate space",
+            wl.name, wl.target_nnz, wl.nrows, wl.ncols
         )));
     }
     if let Work::Functional(req) = work {
@@ -1072,6 +1083,163 @@ mod tests {
         );
     }
 
+    /// The spec kinds, in [`FaultPlan`] field order.
+    const KINDS: [&str; 5] = ["panic", "latency", "full", "drop_conn", "latency_ms"];
+
+    /// Whitespace a valid spec may carry around each piece.
+    const PADS: [&str; 4] = ["", " ", "\t", "  "];
+
+    /// Grammar fragments mixed into arbitrary strings so they reach past
+    /// the first split.
+    const TOKENS: [&str; 16] = [
+        "panic",
+        "latency",
+        "latency_ms",
+        "full",
+        "reject",
+        "drop_conn",
+        ":",
+        ",",
+        " ",
+        "0",
+        "7",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "é",
+        "\u{feff}",
+    ];
+
+    /// `plan` as a canonical spec naming every kind once.
+    fn render(plan: &FaultPlan) -> String {
+        let every = |n: Option<u64>| n.unwrap_or(0);
+        format!(
+            "panic:{},latency:{},full:{},drop_conn:{},latency_ms:{}",
+            every(plan.panic_every),
+            every(plan.latency_every),
+            every(plan.reject_every),
+            every(plan.drop_conn_every),
+            plan.latency_ms
+        )
+    }
+
+    /// A valid spec and the plan it describes: kind `i` appears when
+    /// `present[i]`, with count `counts[i]`, in the order of `keys`,
+    /// padded by `pads`, upper-cased when `upper[i]`, and with `full`
+    /// spelled `reject` when `alias`.
+    fn valid_spec(
+        present: &[bool],
+        counts: &[u64],
+        keys: &[u32],
+        pads: &[usize],
+        upper: &[bool],
+        alias: bool,
+    ) -> (String, FaultPlan) {
+        let mut plan = FaultPlan::none();
+        let mut order: Vec<usize> = (0..KINDS.len()).filter(|&i| present[i]).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let entries: Vec<String> = order
+            .iter()
+            .map(|&i| {
+                let n = counts[i];
+                let every = (n > 0).then_some(n);
+                match i {
+                    0 => plan.panic_every = every,
+                    1 => plan.latency_every = every,
+                    2 => plan.reject_every = every,
+                    3 => plan.drop_conn_every = every,
+                    _ => plan.latency_ms = n,
+                }
+                let mut kind = if i == 2 && alias { "reject" } else { KINDS[i] }.to_string();
+                if upper[i] {
+                    kind.make_ascii_uppercase();
+                }
+                let pad = |j: usize| PADS[pads[4 * i + j] % PADS.len()];
+                format!("{}{kind}{}:{}{n}{}", pad(0), pad(1), pad(2), pad(3))
+            })
+            .collect();
+        (entries.join(","), plan)
+    }
+
+    /// A parse outcome is either a plan that survives a canonical
+    /// round trip or a typed error quoting the input it refused.
+    fn check_outcome(spec: &str) {
+        match FaultPlan::parse(spec) {
+            Ok(plan) => assert_eq!(FaultPlan::parse(&render(&plan)), Ok(plan), "{spec:?}"),
+            Err(FaultSpecError::NotKindCount(part)) => assert!(spec.contains(&part), "{spec:?}"),
+            Err(FaultSpecError::BadCount { count, .. }) => {
+                assert!(spec.contains(&count), "{spec:?}")
+            }
+            Err(FaultSpecError::UnknownKind(kind)) => {
+                assert!(spec.to_ascii_lowercase().contains(&kind), "{spec:?}")
+            }
+            Err(FaultSpecError::DuplicateKind(kind)) => {
+                assert!(KINDS.contains(&kind.as_str()), "{spec:?}")
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Generated valid specs, in any order, with any padding, case and
+        /// `full`/`reject` spelling, parse to the plan they describe.
+        #[test]
+        fn generated_fault_specs_parse_to_their_plan(
+            present in proptest::collection::vec(proptest::bool::ANY, 5..6),
+            counts in proptest::collection::vec(0u64..40, 5..6),
+            keys in proptest::collection::vec(0u32..1000, 5..6),
+            pads in proptest::collection::vec(0usize..4, 20..21),
+            upper in proptest::collection::vec(proptest::bool::ANY, 5..6),
+            alias in proptest::bool::ANY,
+        ) {
+            let (spec, plan) = valid_spec(&present, &counts, &keys, &pads, &upper, alias);
+            proptest::prop_assert_eq!(FaultPlan::parse(&spec), Ok(plan), "{:?}", spec);
+        }
+
+        /// Arbitrary strings never panic the parser.
+        #[test]
+        fn arbitrary_fault_specs_parse_or_fail_typed(
+            bytes in proptest::collection::vec(0u8..=255, 0..48),
+        ) {
+            let spec: String = bytes
+                .iter()
+                .map(|&b| match b {
+                    0..=127 => char::from(b).to_string(),
+                    _ => TOKENS[usize::from(b) % TOKENS.len()].to_string(),
+                })
+                .collect();
+            check_outcome(&spec);
+        }
+
+        /// Valid specs with bytes flipped, overwritten, deleted, inserted
+        /// or cut off never panic the parser.
+        #[test]
+        fn mutated_fault_specs_parse_or_fail_typed(
+            present in proptest::collection::vec(proptest::bool::ANY, 5..6),
+            counts in proptest::collection::vec(0u64..40, 5..6),
+            keys in proptest::collection::vec(0u32..1000, 5..6),
+            pads in proptest::collection::vec(0usize..4, 20..21),
+            edits in proptest::collection::vec((0usize..64, 0u8..5, 0u8..=255), 1..6),
+        ) {
+            let (spec, _) = valid_spec(&present, &counts, &keys, &pads, &[false; 5], false);
+            let mut bytes = spec.into_bytes();
+            for &(at, op, b) in &edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] ^= b.max(1),
+                    1 if at < bytes.len() => bytes[at] = b,
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.insert(at, b),
+                    _ => bytes.truncate(at),
+                }
+            }
+            check_outcome(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
     #[test]
     fn completed_plus_rejected_accounts_for_everything() {
         let runtime = ServiceRuntime::new(RuntimeConfig {
@@ -1201,6 +1369,60 @@ mod tests {
         let after_sim = runtime.scratch_pool_stats();
         assert_eq!(after_sim.checkouts, after_one.checkouts);
         runtime.shutdown();
+    }
+
+    #[test]
+    fn hostile_sizes_are_refused_before_reaching_a_worker() {
+        let runtime = ServiceRuntime::new(RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        });
+        let functional = |workload: tailors_workloads::Workload| {
+            Work::Functional(Box::new(FunctionalRequest {
+                workload,
+                variant: Variant::ExTensorP,
+                arch: tailors_sim::ArchConfig::extensor().scaled(1.0 / 512.0),
+                budget: tailors_sim::MemBudget::mib(4),
+                grid: tailors_sim::GridMode::Panels,
+                auto_plan: false,
+                threads: 1,
+            }))
+        };
+        // More nonzeros than the coordinate space holds. A wrapping
+        // estimate reads this as 1,176 bytes, far under the default limit.
+        let hostile_nnz = ((1usize << 61) + 1) / 3;
+        let mut crowded = tailors_workloads::by_name("email-Enron")
+            .unwrap()
+            .scaled(1.0 / 512.0);
+        crowded.target_nnz = hostile_nnz;
+        let e = runtime.submit(functional(crowded.clone())).unwrap_err();
+        assert!(matches!(e, ServeError::BadRequest(_)), "{e}");
+        let mut sim = SimRequest::suite("email-Enron", 1.0 / 512.0, Variant::ExTensorP).unwrap();
+        sim.workload = crowded.clone();
+        let e = runtime.submit(Work::Sim(sim)).unwrap_err();
+        assert!(matches!(e, ServeError::BadRequest(_)), "{e}");
+        // Within its coordinate space, but its byte estimate overflows
+        // u64: the estimate saturates and the admission gate refuses it.
+        let mut wide = crowded;
+        (wide.nrows, wide.ncols) = (1 << 31, 1 << 31);
+        assert_eq!(estimated_tensor_bytes(&wide), u64::MAX);
+        let e = runtime.submit(functional(wide)).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                ServeError::Overloaded(OverloadReason::TensorBytes {
+                    estimated: u64::MAX,
+                    ..
+                })
+            ),
+            "{e}"
+        );
+        // None of them reached the mailbox, and the ledger balances with
+        // every refusal counted as rejected.
+        assert_eq!(runtime.mailbox_stats().pushed, 0);
+        let stats = runtime.stats();
+        assert_eq!((stats.submitted, stats.rejected), (3, 3));
+        assert_eq!(stats.accounted(), stats.submitted);
     }
 
     #[test]

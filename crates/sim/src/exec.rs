@@ -140,12 +140,12 @@ impl core::fmt::Display for MemBudget {
 ///   does (`panels × blocks` instead of `panels`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GridMode {
-    /// 1-D: fan out over row panels (column blocks share the panel's
-    /// buffer driver).
+    /// 1-D: fan out over row panels, one work item per panel covering
+    /// all its column blocks.
     #[default]
     Panels,
-    /// 2-D: fan out over (row panel × column block) units, one private
-    /// buffer driver per unit.
+    /// 2-D: fan out over (row panel × column block) units, one work item
+    /// per unit, each charged its block-local share of the traffic.
     Grid2D,
 }
 

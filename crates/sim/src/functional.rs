@@ -29,9 +29,9 @@
 //!
 //! # Resident and spilled operands
 //!
-//! One executor serves both storage tiers. The work items, block loop,
-//! kernel choice and output stitch are generic over a private `Operand`
-//! trait: the in-RAM matrix (with its transpose and tile view) for
+//! One executor serves both storage tiers. The work items, block loop
+//! and output stitch are generic over a private `Operand` trait: the
+//! in-RAM matrix (with its transpose and tile view) for
 //! [`run_with_threads`] / [`run_grid`], or a file-backed [`MmapStorage`]
 //! for [`run_spilled`], whose panels page in on demand and whose streamed
 //! tiles are checked out of a residency cache with the next one
@@ -569,112 +569,13 @@ struct ItemOutput {
     traffic: UnitTraffic,
 }
 
-/// The accumulator interface the per-unit kernel dispatch needs: the
-/// bitmask-blocked scratch's masked mode and its dense mode
-/// ([`DenseMode`]) both provide it with identical semantics
-/// (bit-identical emission on the same write sequence — property-tested
-/// in `crates/tensor/tests/proptests.rs`), so [`run_block`]
-/// monomorphizes over the choice and the accumulate hot loop carries no
-/// per-write dispatch branch. Both modes drive the *same* per-thread
-/// [`BlockedSpa`] allocation, so dispatching never grows the scratch
-/// beyond the planner's per-thread budget.
-trait UnitSpa {
-    fn reset_shape(&mut self, rows: usize, width: usize);
-    fn accumulate(&mut self, row: usize, col: usize, v: f64);
-    fn drain_row(&mut self, row: usize, base: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>);
-    fn clear(&mut self);
-}
-
-impl UnitSpa for BlockedSpa {
-    fn reset_shape(&mut self, rows: usize, width: usize) {
-        BlockedSpa::reset_shape(self, rows, width)
-    }
-    #[inline]
-    fn accumulate(&mut self, row: usize, col: usize, v: f64) {
-        BlockedSpa::accumulate(self, row, col, v)
-    }
-    fn drain_row(&mut self, row: usize, base: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>) {
-        BlockedSpa::drain_row(self, row, base, cols, vals)
-    }
-    fn clear(&mut self) {
-        BlockedSpa::clear(self)
-    }
-}
-
-/// The dense kernel: the same [`BlockedSpa`] driven in its unmasked mode
-/// (no occupancy maintenance per accumulate, full-width scan-and-wipe
-/// extraction) — the profitable trade for blocks predicted to fill.
-struct DenseMode<'a>(&'a mut BlockedSpa);
-
-impl UnitSpa for DenseMode<'_> {
-    fn reset_shape(&mut self, rows: usize, width: usize) {
-        BlockedSpa::reset_shape(self.0, rows, width)
-    }
-    #[inline]
-    fn accumulate(&mut self, row: usize, col: usize, v: f64) {
-        self.0.accumulate_dense(row, col, v)
-    }
-    fn drain_row(&mut self, row: usize, base: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>) {
-        self.0.drain_row_dense(row, base, cols, vals)
-    }
-    fn clear(&mut self) {
-        BlockedSpa::clear(self.0)
-    }
-}
-
-/// Predicted-fill dispatch threshold: expected accumulate writes per
-/// scratch slot at or above which a block runs on the plain dense kernel.
-/// At half a write per slot most occupancy words are populated anyway, so
-/// the mask OR + touched-word bookkeeping per accumulate buys nothing and
-/// the dense kernel's full-width extraction wipe costs at most ~2 slots
-/// per write. Correctness never depends on the value — the kernels are
-/// bit-identical — so it only moves the crossover.
-const DENSE_FILL_THRESHOLD: f64 = 0.5;
-
-/// Whether `unit` should run on the dense kernel: predicted fill density
-/// from the profile quantities already on hand. The expected effectual
-/// multiplies landing in a (panel × block) unit are
-/// `occ_panel × occ_block / nnz` for unstructured sparsity (each of the
-/// panel's elements meets the streamed elements sharing its `k`
-/// coordinate; `Σ_k panel_k × block_k` with both factors proportional to
-/// their totals), and writes-per-slot is that over the unit's area.
-fn dense_kernel_for<O: Operand>(op: &O, unit: &PlanUnit) -> bool {
-    let slots = unit.rows.len() as f64 * unit.cols.len() as f64;
-    let nnz = op.nnz() as f64;
-    if slots == 0.0 || nnz == 0.0 {
-        return false;
-    }
-    let occ_panel = op.row_range_nnz(unit.rows.start, unit.rows.end) as f64;
-    // The streamed block's occupancy: B columns [c0, c1) are A rows.
-    let occ_block = op.row_range_nnz(unit.cols.start, unit.cols.end) as f64;
-    occ_panel * occ_block >= DENSE_FILL_THRESHOLD * slots * nnz
-}
-
-/// Runs one column block on whichever kernel [`dense_kernel_for`] picks
-/// for `unit` — the single dispatch point every work item goes through.
-fn run_block_dispatch<O: Operand>(
-    op: &O,
-    spa: &mut BlockedSpa,
-    panel: &PanelElems<'_>,
-    unit: &PlanUnit,
-    out: &mut PanelBuffers,
-) -> Result<(), EngineError> {
-    if dense_kernel_for(op, unit) {
-        run_block(&mut DenseMode(spa), panel, op, unit, out)
-    } else {
-        run_block(spa, panel, op, unit, out)
-    }
-}
-
 /// Executes one column block of a stationary panel: shapes `spa` to the
 /// unit, walks the panel's rows in stream (row-major) order once per
 /// streamed tile of the block (accumulating block-local columns, re-based
 /// at the block's first column), and drains every row onto the end of
-/// `out`, one `row_lens` entry per panel row. Generic over the
-/// accumulator kernel — the caller picks the masked or dense mode per
-/// unit via [`dense_kernel_for`].
-fn run_block<O: Operand, A: UnitSpa>(
-    spa: &mut A,
+/// `out`, one `row_lens` entry per panel row.
+fn run_block<O: Operand>(
+    spa: &mut BlockedSpa,
     panel: &PanelElems<'_>,
     op: &O,
     unit: &PlanUnit,
@@ -707,10 +608,8 @@ fn run_block<O: Operand, A: UnitSpa>(
 }
 
 /// Executes one work item: pages its panel in once and runs the item's
-/// column blocks in order, each on the accumulator kernel
-/// [`dense_kernel_for`] picks — the bitmask-blocked scratch in the sparse
-/// regime, the plain dense one when the block is predicted to fill.
-/// Returns the drained blocks and the item's [`UnitTraffic`].
+/// column blocks in order on the worker's [`BlockedSpa`]. Returns the
+/// drained blocks and the item's [`UnitTraffic`].
 fn run_item<O: Operand>(
     op: &O,
     config: &FunctionalConfig,
@@ -746,7 +645,7 @@ fn run_item<O: Operand>(
         out.row_lens.reserve(rows.len() * item.blocks.len());
         let run = item.blocks.clone().try_for_each(|bi| {
             let unit = plan.unit(item.panel, bi);
-            run_block_dispatch(op, &mut spa, &panel, &unit, &mut out)
+            run_block(&mut spa, &panel, op, &unit, &mut out)
         });
         SCRATCH.with_borrow_mut(|s| s.put_spa(spa));
         run?;
@@ -765,10 +664,9 @@ fn run_item<O: Operand>(
 }
 
 /// The engine scratch one thread keeps between work items: one SPA and a
-/// free list of item output buffers. One SPA serves both dispatch
-/// kernels ([`DenseMode`] is a view over it), and [`run_block`] reshapes
-/// it to each block's exact extent; it only grows, so it holds the
-/// largest block this thread has run since it was last dropped.
+/// free list of item output buffers. [`run_block`] reshapes the SPA to
+/// each block's exact extent; it only grows, so it holds the largest
+/// block this thread has run since it was last dropped.
 ///
 /// What the thread keeps idle is capped per family by the current run's
 /// [`MemBudget`] limit, in the coin the planner sizes scratch by: a SPA's
@@ -899,9 +797,10 @@ pub fn clear_scratch_pool() {
 ///
 /// It is the [`run_with_threads`] executor in [`GridMode::Panels`] over
 /// the spilled operand — one work item per panel, so each panel pages in
-/// once: the same work items, block loop, kernel choice, traversal
-/// order and traffic accounting at the same plan, so the result — every field — is **bit-identical** to
-/// the in-RAM run and to [`reference_run`] (the property suite pins it).
+/// once: the same work items, block loop, traversal order and traffic
+/// accounting at the same plan, so the result — every field — is
+/// **bit-identical** to the in-RAM run and to [`reference_run`] (the
+/// property suite pins it).
 /// Each streamed tile is checked out of the store's residency cache, and
 /// the next column tile in [`ExecutionPlan`] order is prefetched before
 /// the current one is traversed, keeping the cache's eviction aligned
@@ -946,8 +845,6 @@ trait Operand: Sync {
     type Tile;
     /// Rows (and columns) of `A`.
     fn nrows(&self) -> usize;
-    /// Stored nonzeros of `A`.
-    fn nnz(&self) -> usize;
     /// Stored nonzeros in rows `[m0, m1)` of `A` — from resident row
     /// pointers, no I/O.
     fn row_range_nnz(&self, m0: usize, m1: usize) -> usize;
@@ -980,10 +877,6 @@ impl Operand for Resident<'_> {
 
     fn nrows(&self) -> usize {
         self.a.nrows()
-    }
-
-    fn nnz(&self) -> usize {
-        self.a.nnz()
     }
 
     fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
@@ -1035,10 +928,6 @@ impl Operand for MmapStorage {
 
     fn nrows(&self) -> usize {
         MmapStorage::nrows(self)
-    }
-
-    fn nnz(&self) -> usize {
-        MmapStorage::nnz(self)
     }
 
     fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
@@ -1471,10 +1360,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_blocks_dispatch_to_the_dense_kernel() {
-        // A deterministic ~69 %-dense matrix: the single (panel × block)
-        // unit predicts `nnz / 1024` writes per slot, well beyond the
-        // dispatch threshold.
+    fn dense_matrix_is_bit_identical_to_reference() {
+        // A deterministic ~69 %-dense matrix, far denser than any suite
+        // workload: its single (panel × block) unit fills every slot.
         let triplets: Vec<(usize, usize, f64)> = (0..32usize)
             .flat_map(|r| {
                 (0..32usize)
@@ -1494,22 +1382,12 @@ mod tests {
             grid: GridMode::Panels,
             auto_plan: false,
         };
-        let (op, plan) = engine_setup(&a, &config, 1).unwrap();
-        assert!(
-            dense_kernel_for(&op, &plan.unit(0, 0)),
-            "a 60%-dense unit must pick the dense kernel"
-        );
-        // And a sparse matrix must not.
-        let sparse = small();
-        let (sop, splan) = engine_setup(&sparse, &config, 1).unwrap();
-        assert!(!dense_kernel_for(&sop, &splan.unit(0, 0)));
-        // The dispatched run stays bit-identical to the seed engine.
         let new = run_with_threads(&a, &config, 2).unwrap();
         let old = reference_run(&a, &config).unwrap();
         assert_eq!(new.z, old.z);
         assert_eq!(new.dram_a_fetches, old.dram_a_fetches);
         assert_eq!(new.dram_b_fetches, old.dram_b_fetches);
-        // Multi-block + 2-D grid over the dense kernel too.
+        // Multi-block + 2-D grid over the same dense matrix.
         let blocked = FunctionalConfig {
             mem_budget: MemBudget::bytes(32 * 8 * 8),
             grid: GridMode::Grid2D,

@@ -15,12 +15,14 @@
 //!   [`GridMode`] parallel decomposition, and the cost-balanced
 //!   work-partitioner ([`balanced_partition`]) the engines schedule with.
 //! * [`functional`] — an operation-level engine that executes the same
-//!   schedule through real `tailors-eddo` buffers, validating both the
-//!   computed output and the analytical traffic counts; with a
-//!   [`MemBudget`] it scales to wide outputs (50 k+ columns) while staying
-//!   bit-identical to the unbudgeted path, and with [`GridMode::Grid2D`]
-//!   it fans out over `panels × blocks` work units (per-unit buffer
-//!   drivers with exact block-local traffic accounting).
+//!   schedule, computing the output and charging the stationary buffer's
+//!   DRAM traffic in closed form; its oracle
+//!   [`functional::reference_run`] drives real `tailors-eddo` buffers,
+//!   and the two agree on the output and on every traffic count. With a
+//!   [`MemBudget`] the engine scales to wide outputs (50 k+ columns) while
+//!   staying bit-identical to the unbudgeted path, and with
+//!   [`GridMode::Grid2D`] it fans out over `panels × blocks` work units
+//!   with exact block-local traffic accounting.
 //!
 //! # Example
 //!

@@ -29,6 +29,11 @@ use crate::{CsrMatrix, TensorError};
 /// `trailing_zeros`, which yields coordinates in ascending order without a
 /// sort and restores the all-zero invariant as it goes.
 ///
+/// There is one accumulation mode: every write sets its occupancy bit, so
+/// no slot is nonzero outside the touched words, and both draining and
+/// [`BlockedSpa::clear`] cost the touched words, never the whole
+/// `rows × width` grid.
+///
 /// Both the [`spmspm_into`] kernel and the functional engine's panel
 /// scratch (`tailors_sim::functional`) are built on this type; the
 /// property suites pin its output bit-identical to the seed hash
@@ -133,91 +138,38 @@ impl BlockedSpa {
     /// free.
     pub fn drain_row(&mut self, row: usize, base: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>) {
         debug_assert!(row < self.rows);
-        let row_touched = &mut self.touched[row];
-        row_touched.sort_unstable();
-        for &wi in row_touched.iter() {
-            let word = core::mem::take(&mut self.mask[row * self.words + wi as usize]);
-            let mut bits = word;
-            while bits != 0 {
-                let c = (wi as usize) * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let v = core::mem::take(&mut self.dense[row * self.width + c]);
-                if v != 0.0 {
-                    cols.push(base + c as u32);
-                    vals.push(v);
-                }
-            }
-        }
-        row_touched.clear();
-    }
-
-    /// Adds `v` to slot (`row`, `col`) **without** maintaining the
-    /// occupancy bit or touched-word list — the *dense-mode* accumulate,
-    /// paired with [`BlockedSpa::drain_row_dense`]. The right mode when a
-    /// block is expected to fill densely: near-dense blocks set almost
-    /// every occupancy bit anyway, so the mask OR and touched-word
-    /// bookkeeping per write buy nothing. Same storage, same shape, same
-    /// preconditions as [`BlockedSpa::accumulate`] — callers (the
-    /// functional engine's per-unit kernel dispatch) pick the mode per
-    /// drained block, so the one allocation backs both.
-    #[inline]
-    pub fn accumulate_dense(&mut self, row: usize, col: usize, v: f64) {
-        debug_assert!(row < self.rows && col < self.width);
-        self.dense[row * self.width + col] += v;
-    }
-
-    /// The dense-mode extraction: drains one row by scanning **every**
-    /// slot of the row in ascending order (no occupancy walk), re-basing
-    /// by `base`, dropping exact-zero sums, and resetting each slot to
-    /// `+0.0` unconditionally — the full-width wipe this mode trades the
-    /// per-accumulate mask work for. Any mask words the row holds are
-    /// cleared too, so the all-zero invariant is restored even if masked
-    /// and dense accumulates were mixed on one row.
-    ///
-    /// Emission is **bit-identical** to [`BlockedSpa::drain_row`] on the
-    /// same write sequence: untouched slots are exactly `0.0` (the
-    /// between-drains invariant), sums of `±0.0` are dropped by both
-    /// (IEEE compares `-0.0 == 0.0`), ascending-column order is the scan
-    /// order itself, and both reset drained slots to `+0.0`. The
-    /// property suite pins the two modes against each other on arbitrary
-    /// write sequences.
-    pub fn drain_row_dense(
-        &mut self,
-        row: usize,
-        base: u32,
-        cols: &mut Vec<u32>,
-        vals: &mut Vec<f64>,
-    ) {
-        debug_assert!(row < self.rows);
-        let slots = &mut self.dense[row * self.width..row * self.width + self.width];
-        for (c, slot) in slots.iter_mut().enumerate() {
-            let v = core::mem::take(slot);
+        self.touched[row].sort_unstable();
+        self.take_row(row, |c, v| {
             if v != 0.0 {
                 cols.push(base + c as u32);
                 vals.push(v);
             }
-        }
+        });
+    }
+
+    /// Hands every set slot of `row` to `f` as (local column, value) in
+    /// the order of its touched-word list, resetting each slot, word and
+    /// the list itself.
+    #[inline]
+    fn take_row(&mut self, row: usize, mut f: impl FnMut(usize, f64)) {
         let row_touched = &mut self.touched[row];
         for &wi in row_touched.iter() {
-            self.mask[row * self.words + wi as usize] = 0;
+            let mut bits = core::mem::take(&mut self.mask[row * self.words + wi as usize]);
+            while bits != 0 {
+                let c = (wi as usize) * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(c, core::mem::take(&mut self.dense[row * self.width + c]));
+            }
         }
         row_touched.clear();
     }
 
     /// Discards all pending accumulation, restoring the all-zero invariant
-    /// without emitting anything (the error-path reset). Dense-mode writes
-    /// ([`BlockedSpa::accumulate_dense`]) leave no occupancy trail, so
-    /// they are wiped by the full-shape scan below.
+    /// without emitting anything (the error-path reset). Walks only the
+    /// touched words, as [`BlockedSpa::drain_row`] does.
     pub fn clear(&mut self) {
-        for slot in &mut self.dense[..self.rows * self.width] {
-            *slot = 0.0;
-        }
         for row in 0..self.rows {
-            let row_touched = &mut self.touched[row];
-            for &wi in row_touched.iter() {
-                self.mask[row * self.words + wi as usize] = 0;
-            }
-            row_touched.clear();
+            self.take_row(row, |_, _| {});
         }
     }
 
@@ -744,10 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_mode_is_bit_identical_to_masked_mode() {
-        // The same write sequence through both modes, including a
-        // transient cancellation, a persistent cancellation, and a -0.0
-        // product: emission and post-drain state must agree exactly.
+    fn blocked_spa_drains_cancellations_and_resets_to_positive_zero() {
         let writes: &[(usize, usize, f64)] = &[
             (0, 130, 2.0),
             (1, 5, 1.0),
@@ -755,66 +704,37 @@ mod tests {
             (0, 130, -2.0), // cancels...
             (0, 130, 3.0),  // ...then revives
             (1, 5, -1.0),   // cancels for good
-            (1, 64, -0.0),  // negative-zero sum: dropped by both
+            (1, 64, -0.0),  // a negative-zero write sums to zero: dropped
             (1, 199, 4.0),
         ];
-        let mut masked = BlockedSpa::new();
-        let mut dense = BlockedSpa::new();
-        masked.reset_shape(2, 200);
-        dense.reset_shape(2, 200);
-        for &(r, c, v) in writes {
-            masked.accumulate(r, c, v);
-            dense.accumulate_dense(r, c, v);
-        }
-        for row in 0..2 {
-            let (mut bc, mut bv) = (Vec::new(), Vec::new());
-            let (mut dc, mut dv) = (Vec::new(), Vec::new());
-            masked.drain_row(row, 10, &mut bc, &mut bv);
-            dense.drain_row_dense(row, 10, &mut dc, &mut dv);
-            assert_eq!(bc, dc, "row {row} columns");
-            assert_eq!(bv.len(), dv.len());
-            for (b, d) in bv.iter().zip(&dv) {
-                assert_eq!(b.to_bits(), d.to_bits(), "row {row} value bits");
-            }
-        }
-        assert!(masked.is_clear());
-        assert!(dense.is_clear());
-        // A second round on the drained scratch accumulates onto +0.0 in
-        // both modes (the reset must not leave -0.0 behind). The dense
-        // drain also covers masked writes (it clears their mask words
-        // too), so one scratch can switch modes between drained blocks.
-        masked.accumulate(1, 64, -0.5);
-        dense.accumulate_dense(1, 64, -0.5);
-        let (mut bc, mut bv) = (Vec::new(), Vec::new());
-        let (mut dc, mut dv) = (Vec::new(), Vec::new());
-        masked.drain_row_dense(1, 0, &mut bc, &mut bv);
-        dense.drain_row_dense(1, 0, &mut dc, &mut dv);
-        assert!(masked.is_clear());
-        assert!(dense.is_clear());
-        assert_eq!(bc, dc);
-        assert_eq!(bv[0].to_bits(), dv[0].to_bits());
-    }
-
-    #[test]
-    fn dense_mode_clear_and_reshape_keep_the_invariant() {
         let mut spa = BlockedSpa::new();
-        spa.reset_shape(3, 100);
-        spa.accumulate_dense(0, 99, 1.0);
-        spa.accumulate(2, 0, 2.0);
-        assert!(!spa.is_clear());
-        // `clear` wipes dense-mode writes too (they leave no mask trail).
+        spa.reset_shape(2, 200);
+        for &(r, c, v) in writes {
+            spa.accumulate(r, c, v);
+        }
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        spa.drain_row(0, 10, &mut cols, &mut vals);
+        assert_eq!(cols, vec![17, 140]);
+        assert_eq!(vals, vec![1.5, 3.0]);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        spa.drain_row(1, 10, &mut cols, &mut vals);
+        assert_eq!(cols, vec![209]);
+        assert_eq!(vals, vec![4.0]);
+        // Every drained slot is reset to +0.0, not -0.0.
+        assert!(spa.is_clear());
+        assert!(spa.dense.iter().all(|v| v.to_bits() == 0));
+        // `clear` discards a pending round and restores the invariant; the
+        // next round accumulates onto +0.0 and drains only its own writes.
+        spa.accumulate(0, 3, 5.0);
+        spa.accumulate(1, 64, 2.0);
         spa.clear();
         assert!(spa.is_clear());
-        spa.reset_shape(1, 10);
-        assert_eq!((spa.rows(), spa.width()), (1, 10));
-        spa.reset_shape(2, 170);
-        spa.accumulate_dense(1, 169, 7.0);
+        spa.accumulate(1, 64, -0.5);
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        spa.drain_row_dense(1, 0, &mut cols, &mut vals);
-        assert_eq!(
-            (cols.as_slice(), vals.as_slice()),
-            (&[169u32][..], &[7.0][..])
-        );
+        spa.drain_row(0, 0, &mut cols, &mut vals);
+        spa.drain_row(1, 0, &mut cols, &mut vals);
+        assert_eq!(cols, vec![64]);
+        assert_eq!(vals[0].to_bits(), (-0.5f64).to_bits());
         assert!(spa.is_clear());
     }
 

@@ -432,47 +432,46 @@ proptest! {
         prop_assert!(spa.is_clear());
     }
 
-    /// The accumulator's dense mode (the functional engine's near-dense
-    /// kernel: unmasked accumulate + full-width scan-and-wipe drain) is
-    /// bit-identical to the masked mode on arbitrary write sequences:
-    /// same emitted columns and value bits per drain, same
-    /// exact-cancellation drops, same all-zero state afterwards — so
-    /// per-unit kernel dispatch can never change a result.
+    /// `clear` discards a round of arbitrary writes without emitting:
+    /// afterwards the accumulator is all-zero, and a second round on it
+    /// drains exactly its own writes (summed in write order, exact
+    /// cancellations dropped) and nothing of the first.
     #[test]
-    fn dense_mode_matches_masked_mode_on_arbitrary_writes(
-        writes in proptest::collection::vec(
+    fn cleared_spa_drains_only_the_next_rounds_writes(
+        first in proptest::collection::vec(
+            (0usize..6, 0usize..96, 0usize..5), 0..200),
+        second in proptest::collection::vec(
             (0usize..6, 0usize..96, 0usize..5), 0..200),
         rows in 1usize..7,
         width in 1usize..97,
-        rounds in 1usize..4,
     ) {
-        let mut masked = ops::BlockedSpa::new();
-        let mut dense = ops::BlockedSpa::new();
-        masked.reset_shape(rows, width);
-        dense.reset_shape(rows, width);
-        for round in 0..rounds {
-            for &(r, c, v) in &writes {
-                let (r, c) = (r % rows, c % width);
-                // Include exact cancellations (v - 2 spans negatives and
-                // zero) and rotate values per round.
-                let val = (v as f64 - 2.0) * 0.5 + round as f64;
-                masked.accumulate(r, c, val);
-                dense.accumulate_dense(r, c, val);
-            }
-            for r in 0..rows {
-                let (mut bc, mut bv) = (Vec::new(), Vec::new());
-                let (mut dc, mut dv) = (Vec::new(), Vec::new());
-                masked.drain_row(r, 7, &mut bc, &mut bv);
-                dense.drain_row_dense(r, 7, &mut dc, &mut dv);
-                prop_assert_eq!(&bc, &dc);
-                prop_assert_eq!(bv.len(), dv.len());
-                for (b, d) in bv.iter().zip(&dv) {
-                    prop_assert_eq!(b.to_bits(), d.to_bits());
-                }
-            }
-            prop_assert!(masked.is_clear());
-            prop_assert!(dense.is_clear());
+        let val = |v: usize| (v as f64 - 2.0) * 0.5;
+        let mut spa = ops::BlockedSpa::new();
+        spa.reset_shape(rows, width);
+        for &(r, c, v) in &first {
+            spa.accumulate(r % rows, c % width, val(v) + 10.0);
         }
+        spa.clear();
+        prop_assert!(spa.is_clear());
+        let mut want = vec![vec![0.0f64; width]; rows];
+        for &(r, c, v) in &second {
+            let (r, c) = (r % rows, c % width);
+            spa.accumulate(r, c, val(v));
+            want[r][c] += val(v);
+        }
+        for (r, want_row) in want.iter().enumerate() {
+            let (mut cols, mut vals) = (Vec::new(), Vec::new());
+            spa.drain_row(r, 7, &mut cols, &mut vals);
+            let (want_cols, want_vals): (Vec<u32>, Vec<u64>) = want_row
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(c, v)| (c as u32 + 7, v.to_bits()))
+                .unzip();
+            prop_assert_eq!(cols, want_cols);
+            prop_assert_eq!(vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_vals);
+        }
+        prop_assert!(spa.is_clear());
     }
 
     /// The symbolic work counter agrees with the materializing oracle
