@@ -1,28 +1,23 @@
-//! Shared harness code for the figure/table reproduction binaries.
+//! Shared harness code for the paper's figures and tables.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper (see `DESIGN.md`'s per-experiment index). They all accept one
-//! optional positional argument: the workload scale factor in `(0, 1]`
-//! (default `1.0` = paper scale; use e.g. `0.03125` for a quick pass).
-//! Architecture capacities are scaled by the same factor so tensor-to-
-//! buffer ratios — and hence the evaluation's shape — are preserved.
-//!
-//! Cross-cutting environment knobs: `TAILORS_THREADS` pins suite worker
-//! threads (see [`threads_from_env`]), and `TAILORS_GEN_CACHE` names the
-//! on-disk tensor-generation cache directory (see [`generate_cached`]).
+//! Each figure and table is one function in [`figures`]; the binary of the
+//! same name in `src/bin/` runs it, and `run_all` runs the whole
+//! evaluation in one process (see `DESIGN.md`'s per-experiment index). The
+//! binaries take one optional positional argument: the workload scale
+//! factor in `(0, 1]` (default `1.0` = paper scale; use e.g. `0.03125` for
+//! a quick pass). Architecture capacities are scaled by the same factor so
+//! tensor-to-buffer ratios — and hence the evaluation's shape — are
+//! preserved. `TAILORS_THREADS` pins suite worker threads (see
+//! [`threads_from_env`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
+
 use tailors_sim::{run_balanced, ArchConfig, GridMode, MemBudget, RunMetrics, Variant};
 use tailors_tensor::MatrixProfile;
-use tailors_workloads::Workload;
-
-// The generation caches moved to `tailors-workloads` so the serving layer
-// (`tailors-serve`) can share them without depending on the bench harness;
-// re-exported here so existing `tailors_bench::generate_cached` callers
-// keep working.
-pub use tailors_workloads::{generate_cached, profile_cached};
+use tailors_workloads::{profile_cached, Workload};
 
 /// Results of running all three variants on one workload.
 #[derive(Debug, Clone)]
@@ -61,23 +56,32 @@ impl SuiteRun {
     }
 }
 
-/// Parses the scale factor from the first CLI argument (default 1.0).
+/// Parses the scale factor from the only CLI argument (default 1.0). The
+/// figure it is passed to checks its range (see [`check_scale`]).
 ///
 /// # Panics
 ///
-/// Panics with a usage message if the argument is present but not a number
-/// in `(0, 1]`.
+/// Panics with a usage message if the argument is not a number or is
+/// followed by another.
 pub fn scale_from_args() -> f64 {
-    match std::env::args().nth(1) {
-        None => 1.0,
-        Some(s) => {
-            let v: f64 = s
-                .parse()
-                .unwrap_or_else(|_| panic!("usage: <bin> [scale in (0,1]], got {s:?}"));
-            assert!(v > 0.0 && v <= 1.0, "scale must be in (0, 1]");
-            v
-        }
+    let mut args = std::env::args().skip(1);
+    let scale = args.next().map_or(1.0, |s| {
+        s.parse()
+            .unwrap_or_else(|_| panic!("usage: <bin> [scale in (0,1]], got {s:?}"))
+    });
+    if let Some(extra) = args.next() {
+        panic!("usage: <bin> [scale in (0,1]], got extra argument {extra:?}");
     }
+    scale
+}
+
+/// Asserts that `scale` is a workload scale factor, in `(0, 1]`.
+///
+/// # Panics
+///
+/// Panics if it is not.
+pub fn check_scale(scale: f64) {
+    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
 }
 
 // The thread-count knob lives in `tailors-sim`; re-exported here so
@@ -89,10 +93,10 @@ pub fn arch_at(scale: f64) -> ArchConfig {
     ArchConfig::extensor().scaled(scale)
 }
 
-/// Generates one workload at `scale` (through the generation caches — see
-/// [`generate_cached`] / [`profile_cached`]) and returns its profile. The
-/// full tensor is released as soon as the profile is extracted; repeated
-/// calls for the same workload and scale hit the strong profile cache.
+/// Scales `workload` and returns it with its profile, taken from the
+/// generator's pattern stream without building the tensor. Repeated calls
+/// for the same workload and scale hit the strong in-process profile cache
+/// ([`profile_cached`]).
 pub fn profile_at(workload: &Workload, scale: f64) -> (Workload, MatrixProfile) {
     let scaled = workload.scaled(scale);
     let profile = MatrixProfile::clone(&profile_cached(&scaled));

@@ -1,13 +1,13 @@
-//! `run_all`'s exit status must reflect its children: CI's `run_all`
-//! smoke steps can only fail on a child's verification panic if the
-//! parent passes that failure on.
+//! `run_all`'s exit status must reflect its figures: CI's `run_all`
+//! steps can only fail on a figure's verification panic if `run_all`
+//! passes that failure on.
 
 use std::process::Command;
 
 #[test]
 fn run_all_exits_nonzero_when_children_fail() {
-    // Scale 2.0 is outside (0, 1], so every child panics on its arguments
-    // before generating anything.
+    // Scale 2.0 is outside (0, 1], so every figure panics on it before
+    // generating anything, and each failure is caught and listed.
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .arg("2.0")
         .output()

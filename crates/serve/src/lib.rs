@@ -16,9 +16,8 @@
 //!    reads the identity and the profile from the generator's pattern
 //!    stream ([`Workload::pattern`](tailors_workloads::Workload::pattern))
 //!    and never builds the tensor. Only functional requests need one;
-//!    they resolve it through the generation cache
-//!    (`tailors_workloads::generate_cached`: in-process weak map plus the
-//!    optional `TAILORS_GEN_CACHE` disk layer).
+//!    they resolve it through `tailors_workloads::generate_cached`, an
+//!    in-process map of weak tensor handles.
 //! 2. **Profiles** — `MatrixId` → [`MatrixProfile`](tailors_tensor::MatrixProfile)
 //!    in a bounded LRU. The service builds profiles itself (never through
 //!    the unbounded strong `profile_cached` map), so

@@ -55,7 +55,8 @@ use crate::sync::PoisonFreeMutex;
 /// One unit of work a client can submit.
 #[derive(Debug, Clone)]
 pub enum Work {
-    /// An analytical simulation request (high-priority lane).
+    /// An analytical simulation request (high-priority lane;
+    /// admission-gated on the pattern stream's estimated bytes).
     Sim(SimRequest),
     /// A functional-engine request (low-priority lane; admission-gated on
     /// estimated tensor bytes).
@@ -118,8 +119,9 @@ pub enum OverloadReason {
         /// The mailbox's capacity bound.
         capacity: usize,
     },
-    /// A functional request's estimated resident tensor footprint exceeds
-    /// the admission limit. Not retryable: the same request will always
+    /// A request's estimated resident footprint (a functional request's
+    /// tensors, an analytical request's pattern stream) exceeds the
+    /// admission limit. Not retryable: the same request will always
     /// exceed it.
     TensorBytes {
         /// Estimated bytes the request would make resident.
@@ -182,7 +184,7 @@ impl core::fmt::Display for ServeError {
             ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) => {
                 write!(
                     f,
-                    "overloaded: estimated tensor footprint {estimated} B exceeds limit {limit} B"
+                    "overloaded: estimated footprint {estimated} B exceeds limit {limit} B"
                 )
             }
             ServeError::Timeout { deadline } => {
@@ -395,8 +397,10 @@ pub struct RuntimeConfig {
     /// Mailbox capacity across both priority lanes — the backpressure
     /// bound on queued requests.
     pub mailbox_capacity: usize,
-    /// Admission limit on a functional request's estimated resident
-    /// tensor bytes (tensor + transpose + index structure).
+    /// Admission limit on a request's estimated resident bytes: a
+    /// functional request's tensors (tensor + transpose + index
+    /// structure), an analytical request's pattern stream (per-row and
+    /// per-column counts).
     pub max_tensor_bytes: u64,
     /// Injected faults (see [`FaultPlan`]).
     pub faults: FaultPlan,
@@ -768,18 +772,19 @@ impl ServiceRuntime {
         }
     }
 
-    /// Admission control before queueing: a functional request whose
-    /// estimated resident tensor footprint exceeds the configured limit
-    /// is refused as [`OverloadReason::TensorBytes`].
+    /// Admission control before queueing: a request whose estimated
+    /// resident footprint exceeds the configured limit is refused as
+    /// [`OverloadReason::TensorBytes`].
     fn admit(&self, work: &Work) -> Result<(), ServeError> {
-        if let Work::Functional(req) = work {
-            let estimated = estimated_tensor_bytes(&req.workload);
-            if estimated > self.config.max_tensor_bytes {
-                return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
-                    estimated,
-                    limit: self.config.max_tensor_bytes,
-                }));
-            }
+        let estimated = match work {
+            Work::Sim(req) => estimated_pattern_bytes(&req.workload),
+            Work::Functional(req) => estimated_tensor_bytes(&req.workload),
+        };
+        if estimated > self.config.max_tensor_bytes {
+            return Err(ServeError::Overloaded(OverloadReason::TensorBytes {
+                estimated,
+                limit: self.config.max_tensor_bytes,
+            }));
         }
         Ok(())
     }
@@ -852,6 +857,19 @@ pub fn estimated_tensor_bytes(wl: &tailors_workloads::Workload) -> u64 {
     let row_ptrs = rows.saturating_add(cols).saturating_add(2);
     nnz.saturating_mul(2 * (8 + 4))
         .saturating_add(row_ptrs.saturating_mul(8))
+}
+
+/// Estimated resident bytes of an analytical request's cold miss: the
+/// generator's pattern stream keeps per-row and per-column counts and the
+/// generator's per-column state, whatever the nonzero count. A cold
+/// request on an `n × n` workload with 256 nonzeros peaked at 24 n
+/// (clustered), 32 n (banded) and 49 n (power-law) bytes at n = 2^20 and
+/// 2^22; this charges 32 B per row and per column, 64 n in all. Saturates
+/// like [`estimated_tensor_bytes`].
+fn estimated_pattern_bytes(wl: &tailors_workloads::Workload) -> u64 {
+    (wl.nrows as u64)
+        .saturating_add(wl.ncols as u64)
+        .saturating_mul(32)
 }
 
 fn validate(work: &Work) -> Result<(), ServeError> {
@@ -1399,14 +1417,14 @@ mod tests {
         assert!(matches!(e, ServeError::BadRequest(_)), "{e}");
         let mut sim = SimRequest::suite("email-Enron", 1.0 / 512.0, Variant::ExTensorP).unwrap();
         sim.workload = crowded.clone();
-        let e = runtime.submit(Work::Sim(sim)).unwrap_err();
+        let e = runtime.submit(Work::Sim(sim.clone())).unwrap_err();
         assert!(matches!(e, ServeError::BadRequest(_)), "{e}");
         // Within its coordinate space, but its byte estimate overflows
         // u64: the estimate saturates and the admission gate refuses it.
         let mut wide = crowded;
         (wide.nrows, wide.ncols) = (1 << 31, 1 << 31);
         assert_eq!(estimated_tensor_bytes(&wide), u64::MAX);
-        let e = runtime.submit(functional(wide)).unwrap_err();
+        let e = runtime.submit(functional(wide.clone())).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -1417,12 +1435,36 @@ mod tests {
             ),
             "{e}"
         );
+        // As an analytical request it needs no tensor, but its pattern
+        // stream would hold ~2^31 row and column counts each.
+        wide.target_nnz = 256;
+        sim.workload = wide;
+        let e = runtime.submit(Work::Sim(sim)).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                ServeError::Overloaded(OverloadReason::TensorBytes {
+                    estimated: 137_438_953_472,
+                    ..
+                })
+            ),
+            "{e}"
+        );
         // None of them reached the mailbox, and the ledger balances with
         // every refusal counted as rejected.
         assert_eq!(runtime.mailbox_stats().pushed, 0);
         let stats = runtime.stats();
-        assert_eq!((stats.submitted, stats.rejected), (3, 3));
+        assert_eq!((stats.submitted, stats.rejected), (4, 4));
         assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    #[test]
+    fn the_paper_scale_suite_is_admitted_under_the_default_limit() {
+        let runtime = ServiceRuntime::new(RuntimeConfig::default());
+        for wl in tailors_workloads::suite() {
+            let req = SimRequest::suite(wl.name, 1.0, Variant::default_ob()).unwrap();
+            assert_eq!(runtime.admit(&Work::Sim(req)), Ok(()), "{}", wl.name);
+        }
     }
 
     #[test]

@@ -1,43 +1,27 @@
-//! Memoized workload-tensor generation.
+//! Memoized workload generation.
 //!
-//! Every figure/table binary regenerates the same synthetic tensors from
-//! the same `(name, seed, scale)` triples; at paper scale generation
-//! dominates suite wall-clock. [`generate_cached`] adds two cache layers:
+//! Two in-process caches, keyed by the scaled workload's full identity —
+//! name, seed, and concrete dimensions/nnz target (which encode the scale)
+//! — so distinct scales never collide:
 //!
-//! * an in-process map of `Weak` tensor handles (live tensors are shared,
-//!   dropped ones are never pinned) plus a strong map of their *profiles*
-//!   — the analytical suite's actual working set, tiny next to the
-//!   tensors — so repeated suite passes skip generation entirely without
-//!   holding 22 full matrices resident;
-//! * an optional on-disk cache (directory named by the `TAILORS_GEN_CACHE`
-//!   environment variable — `run_all` points every child binary at one
-//!   directory by default), so the *next binary in the sequence* skips
-//!   generation too.
+//! * [`profile_cached`]: a strong map of occupancy *profiles*, taken from
+//!   the generator's pattern stream ([`Workload::pattern`]) without
+//!   building a tensor. Profiles are all the figures read, and they are
+//!   small next to the tensors they summarize.
+//! * [`generate_cached`]: a map of `Weak` tensor handles, so live tensors
+//!   are shared and dropped ones are never pinned. Only the functional
+//!   engine needs a built tensor.
 //!
-//! The cache holds *built* tensors, which only the functional engine and
-//! the figure binaries need. The serving layer's analytical path never
-//! comes here: it reads each workload's profile and pattern identity
-//! from [`Workload::pattern`], which streams the generator without
-//! building a tensor, and keys its own tiers by that identity.
-//!
-//! Cache keys are the scaled workload's full identity — name, seed, and
-//! concrete dimensions/nnz target (which encode the scale) — so distinct
-//! scales never collide. Disk entries carry a format-version magic and are
-//! re-validated through `CsrMatrix::from_parts` on load; any mismatch or
-//! corruption falls back to regeneration and the entry is rewritten.
+//! The serving layer's analytical path comes to neither: it reads each
+//! workload's profile and pattern identity from [`Workload::pattern`] and
+//! keys its own bounded tiers by that identity.
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use tailors_tensor::{CsrMatrix, MatrixProfile};
 
 use crate::Workload;
-
-/// Disk-format magic: bump when the layout (or the generators whose output
-/// it snapshots) changes incompatibly.
-const MAGIC: &[u8; 8] = b"TGENC001";
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct GenKey {
@@ -58,21 +42,13 @@ impl GenKey {
             target_nnz: wl.target_nnz,
         }
     }
-
-    fn file_name(&self) -> String {
-        format!(
-            "{}-s{}-{}x{}-n{}.tgc",
-            self.name, self.seed, self.nrows, self.ncols, self.target_nnz
-        )
-    }
 }
 
 /// In-process tensor cache. Entries are `Weak`: the map never extends a
-/// tensor's lifetime, so a binary that only needed a tensor transiently
-/// (e.g. to take its profile) frees it as before — peak memory stays at
-/// max(live tensors), not sum(all generated). Callers that want in-memory
-/// reuse across calls simply keep their `Arc` alive; everyone else falls
-/// back to the disk layer or regeneration.
+/// tensor's lifetime, so a caller that needs a tensor only transiently
+/// frees it on drop — peak memory stays at max(live tensors), not
+/// sum(all generated). Callers that want in-memory reuse across calls
+/// simply keep their `Arc` alive; everyone else regenerates.
 fn memory_cache() -> &'static Mutex<HashMap<GenKey, Weak<CsrMatrix>>> {
     static CACHE: OnceLock<Mutex<HashMap<GenKey, Weak<CsrMatrix>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -86,16 +62,7 @@ fn profile_cache() -> &'static Mutex<HashMap<GenKey, Arc<MatrixProfile>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The disk-cache directory, when enabled via `TAILORS_GEN_CACHE`.
-fn disk_cache_dir() -> Option<PathBuf> {
-    match std::env::var("TAILORS_GEN_CACHE") {
-        Ok(dir) if !dir.trim().is_empty() => Some(PathBuf::from(dir)),
-        _ => None,
-    }
-}
-
-/// Generates `wl`'s tensor through the cache layers (in-process map, then
-/// the optional `TAILORS_GEN_CACHE` disk cache, then the real generator).
+/// Generates `wl`'s tensor, or returns the live one an earlier call built.
 ///
 /// The returned tensor is shared: callers across one process that ask for
 /// the same `(name, seed, scale)` get the same allocation.
@@ -109,22 +76,7 @@ pub fn generate_cached(wl: &Workload) -> Arc<CsrMatrix> {
     {
         return hit;
     }
-    let dir = disk_cache_dir();
-    let from_disk = dir
-        .as_deref()
-        .and_then(|d| load_tensor(&d.join(key.file_name())));
-    let tensor = Arc::new(match from_disk {
-        Some(t) => t,
-        None => {
-            let t = wl.generate();
-            if let Some(d) = dir.as_deref() {
-                // Best-effort: a full disk or read-only directory only
-                // costs the caching, never the run.
-                let _ = store_tensor(&t, d, &key.file_name());
-            }
-            t
-        }
-    });
+    let tensor = Arc::new(wl.generate());
     memory_cache()
         .lock()
         .expect("gen cache lock")
@@ -133,9 +85,9 @@ pub fn generate_cached(wl: &Workload) -> Arc<CsrMatrix> {
 }
 
 /// The occupancy profile of `wl`'s tensor, memoized strongly in-process
-/// (profiles are small and are the analytical model's working set). On a
-/// profile miss the tensor comes from [`generate_cached`] and is released
-/// as soon as the profile is extracted.
+/// (profiles are small and are the analytical model's working set). A miss
+/// streams the generator's pattern ([`Workload::pattern`]) and builds no
+/// tensor.
 pub fn profile_cached(wl: &Workload) -> Arc<MatrixProfile> {
     let key = GenKey::of(wl);
     if let Some(hit) = profile_cache()
@@ -145,87 +97,12 @@ pub fn profile_cached(wl: &Workload) -> Arc<MatrixProfile> {
     {
         return Arc::clone(hit);
     }
-    let profile = Arc::new(generate_cached(wl).profile());
+    let profile = Arc::new(wl.pattern().0);
     profile_cache()
         .lock()
         .expect("profile cache lock")
         .insert(key, Arc::clone(&profile));
     profile
-}
-
-/// Serializes `t` into `dir/name` (written via a temp file + rename so a
-/// crashed writer never leaves a half-entry behind).
-fn store_tensor(t: &CsrMatrix, dir: &Path, name: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut buf: Vec<u8> = Vec::with_capacity(32 + 8 * t.nrows() + 12 * t.nnz());
-    buf.extend_from_slice(MAGIC);
-    for v in [t.nrows() as u64, t.ncols() as u64, t.nnz() as u64] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    for &p in t.row_ptr() {
-        buf.extend_from_slice(&(p as u64).to_le_bytes());
-    }
-    for &c in t.col_indices() {
-        buf.extend_from_slice(&c.to_le_bytes());
-    }
-    for &v in t.values() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    let tmp = dir.join(format!("{name}.tmp{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-    }
-    std::fs::rename(&tmp, dir.join(name))
-}
-
-/// Loads a tensor stored by [`store_tensor`]; `None` on any mismatch
-/// (missing file, wrong magic, truncation, invalid CSR).
-fn load_tensor(path: &Path) -> Option<CsrMatrix> {
-    let bytes = std::fs::read(path).ok()?;
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*at..*at + n)?;
-        *at += n;
-        Some(s)
-    };
-    if take(&mut at, 8)? != MAGIC {
-        return None;
-    }
-    let read_u64 =
-        |at: &mut usize| -> Option<u64> { Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?)) };
-    let nrows = usize::try_from(read_u64(&mut at)?).ok()?;
-    let ncols = usize::try_from(read_u64(&mut at)?).ok()?;
-    let nnz = usize::try_from(read_u64(&mut at)?).ok()?;
-    // Validate the header against the actual file size BEFORE sizing any
-    // allocation from it: a corrupt dims field must cost a regeneration,
-    // not a multi-terabyte `with_capacity` abort.
-    let expected = 8usize
-        .checked_add(3 * 8)?
-        .checked_add(nrows.checked_add(1)?.checked_mul(8)?)?
-        .checked_add(nnz.checked_mul(4)?)?
-        .checked_add(nnz.checked_mul(8)?)?;
-    if expected != bytes.len() {
-        return None;
-    }
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    for _ in 0..=nrows {
-        row_ptr.push(read_u64(&mut at)? as usize);
-    }
-    let mut col_idx = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        col_idx.push(u32::from_le_bytes(take(&mut at, 4)?.try_into().ok()?));
-    }
-    let mut vals = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        vals.push(f64::from_le_bytes(take(&mut at, 8)?.try_into().ok()?));
-    }
-    if at != bytes.len() {
-        return None;
-    }
-    // Full canonical-form validation: a corrupt entry must never poison a
-    // run, only cost a regeneration.
-    CsrMatrix::from_parts(nrows, ncols, row_ptr, col_idx, vals).ok()
 }
 
 #[cfg(test)]
@@ -257,35 +134,5 @@ mod tests {
         let p2 = profile_cached(&wl);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(*p1, wl.generate().profile());
-    }
-
-    #[test]
-    fn disk_roundtrip_is_lossless_and_validates() {
-        let wl = crate::by_name("pdb1HYS").unwrap().scaled(1.0 / 512.0);
-        let t = wl.generate();
-        let dir = std::env::temp_dir().join(format!("tgc-test-{}", std::process::id()));
-        store_tensor(&t, &dir, "roundtrip.tgc").unwrap();
-        let back = load_tensor(&dir.join("roundtrip.tgc")).expect("loadable");
-        assert_eq!(back, t);
-        // Truncation and bad magic are rejected, not propagated.
-        let full = std::fs::read(dir.join("roundtrip.tgc")).unwrap();
-        std::fs::write(dir.join("short.tgc"), &full[..full.len() - 3]).unwrap();
-        assert!(load_tensor(&dir.join("short.tgc")).is_none());
-        let mut bad = full.clone();
-        bad[0] ^= 0xFF;
-        std::fs::write(dir.join("bad.tgc"), &bad).unwrap();
-        assert!(load_tensor(&dir.join("bad.tgc")).is_none());
-        assert!(load_tensor(&dir.join("missing.tgc")).is_none());
-        // A corrupt dims header under an intact magic must be rejected by
-        // the size cross-check, not fed into an allocation.
-        let mut huge = full.clone();
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes()); // nrows
-        std::fs::write(dir.join("huge.tgc"), &huge).unwrap();
-        assert!(load_tensor(&dir.join("huge.tgc")).is_none());
-        let mut huge_nnz = full.clone();
-        huge_nnz[24..32].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // nnz
-        std::fs::write(dir.join("huge_nnz.tgc"), &huge_nnz).unwrap();
-        assert!(load_tensor(&dir.join("huge_nnz.tgc")).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
