@@ -109,60 +109,6 @@ pub fn simulate_suite(scale: f64) -> Vec<SuiteRun> {
     simulate_suite_with_threads(scale, threads_from_env())
 }
 
-/// [`simulate_suite_with_threads`] routed through a long-lived
-/// [`SimService`](tailors_serve::SimService): one request per
-/// (workload, variant), submitted as a single cost-balanced batch, with
-/// profiles and plans answered from the service's cache tiers when hot.
-/// Output is bit-identical to the direct suite run at every thread count
-/// and for any cache state — a repeated sweep only gets *faster*, never
-/// different (`suite_results_are_identical_under_serving` pins this).
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn simulate_suite_served(
-    service: &tailors_serve::SimService,
-    scale: f64,
-    threads: usize,
-) -> Vec<SuiteRun> {
-    assert!(threads > 0, "thread count must be positive");
-    let arch = arch_at(scale);
-    let suite = tailors_workloads::suite();
-    let variants = [
-        Variant::ExTensorN,
-        Variant::ExTensorP,
-        Variant::default_ob(),
-    ];
-    let reqs: Vec<tailors_serve::SimRequest> = suite
-        .iter()
-        .flat_map(|wl| {
-            variants.map(|variant| tailors_serve::SimRequest {
-                workload: wl.scaled(scale),
-                variant,
-                arch,
-                budget: MemBudget::Unbounded,
-                grid: GridMode::Panels,
-                auto_plan: false,
-            })
-        })
-        .collect();
-    let responses = service.submit_batch(&reqs, threads);
-    suite
-        .iter()
-        .zip(responses.chunks(variants.len()))
-        .map(|(wl, r)| {
-            let (workload, profile) = profile_at(wl, scale);
-            SuiteRun {
-                workload,
-                profile,
-                n: r[0].metrics,
-                p: r[1].metrics,
-                ob: r[2].metrics,
-            }
-        })
-        .collect()
-}
-
 /// [`simulate_suite`] with an explicit thread count (`1` = fully serial).
 /// Every workload is seeded and independent and results are reassembled
 /// in suite order, so the output is identical for any count.
@@ -264,27 +210,6 @@ mod tests {
             assert_eq!(s.speedup_ob().to_bits(), p.speedup_ob().to_bits());
             assert_eq!(s.energy_gain_p().to_bits(), p.energy_gain_p().to_bits());
         }
-    }
-
-    #[test]
-    fn suite_results_are_identical_under_serving() {
-        let scale = 1.0 / 256.0;
-        let direct = simulate_suite_with_threads(scale, 1);
-        let service = tailors_serve::SimService::new();
-        // Cold pass, then a fully plan-hot pass, at different widths:
-        // all bit-identical to the direct suite.
-        for threads in [1, 3] {
-            let served = simulate_suite_served(&service, scale, threads);
-            assert_eq!(served.len(), direct.len());
-            for (s, d) in served.iter().zip(&direct) {
-                assert_eq!(s.workload.name, d.workload.name);
-                assert_eq!(s.n, d.n, "{} threads={threads}", s.workload.name);
-                assert_eq!(s.p, d.p, "{} threads={threads}", s.workload.name);
-                assert_eq!(s.ob, d.ob, "{} threads={threads}", s.workload.name);
-            }
-        }
-        let stats = service.stats();
-        assert_eq!(stats.plan_hits, 66, "second pass must be fully plan-hot");
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!    └── queued ──► worker pop ──► deadline check ──► Timeout
 //!                        │
 //!                        └─ catch_unwind(execute) ─► Ok(Reply)
+//!                                    │               Overloaded{TensorBytes}
+//!                                    │                 (planned scratch)
 //!                                    │               Faulted{panic:false}
 //!                                    └─ panic ─────► Faulted{panic:true}
 //!                                                    (worker survives)
@@ -120,9 +122,9 @@ pub enum OverloadReason {
         capacity: usize,
     },
     /// A request's estimated resident footprint (a functional request's
-    /// tensors, an analytical request's pattern stream) exceeds the
-    /// admission limit. Not retryable: the same request will always
-    /// exceed it.
+    /// tensors, and once planned its dense scratch; an analytical
+    /// request's pattern stream) exceeds the admission limit. Not
+    /// retryable: the same request will always exceed it.
     TensorBytes {
         /// Estimated bytes the request would make resident.
         estimated: u64,
@@ -400,7 +402,8 @@ pub struct RuntimeConfig {
     /// Admission limit on a request's estimated resident bytes: a
     /// functional request's tensors (tensor + transpose + index
     /// structure), an analytical request's pattern stream (per-row and
-    /// per-column counts).
+    /// per-column counts). A functional request is checked again once
+    /// planned, with its dense scratch per thread added.
     pub max_tensor_bytes: u64,
     /// Injected faults (see [`FaultPlan`]).
     pub faults: FaultPlan,
@@ -594,11 +597,18 @@ impl ServiceRuntime {
                 let counters = Arc::clone(&counters);
                 let faults = Arc::clone(&faults);
                 let pool_slots = Arc::clone(&pool_slots);
-                let plan = config.faults;
                 std::thread::Builder::new()
                     .name(format!("tailors-serve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&mailbox, &service, &counters, &faults, plan, &pool_slots, i)
+                        worker_loop(
+                            &mailbox,
+                            &service,
+                            &counters,
+                            &faults,
+                            config,
+                            &pool_slots,
+                            i,
+                        )
                     })
                     .expect("worker thread spawn")
             })
@@ -914,10 +924,11 @@ fn worker_loop(
     service: &SimService,
     counters: &Counters,
     faults: &FaultState,
-    plan: FaultPlan,
+    config: RuntimeConfig,
     pool_slots: &PoisonFreeMutex<Vec<PoolStats>>,
     index: usize,
 ) {
+    let plan = config.faults;
     while let Some(envelope) = mailbox.pop() {
         if let Some(deadline) = envelope.deadline {
             if Instant::now() >= deadline {
@@ -936,7 +947,7 @@ fn worker_loop(
                 counters.injected_panics.fetch_add(1, Ordering::SeqCst);
                 panic!("injected fault: worker panic");
             }
-            execute(service, &envelope.work)
+            execute(service, &envelope.work, config.max_tensor_bytes)
         }));
         let reply = match outcome {
             Ok(r) => r,
@@ -960,13 +971,17 @@ fn worker_loop(
     }
 }
 
-fn execute(service: &SimService, work: &Work) -> Result<Reply, ServeError> {
+fn execute(service: &SimService, work: &Work, limit: u64) -> Result<Reply, ServeError> {
     match work {
         Work::Sim(req) => Ok(Reply::Sim(service.submit(req))),
-        Work::Functional(req) => match service.run_functional(req) {
-            Ok(resp) => Ok(Reply::Functional(Box::new(resp))),
-            Err(EngineError::Config(e)) => Err(ServeError::BadRequest(e.to_string())),
-            Err(e) => Err(ServeError::Faulted {
+        Work::Functional(req) => match service.run_functional_within(req, limit) {
+            Err(estimated) => Err(ServeError::Overloaded(OverloadReason::TensorBytes {
+                estimated,
+                limit,
+            })),
+            Ok(Ok(resp)) => Ok(Reply::Functional(Box::new(resp))),
+            Ok(Err(EngineError::Config(e))) => Err(ServeError::BadRequest(e.to_string())),
+            Ok(Err(e)) => Err(ServeError::Faulted {
                 panic: false,
                 message: e.to_string(),
             }),
@@ -1455,6 +1470,50 @@ mod tests {
         assert_eq!(runtime.mailbox_stats().pushed, 0);
         let stats = runtime.stats();
         assert_eq!((stats.submitted, stats.rejected), (4, 4));
+        assert_eq!(stats.accounted(), stats.submitted);
+    }
+
+    #[test]
+    fn a_planned_scratch_past_the_limit_is_refused_and_the_shard_keeps_serving() {
+        let runtime = ServiceRuntime::new(RuntimeConfig::default());
+        let functional = |workload: tailors_workloads::Workload| {
+            Work::Functional(Box::new(FunctionalRequest {
+                workload,
+                variant: Variant::ExTensorP,
+                arch: tailors_sim::ArchConfig::extensor(),
+                budget: tailors_sim::MemBudget::mib(4),
+                grid: tailors_sim::GridMode::Panels,
+                auto_plan: false,
+                threads: 1,
+            }))
+        };
+        // 256 nonzeros in 2^20 x 2^20: one tile spans the matrix, so the
+        // plan clamps past the 4 MiB budget to a 2^20-row panel over
+        // 2^20-column blocks, 2^43 B of dense scratch. The tensor itself
+        // estimates at ~17 MB and passes admission.
+        let mut sparse = tailors_workloads::by_name("email-Enron").unwrap();
+        (sparse.nrows, sparse.ncols, sparse.target_nnz) = (1 << 20, 1 << 20, 256);
+        assert!(estimated_tensor_bytes(&sparse) < 32 << 20);
+        let e = runtime.submit(functional(sparse.clone())).unwrap_err();
+        let ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) = e else {
+            panic!("expected a typed tensor-bytes refusal, got {e}");
+        };
+        assert_eq!(limit, RuntimeConfig::default().max_tensor_bytes);
+        assert_eq!(estimated, (1 << 43) + estimated_tensor_bytes(&sparse));
+        // The worker survived: a normal functional request completes.
+        let normal = tailors_workloads::by_name("email-Enron")
+            .unwrap()
+            .scaled(1.0 / 512.0);
+        let Work::Functional(mut req) = functional(normal) else {
+            unreachable!()
+        };
+        req.arch = req.arch.scaled(1.0 / 512.0);
+        assert!(runtime.submit(Work::Functional(req)).is_ok());
+        let stats = runtime.stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.rejected),
+            (2, 1, 1)
+        );
         assert_eq!(stats.accounted(), stats.submitted);
     }
 

@@ -14,6 +14,7 @@ use tailors_tensor::{CsrMatrix, MatrixProfile};
 use tailors_workloads::{generate_cached, Workload};
 
 use crate::lru::Lru;
+use crate::runtime::estimated_tensor_bytes;
 use crate::sync::PoisonFreeMutex;
 
 /// The identity of a matrix for cache keying: its stable pattern hash
@@ -529,6 +530,23 @@ impl SimService {
         &self,
         req: &FunctionalRequest,
     ) -> Result<FunctionalResponse, EngineError> {
+        // A saturating estimate never exceeds `u64::MAX`.
+        self.run_functional_within(req, u64::MAX)
+            .unwrap_or_else(|estimated| unreachable!("{estimated} B exceeds u64::MAX"))
+    }
+
+    /// [`SimService::run_functional`], refused before the engine runs
+    /// when the planned footprint exceeds `limit` bytes: the dense
+    /// scratch of the execution plan, once per requested thread, plus
+    /// [`estimated_tensor_bytes`]. A budget smaller than one tile lets
+    /// the plan clamp past it (`fits_budget() == false`), so the scratch
+    /// can dwarf the tensor; the engine would die allocating it, which
+    /// `catch_unwind` cannot isolate. `Err` carries the estimate.
+    pub(crate) fn run_functional_within(
+        &self,
+        req: &FunctionalRequest,
+        limit: u64,
+    ) -> Result<Result<FunctionalResponse, EngineError>, u64> {
         self.functional_requests.fetch_add(1, Ordering::Relaxed);
         let spec = SpecKey::of(&req.workload);
         let known = self.ids.lock().get(&spec).copied();
@@ -570,16 +588,26 @@ impl SimService {
             grid: req.grid,
             auto_plan: false,
         };
-        let result = run_with_threads(&tensor, &config, req.threads)?;
-        Ok(FunctionalResponse {
-            config,
-            result,
-            hits: CacheHits {
-                tensor: tensor_hot,
-                profile: profile_hit,
-                plan: plan_hit,
-            },
-        })
+        let n = tensor.nrows();
+        let estimated = config
+            .execution_plan(n, n)
+            .scratch_bytes()
+            .saturating_mul(req.threads as u64)
+            .saturating_add(estimated_tensor_bytes(&req.workload));
+        if estimated > limit {
+            return Err(estimated);
+        }
+        Ok(
+            run_with_threads(&tensor, &config, req.threads).map(|result| FunctionalResponse {
+                config,
+                result,
+                hits: CacheHits {
+                    tensor: tensor_hot,
+                    profile: profile_hit,
+                    plan: plan_hit,
+                },
+            }),
+        )
     }
 
     /// Resolves a workload spec to its matrix identity, running the

@@ -33,7 +33,20 @@
 //! the wire determinism suite asserts against cold in-process runs.
 //! A welcome side effect: the codec never parses or prints floating
 //! point, so there is no rounding to reason about.
+//!
+//! # Codec
+//!
+//! Every message type has one `Wire` impl holding both directions: `put`
+//! appends the value's JSON straight to the caller's line buffer, and
+//! `get` reads it back from the parsed [`Json`]. The plain-struct
+//! messages declare their fields once, in the `wire_struct!` table (each
+//! wire key is the Rust field name); the enum-shaped codecs and the
+//! envelopes are written out by hand. Encoding builds no intermediate
+//! value, so a session that reuses its line buffer encodes steady-state
+//! messages without allocating. Only decoding builds a tree
+//! ([`Json::parse`]).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,10 +113,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in emission order. Keys are `Cow` so the encoders
-    /// borrow their `'static` field names (no per-key allocation on the
-    /// hot reply path) while the parser stores owned keys.
-    Obj(Vec<(std::borrow::Cow<'static, str>, Json)>),
+    /// An object, in the sender's field order.
+    Obj(Vec<(String, Json)>),
 }
 
 /// Nesting depth bound — protocol messages nest ~5 deep; anything deeper
@@ -135,56 +146,6 @@ impl Json {
         Ok(v)
     }
 
-    /// Serializes to a single line (no internal newlines, ever — the
-    /// framing depends on it).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Serializes into a caller-owned buffer, clearing it first. The
-    /// buffer's capacity survives across calls, so a session that reuses
-    /// one buffer renders every steady-state reply without touching the
-    /// allocator (capacity only ever ratchets up to the largest message
-    /// seen).
-    pub fn render_into(&self, out: &mut String) {
-        out.clear();
-        self.write(out);
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(tok) => out.push_str(tok),
-            Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     // -- typed accessors; every failure is a Malformed with context --
 
     fn get(&self, key: &str) -> Result<&Json, WireError> {
@@ -212,54 +173,22 @@ impl Json {
         }
     }
 
-    fn bool_(&self) -> Result<bool, WireError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(malformed(format!("expected a bool, got {other:?}"))),
-        }
+    /// Any unsigned integer field; the error names the wanted type.
+    fn num<T: std::str::FromStr>(&self) -> Result<T, WireError> {
+        let Json::Num(tok) = self else {
+            return Err(malformed(format!("expected a number, got {self:?}")));
+        };
+        tok.parse().map_err(|_| {
+            malformed(format!(
+                "number {tok:?} is not a {}",
+                std::any::type_name::<T>()
+            ))
+        })
     }
 
-    fn num_tok(&self) -> Result<&str, WireError> {
-        match self {
-            Json::Num(tok) => Ok(tok),
-            other => Err(malformed(format!("expected a number, got {other:?}"))),
-        }
-    }
-
-    fn u64_(&self) -> Result<u64, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u64")))
-    }
-
-    fn u128_(&self) -> Result<u128, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u128")))
-    }
-
-    fn usize_(&self) -> Result<usize, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a usize")))
-    }
-
-    fn u32_(&self) -> Result<u32, WireError> {
-        let tok = self.num_tok()?;
-        tok.parse()
-            .map_err(|_| malformed(format!("number {tok:?} is not a u32")))
-    }
-
-    /// An `f64` carried as the decimal rendering of its bit pattern.
-    fn f64_bits(&self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64_()?))
-    }
-
-    fn arr(&self) -> Result<&[Json], WireError> {
-        match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(malformed(format!("expected an array, got {other:?}"))),
-        }
+    /// Field `key`, decoded through its type's [`Wire`] codec.
+    fn field<T: Wire>(&self, key: &str) -> Result<T, WireError> {
+        T::get(self.get(key)?)
     }
 }
 
@@ -286,7 +215,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -378,7 +307,7 @@ impl<'a> Parser<'a> {
                     self.skip_ws();
                     self.expect_byte(b':')?;
                     let value = self.value(depth + 1)?;
-                    fields.push((key.into(), value));
+                    fields.push((key, value));
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -513,15 +442,22 @@ impl<'a> Parser<'a> {
 // ---------------------------------------------------------------------------
 // Interning: wire messages carry owned strings, but `Workload::name`,
 // `SimResponse::name`, and `RunMetrics::bound_by` are `&'static str`.
-// Suite names resolve back to their existing statics (a scan of the
-// Table 2 rows; the suite itself is never built); anything else is
-// leaked once into a deduplicating pool (bounded by the number of
-// distinct names a process ever decodes).
+// Roofline bound names and suite names resolve back to their existing
+// statics (a scan of the Table 2 rows; the suite itself is never built);
+// anything else is leaked once into a deduplicating pool (bounded by the
+// number of distinct names a process ever decodes).
 // ---------------------------------------------------------------------------
 
 fn intern(s: &str) -> &'static str {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock, PoisonError};
+    const BOUND_BY: [&str; 4] = ["dram", "global-buffer", "intersection", "compute"];
+    if let Some(&bound) = BOUND_BY.iter().find(|&&b| b == s) {
+        return bound;
+    }
+    if let Some(w) = tailors_workloads::by_name(s) {
+        return w.name;
+    }
     static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));
     let mut pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
@@ -533,561 +469,365 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-fn intern_workload_name(s: &str) -> &'static str {
-    match tailors_workloads::by_name(s) {
-        Some(w) => w.name,
-        None => intern(s),
-    }
-}
-
-fn intern_bound_by(s: &str) -> &'static str {
-    match s {
-        "dram" => "dram",
-        "global-buffer" => "global-buffer",
-        "intersection" => "intersection",
-        "compute" => "compute",
-        other => intern(other),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Domain codecs
+// Codecs: one `Wire` impl per type, both directions in one place. `put`
+// appends the value's JSON straight to the caller's line buffer (no
+// intermediate tree, so a warmed buffer encodes without allocating);
+// `get` reads the value back from a parsed `Json`.
 // ---------------------------------------------------------------------------
 
-fn num_u64(v: u64) -> Json {
-    Json::Num(v.to_string())
+trait Wire: Sized {
+    fn put(&self, out: &mut String);
+    fn get(v: &Json) -> Result<Self, WireError>;
 }
 
-fn num_u128(v: u128) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn num_usize(v: usize) -> Json {
-    Json::Num(v.to_string())
-}
-
-fn bits(v: f64) -> Json {
-    Json::Num(v.to_bits().to_string())
-}
-
-// Field names are compile-time literals, so the arena borrows them:
-// building an envelope allocates only the (exact-sized) field vector,
-// never the keys.
-fn obj(fields: Vec<(&'static str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (std::borrow::Cow::Borrowed(k), v))
-            .collect(),
-    )
-}
-
-fn encode_workload(wl: &Workload) -> Json {
-    let class = match wl.class {
-        WorkloadClass::LinearSystem => "linear-system",
-        WorkloadClass::Graph => "graph",
-        WorkloadClass::RoadNetwork => "road-network",
-    };
-    obj(vec![
-        ("name", Json::Str(wl.name.to_string())),
-        ("nrows", num_usize(wl.nrows)),
-        ("ncols", num_usize(wl.ncols)),
-        ("target_nnz", num_usize(wl.target_nnz)),
-        ("class", Json::Str(class.to_string())),
-        ("paper_sparsity", bits(wl.paper_sparsity)),
-        ("variability", bits(wl.variability)),
-        ("seed", num_u64(wl.seed)),
-    ])
-}
-
-fn decode_workload(v: &Json) -> Result<Workload, WireError> {
-    let class = match v.get("class")?.str_()? {
-        "linear-system" => WorkloadClass::LinearSystem,
-        "graph" => WorkloadClass::Graph,
-        "road-network" => WorkloadClass::RoadNetwork,
-        other => return Err(malformed(format!("unknown workload class {other:?}"))),
-    };
-    Ok(Workload {
-        name: intern_workload_name(v.get("name")?.str_()?),
-        nrows: v.get("nrows")?.usize_()?,
-        ncols: v.get("ncols")?.usize_()?,
-        target_nnz: v.get("target_nnz")?.usize_()?,
-        class,
-        paper_sparsity: v.get("paper_sparsity")?.f64_bits()?,
-        variability: v.get("variability")?.f64_bits()?,
-        seed: v.get("seed")?.u64_()?,
-    })
-}
-
-fn encode_variant(v: Variant) -> Json {
-    match v {
-        Variant::ExTensorN => obj(vec![("kind", Json::Str("n".into()))]),
-        Variant::ExTensorP => obj(vec![("kind", Json::Str("p".into()))]),
-        Variant::ExTensorOB { y, k } => obj(vec![
-            ("kind", Json::Str("ob".into())),
-            ("y", bits(y)),
-            ("k", num_usize(k)),
-        ]),
-        // `Variant` is non_exhaustive upstream; refuse rather than
-        // silently mis-encode a future variant.
-        other => unreachable!("unencodable variant {other:?}"),
-    }
-}
-
-fn decode_variant(v: &Json) -> Result<Variant, WireError> {
-    match v.get("kind")?.str_()? {
-        "n" => Ok(Variant::ExTensorN),
-        "p" => Ok(Variant::ExTensorP),
-        "ob" => Ok(Variant::ExTensorOB {
-            y: v.get("y")?.f64_bits()?,
-            k: v.get("k")?.usize_()?,
-        }),
-        other => Err(malformed(format!("unknown variant kind {other:?}"))),
-    }
-}
-
-fn encode_arch(a: &ArchConfig) -> Json {
-    obj(vec![
-        ("gb_bytes", num_u64(a.gb_bytes)),
-        ("pe_buf_bytes", num_u64(a.pe_buf_bytes)),
-        ("pe_count", num_u64(a.pe_count)),
-        ("bytes_per_element", num_u64(a.bytes_per_element)),
-        ("dram_bytes_per_cycle", bits(a.dram_bytes_per_cycle)),
-        ("gb_elems_per_cycle", bits(a.gb_elems_per_cycle)),
-        ("isect_coords_per_cycle", bits(a.isect_coords_per_cycle)),
-        ("macs_per_pe_per_cycle", bits(a.macs_per_pe_per_cycle)),
-        ("operand_fraction", bits(a.operand_fraction)),
-        ("dram_latency_cycles", num_u64(a.dram_latency_cycles)),
-        ("gb_latency_cycles", num_u64(a.gb_latency_cycles)),
-    ])
-}
-
-fn decode_arch(v: &Json) -> Result<ArchConfig, WireError> {
-    Ok(ArchConfig {
-        gb_bytes: v.get("gb_bytes")?.u64_()?,
-        pe_buf_bytes: v.get("pe_buf_bytes")?.u64_()?,
-        pe_count: v.get("pe_count")?.u64_()?,
-        bytes_per_element: v.get("bytes_per_element")?.u64_()?,
-        dram_bytes_per_cycle: v.get("dram_bytes_per_cycle")?.f64_bits()?,
-        gb_elems_per_cycle: v.get("gb_elems_per_cycle")?.f64_bits()?,
-        isect_coords_per_cycle: v.get("isect_coords_per_cycle")?.f64_bits()?,
-        macs_per_pe_per_cycle: v.get("macs_per_pe_per_cycle")?.f64_bits()?,
-        operand_fraction: v.get("operand_fraction")?.f64_bits()?,
-        dram_latency_cycles: v.get("dram_latency_cycles")?.u64_()?,
-        gb_latency_cycles: v.get("gb_latency_cycles")?.u64_()?,
-    })
-}
-
-fn encode_budget(b: MemBudget) -> Json {
-    match b.limit_bytes() {
-        None => Json::Str("unbounded".into()),
-        Some(n) => num_u64(n),
-    }
-}
-
-fn decode_budget(v: &Json) -> Result<MemBudget, WireError> {
-    match v {
-        Json::Str(s) if s == "unbounded" => Ok(MemBudget::Unbounded),
-        Json::Num(_) => Ok(MemBudget::Bytes(v.u64_()?)),
-        other => Err(malformed(format!("invalid budget {other:?}"))),
-    }
-}
-
-fn encode_grid(g: GridMode) -> Json {
-    Json::Str(
-        match g {
-            GridMode::Panels => "panels",
-            GridMode::Grid2D => "grid2d",
-        }
-        .into(),
-    )
-}
-
-fn decode_grid(v: &Json) -> Result<GridMode, WireError> {
-    GridMode::parse(v.str_()?).map_err(malformed)
-}
-
-fn encode_sim_request(r: &SimRequest) -> Json {
-    obj(vec![
-        ("workload", encode_workload(&r.workload)),
-        ("variant", encode_variant(r.variant)),
-        ("arch", encode_arch(&r.arch)),
-        ("budget", encode_budget(r.budget)),
-        ("grid", encode_grid(r.grid)),
-        ("auto_plan", Json::Bool(r.auto_plan)),
-    ])
-}
-
-fn decode_sim_request(v: &Json) -> Result<SimRequest, WireError> {
-    Ok(SimRequest {
-        workload: decode_workload(v.get("workload")?)?,
-        variant: decode_variant(v.get("variant")?)?,
-        arch: decode_arch(v.get("arch")?)?,
-        budget: decode_budget(v.get("budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
-    })
-}
-
-fn encode_functional_request(r: &FunctionalRequest) -> Json {
-    obj(vec![
-        ("workload", encode_workload(&r.workload)),
-        ("variant", encode_variant(r.variant)),
-        ("arch", encode_arch(&r.arch)),
-        ("budget", encode_budget(r.budget)),
-        ("grid", encode_grid(r.grid)),
-        ("auto_plan", Json::Bool(r.auto_plan)),
-        ("threads", num_usize(r.threads)),
-    ])
-}
-
-fn decode_functional_request(v: &Json) -> Result<FunctionalRequest, WireError> {
-    Ok(FunctionalRequest {
-        workload: decode_workload(v.get("workload")?)?,
-        variant: decode_variant(v.get("variant")?)?,
-        arch: decode_arch(v.get("arch")?)?,
-        budget: decode_budget(v.get("budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
-        threads: v.get("threads")?.usize_()?,
-    })
-}
-
-fn encode_metrics(m: &RunMetrics) -> Json {
-    obj(vec![
-        ("cycles", bits(m.cycles)),
-        ("energy_pj", bits(m.energy_pj)),
-        (
-            "activity",
-            obj(vec![
-                ("dram_elems", num_u128(m.activity.dram_elems)),
-                ("gb_accesses", num_u128(m.activity.gb_accesses)),
-                ("pe_buf_accesses", num_u128(m.activity.pe_buf_accesses)),
-                ("macs", num_u128(m.activity.macs)),
-                ("isect_coords", num_u128(m.activity.isect_coords)),
-            ]),
-        ),
-        (
-            "dram",
-            obj(vec![
-                ("total", num_u128(m.dram.total)),
-                ("baseline", num_u128(m.dram.baseline)),
-                ("overbook_extra", num_u128(m.dram.overbook_extra)),
-            ]),
-        ),
-        (
-            "reuse",
-            obj(vec![
-                ("bumped_fraction", bits(m.reuse.bumped_fraction)),
-                ("reused_fraction", bits(m.reuse.reused_fraction)),
-                ("overbooked_a_tiles", num_usize(m.reuse.overbooked_a_tiles)),
-                ("total_a_tiles", num_usize(m.reuse.total_a_tiles)),
-                ("overbooked_b_tiles", num_usize(m.reuse.overbooked_b_tiles)),
-                ("total_b_tiles", num_usize(m.reuse.total_b_tiles)),
-            ]),
-        ),
-        (
-            "plan",
-            obj(vec![
-                ("gb_rows_a", num_usize(m.plan.gb_rows_a)),
-                ("gb_cols_b", num_usize(m.plan.gb_cols_b)),
-                ("pe_rows_a", num_usize(m.plan.pe_rows_a)),
-                ("pe_cols_b", num_usize(m.plan.pe_cols_b)),
-                ("full_k", Json::Bool(m.plan.full_k)),
-                ("overbooking", Json::Bool(m.plan.overbooking)),
-            ]),
-        ),
-        (
-            "scratch",
-            obj(vec![
-                ("col_blocks", num_usize(m.scratch.col_blocks)),
-                ("block_cols", num_usize(m.scratch.block_cols)),
-                ("bytes_per_thread", num_u64(m.scratch.bytes_per_thread)),
-                ("fits_budget", Json::Bool(m.scratch.fits_budget)),
-                ("grid", encode_grid(m.scratch.grid)),
-                ("parallel_units", num_usize(m.scratch.parallel_units)),
-            ]),
-        ),
-        ("bound_by", Json::Str(m.bound_by.to_string())),
-    ])
-}
-
-fn decode_metrics(v: &Json) -> Result<RunMetrics, WireError> {
-    let a = v.get("activity")?;
-    let d = v.get("dram")?;
-    let r = v.get("reuse")?;
-    let p = v.get("plan")?;
-    let s = v.get("scratch")?;
-    Ok(RunMetrics {
-        cycles: v.get("cycles")?.f64_bits()?,
-        energy_pj: v.get("energy_pj")?.f64_bits()?,
-        activity: ActivityCounts {
-            dram_elems: a.get("dram_elems")?.u128_()?,
-            gb_accesses: a.get("gb_accesses")?.u128_()?,
-            pe_buf_accesses: a.get("pe_buf_accesses")?.u128_()?,
-            macs: a.get("macs")?.u128_()?,
-            isect_coords: a.get("isect_coords")?.u128_()?,
-        },
-        dram: DramBreakdown {
-            total: d.get("total")?.u128_()?,
-            baseline: d.get("baseline")?.u128_()?,
-            overbook_extra: d.get("overbook_extra")?.u128_()?,
-        },
-        reuse: ReuseStats {
-            bumped_fraction: r.get("bumped_fraction")?.f64_bits()?,
-            reused_fraction: r.get("reused_fraction")?.f64_bits()?,
-            overbooked_a_tiles: r.get("overbooked_a_tiles")?.usize_()?,
-            total_a_tiles: r.get("total_a_tiles")?.usize_()?,
-            overbooked_b_tiles: r.get("overbooked_b_tiles")?.usize_()?,
-            total_b_tiles: r.get("total_b_tiles")?.usize_()?,
-        },
-        plan: TilePlan {
-            gb_rows_a: p.get("gb_rows_a")?.usize_()?,
-            gb_cols_b: p.get("gb_cols_b")?.usize_()?,
-            pe_rows_a: p.get("pe_rows_a")?.usize_()?,
-            pe_cols_b: p.get("pe_cols_b")?.usize_()?,
-            full_k: p.get("full_k")?.bool_()?,
-            overbooking: p.get("overbooking")?.bool_()?,
-        },
-        scratch: ScratchStats {
-            col_blocks: s.get("col_blocks")?.usize_()?,
-            block_cols: s.get("block_cols")?.usize_()?,
-            bytes_per_thread: s.get("bytes_per_thread")?.u64_()?,
-            fits_budget: s.get("fits_budget")?.bool_()?,
-            grid: decode_grid(s.get("grid")?)?,
-            parallel_units: s.get("parallel_units")?.usize_()?,
-        },
-        bound_by: intern_bound_by(v.get("bound_by")?.str_()?),
-    })
-}
-
-fn encode_hits(h: &CacheHits) -> Json {
-    obj(vec![
-        ("tensor", Json::Bool(h.tensor)),
-        ("profile", Json::Bool(h.profile)),
-        ("plan", Json::Bool(h.plan)),
-    ])
-}
-
-fn decode_hits(v: &Json) -> Result<CacheHits, WireError> {
-    Ok(CacheHits {
-        tensor: v.get("tensor")?.bool_()?,
-        profile: v.get("profile")?.bool_()?,
-        plan: v.get("plan")?.bool_()?,
-    })
-}
-
-fn encode_csr(m: &CsrMatrix) -> Json {
-    obj(vec![
-        ("nrows", num_usize(m.nrows())),
-        ("ncols", num_usize(m.ncols())),
-        (
-            "row_ptr",
-            Json::Arr(m.row_ptr().iter().map(|&p| num_usize(p)).collect()),
-        ),
-        (
-            "cols",
-            Json::Arr(
-                m.col_indices()
-                    .iter()
-                    .map(|&c| num_u64(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        (
-            "vals",
-            Json::Arr(m.values().iter().map(|&x| bits(x)).collect()),
-        ),
-    ])
-}
-
-fn decode_csr(v: &Json) -> Result<CsrMatrix, WireError> {
-    let row_ptr = v
-        .get("row_ptr")?
-        .arr()?
-        .iter()
-        .map(Json::usize_)
-        .collect::<Result<Vec<_>, _>>()?;
-    let cols = v
-        .get("cols")?
-        .arr()?
-        .iter()
-        .map(Json::u32_)
-        .collect::<Result<Vec<_>, _>>()?;
-    let vals = v
-        .get("vals")?
-        .arr()?
-        .iter()
-        .map(Json::f64_bits)
-        .collect::<Result<Vec<_>, _>>()?;
-    CsrMatrix::from_parts(
-        v.get("nrows")?.usize_()?,
-        v.get("ncols")?.usize_()?,
-        row_ptr,
-        cols,
-        vals,
-    )
-    .map_err(|e| malformed(format!("invalid CSR payload: {e:?}")))
-}
-
-fn encode_functional_config(c: &FunctionalConfig) -> Json {
-    obj(vec![
-        ("capacity", num_usize(c.capacity)),
-        ("fifo_region", num_usize(c.fifo_region)),
-        ("rows_a", num_usize(c.rows_a)),
-        ("cols_b", num_usize(c.cols_b)),
-        ("overbooking", Json::Bool(c.overbooking)),
-        ("mem_budget", encode_budget(c.mem_budget)),
-        ("grid", encode_grid(c.grid)),
-        ("auto_plan", Json::Bool(c.auto_plan)),
-    ])
-}
-
-fn decode_functional_config(v: &Json) -> Result<FunctionalConfig, WireError> {
-    Ok(FunctionalConfig {
-        capacity: v.get("capacity")?.usize_()?,
-        fifo_region: v.get("fifo_region")?.usize_()?,
-        rows_a: v.get("rows_a")?.usize_()?,
-        cols_b: v.get("cols_b")?.usize_()?,
-        overbooking: v.get("overbooking")?.bool_()?,
-        mem_budget: decode_budget(v.get("mem_budget")?)?,
-        grid: decode_grid(v.get("grid")?)?,
-        auto_plan: v.get("auto_plan")?.bool_()?,
-    })
-}
-
-fn encode_sim_response(r: &SimResponse) -> Json {
-    obj(vec![
-        ("name", Json::Str(r.name.to_string())),
-        ("metrics", encode_metrics(&r.metrics)),
-        ("hits", encode_hits(&r.hits)),
-    ])
-}
-
-fn decode_sim_response(v: &Json) -> Result<SimResponse, WireError> {
-    Ok(SimResponse {
-        name: intern_workload_name(v.get("name")?.str_()?),
-        metrics: decode_metrics(v.get("metrics")?)?,
-        hits: decode_hits(v.get("hits")?)?,
-    })
-}
-
-fn encode_functional_response(r: &FunctionalResponse) -> Json {
-    obj(vec![
-        ("config", encode_functional_config(&r.config)),
-        (
-            "result",
-            obj(vec![
-                ("z", encode_csr(&r.result.z)),
-                ("dram_a_fetches", num_u64(r.result.dram_a_fetches)),
-                ("dram_b_fetches", num_u64(r.result.dram_b_fetches)),
-                ("overbooked_a_tiles", num_usize(r.result.overbooked_a_tiles)),
-            ]),
-        ),
-        ("hits", encode_hits(&r.hits)),
-    ])
-}
-
-fn decode_functional_response(v: &Json) -> Result<FunctionalResponse, WireError> {
-    let res = v.get("result")?;
-    Ok(FunctionalResponse {
-        config: decode_functional_config(v.get("config")?)?,
-        result: FunctionalResult {
-            z: decode_csr(res.get("z")?)?,
-            dram_a_fetches: res.get("dram_a_fetches")?.u64_()?,
-            dram_b_fetches: res.get("dram_b_fetches")?.u64_()?,
-            overbooked_a_tiles: res.get("overbooked_a_tiles")?.usize_()?,
-        },
-        hits: decode_hits(v.get("hits")?)?,
-    })
-}
-
-fn encode_serve_error(e: &ServeError) -> Json {
-    match e {
-        ServeError::Overloaded(OverloadReason::MailboxFull { capacity }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("mailbox-full".into())),
-            ("capacity", num_usize(*capacity)),
-        ]),
-        ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) => obj(vec![
-            ("code", Json::Str("overloaded".into())),
-            ("reason", Json::Str("tensor-bytes".into())),
-            ("estimated", num_u64(*estimated)),
-            ("limit", num_u64(*limit)),
-        ]),
-        ServeError::Timeout { deadline } => obj(vec![
-            ("code", Json::Str("timeout".into())),
-            ("deadline_secs", num_u64(deadline.as_secs())),
-            (
-                "deadline_nanos",
-                num_u64(u64::from(deadline.subsec_nanos())),
-            ),
-        ]),
-        ServeError::Faulted { panic, message } => obj(vec![
-            ("code", Json::Str("faulted".into())),
-            ("panic", Json::Bool(*panic)),
-            ("message", Json::Str(message.clone())),
-        ]),
-        ServeError::BadRequest(m) => obj(vec![
-            ("code", Json::Str("bad-request".into())),
-            ("message", Json::Str(m.clone())),
-        ]),
-        ServeError::TooLarge { limit } => obj(vec![
-            ("code", Json::Str("too-large".into())),
-            ("limit", num_u64(*limit)),
-        ]),
-        ServeError::Shutdown => obj(vec![("code", Json::Str("shutdown".into()))]),
-    }
-}
-
-fn decode_serve_error(v: &Json) -> Result<ServeError, WireError> {
-    match v.get("code")?.str_()? {
-        "overloaded" => match v.get("reason")?.str_()? {
-            "mailbox-full" => Ok(ServeError::Overloaded(OverloadReason::MailboxFull {
-                capacity: v.get("capacity")?.usize_()?,
-            })),
-            "tensor-bytes" => Ok(ServeError::Overloaded(OverloadReason::TensorBytes {
-                estimated: v.get("estimated")?.u64_()?,
-                limit: v.get("limit")?.u64_()?,
-            })),
-            other => Err(malformed(format!("unknown overload reason {other:?}"))),
-        },
-        "timeout" => {
-            let secs = v.get("deadline_secs")?.u64_()?;
-            let nanos = v.get("deadline_nanos")?.u64_()?;
-            let nanos =
-                u32::try_from(nanos).map_err(|_| malformed("timeout nanos out of range"))?;
-            if nanos >= 1_000_000_000 {
-                return Err(malformed("timeout nanos out of range"));
+macro_rules! wire_numbers {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            Ok(ServeError::Timeout {
-                deadline: Duration::new(secs, nanos),
-            })
+            fn get(v: &Json) -> Result<Self, WireError> {
+                v.num()
+            }
         }
-        "faulted" => Ok(ServeError::Faulted {
-            panic: v.get("panic")?.bool_()?,
-            message: v.get("message")?.str_()?.to_string(),
-        }),
-        "bad-request" => Ok(ServeError::BadRequest(
-            v.get("message")?.str_()?.to_string(),
-        )),
-        "too-large" => Ok(ServeError::TooLarge {
-            limit: v.get("limit")?.u64_()?,
-        }),
-        "shutdown" => Ok(ServeError::Shutdown),
-        // A protocol-level error reply from the server: surface it as the
-        // bad request it (from the server's view) was.
-        "malformed" => Ok(ServeError::BadRequest(format!(
-            "protocol error: {}",
-            v.get("message")?.str_()?
-        ))),
-        other => Err(malformed(format!("unknown error code {other:?}"))),
+    )*};
+}
+
+wire_numbers!(u32, u64, u128, usize);
+
+impl Wire for bool {
+    fn put(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            other => Err(malformed(format!("expected a bool, got {other:?}"))),
+        }
+    }
+}
+
+/// The decimal rendering of the bit pattern: bit-exact, and the codec
+/// never parses or prints floating point.
+impl Wire for f64 {
+    fn put(&self, out: &mut String) {
+        self.to_bits().put(out);
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        u64::get(v).map(f64::from_bits)
+    }
+}
+
+impl Wire for &'static str {
+    fn put(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        v.str_().map(intern)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut String) {
+        write_escaped(self, out);
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        v.str_().map(str::to_owned)
+    }
+}
+
+/// A reply id: `null` on protocol-level error replies.
+impl Wire for Option<u64> {
+    fn put(&self, out: &mut String) {
+        match self {
+            Some(id) => id.put(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v {
+            Json::Null => Ok(None),
+            other => u64::get(other).map(Some),
+        }
+    }
+}
+
+fn put_seq<T: Wire>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.put(out);
+    }
+    out.push(']');
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut String) {
+        put_seq(self, out);
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v {
+            Json::Arr(items) => items.iter().map(T::get).collect(),
+            other => Err(malformed(format!("expected an array, got {other:?}"))),
+        }
+    }
+}
+
+/// One field list per plain-struct message. Each wire key is the Rust
+/// field name; `put` writes the fields in the listed order and `get`
+/// looks each up by name.
+macro_rules! wire_struct {
+    ($($ty:ident { $first:ident $(, $rest:ident)* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                out.push_str(concat!("{\"", stringify!($first), "\":"));
+                self.$first.put(out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($rest), "\":"));
+                    self.$rest.put(out);
+                )*
+                out.push('}');
+            }
+            fn get(v: &Json) -> Result<Self, WireError> {
+                Ok($ty {
+                    $first: v.field(stringify!($first))?,
+                    $($rest: v.field(stringify!($rest))?,)*
+                })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    Workload {
+        name, nrows, ncols, target_nnz, class, paper_sparsity, variability, seed,
+    }
+    ArchConfig {
+        gb_bytes, pe_buf_bytes, pe_count, bytes_per_element, dram_bytes_per_cycle,
+        gb_elems_per_cycle, isect_coords_per_cycle, macs_per_pe_per_cycle,
+        operand_fraction, dram_latency_cycles, gb_latency_cycles,
+    }
+    SimRequest { workload, variant, arch, budget, grid, auto_plan }
+    FunctionalRequest { workload, variant, arch, budget, grid, auto_plan, threads }
+    ActivityCounts { dram_elems, gb_accesses, pe_buf_accesses, macs, isect_coords }
+    DramBreakdown { total, baseline, overbook_extra }
+    ReuseStats {
+        bumped_fraction, reused_fraction, overbooked_a_tiles, total_a_tiles,
+        overbooked_b_tiles, total_b_tiles,
+    }
+    TilePlan { gb_rows_a, gb_cols_b, pe_rows_a, pe_cols_b, full_k, overbooking }
+    ScratchStats {
+        col_blocks, block_cols, bytes_per_thread, fits_budget, grid, parallel_units,
+    }
+    RunMetrics { cycles, energy_pj, activity, dram, reuse, plan, scratch, bound_by }
+    CacheHits { tensor, profile, plan }
+    FunctionalConfig {
+        capacity, fifo_region, rows_a, cols_b, overbooking, mem_budget, grid, auto_plan,
+    }
+    FunctionalResult { z, dram_a_fetches, dram_b_fetches, overbooked_a_tiles }
+    SimResponse { name, metrics, hits }
+    FunctionalResponse { config, result, hits }
+    RuntimeStats {
+        submitted, completed, rejected, timed_out, faulted, panics_isolated, retries,
+        injected_panics, injected_latency, injected_rejects, injected_drops,
+    }
+}
+
+impl Wire for CsrMatrix {
+    fn put(&self, out: &mut String) {
+        out.push_str("{\"nrows\":");
+        self.nrows().put(out);
+        out.push_str(",\"ncols\":");
+        self.ncols().put(out);
+        out.push_str(",\"row_ptr\":");
+        put_seq(self.row_ptr(), out);
+        out.push_str(",\"cols\":");
+        put_seq(self.col_indices(), out);
+        out.push_str(",\"vals\":");
+        put_seq(self.values(), out);
+        out.push('}');
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        CsrMatrix::from_parts(
+            v.field("nrows")?,
+            v.field("ncols")?,
+            v.field("row_ptr")?,
+            v.field("cols")?,
+            v.field("vals")?,
+        )
+        .map_err(|e| malformed(format!("invalid CSR payload: {e:?}")))
+    }
+}
+
+impl Wire for WorkloadClass {
+    fn put(&self, out: &mut String) {
+        out.push_str(match self {
+            WorkloadClass::LinearSystem => "\"linear-system\"",
+            WorkloadClass::Graph => "\"graph\"",
+            WorkloadClass::RoadNetwork => "\"road-network\"",
+        });
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v.str_()? {
+            "linear-system" => Ok(WorkloadClass::LinearSystem),
+            "graph" => Ok(WorkloadClass::Graph),
+            "road-network" => Ok(WorkloadClass::RoadNetwork),
+            other => Err(malformed(format!("unknown workload class {other:?}"))),
+        }
+    }
+}
+
+impl Wire for Variant {
+    fn put(&self, out: &mut String) {
+        match self {
+            Variant::ExTensorN => out.push_str("{\"kind\":\"n\"}"),
+            Variant::ExTensorP => out.push_str("{\"kind\":\"p\"}"),
+            Variant::ExTensorOB { y, k } => {
+                out.push_str("{\"kind\":\"ob\",\"y\":");
+                y.put(out);
+                out.push_str(",\"k\":");
+                k.put(out);
+                out.push('}');
+            }
+            // `Variant` is non_exhaustive upstream; refuse rather than
+            // silently mis-encode a future variant.
+            other => unreachable!("unencodable variant {other:?}"),
+        }
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v.get("kind")?.str_()? {
+            "n" => Ok(Variant::ExTensorN),
+            "p" => Ok(Variant::ExTensorP),
+            "ob" => Ok(Variant::ExTensorOB {
+                y: v.field("y")?,
+                k: v.field("k")?,
+            }),
+            other => Err(malformed(format!("unknown variant kind {other:?}"))),
+        }
+    }
+}
+
+impl Wire for MemBudget {
+    fn put(&self, out: &mut String) {
+        match self.limit_bytes() {
+            None => out.push_str("\"unbounded\""),
+            Some(n) => n.put(out),
+        }
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v {
+            Json::Str(s) if s == "unbounded" => Ok(MemBudget::Unbounded),
+            Json::Num(_) => u64::get(v).map(MemBudget::Bytes),
+            other => Err(malformed(format!("invalid budget {other:?}"))),
+        }
+    }
+}
+
+impl Wire for GridMode {
+    fn put(&self, out: &mut String) {
+        out.push_str(match self {
+            GridMode::Panels => "\"panels\"",
+            GridMode::Grid2D => "\"grid2d\"",
+        });
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        GridMode::parse(v.str_()?).map_err(malformed)
+    }
+}
+
+impl Wire for ServeError {
+    fn put(&self, out: &mut String) {
+        match self {
+            ServeError::Overloaded(OverloadReason::MailboxFull { capacity }) => {
+                out.push_str("{\"code\":\"overloaded\",\"reason\":\"mailbox-full\",\"capacity\":");
+                capacity.put(out);
+            }
+            ServeError::Overloaded(OverloadReason::TensorBytes { estimated, limit }) => {
+                out.push_str("{\"code\":\"overloaded\",\"reason\":\"tensor-bytes\",\"estimated\":");
+                estimated.put(out);
+                out.push_str(",\"limit\":");
+                limit.put(out);
+            }
+            ServeError::Timeout { deadline } => {
+                out.push_str("{\"code\":\"timeout\",\"deadline_secs\":");
+                deadline.as_secs().put(out);
+                out.push_str(",\"deadline_nanos\":");
+                deadline.subsec_nanos().put(out);
+            }
+            ServeError::Faulted { panic, message } => {
+                out.push_str("{\"code\":\"faulted\",\"panic\":");
+                panic.put(out);
+                out.push_str(",\"message\":");
+                message.put(out);
+            }
+            ServeError::BadRequest(message) => {
+                out.push_str("{\"code\":\"bad-request\",\"message\":");
+                message.put(out);
+            }
+            ServeError::TooLarge { limit } => {
+                out.push_str("{\"code\":\"too-large\",\"limit\":");
+                limit.put(out);
+            }
+            ServeError::Shutdown => out.push_str("{\"code\":\"shutdown\""),
+        }
+        out.push('}');
+    }
+    fn get(v: &Json) -> Result<Self, WireError> {
+        match v.get("code")?.str_()? {
+            "overloaded" => match v.get("reason")?.str_()? {
+                "mailbox-full" => Ok(ServeError::Overloaded(OverloadReason::MailboxFull {
+                    capacity: v.field("capacity")?,
+                })),
+                "tensor-bytes" => Ok(ServeError::Overloaded(OverloadReason::TensorBytes {
+                    estimated: v.field("estimated")?,
+                    limit: v.field("limit")?,
+                })),
+                other => Err(malformed(format!("unknown overload reason {other:?}"))),
+            },
+            "timeout" => {
+                let secs = v.field("deadline_secs")?;
+                let nanos: u64 = v.field("deadline_nanos")?;
+                let nanos = u32::try_from(nanos)
+                    .ok()
+                    .filter(|&n| n < 1_000_000_000)
+                    .ok_or_else(|| malformed("timeout nanos out of range"))?;
+                Ok(ServeError::Timeout {
+                    deadline: Duration::new(secs, nanos),
+                })
+            }
+            "faulted" => Ok(ServeError::Faulted {
+                panic: v.field("panic")?,
+                message: v.field("message")?,
+            }),
+            "bad-request" => Ok(ServeError::BadRequest(v.field("message")?)),
+            "too-large" => Ok(ServeError::TooLarge {
+                limit: v.field("limit")?,
+            }),
+            "shutdown" => Ok(ServeError::Shutdown),
+            // A protocol-level error reply from the server: surface it as the
+            // bad request it (from the server's view) was.
+            "malformed" => Ok(ServeError::BadRequest(format!(
+                "protocol error: {}",
+                v.get("message")?.str_()?
+            ))),
+            other => Err(malformed(format!("unknown error code {other:?}"))),
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Envelopes
 // ---------------------------------------------------------------------------
+
+/// Clears `out` and opens an envelope: `{"id":N` (or `null`).
+fn open_envelope(id: Option<u64>, out: &mut String) {
+    out.clear();
+    out.push_str("{\"id\":");
+    id.put(out);
+}
 
 /// Encodes one request line (no trailing newline).
 pub fn encode_request(id: u64, work: &Work) -> String {
@@ -1097,19 +837,21 @@ pub fn encode_request(id: u64, work: &Work) -> String {
 }
 
 /// [`encode_request`] into a reusable buffer (cleared first): a client
-/// that keeps one buffer per session renders steady-state requests
-/// without allocating the line itself.
+/// that keeps one buffer per session encodes steady-state requests
+/// without touching the allocator.
 pub fn encode_request_into(id: u64, work: &Work, out: &mut String) {
-    let (kind, req) = match work {
-        Work::Sim(r) => ("sim", encode_sim_request(r)),
-        Work::Functional(r) => ("functional", encode_functional_request(r)),
-    };
-    obj(vec![
-        ("id", num_u64(id)),
-        ("kind", Json::Str(kind.into())),
-        ("req", req),
-    ])
-    .render_into(out);
+    open_envelope(Some(id), out);
+    match work {
+        Work::Sim(r) => {
+            out.push_str(",\"kind\":\"sim\",\"req\":");
+            r.put(out);
+        }
+        Work::Functional(r) => {
+            out.push_str(",\"kind\":\"functional\",\"req\":");
+            r.put(out);
+        }
+    }
+    out.push('}');
 }
 
 /// Encodes a ping request line: `{"id":N,"kind":"ping"}` — no payload.
@@ -1117,60 +859,18 @@ pub fn encode_request_into(id: u64, work: &Work, out: &mut String) {
 /// so a ping is safe against a wedged worker pool and never enters the
 /// outcome ledger.
 pub fn encode_ping_into(id: u64, out: &mut String) {
-    obj(vec![
-        ("id", num_u64(id)),
-        ("kind", Json::Str("ping".into())),
-    ])
-    .render_into(out);
+    open_envelope(Some(id), out);
+    out.push_str(",\"kind\":\"ping\"}");
 }
 
 /// Encodes the pong reply to a ping: the envelope carries a snapshot of
 /// the runtime's outcome counters, so one ping both proves liveness and
 /// fetches the server's stats.
 pub fn encode_pong_into(id: u64, stats: &RuntimeStats, out: &mut String) {
-    obj(vec![
-        ("id", num_u64(id)),
-        (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("pong".into())),
-                ("stats", encode_runtime_stats(stats)),
-            ]),
-        ),
-    ])
-    .render_into(out);
-}
-
-fn encode_runtime_stats(s: &RuntimeStats) -> Json {
-    obj(vec![
-        ("submitted", num_u64(s.submitted)),
-        ("completed", num_u64(s.completed)),
-        ("rejected", num_u64(s.rejected)),
-        ("timed_out", num_u64(s.timed_out)),
-        ("faulted", num_u64(s.faulted)),
-        ("panics_isolated", num_u64(s.panics_isolated)),
-        ("retries", num_u64(s.retries)),
-        ("injected_panics", num_u64(s.injected_panics)),
-        ("injected_latency", num_u64(s.injected_latency)),
-        ("injected_rejects", num_u64(s.injected_rejects)),
-        ("injected_drops", num_u64(s.injected_drops)),
-    ])
-}
-
-fn decode_runtime_stats(v: &Json) -> Result<RuntimeStats, WireError> {
-    Ok(RuntimeStats {
-        submitted: v.get("submitted")?.u64_()?,
-        completed: v.get("completed")?.u64_()?,
-        rejected: v.get("rejected")?.u64_()?,
-        timed_out: v.get("timed_out")?.u64_()?,
-        faulted: v.get("faulted")?.u64_()?,
-        panics_isolated: v.get("panics_isolated")?.u64_()?,
-        retries: v.get("retries")?.u64_()?,
-        injected_panics: v.get("injected_panics")?.u64_()?,
-        injected_latency: v.get("injected_latency")?.u64_()?,
-        injected_rejects: v.get("injected_rejects")?.u64_()?,
-        injected_drops: v.get("injected_drops")?.u64_()?,
-    })
+    open_envelope(Some(id), out);
+    out.push_str(",\"ok\":{\"kind\":\"pong\",\"stats\":");
+    stats.put(out);
+    out.push_str("}}");
 }
 
 /// A decoded request envelope: real work or a session-level ping.
@@ -1199,15 +899,15 @@ pub enum WireRequest {
 /// request; never panics.
 pub fn decode_request_line(line: &str) -> Result<(u64, WireRequest), WireError> {
     let v = Json::parse(line)?;
-    let id = v.get("id")?.u64_()?;
+    let id = v.field("id")?;
     let kind = v.get("kind")?.str_()?;
     if kind == "ping" {
         return Ok((id, WireRequest::Ping));
     }
     let req = v.get("req")?;
     let work = match kind {
-        "sim" => Work::Sim(decode_sim_request(req)?),
-        "functional" => Work::Functional(Box::new(decode_functional_request(req)?)),
+        "sim" => Work::Sim(SimRequest::get(req)?),
+        "functional" => Work::Functional(Box::new(FunctionalRequest::get(req)?)),
         other => return Err(malformed(format!("unknown request kind {other:?}"))),
     };
     Ok((id, WireRequest::Work { work }))
@@ -1223,47 +923,37 @@ pub fn encode_reply(id: Option<u64>, outcome: &Result<Reply, ServeError>) -> Str
 }
 
 /// [`encode_reply`] into a reusable buffer (cleared first): the server
-/// session loops keep one buffer per connection so steady-state replies
-/// reuse its capacity instead of allocating a fresh line each time.
+/// session loops keep one buffer per connection, so steady-state replies
+/// are written into its retained capacity without touching the
+/// allocator.
 pub fn encode_reply_into(id: Option<u64>, outcome: &Result<Reply, ServeError>, out: &mut String) {
-    let id_json = match id {
-        Some(id) => num_u64(id),
-        None => Json::Null,
-    };
-    let body = match outcome {
-        Ok(Reply::Sim(r)) => (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("sim".into())),
-                ("resp", encode_sim_response(r)),
-            ]),
-        ),
-        Ok(Reply::Functional(r)) => (
-            "ok",
-            obj(vec![
-                ("kind", Json::Str("functional".into())),
-                ("resp", encode_functional_response(r)),
-            ]),
-        ),
-        Err(e) => ("err", encode_serve_error(e)),
-    };
-    obj(vec![("id", id_json), (body.0, body.1)]).render_into(out);
+    open_envelope(id, out);
+    match outcome {
+        Ok(Reply::Sim(r)) => {
+            out.push_str(",\"ok\":{\"kind\":\"sim\",\"resp\":");
+            r.put(out);
+            out.push('}');
+        }
+        Ok(Reply::Functional(r)) => {
+            out.push_str(",\"ok\":{\"kind\":\"functional\",\"resp\":");
+            r.put(out);
+            out.push('}');
+        }
+        Err(e) => {
+            out.push_str(",\"err\":");
+            e.put(out);
+        }
+    }
+    out.push('}');
 }
 
 /// Encodes the protocol-level error reply for an undecodable line into a
 /// reusable buffer (cleared first).
 pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
-    obj(vec![
-        ("id", Json::Null),
-        (
-            "err",
-            obj(vec![
-                ("code", Json::Str("malformed".into())),
-                ("message", Json::Str(err.to_string())),
-            ]),
-        ),
-    ])
-    .render_into(out);
+    open_envelope(None, out);
+    out.push_str(",\"err\":{\"code\":\"malformed\",\"message\":");
+    write_escaped(&err.to_string(), out);
+    out.push_str("}}");
 }
 
 /// Decodes one reply line into `(id, outcome)`; `id` is `None` for
@@ -1274,21 +964,18 @@ pub fn encode_malformed_reply_into(err: &WireError, out: &mut String) {
 /// [`WireError::Malformed`] for anything that is not a well-formed reply.
 pub fn decode_reply(line: &str) -> Result<(Option<u64>, Result<Reply, ServeError>), WireError> {
     let v = Json::parse(line)?;
-    let id = match v.get("id")? {
-        Json::Null => None,
-        other => Some(other.u64_()?),
-    };
+    let id = v.field("id")?;
     if let Some(ok) = v.opt("ok") {
         let resp = ok.get("resp")?;
         let reply = match ok.get("kind")?.str_()? {
-            "sim" => Reply::Sim(decode_sim_response(resp)?),
-            "functional" => Reply::Functional(Box::new(decode_functional_response(resp)?)),
+            "sim" => Reply::Sim(SimResponse::get(resp)?),
+            "functional" => Reply::Functional(Box::new(FunctionalResponse::get(resp)?)),
             other => return Err(malformed(format!("unknown reply kind {other:?}"))),
         };
         return Ok((id, Ok(reply)));
     }
     if let Some(err) = v.opt("err") {
-        return Ok((id, Err(decode_serve_error(err)?)));
+        return Ok((id, Err(ServeError::get(err)?)));
     }
     Err(malformed("reply has neither \"ok\" nor \"err\""))
 }
@@ -1763,7 +1450,7 @@ impl WireClient {
             return Err(WireError::Io("server closed the connection".into()));
         }
         let v = Json::parse(self.reply_line.trim_end())?;
-        let rid = v.get("id")?.u64_()?;
+        let rid: u64 = v.field("id")?;
         if rid != id {
             return Err(malformed(format!(
                 "pong id {rid} does not match ping id {id}"
@@ -1773,7 +1460,7 @@ impl WireClient {
         if ok.get("kind")?.str_()? != "pong" {
             return Err(malformed("ping answered by a non-pong reply"));
         }
-        decode_runtime_stats(ok.get("stats")?)
+        ok.field("stats")
     }
 
     /// [`WireClient::call`] with client-side capped-exponential-backoff
@@ -1870,20 +1557,22 @@ mod tests {
 
     #[test]
     fn json_round_trips_strings_and_structure() {
+        // Every escape the encoder writes parses back to the same string,
+        // and the line stays single-line (the framing requires it).
+        let text = "x\"\\\n\r\t\u{1}é";
+        let mut line = String::new();
+        text.to_string().put(&mut line);
+        assert!(!line.contains('\n'), "framing requires single-line output");
+        assert_eq!(Json::parse(&line).unwrap(), Json::Str(text.into()));
         let v = Json::Obj(vec![
             ("a".into(), Json::Num("18446744073709551615".into())),
             (
                 "b".into(),
-                Json::Arr(vec![
-                    Json::Null,
-                    Json::Bool(true),
-                    Json::Str("x\"\\\n".into()),
-                ]),
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Str(text.into())]),
             ),
         ]);
-        let line = v.render();
-        assert!(!line.contains('\n'), "framing requires single-line output");
-        assert_eq!(Json::parse(&line).unwrap(), v);
+        let doc = format!(r#"{{"a":18446744073709551615,"b":[null,true,{line}]}}"#);
+        assert_eq!(Json::parse(&doc).unwrap(), v);
     }
 
     #[test]
@@ -1992,13 +1681,10 @@ mod tests {
         line.clear();
         encode_pong_into(11, &stats, &mut line);
         let v = Json::parse(&line).unwrap();
-        assert_eq!(v.get("id").unwrap().u64_().unwrap(), 11);
+        assert_eq!(v.field::<u64>("id").unwrap(), 11);
         let ok = v.get("ok").unwrap();
         assert_eq!(ok.get("kind").unwrap().str_().unwrap(), "pong");
-        assert_eq!(
-            decode_runtime_stats(ok.get("stats").unwrap()).unwrap(),
-            stats
-        );
+        assert_eq!(ok.field::<RuntimeStats>("stats").unwrap(), stats);
     }
 
     #[test]
@@ -2018,7 +1704,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         // The pong's stats snapshot predates the work request.
         let v = Json::parse(lines[0]).unwrap();
-        let pong_stats = decode_runtime_stats(v.get("ok").unwrap().get("stats").unwrap()).unwrap();
+        let pong_stats: RuntimeStats = v.get("ok").unwrap().field("stats").unwrap();
         assert_eq!(pong_stats.submitted, 0);
         // The work request completed and is in the shard-local ledger.
         let (id, outcome) = decode_reply(lines[1]).unwrap();

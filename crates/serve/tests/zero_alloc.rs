@@ -7,6 +7,10 @@
 //! the entire hot path (cache lookups, `run_planned` replay, response
 //! construction) runs on plain data and pre-resolved `Arc`s.
 //!
+//! The wire codec's encode side is pinned the same way: a plan-hot sim
+//! request and its reply, encoded into line buffers that already hold a
+//! message of the same size, perform zero heap allocations.
+//!
 //! The functional path cannot be literally zero-alloc (each response
 //! carries a freshly assembled result matrix the caller keeps), so its
 //! pin is relative: a steady-state request through a warm scratch pool
@@ -24,7 +28,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tailors_serve::{FunctionalRequest, SimRequest, SimService};
+use tailors_serve::wire::{encode_reply_into, encode_request_into};
+use tailors_serve::{FunctionalRequest, Reply, ServeError, SimRequest, SimService, Work};
 use tailors_sim::functional::clear_scratch_pool;
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 
@@ -123,6 +128,43 @@ fn hot_served_suite_batch_allocates_nothing() {
         0,
         "hot suite batch must not touch the allocator ({} requests)",
         reqs.len()
+    );
+}
+
+/// The wire encode pin: every plan-hot suite request and its sim reply
+/// encode into warmed line buffers without a single allocation.
+#[test]
+fn hot_sim_request_and_reply_encode_into_warm_buffers_without_allocating() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    let service = SimService::new();
+    let exchanges: Vec<(Work, Result<Reply, ServeError>)> = suite_requests(1.0 / 64.0)
+        .into_iter()
+        .map(|req| {
+            service.submit(&req);
+            let reply = Ok(Reply::Sim(service.submit(&req)));
+            (Work::Sim(req), reply)
+        })
+        .collect();
+    let (mut line, mut reply_line) = (String::new(), String::new());
+    let mut encode_all = || {
+        for (id, (work, reply)) in (1u64..).zip(&exchanges) {
+            encode_request_into(id, work, &mut line);
+            encode_reply_into(Some(id), reply, &mut reply_line);
+            black_box((&line, &reply_line));
+        }
+    };
+    // One pass ratchets both buffers up to the largest line.
+    encode_all();
+
+    let before = allocs();
+    encode_all();
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "encoding hot sim requests and replies must not touch the allocator \
+         ({} exchanges)",
+        exchanges.len()
     );
 }
 

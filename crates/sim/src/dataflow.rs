@@ -31,7 +31,7 @@ use tailors_tensor::MatrixProfile;
 
 use crate::arch::ArchConfig;
 use crate::energy::{ActivityCounts, EnergyModel};
-use crate::exec::{ExecutionPlan, GridMode, MemBudget};
+use crate::exec::{BufferParams, ExecutionPlan, GridMode, MemBudget};
 use crate::metrics::{DramBreakdown, ReuseStats, RunMetrics};
 use crate::plan::TilePlan;
 
@@ -126,19 +126,27 @@ pub fn simulate_planned(
         cap_pe
     };
 
-    // Per-traversal refetch volume for a tile of occupancy `occ` behind a
-    // buffer of `cap` slots: zero when it fits; the bumped remainder with
-    // Tailors; the whole tile with plain buffets (Fig. 3a). Single-row
-    // panels that exceed capacity are K-split by the address generator in
-    // every variant (a fiber longer than the buffer cannot be tiled any
-    // finer in coordinate space), so they carry no refetch penalty.
-    let refetch = |occ: u64, cap: u64, resident: u64, overbooking: bool, rows: usize| -> u64 {
-        if occ <= cap || rows <= 1 {
+    // Per-traversal refetch volume for a tile of occupancy `occ`: the
+    // buffer's steady-state refetch (zero when it fits; the bumped
+    // remainder with Tailors; the whole tile with plain buffets, Fig. 3a).
+    // Single-row panels that exceed capacity are K-split by the address
+    // generator in every variant (a fiber longer than the buffer cannot be
+    // tiled any finer in coordinate space), so they carry no refetch
+    // penalty.
+    let buffer = |capacity: u64, fifo_region: u64| BufferParams {
+        capacity: capacity as usize,
+        fifo_region: fifo_region as usize,
+        overbooking: plan.overbooking,
+    };
+    let (gb, pe) = (
+        buffer(cap_gb, arch.gb_fifo_region()),
+        buffer(cap_pe, arch.pe_fifo_region()),
+    );
+    let refetch = |buf: &BufferParams, occ: u64, rows: usize| -> u64 {
+        if rows <= 1 {
             0
-        } else if overbooking {
-            occ - resident.min(occ)
         } else {
-            occ
+            buf.steady_refetch(occ)
         }
     };
 
@@ -154,30 +162,29 @@ pub fn simulate_planned(
 
     // Occupancy-dependent sums (full-K panels only; dense-safe 2-D tiles
     // can never overflow).
-    let (dram_a, gb_refetch_a_total, bumped_a_total, overbooked_a_tiles, total_batches) = if plan
-        .full_k
-    {
-        let panels = RowPanels::new(profile, plan.gb_rows_a);
-        let mut dram_a: u128 = 0;
-        let mut refetch_total: u128 = 0;
-        let mut bumped_total: u128 = 0;
-        let mut over = 0usize;
-        let mut batches: u128 = 0;
-        for occ in panels.occupancies() {
-            let rf = refetch(occ, cap_gb, resident_gb, plan.overbooking, plan.gb_rows_a) as u128;
-            dram_a += occ as u128 + (n_b - 1) * rf;
-            refetch_total += rf;
-            batches += batches_for(occ as u128);
-            if occ > cap_gb {
-                over += 1;
-                bumped_total += (occ - resident_gb.min(occ)) as u128;
+    let (dram_a, gb_refetch_a_total, bumped_a_total, overbooked_a_tiles, total_batches) =
+        if plan.full_k {
+            let panels = RowPanels::new(profile, plan.gb_rows_a);
+            let mut dram_a: u128 = 0;
+            let mut refetch_total: u128 = 0;
+            let mut bumped_total: u128 = 0;
+            let mut over = 0usize;
+            let mut batches: u128 = 0;
+            for occ in panels.occupancies() {
+                let rf = refetch(&gb, occ, plan.gb_rows_a) as u128;
+                dram_a += occ as u128 + (n_b - 1) * rf;
+                refetch_total += rf;
+                batches += batches_for(occ as u128);
+                if occ > cap_gb {
+                    over += 1;
+                    bumped_total += (occ - resident_gb.min(occ)) as u128;
+                }
             }
-        }
-        (dram_a, refetch_total, bumped_total, over, batches)
-    } else {
-        let avg_occ = nnz / n_a.max(1);
-        (nnz, 0, 0, 0, n_a * batches_for(avg_occ))
-    };
+            (dram_a, refetch_total, bumped_total, over, batches)
+        } else {
+            let avg_occ = nnz / n_a.max(1);
+            (nnz, 0, 0, 0, n_a * batches_for(avg_occ))
+        };
 
     // B side: per-pass occupancy and refetch sums over B tiles. The bumped
     // portion of an overbooked B-tile is refetched once per extra wave.
@@ -194,8 +201,7 @@ pub fn simulate_planned(
         let mut refetch_sum: u128 = 0;
         let mut over = 0usize;
         for occ in panels.occupancies() {
-            refetch_sum +=
-                refetch(occ, cap_gb, resident_gb, plan.overbooking, plan.gb_cols_b) as u128;
+            refetch_sum += refetch(&gb, occ, plan.gb_cols_b) as u128;
             if occ > cap_gb {
                 over += 1;
             }
@@ -213,7 +219,7 @@ pub fn simulate_planned(
     let pe_refetch_a_total: u128 = if plan.full_k && plan.pe_rows_a > 1 {
         RowPanels::new(profile, plan.pe_rows_a)
             .occupancies()
-            .map(|occ| refetch(occ, cap_pe, resident_pe, plan.overbooking, plan.pe_rows_a) as u128)
+            .map(|occ| refetch(&pe, occ, plan.pe_rows_a) as u128)
             .sum()
     } else {
         0

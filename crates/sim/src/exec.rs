@@ -433,12 +433,13 @@ impl ExecutionPlan {
     /// widest block.
     pub fn scratch_elems(&self) -> u64 {
         let panel_rows = self.rows_a.min(self.nrows).max(1) as u64;
-        panel_rows * self.block_cols() as u64
+        panel_rows.saturating_mul(self.block_cols() as u64)
     }
 
-    /// Dense-scratch bytes one worker thread needs.
+    /// Dense-scratch bytes one worker thread needs (saturating: the
+    /// serving runtime gates requests on it).
     pub fn scratch_bytes(&self) -> u64 {
-        self.scratch_elems() * SLOT_BYTES
+        self.scratch_elems().saturating_mul(SLOT_BYTES)
     }
 
     /// Whether the scratch honours the budget. `false` only when the budget
@@ -542,12 +543,11 @@ impl BufferParams {
     /// Per-traversal steady-state refetch volume of a panel of `occ`
     /// nonzeros (the first traversal fetches all `occ`): zero when the
     /// panel fits, the bumped remainder through a Tailor, the whole panel
-    /// through a buffet. Deliberately **unlike** the analytical dataflow
-    /// model's refetch term, there is no single-row exemption here: the
-    /// hardware model assumes the address generator K-splits an
-    /// over-capacity single-row fiber, but the software engine has no such
-    /// split and really does restream an overbooked one-row panel every
-    /// traversal.
+    /// through a buffet. There is no single-row exemption here: the
+    /// analytical dataflow model adds one on top (its hardware assumes the
+    /// address generator K-splits an over-capacity single-row fiber), but
+    /// the software engine has no such split and really does restream an
+    /// overbooked one-row panel every traversal.
     pub fn steady_refetch(&self, occ: u64) -> u64 {
         if occ <= self.capacity as u64 {
             0
