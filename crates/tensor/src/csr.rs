@@ -538,7 +538,7 @@ pub(crate) fn seal_pattern(nrows: usize, ncols: usize, nnz: usize, sum: u64) -> 
 }
 
 /// SplitMix64's finalizer: a bijective avalanche of one 64-bit word.
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

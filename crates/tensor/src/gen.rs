@@ -16,17 +16,16 @@
 //! Each family has one body that writes its rows, in row order, into a
 //! [`RowSink`]. The banded and power-law generators draw their entries row
 //! by row and stream them straight in. The clustered and uniform
-//! generators draw rows in random order, so they collect their entries
-//! and bucket them by row with the counting sort behind
-//! [`CsrMatrix::from_coo`]. [`GenSpec::generate`] points the stream at a
-//! [`CsrBuilder`], whose sort-and-merge decides the matrix's bits.
+//! generators draw rows in random order, so they collect each entry's row
+//! and column and bucket them by row with the counting sort behind
+//! [`CsrMatrix::from_coo`]. The RNG draws only the pattern: an entry's
+//! value is a pure function of the seed and its coordinate, computed as
+//! the entry is fed to the sink. [`GenSpec::generate`] points the stream
+//! at a [`CsrBuilder`], whose sort-and-merge decides the matrix's bits.
 //! [`GenSpec::pattern`] points the same stream at a pattern-only sink that
 //! keeps neither values nor sorted rows: it yields the occupancy profile
 //! and [`CsrMatrix::pattern_hash`] of the matrix `generate` would build.
-//! Both sinks see the same RNG draws, values included, so the two agree
-//! exactly. What a sink keeps sets what the random-order families
-//! collect: a column and its value for [`CsrBuilder`], the column alone
-//! for the pattern sink, which still draws the value to keep the stream.
+//! Both sinks see the same draws, so the two agree exactly.
 //!
 //! The power-law family draws its columns by weight through a guide
 //! table: the draw of rand's `WeightedIndex` (one uniform `f64` scaled to
@@ -35,10 +34,10 @@
 //! search, so the chosen column is the same, bit for bit.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::coo::bucket_rows;
-use crate::csr::{pattern_term, seal_pattern};
+use crate::csr::{mix64, pattern_term, seal_pattern};
 use crate::{CsrBuilder, CsrMatrix, MatrixProfile, RowSink};
 
 /// Structural family of a synthetic matrix.
@@ -230,7 +229,7 @@ impl GenSpec {
 
     /// Streams the spec's rows into `sink`: the one body per family that
     /// both [`GenSpec::generate`] and [`GenSpec::pattern`] run.
-    fn emit(&self, sink: &mut impl GenSink) {
+    fn emit(&self, sink: &mut impl RowSink) {
         assert!(
             self.target_nnz == 0 || (self.nrows > 0 && self.ncols > 0),
             "cannot place nonzeros in an empty matrix"
@@ -241,6 +240,11 @@ impl GenSpec {
             "target_nnz exceeds the coordinate space"
         );
         let mut rng = StdRng::seed_from_u64(self.seed ^ SEED_MIX);
+        let out = &mut Rows {
+            sink,
+            key: mix64(self.seed ^ SEED_MIX),
+            row: 0,
+        };
         match &self.structure {
             Structure::Banded {
                 band_halfwidth_frac,
@@ -251,17 +255,17 @@ impl GenSpec {
                 *band_halfwidth_frac,
                 *scatter_frac,
                 *degree_variability,
-                sink,
+                out,
             ),
             Structure::PowerLaw {
                 alpha,
                 hub_clustering,
-            } => self.gen_power_law(&mut rng, *alpha, *hub_clustering, sink),
+            } => self.gen_power_law(&mut rng, *alpha, *hub_clustering, out),
             Structure::Clustered {
                 cluster_frac,
                 cluster_share,
-            } => self.gen_clustered(&mut rng, *cluster_frac, *cluster_share, sink),
-            Structure::Uniform => self.gen_uniform(&mut rng, sink),
+            } => self.gen_clustered(&mut rng, *cluster_frac, *cluster_share, out),
+            Structure::Uniform => self.gen_uniform(&mut rng, out),
         }
     }
 
@@ -296,7 +300,7 @@ impl GenSpec {
         band_halfwidth_frac: f64,
         scatter_frac: f64,
         degree_variability: f64,
-        sink: &mut impl RowSink,
+        out: &mut Rows<impl RowSink>,
     ) {
         // The band must hold the per-row degree with headroom or duplicate
         // coordinates collapse; widen it beyond the nominal fraction when
@@ -331,20 +335,32 @@ impl GenSpec {
             .map(|r| coarse[r / coarse_block] * fine[r / fine_block])
             .collect();
         let degrees = self.degrees_from_weights(&weights);
+        // One draw per entry: its high half scatters the entry when it
+        // falls below `scatter_frac` of 2^32, and its low half picks the
+        // column in the band, or anywhere in the row when scattered, by
+        // multiply-shift: `gen_range`'s rule at 32 bits.
+        let scatter_below = (scatter_frac * 2f64.powi(32)) as u64;
+        let anywhere = (0, self.ncols as u64);
         for (r, &deg) in degrees.iter().enumerate() {
             let lo = r
                 .saturating_sub(halfwidth)
                 .min(self.ncols.saturating_sub(1));
             let hi = (r + halfwidth + 1).min(self.ncols);
+            let band = if lo < hi {
+                (lo as u64, (hi - lo) as u64)
+            } else {
+                anywhere
+            };
             for _ in 0..deg {
-                let c = if rng.gen::<f64>() < scatter_frac || lo >= hi {
-                    rng.gen_range(0..self.ncols)
+                let draw = rng.next_u64();
+                let (start, span) = if draw >> 32 < scatter_below {
+                    anywhere
                 } else {
-                    rng.gen_range(lo..hi)
+                    band
                 };
-                sink.push(c as u32, value(rng));
+                out.push((start + ((u64::from(draw as u32) * span) >> 32)) as u32);
             }
-            sink.finish_row();
+            out.finish_row();
         }
     }
 
@@ -353,7 +369,7 @@ impl GenSpec {
         rng: &mut StdRng,
         alpha: f64,
         hub_clustering: f64,
-        sink: &mut impl RowSink,
+        out: &mut Rows<impl RowSink>,
     ) {
         // Zipf rank weights, assigned to rows either clustered or shuffled.
         // Hub degrees are capped (real web/social graphs cap out well below
@@ -418,22 +434,22 @@ impl GenSpec {
                 if !taken[c] {
                     taken[c] = true;
                     row.push(c as u32);
-                    sink.push(c as u32, value(rng));
+                    out.push(c as u32);
                 }
             }
             for c in row.drain(..) {
                 taken[c as usize] = false;
             }
-            sink.finish_row();
+            out.finish_row();
         }
     }
 
-    fn gen_clustered<S: GenSink>(
+    fn gen_clustered(
         &self,
         rng: &mut StdRng,
         cluster_frac: f64,
         cluster_share: f64,
-        sink: &mut S,
+        out: &mut Rows<impl RowSink>,
     ) {
         let in_cluster_nnz = (self.target_nnz as f64 * cluster_share) as usize;
         let background_nnz = self.target_nnz - in_cluster_nnz;
@@ -453,7 +469,7 @@ impl GenSpec {
             } else {
                 rng.gen_range(0..self.ncols)
             };
-            drawn.push(r, S::entry(c as u32, value(rng)));
+            drawn.push(r, c);
         }
         // Clusters: dense diagonal blocks ("urban cores") with power-law
         // sizes, so the tile-occupancy distribution stays heavy-tailed at
@@ -486,81 +502,73 @@ impl GenSpec {
             for _ in 0..q {
                 let r = (start + rng.gen_range(0..side)).min(self.nrows - 1);
                 let c = (start + rng.gen_range(0..side)).min(self.ncols - 1);
-                drawn.push(r, S::entry(c as u32, value(rng)));
+                drawn.push(r, c);
             }
         }
-        drawn.feed_rows(self.nrows, sink);
+        drawn.feed_rows(self.nrows, out);
     }
 
-    fn gen_uniform<S: GenSink>(&self, rng: &mut StdRng, sink: &mut S) {
+    fn gen_uniform(&self, rng: &mut StdRng, out: &mut Rows<impl RowSink>) {
         let mut drawn = Scattered::with_capacity(self.target_nnz);
         for _ in 0..self.target_nnz {
             let r = rng.gen_range(0..self.nrows);
             let c = rng.gen_range(0..self.ncols);
-            drawn.push(r, S::entry(c as u32, value(rng)));
+            drawn.push(r, c);
         }
-        drawn.feed_rows(self.nrows, sink);
+        drawn.feed_rows(self.nrows, out);
     }
 }
 
-/// A [`RowSink`] the generators drive, together with what a random-order
-/// family keeps of each drawn entry until it is bucketed by row: the
-/// column and value where the sink stores values, the column alone where
-/// it drops them.
-trait GenSink: RowSink {
-    /// What one drawn entry keeps.
-    type Entry: Copy + Default;
-
-    /// The entry kept for `val` at column `col`.
-    fn entry(col: u32, val: f64) -> Self::Entry;
-
-    /// Adds a kept entry to the open row, as [`RowSink::push`] would add
-    /// the column and value it was made from.
-    fn push_entry(&mut self, entry: Self::Entry);
+/// The sink as the family bodies see it: they push columns in row order,
+/// and each entry gets the value keyed by its coordinate on the way in.
+struct Rows<'a, S> {
+    sink: &'a mut S,
+    /// The spec's value key, derived from its seed.
+    key: u64,
+    /// The open row.
+    row: usize,
 }
 
-impl GenSink for CsrBuilder {
-    type Entry = (u32, f64);
-
-    fn entry(col: u32, val: f64) -> (u32, f64) {
-        (col, val)
+impl<S: RowSink> Rows<'_, S> {
+    fn push(&mut self, col: u32) {
+        self.sink.push(col, value(self.key, self.row, col));
     }
 
-    fn push_entry(&mut self, (col, val): (u32, f64)) {
-        self.push(col, val);
+    fn finish_row(&mut self) {
+        self.sink.finish_row();
+        self.row += 1;
     }
 }
 
-/// Entries a random-order family has drawn, in draw order, with the
-/// payload its sink keeps.
-struct Scattered<E> {
+/// Entries a random-order family has drawn, in draw order.
+struct Scattered {
     rows: Vec<u32>,
-    entries: Vec<E>,
+    cols: Vec<u32>,
 }
 
-impl<E: Copy + Default> Scattered<E> {
+impl Scattered {
     fn with_capacity(cap: usize) -> Self {
         Scattered {
             rows: Vec::with_capacity(cap),
-            entries: Vec::with_capacity(cap),
+            cols: Vec::with_capacity(cap),
         }
     }
 
-    /// Records `entry` in `row`, which lies inside the matrix by
+    /// Records an entry at `(row, col)`, which lies inside the matrix by
     /// construction.
-    fn push(&mut self, row: usize, entry: E) {
+    fn push(&mut self, row: usize, col: usize) {
         self.rows.push(row as u32);
-        self.entries.push(entry);
+        self.cols.push(col as u32);
     }
 
-    /// Streams the entries into `sink` in row order, each row keeping
-    /// draw order, as [`CsrMatrix::from_coo`] would stream them.
-    fn feed_rows(self, nrows: usize, sink: &mut impl GenSink<Entry = E>) {
-        bucket_rows(nrows, &self.rows, self.entries, |row| {
-            for &e in row {
-                sink.push_entry(e);
+    /// Streams the entries out in row order, each row keeping draw order,
+    /// as [`CsrMatrix::from_coo`] would stream them.
+    fn feed_rows(self, nrows: usize, out: &mut Rows<impl RowSink>) {
+        bucket_rows(nrows, &self.rows, self.cols, |row| {
+            for &c in row {
+                out.push(c);
             }
-            sink.finish_row();
+            out.finish_row();
         });
     }
 }
@@ -694,18 +702,6 @@ impl PatternSink {
         }
     }
 
-    fn add(&mut self, col: u32) {
-        let row = self.row_nnz.len();
-        let mark = row as u32 + 1;
-        let slot = &mut self.cols[col as usize];
-        if slot.stamp != mark {
-            slot.stamp = mark;
-            slot.nnz += 1;
-            self.open += 1;
-            self.sum = self.sum.wrapping_add(pattern_term(row, col));
-        }
-    }
-
     fn finish(self) -> (MatrixProfile, u64) {
         let (nrows, ncols) = (self.row_nnz.len(), self.cols.len());
         let nnz = self.row_nnz.iter().map(|&n| n as usize).sum();
@@ -718,7 +714,15 @@ impl PatternSink {
 
 impl RowSink for PatternSink {
     fn push(&mut self, col: u32, _val: f64) {
-        self.add(col);
+        let row = self.row_nnz.len();
+        let mark = row as u32 + 1;
+        let slot = &mut self.cols[col as usize];
+        if slot.stamp != mark {
+            slot.stamp = mark;
+            slot.nnz += 1;
+            self.open += 1;
+            self.sum = self.sum.wrapping_add(pattern_term(row, col));
+        }
     }
 
     fn finish_row(&mut self) {
@@ -727,62 +731,38 @@ impl RowSink for PatternSink {
     }
 }
 
-impl GenSink for PatternSink {
-    type Entry = u32;
-
-    fn entry(col: u32, _val: f64) -> u32 {
-        col
-    }
-
-    fn push_entry(&mut self, col: u32) {
-        self.add(col);
-    }
+/// The value at `(row, col)` under value key `key`: a SplitMix64 mix of
+/// the key and the packed coordinate, mapped uniformly into `[0.5, 1.5)`
+/// with 53 bits, so products never cancel to zero and structural and
+/// numerical nonzero counts stay identical. A repeated coordinate gets
+/// the same value each time, so its merged entry is a whole multiple of it.
+fn value(key: u64, row: usize, col: u32) -> f64 {
+    let bits = mix64(key ^ ((row as u64) << 32 | u64::from(col)));
+    0.5 + (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Nonzero values: uniform in `[0.5, 1.5)` so products never cancel to zero,
-/// keeping structural and numerical nonzero counts identical.
-fn value(rng: &mut StdRng) -> f64 {
-    0.5 + rng.gen::<f64>()
-}
-
-/// Adds one to the degree of each of the `remainder` heaviest rows, in
-/// descending weight order, cycling through all rows again while any
-/// remainder is left.
-///
-/// Usually the remainder is smaller than the row count and the rows it
-/// reaches are set apart from the rest by weight alone; a selection then
-/// finds them in linear time and bumps each once. When a tie straddles
-/// the boundary, or the remainder wraps, the rows are fully sorted. The
-/// bits of tied rows then depend on the order std's unstable sort leaves
-/// them in: a toolchain upgrade can move them, and the generator-bit pins
-/// in `crates/workloads/tests/suite_pins.rs` catch it.
+/// Spreads `remainder` over the rows one at a time, cycling through them
+/// in a total order: weight descending, then row ascending. Each row gets
+/// `remainder / n`, and one selection under that order finds the
+/// `remainder % n` rows that get one more, in linear time. The order is
+/// total, so those rows are the same whatever the selection's algorithm.
 fn bump_heaviest(degrees: &mut [usize], weights: &[f64], remainder: usize) {
-    if remainder == 0 {
+    let n = weights.len();
+    if remainder == 0 || n == 0 {
         return;
     }
-    let heavier = |a: &usize, b: &usize| {
-        weights[*b]
-            .partial_cmp(&weights[*a])
-            .expect("finite weights")
-    };
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    if remainder < order.len() {
-        let (top, pivot, _) = order.select_nth_unstable_by(remainder, heavier);
-        let cut = weights[*pivot];
-        if top.iter().all(|&r| weights[r] > cut) {
-            for &r in top.iter() {
-                degrees[r] += 1;
-            }
-            return;
-        }
-        // The full sort starts from row order: tied rows' bits depend on it.
-        for (i, r) in order.iter_mut().enumerate() {
-            *r = i;
-        }
+    for d in degrees.iter_mut() {
+        *d += remainder / n;
     }
-    order.sort_unstable_by(heavier);
-    for &r in order.iter().cycle().take(remainder) {
-        degrees[r] += 1;
+    let rest = remainder % n;
+    if rest > 0 {
+        let mut order: Vec<usize> = (0..n).collect();
+        let (top, _, _) = order.select_nth_unstable_by(rest, |&a, &b| {
+            weights[b].total_cmp(&weights[a]).then(a.cmp(&b))
+        });
+        for &r in top.iter() {
+            degrees[r] += 1;
+        }
     }
 }
 
@@ -884,10 +864,11 @@ mod tests {
         );
     }
 
-    /// The remainder bump as a full descending sort, cycling.
+    /// The remainder bump as a stable sort by weight descending, then row
+    /// ascending, bumping rows cyclically in that order.
     fn bump_by_full_sort(degrees: &mut [usize], weights: &[f64], remainder: usize) {
         let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_unstable_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap());
+        order.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap().then(a.cmp(&b)));
         for &r in order.iter().cycle().take(remainder) {
             degrees[r] += 1;
         }
@@ -896,17 +877,21 @@ mod tests {
     #[test]
     fn selected_remainder_bumps_the_rows_a_full_sort_bumps() {
         let mut rng = StdRng::seed_from_u64(17);
-        for case in 0..200 {
+        for case in 0..300 {
             let n = rng.gen_range(1..80usize);
-            // Odd cases draw from a few levels, so ties are common,
-            // including across the selection boundary.
+            // Continuous weights, a few tied levels, or all equal: ties
+            // are common, including across the selection boundary.
             let weights: Vec<f64> = (0..n)
-                .map(|_| match case % 2 {
+                .map(|_| match case % 3 {
                     0 => rng.gen::<f64>(),
-                    _ => rng.gen_range(0..4u32) as f64,
+                    1 => rng.gen_range(0..4u32) as f64,
+                    _ => 2.5,
                 })
                 .collect();
-            let remainder = rng.gen_range(0..2 * n + 2);
+            let remainder = match case % 4 {
+                0 => 2 * n + 3,
+                _ => rng.gen_range(0..2 * n + 4),
+            };
             let base: Vec<usize> = (0..n).map(|_| rng.gen_range(0..5usize)).collect();
             let (mut got, mut want) = (base.clone(), base);
             bump_heaviest(&mut got, &weights, remainder);
@@ -916,15 +901,113 @@ mod tests {
                 "case {case}: weights {weights:?}, remainder {remainder}"
             );
         }
-        // A tie exactly at the boundary: two of three rows share the
-        // second-heaviest weight and only one of them is bumped.
-        let weights = [1.0, 3.0, 1.0];
-        let (mut got, mut want) = (vec![0; 3], vec![0; 3]);
-        bump_heaviest(&mut got, &weights, 2);
-        bump_by_full_sort(&mut want, &weights, 2);
-        assert_eq!(got, want);
-        assert_eq!(got.iter().sum::<usize>(), 2);
-        assert_eq!(got[1], 1);
+        // A tie straddling the cut: rows 0 and 2 share the second-heaviest
+        // weight, and only the lower row id is bumped.
+        let mut got = vec![0; 3];
+        bump_heaviest(&mut got, &[1.0, 3.0, 1.0], 2);
+        assert_eq!(got, [1, 1, 0]);
+        // All weights equal and a remainder of `2n + 3`: two full rounds,
+        // then the three lowest row ids.
+        let mut got = vec![0; 5];
+        bump_heaviest(&mut got, &[0.5; 5], 13);
+        assert_eq!(got, [3, 3, 3, 2, 2]);
+    }
+
+    /// Records every coordinate the stream pushes, duplicates included.
+    #[derive(Default)]
+    struct Pushes {
+        row: usize,
+        coords: Vec<(usize, u32)>,
+    }
+
+    impl RowSink for Pushes {
+        fn push(&mut self, col: u32, _val: f64) {
+            self.coords.push((self.row, col));
+        }
+
+        fn finish_row(&mut self) {
+            self.row += 1;
+        }
+    }
+
+    /// Each banded draw scatters with probability `scatter_frac`, and a
+    /// scattered column is uniform over the row, so the share of entries
+    /// outside the band is `scatter_frac × (1 − band width / ncols)`, and
+    /// half of those land in each half of the columns.
+    #[test]
+    fn banded_scatter_share_matches_scatter_frac() {
+        let (n, scatter_frac) = (100_000, 0.3);
+        // 1 % of 100k columns, well above the `2 * mean_deg + 1` floor.
+        let halfwidth = 1_000;
+        let spec = GenSpec::banded(n, n, 500_000)
+            .seed(21)
+            .structure(Structure::Banded {
+                band_halfwidth_frac: 0.01,
+                scatter_frac,
+                degree_variability: 0.6,
+            });
+        let mut pushes = Pushes::default();
+        spec.emit(&mut pushes);
+        let total = pushes.coords.len();
+        assert_eq!(total, 500_000);
+        let outside: Vec<u32> = pushes
+            .coords
+            .iter()
+            .filter(|&&(r, c)| (r as i64 - i64::from(c)).unsigned_abs() > halfwidth)
+            .map(|&(_, c)| c)
+            .collect();
+        let share = outside.len() as f64 / total as f64;
+        let want = scatter_frac * (1.0 - (2 * halfwidth + 1) as f64 / n as f64);
+        // The sampling error is ~0.0007; the bands clipped at the matrix's
+        // edges add at most 0.003.
+        assert!(
+            (share - want).abs() < 0.006,
+            "outside share {share}, want {want}"
+        );
+        let upper = outside.iter().filter(|&&c| c as usize >= n / 2).count();
+        let upper_share = upper as f64 / outside.len() as f64;
+        assert!(
+            (upper_share - 0.5).abs() < 0.01,
+            "scattered columns in the upper half: {upper_share}"
+        );
+    }
+
+    /// Every stored value is its coordinate's keyed value in `[0.5, 1.5)`,
+    /// summed once per time the coordinate was drawn, and the symbolic
+    /// work count sees the numeric product's every nonzero.
+    #[test]
+    fn values_are_keyed_multiples_and_never_cancel() {
+        for spec in [
+            GenSpec::banded(600, 600, 12_000),
+            GenSpec::power_law(600, 600, 12_000),
+            GenSpec::clustered(600, 600, 12_000),
+            GenSpec::uniform(600, 600, 12_000),
+        ] {
+            let spec = spec.seed(5);
+            let key = mix64(spec.seed ^ SEED_MIX);
+            let m = spec.generate();
+            let mut repeated = 0;
+            for (r, c, v) in m.iter() {
+                let base = value(key, r, c as u32);
+                assert!((0.5..1.5).contains(&base), "{base}");
+                let times = (v / base).round() as usize;
+                assert!(times >= 1, "{spec:?} ({r}, {c}): {v} vs {base}");
+                assert_eq!(
+                    (1..times).fold(base, |s, _| s + base),
+                    v,
+                    "{spec:?} ({r}, {c})"
+                );
+                repeated += usize::from(times > 1);
+            }
+            let work = crate::ops::count_work(&m, &m.transpose()).unwrap();
+            let product = crate::ops::spmspm_a_at(&m);
+            let numeric_nnz = product.values().iter().filter(|&&v| v != 0.0).count();
+            assert_eq!(work.output_nnz, numeric_nnz as u64, "{spec:?}");
+            assert!(numeric_nnz > 0);
+            if !matches!(spec.structure, Structure::PowerLaw { .. }) {
+                assert!(repeated > 0, "{spec:?}: no merged duplicate to check");
+            }
+        }
     }
 
     /// Weights of one of five shapes the column sampler must draw exactly:
