@@ -15,12 +15,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use tailors_serve::{SimRequest, SimService};
 use tailors_sim::functional::{
-    auto_execution_plan, reference_run, run_spilled, run_with_threads, FunctionalConfig,
+    auto_execution_plan, reference_run, run_with_threads, FunctionalConfig,
 };
 use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
-use tailors_tensor::storage::MmapStorage;
 use tailors_workloads::WorkloadClass;
 
 fn bench_intersection(c: &mut Criterion) {
@@ -403,56 +402,6 @@ fn bench_serving(c: &mut Criterion) {
     runtime.shutdown();
 }
 
-fn bench_spill(c: &mut Criterion) {
-    // The spill tier's overhead at the 2 k point: the same panels-mode
-    // run with `A` and `B = Aᵀ` paged in from the TSPILL file instead of
-    // resident CSR. `spilled_resident_a_at_2k` keeps every tile cached
-    // (file parsing + panel loads are the only overhead);
-    // `spilled_tight_a_at_2k` caps tile residency at one megabyte so the
-    // clock-LRU cache churns — the worst case the planner's spill-traffic
-    // term exists to steer away from. Both are bit-identical to the
-    // in-RAM row.
-    let a = GenSpec::power_law(2_000, 2_000, 20_000).seed(3).generate();
-    let config = FunctionalConfig {
-        capacity: 2_048,
-        fifo_region: 256,
-        rows_a: 256,
-        cols_b: 256,
-        overbooking: true,
-        mem_budget: MemBudget::Unbounded,
-        grid: GridMode::Panels,
-        auto_plan: false,
-    };
-    let path =
-        std::env::temp_dir().join(format!("tailors_bench_spill_{}.tspill", std::process::id()));
-    MmapStorage::store(&a, config.cols_b, &path).expect("store spill file");
-    let resident = MmapStorage::open(&path, None).expect("open spill file");
-    let tight = MmapStorage::open(&path, Some(1 << 20)).expect("open spill file");
-    assert_eq!(
-        run_spilled(&resident, &config, 1).unwrap(),
-        run_with_threads(&a, &config, 1).unwrap(),
-        "spilled run must be bit-identical to the in-RAM engine"
-    );
-    let mut g = c.benchmark_group("spill");
-    g.sample_size(10);
-    g.bench_function("in_ram_a_at_2k", |bch| {
-        bch.iter(|| black_box(run_with_threads(&a, &config, 1).unwrap()))
-    });
-    g.bench_function("spilled_resident_a_at_2k", |bch| {
-        bch.iter(|| black_box(run_spilled(&resident, &config, 1).unwrap()))
-    });
-    g.bench_function("spilled_tight_a_at_2k", |bch| {
-        bch.iter(|| black_box(run_spilled(&tight, &config, 1).unwrap()))
-    });
-    g.finish();
-    println!(
-        "spill/tight tile cache: {:?} over {} tiles",
-        tight.stats(),
-        tight.n_tiles()
-    );
-    std::fs::remove_file(&path).ok();
-}
-
 criterion_group!(
     benches,
     bench_intersection,
@@ -461,7 +410,6 @@ criterion_group!(
     bench_simulator,
     bench_tensor,
     bench_suite,
-    bench_serving,
-    bench_spill
+    bench_serving
 );
 criterion_main!(benches);

@@ -6,17 +6,7 @@
 //! Usage: `cargo run --release -p tailors-bench --bin functional_smoke --
 //! [--cols N] [--nnz N] [--rows-a N] [--cols-b N] [--auto-tile]
 //! [--auto-plan] [--mem-budget SPEC] [--grid MODE] [--threads N]
-//! [--spill] [--spill-residency SPEC] [--verify]`
-//!
-//! `--spill` stores the generated tensor to a panel-granular TSPILL file
-//! and runs the engine out-of-core
-//! ([`tailors_sim::functional::run_spilled`]): `A` row
-//! panels and `B = Aᵀ` column tiles page in on demand under the
-//! `--spill-residency` tile-cache cap (default 16 MiB — deliberately
-//! smaller than the CI acceptance matrix, so the clock-LRU cache must
-//! churn), and `--verify` proves the result bit-identical to the
-//! fully-resident seed engine. Incompatible with `--auto-plan` (the
-//! spill path executes the fixed panels-mode plan).
+//! [--verify]`
 //!
 //! `--auto-tile` replaces the explicit `--rows-a`/`--cols-b` tiling with
 //! the one a Swiftiles-governed strategy picks for the paper architecture
@@ -44,10 +34,9 @@ use std::time::Instant;
 use tailors_bench::threads_from_env;
 use tailors_core::swiftiles::SwiftilesConfig;
 use tailors_core::TilingStrategy;
-use tailors_sim::functional::{reference_run, run_spilled, run_with_threads, FunctionalConfig};
+use tailors_sim::functional::{reference_run, run_with_threads, FunctionalConfig};
 use tailors_sim::{ArchConfig, CostModel, ExecutionPlan, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::storage::MmapStorage;
 
 fn main() {
     let mut cols = 50_000usize;
@@ -59,8 +48,6 @@ fn main() {
     let mut budget = MemBudget::mib(256);
     let mut grid = GridMode::Panels;
     let mut threads: Option<usize> = None;
-    let mut spill = false;
-    let mut spill_residency = MemBudget::mib(16);
     let mut verify = false;
 
     let mut args = std::env::args().skip(1);
@@ -94,11 +81,6 @@ fn main() {
                         .parse()
                         .expect("--threads: positive integer"),
                 )
-            }
-            "--spill" => spill = true,
-            "--spill-residency" => {
-                spill_residency =
-                    MemBudget::parse(&next("--spill-residency")).expect("--spill-residency")
             }
             "--verify" => verify = true,
             other => panic!("unknown argument {other:?}; see the module docs"),
@@ -208,52 +190,7 @@ fn main() {
     }
 
     let t1 = Instant::now();
-    let result = if spill {
-        assert!(
-            !auto_plan,
-            "--spill executes the fixed panels-mode plan; drop --auto-plan"
-        );
-        if grid != GridMode::Panels {
-            println!("note: --spill runs panels mode (grid {grid} ignored)");
-        }
-        let path =
-            std::env::temp_dir().join(format!("tailors_smoke_spill_{}.tspill", std::process::id()));
-        let ts = Instant::now();
-        MmapStorage::store(&a, config.cols_b, &path).expect("store spill corpus");
-        let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let residency = spill_residency.limit_bytes();
-        println!(
-            "spill: stored {:.1} MiB TSPILL corpus in {:.2?}; tile residency cap {}",
-            file_bytes as f64 / (1024.0 * 1024.0),
-            ts.elapsed(),
-            spill_residency,
-        );
-        let store = MmapStorage::open(&path, residency).expect("open spill corpus");
-        let r = run_spilled(&store, &config, threads).expect("spilled functional run");
-        let s = store.stats();
-        println!(
-            "spill stats: {} panel loads, {} tile loads / {} hits, {} evictions, \
-             {:.1} MiB read, {:.1} MiB resident over {} tiles",
-            s.panel_loads,
-            s.tile_loads,
-            s.tile_hits,
-            s.evictions,
-            s.bytes_read as f64 / (1024.0 * 1024.0),
-            s.resident_bytes as f64 / (1024.0 * 1024.0),
-            store.n_tiles(),
-        );
-        if let Some(cap) = residency {
-            assert!(
-                cap < file_bytes,
-                "spill smoke must run with less tile residency than the corpus \
-                 ({cap} vs {file_bytes} bytes); shrink --spill-residency"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-        r
-    } else {
-        run_with_threads(&a, &config, threads).expect("budgeted functional run")
-    };
+    let result = run_with_threads(&a, &config, threads).expect("budgeted functional run");
     println!(
         "budgeted run ({threads} threads): {:.2?}, z nnz {}, dram A {} / B {}, overbooked tiles {}",
         t1.elapsed(),

@@ -47,8 +47,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tailors_sim::functional::{scratch_pool_stats, EngineError};
-use tailors_tensor::storage::PoolStats;
+use tailors_sim::functional::{scratch_pool_stats, EngineError, PoolStats};
 
 use crate::mailbox::{Mailbox, MailboxStats, Priority, PushError};
 use crate::service::{FunctionalRequest, FunctionalResponse, SimRequest, SimResponse, SimService};

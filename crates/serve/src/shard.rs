@@ -12,7 +12,7 @@
 //!   [`SimService`](crate::SimService) memoizes it), and a
 //!   consistent-hash [`HashRing`] maps that identity to a *primary*
 //!   shard. Each shard therefore sees a stable slice of the corpus and
-//!   its cache tiers (and TSPILL corpus) stay hot for that slice; a
+//!   its cache tiers stay hot for that slice; a
 //!   down shard's keys move to their clockwise successors while every
 //!   other key stays where it was.
 //! * **Balance** — [`ShardRouter::submit_batch`] groups a batch by

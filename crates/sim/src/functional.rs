@@ -27,18 +27,6 @@
 //! OR per effectual multiply, with extraction walking only set words/bits
 //! (ascending by construction — no per-row sort, no full zero-scan).
 //!
-//! # Resident and spilled operands
-//!
-//! One executor serves both storage tiers. The work items, block loop
-//! and output stitch are generic over a private `Operand` trait: the
-//! in-RAM matrix (with its transpose and tile view) for
-//! [`run_with_threads`] / [`run_grid`], or a file-backed [`MmapStorage`]
-//! for [`run_spilled`], whose panels page in on demand and whose streamed
-//! tiles are checked out of a residency cache with the next one
-//! prefetched. Both present the stationary panel through the same
-//! in-place view and each streamed `B` row as a slice pair, so the two
-//! tiers run the same traversal and produce the same bits.
-//!
 //! # Memory governance
 //!
 //! The per-item scratch is governed by an [`ExecutionPlan`]: under a
@@ -60,14 +48,14 @@
 //! # Work items, grid parallelism and traffic accounting
 //!
 //! Every entry point runs one executor over *work items*: a row panel
-//! paired with a contiguous range of its column blocks. An item pages its
-//! panel in once, runs its blocks in column order, and drains each block
-//! straight into flat output buffers; one stitch then interleaves each
-//! panel's block segments row by row. [`GridMode`] only picks the item
-//! granularity: a whole panel per item under [`GridMode::Panels`] (and
-//! always in [`run_spilled`]), one (panel × block) [`PlanUnit`] per item
-//! under [`GridMode::Grid2D`] — `panels × blocks`-way parallelism, with
-//! the traffic reported per item ([`UnitTraffic`]).
+//! paired with a contiguous range of its column blocks. An item runs its
+//! blocks in column order and drains each block straight into flat
+//! output buffers; one stitch then interleaves each panel's block
+//! segments row by row. [`GridMode`] only picks the item granularity: a
+//! whole panel per item under [`GridMode::Panels`], one (panel × block)
+//! [`PlanUnit`] per item under [`GridMode::Grid2D`] — `panels ×
+//! blocks`-way parallelism, with the traffic reported per item
+//! ([`UnitTraffic`]).
 //!
 //! * Stationary-operand traffic is charged in closed form. A panel of
 //!   `occ` nonzeros is traversed once per streamed tile; the first
@@ -95,12 +83,10 @@
 
 use crate::exec::{run_balanced, BufferParams, ExecutionPlan, GridMode, MemBudget, PlanUnit};
 use std::cell::RefCell;
-use std::sync::Arc;
 use std::thread::ThreadId;
 use tailors_eddo::replay::{replay_buffet, replay_tailor};
 use tailors_eddo::{EddoError, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
-use tailors_tensor::storage::{MmapStorage, PanelBuffers, PoolStats, SpillTile};
 use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
 
 /// A structurally invalid engine configuration, reported through the
@@ -128,15 +114,6 @@ pub enum ConfigError {
     },
     /// The worker-thread count is zero.
     ZeroThreads,
-    /// A spilled run's `cols_b` does not match the tile width the spill
-    /// file was written with (the file's per-tile segments *are* the
-    /// streamed tiles, so the two must agree).
-    SpillTileMismatch {
-        /// Columns per tile in the spill file.
-        file_cols: usize,
-        /// Columns per tile in the run configuration.
-        config_cols: usize,
-    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -153,21 +130,14 @@ impl core::fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroThreads => write!(f, "thread count must be positive"),
-            ConfigError::SpillTileMismatch {
-                file_cols,
-                config_cols,
-            } => write!(
-                f,
-                "spill file was tiled at cols_b={file_cols} but the run asks for {config_cols}"
-            ),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
 
-/// Everything a functional run can fail with: a rejected configuration,
-/// an invalid Tailor sizing, or a spill-tier I/O failure.
+/// Everything a functional run can fail with: a rejected configuration
+/// or an invalid Tailor sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineError {
     /// The configuration was rejected before any work ran.
@@ -178,9 +148,6 @@ pub enum EngineError {
     /// [`reference_run`] also reports a buffer-protocol violation here;
     /// none occurs for well-formed input.
     Buffer(EddoError),
-    /// The spill tier failed to page an operand in ([`run_spilled`]);
-    /// carries the I/O error kind (the error itself is not `Copy`).
-    Spill(std::io::ErrorKind),
 }
 
 impl From<ConfigError> for EngineError {
@@ -195,26 +162,19 @@ impl From<EddoError> for EngineError {
     }
 }
 
-impl From<std::io::Error> for EngineError {
-    fn from(e: std::io::Error) -> Self {
-        EngineError::Spill(e.kind())
-    }
-}
-
 impl core::fmt::Display for EngineError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             EngineError::Config(e) => write!(f, "invalid configuration: {e}"),
             EngineError::Buffer(e) => write!(f, "buffer protocol error: {e}"),
-            EngineError::Spill(kind) => write!(f, "spill-tier I/O error: {kind}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
 
-/// Shared request validation for every engine entry point, resident or
-/// spilled, over the operand's `nrows × ncols` shape (and for
+/// Shared request validation for every engine entry point, over the
+/// operand's `nrows × ncols` shape (and for
 /// [`reference_run`], which must reject exactly what the rewritten engine
 /// rejects so the oracle stays callable wherever the engine is).
 fn validate(
@@ -360,10 +320,10 @@ pub fn run_with_threads(
     threads: usize,
 ) -> Result<FunctionalResult, EngineError> {
     let (op, plan) = engine_setup(a, config, threads)?;
-    Ok(run_items(&op, config, &plan, config.grid, threads)?.0)
+    Ok(run_items(&op, config, &plan, config.grid, threads).0)
 }
 
-/// Validated common setup for the resident entry points: the operand and
+/// Validated common setup for the engine entry points: the operand and
 /// the execution plan.
 fn engine_setup<'a>(
     a: &'a CsrMatrix,
@@ -431,13 +391,13 @@ fn work_items(plan: &ExecutionPlan, grid: GridMode) -> Vec<WorkItem> {
 /// The one executor behind every entry point: runs the work items `grid`
 /// cuts `plan` into across `threads` workers, stitches their outputs into
 /// one CSR matrix, and reports each item's [`UnitTraffic`].
-fn run_items<O: Operand>(
-    op: &O,
+fn run_items(
+    op: &Resident<'_>,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
     grid: GridMode,
     threads: usize,
-) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
+) -> (FunctionalResult, Vec<UnitTraffic>) {
     let items = work_items(plan, grid);
 
     // Item cost ≈ panel occupancy × its share of the streamed operand
@@ -446,24 +406,22 @@ fn run_items<O: Operand>(
         .iter()
         .map(|item| {
             let rows = plan.panel_rows(item.panel);
-            let occ = op.row_range_nnz(rows.start, rows.end) as u128;
+            let occ = op.a.row_range_nnz(rows.start, rows.end) as u128;
             let cols = item_cols(plan, item);
-            let block = op.row_range_nnz(cols.start, cols.end) as u128;
+            let block = op.a.row_range_nnz(cols.start, cols.end) as u128;
             occ * block + occ + block + 1
         })
         .collect();
     let outputs = run_balanced(items.len(), &costs, threads, |i| {
         run_item(op, config, plan, &items[i])
-    })
-    .into_iter()
-    .collect::<Result<Vec<ItemOutput>, _>>()?;
+    });
 
     // Stitch: items come in (panel, first block) order, and each drained
     // its blocks one after another, one length per panel row per block.
     // Per panel, every output row concatenates its block segments in
     // column order; segment cursors advance monotonically because every
     // block drained its rows in order.
-    let n = op.nrows();
+    let n = op.a.nrows();
     let nnz: usize = outputs.iter().map(|o| o.out.cols.len()).sum();
     let mut row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
     row_ptr.push(0);
@@ -508,7 +466,7 @@ fn run_items<O: Operand>(
         dram_b_fetches: traffic.iter().map(|t| t.dram_b_fetches).sum(),
         overbooked_a_tiles: traffic.iter().filter(|t| t.overbooked).count(),
     };
-    Ok((result, traffic))
+    (result, traffic)
 }
 
 /// The output columns `item` owns: its first block's start to its last
@@ -557,7 +515,7 @@ pub fn run_grid(
     threads: usize,
 ) -> Result<(FunctionalResult, Vec<UnitTraffic>), EngineError> {
     let (op, plan) = engine_setup(a, config, threads)?;
-    run_items(&op, config, &plan, GridMode::Grid2D, threads)
+    Ok(run_items(&op, config, &plan, GridMode::Grid2D, threads))
 }
 
 /// Output of one work item: its blocks' rows drained one block after
@@ -574,22 +532,15 @@ struct ItemOutput {
 /// streamed tile of the block (accumulating block-local columns, re-based
 /// at the block's first column), and drains every row onto the end of
 /// `out`, one `row_lens` entry per panel row.
-fn run_block<O: Operand>(
-    spa: &mut BlockedSpa,
-    panel: &PanelElems<'_>,
-    op: &O,
-    unit: &PlanUnit,
-    out: &mut PanelBuffers,
-) -> Result<(), EngineError> {
+fn run_block(spa: &mut BlockedSpa, op: &Resident<'_>, unit: &PlanUnit, out: &mut PanelBuffers) {
     let c0 = unit.cols.start;
     spa.reset_shape(unit.rows.len(), unit.cols.len());
     for tj in unit.tiles.clone() {
-        // A paging error restores the all-zero invariant before propagating.
-        let tile = op.tile(tj).inspect_err(|_| spa.clear())?;
-        for lr in 0..unit.rows.len() {
-            let (ks, vas) = panel.row(lr);
-            for (&k, &va) in ks.iter().zip(vas) {
-                let (cols, vals) = op.tile_row(&tile, k as usize);
+        let tile = op.tile(tj);
+        for (lr, m) in unit.rows.clone().enumerate() {
+            let row = op.a.row(m);
+            for (&k, &va) in row.coords().iter().zip(row.values()) {
+                let (cols, vals) = op.tile_row(tile, k as usize);
                 for (&nn, &vb) in cols.iter().zip(vals) {
                     spa.accumulate(lr, nn as usize - c0, va * vb);
                 }
@@ -604,27 +555,26 @@ fn run_block<O: Operand>(
         spa.drain_row(lr, c0 as u32, &mut out.cols, &mut out.vals);
         out.row_lens.push(out.cols.len() - before);
     }
-    Ok(())
 }
 
-/// Executes one work item: pages its panel in once and runs the item's
-/// column blocks in order on the worker's [`BlockedSpa`]. Returns the
-/// drained blocks and the item's [`UnitTraffic`].
-fn run_item<O: Operand>(
-    op: &O,
+/// Executes one work item: runs the item's column blocks in order on the
+/// worker's [`BlockedSpa`]. Returns the drained blocks and the item's
+/// [`UnitTraffic`].
+fn run_item(
+    op: &Resident<'_>,
     config: &FunctionalConfig,
     plan: &ExecutionPlan,
     item: &WorkItem,
-) -> Result<ItemOutput, EngineError> {
+) -> ItemOutput {
     let rows = plan.panel_rows(item.panel);
     // This item's share of the streamed operand: the nonzeros of B columns
     // [c0, c1) are the nonzeros of A rows [c0, c1).
     let cols = item_cols(plan, item);
-    let dram_b = op.row_range_nnz(cols.start, cols.end) as u64;
+    let dram_b = op.a.row_range_nnz(cols.start, cols.end) as u64;
     // The stationary panel's traffic in closed form (see the module docs):
     // every traversal refetches the steady-state volume r, and the panel's
     // first block also pays the rest of the cold fill, occ − r.
-    let occ = op.row_range_nnz(rows.start, rows.end) as u64;
+    let occ = op.a.row_range_nnz(rows.start, rows.end) as u64;
     let r = config.buffer_params().steady_refetch(occ);
     let traversals: u64 = item
         .blocks
@@ -633,34 +583,97 @@ fn run_item<O: Operand>(
         .sum();
     let first = item.blocks.start == 0;
     let dram_a = traversals * r + if first { occ - r } else { 0 };
-    op.with_panel(rows.start, rows.end, |panel| {
-        // The SPA and assembly buffers come from the worker's scratch, so
-        // steady-state runs on warm threads allocate nothing here. Each
-        // block reshapes the SPA to exactly its own extent, and extraction
-        // restores the all-zero invariant as it goes.
-        let (mut spa, mut out) = SCRATCH.with_borrow_mut(|s| {
-            s.set_cap(config.mem_budget.limit_bytes());
-            (s.take_spa(), s.take_bufs())
-        });
-        out.row_lens.reserve(rows.len() * item.blocks.len());
-        let run = item.blocks.clone().try_for_each(|bi| {
-            let unit = plan.unit(item.panel, bi);
-            run_block(&mut spa, &panel, op, &unit, &mut out)
-        });
-        SCRATCH.with_borrow_mut(|s| s.put_spa(spa));
-        run?;
-        Ok(ItemOutput {
-            out,
-            home: std::thread::current().id(),
-            traffic: UnitTraffic {
-                row_panel: item.panel,
-                col_block: item.blocks.start,
-                dram_a_fetches: dram_a,
-                dram_b_fetches: dram_b,
-                overbooked: occ > config.capacity as u64 && first,
-            },
-        })
-    })
+    // The SPA and assembly buffers come from the worker's scratch, so
+    // steady-state runs on warm threads allocate nothing here. Each block
+    // reshapes the SPA to exactly its own extent, and extraction restores
+    // the all-zero invariant as it goes.
+    let (mut spa, mut out) = SCRATCH.with_borrow_mut(|s| {
+        s.set_cap(config.mem_budget.limit_bytes());
+        (s.take_spa(), s.take_bufs())
+    });
+    out.row_lens.reserve(rows.len() * item.blocks.len());
+    for bi in item.blocks.clone() {
+        run_block(&mut spa, op, &plan.unit(item.panel, bi), &mut out);
+    }
+    SCRATCH.with_borrow_mut(|s| s.put_spa(spa));
+    ItemOutput {
+        out,
+        home: std::thread::current().id(),
+        traffic: UnitTraffic {
+            row_panel: item.panel,
+            col_block: item.blocks.start,
+            dram_a_fetches: dram_a,
+            dram_b_fetches: dram_b,
+            overbooked: occ > config.capacity as u64 && first,
+        },
+    }
+}
+
+/// The output-assembly buffers of one engine work item: per-row lengths
+/// and the item's concatenated column/value pairs. An item drains its
+/// column blocks one after another, so `row_lens` holds one entry per
+/// panel row per block.
+///
+/// Reused as one unit because they live and die together: an item takes
+/// the whole set, fills it, and the stitch gives it back once the output
+/// has been spliced into the result CSR.
+#[derive(Debug, Clone, Default)]
+struct PanelBuffers {
+    /// Per-row output lengths, block after block.
+    row_lens: Vec<usize>,
+    /// Concatenated output column indices for the item.
+    cols: Vec<u32>,
+    /// Concatenated output values for the item.
+    vals: Vec<f64>,
+}
+
+impl PanelBuffers {
+    /// Empties the three vectors, keeping their capacity.
+    fn clear(&mut self) {
+        self.row_lens.clear();
+        self.cols.clear();
+        self.vals.clear();
+    }
+
+    /// Heap capacity of the three vectors, in bytes.
+    fn heap_bytes(&self) -> u64 {
+        (self.row_lens.capacity() * core::mem::size_of::<usize>()
+            + self.cols.capacity() * 4
+            + self.vals.capacity() * 8) as u64
+    }
+}
+
+/// Counters of a thread's engine scratch (or several threads' merged).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Buffers handed out.
+    pub checkouts: u64,
+    /// Checkouts served from idle inventory (no allocation).
+    pub hits: u64,
+    /// Checkouts that fell back to a fresh allocation.
+    pub misses: u64,
+    /// Buffers given back after use.
+    pub returns: u64,
+    /// Idle buffers freed to respect the retention cap.
+    pub evictions: u64,
+    /// Bytes currently held by idle inventory: a SPA's dense slots at 8
+    /// bytes each, buffers by heap capacity.
+    pub resident_bytes: u64,
+}
+
+impl PoolStats {
+    /// Combines two counter snapshots field-by-field — e.g. one per
+    /// worker thread rolled up into a service-wide view.
+    pub fn merge(self, other: PoolStats) -> PoolStats {
+        PoolStats {
+            checkouts: self.checkouts + other.checkouts,
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            returns: self.returns + other.returns,
+            evictions: self.evictions + other.evictions,
+            resident_bytes: self.resident_bytes + other.resident_bytes,
+        }
+    }
 }
 
 /// The engine scratch one thread keeps between work items: one SPA and a
@@ -789,79 +802,6 @@ pub fn clear_scratch_pool() {
     SCRATCH.with_borrow_mut(Scratch::clear);
 }
 
-/// Executes the tiled dataflow against a file-backed operand
-/// ([`MmapStorage`]) instead of an in-RAM [`CsrMatrix`], paging row
-/// panels of `A` and column tiles of `B = Aᵀ` in on demand — so matrices
-/// whose CSR payload exceeds the configured RAM budget stream through the
-/// planner's row-panel × column-block working sets.
-///
-/// It is the [`run_with_threads`] executor in [`GridMode::Panels`] over
-/// the spilled operand — one work item per panel, so each panel pages in
-/// once: the same work items, block loop, traversal order and traffic
-/// accounting at the same plan, so the result — every field — is
-/// **bit-identical** to the in-RAM run and to [`reference_run`] (the
-/// property suite pins it).
-/// Each streamed tile is checked out of the store's residency cache, and
-/// the next column tile in [`ExecutionPlan`] order is prefetched before
-/// the current one is traversed, keeping the cache's eviction aligned
-/// with the plan.
-///
-/// `config.grid` and `config.auto_plan` are ignored: a spilled run is
-/// always panel-mode (splitting a panel into (panel, block) items would
-/// page the panel in once per item), and
-/// auto-planning needs the occupancy profile of a resident matrix —
-/// callers that want an auto plan derive it where the profile lives and
-/// pass the chosen `rows_a` in.
-///
-/// # Errors
-///
-/// As [`run_with_threads`], plus [`ConfigError::SpillTileMismatch`] when
-/// `config.cols_b` differs from the tile width the spill file was written
-/// with, and [`EngineError::Spill`] when paging fails mid-run.
-pub fn run_spilled(
-    store: &MmapStorage,
-    config: &FunctionalConfig,
-    threads: usize,
-) -> Result<FunctionalResult, EngineError> {
-    validate(store.nrows(), store.ncols(), config, threads)?;
-    if config.cols_b != store.tile_cols() {
-        return Err(ConfigError::SpillTileMismatch {
-            file_cols: store.tile_cols(),
-            config_cols: config.cols_b,
-        }
-        .into());
-    }
-    config.tailor()?;
-    let plan = config.execution_plan(store.nrows(), store.ncols());
-    Ok(run_items(store, config, &plan, GridMode::Panels, threads)?.0)
-}
-
-/// The square operand `A` of `Z = A·Aᵀ` as the executor consumes it:
-/// resident in RAM ([`Resident`]) or paged in from a spill file
-/// ([`MmapStorage`]). The executor is generic over it (never `dyn`), so
-/// each storage format gets its own monomorphized traversal loop.
-trait Operand: Sync {
-    /// A streamed column tile of `B = Aᵀ`, held while it is traversed.
-    type Tile;
-    /// Rows (and columns) of `A`.
-    fn nrows(&self) -> usize;
-    /// Stored nonzeros in rows `[m0, m1)` of `A` — from resident row
-    /// pointers, no I/O.
-    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize;
-    /// Runs `f` over rows `[m0, m1)` of `A` as a stationary tile.
-    fn with_panel<R>(
-        &self,
-        m0: usize,
-        m1: usize,
-        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
-    ) -> Result<R, EngineError>;
-    /// Streamed tile `tj` (columns `tj·cols_b ..` of `B`).
-    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError>;
-    /// Row `k` of `B` restricted to `tile`: global column indices and
-    /// values.
-    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]);
-}
-
 /// The in-RAM operand: `A`, its transpose `B`, and (when the memory guard
 /// in `engine_setup` allows) `B`'s column-pointer view at the tile grid.
 struct Resident<'a> {
@@ -871,40 +811,20 @@ struct Resident<'a> {
     cols_b: usize,
 }
 
-impl Operand for Resident<'_> {
-    /// The tile index and its global column range `[n0, n1)`.
-    type Tile = (usize, u32, u32);
-
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-
-    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
-        self.a.row_range_nnz(m0, m1)
-    }
-
-    fn with_panel<R>(
-        &self,
-        m0: usize,
-        m1: usize,
-        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
-    ) -> Result<R, EngineError> {
-        f(PanelElems {
-            row_ptr: &self.a.row_ptr()[m0..=m1],
-            cols: self.a.col_indices(),
-            vals: self.a.values(),
-        })
-    }
-
-    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
+impl Resident<'_> {
+    /// Streamed tile `tj` (columns `tj·cols_b ..` of `B`): its index and
+    /// its global column range `[n0, n1)`.
+    fn tile(&self, tj: usize) -> (usize, u32, u32) {
         let n0 = tj * self.cols_b;
         let n1 = ((tj + 1) * self.cols_b).min(self.a.nrows());
-        Ok((tj, n0 as u32, n1 as u32))
+        (tj, n0 as u32, n1 as u32)
     }
 
+    /// Row `k` of `B` restricted to `tile`: global column indices and
+    /// values.
     #[inline]
-    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]) {
-        let &(tj, n0, n1) = tile;
+    fn tile_row(&self, tile: (usize, u32, u32), k: usize) -> (&[u32], &[f64]) {
+        let (tj, n0, n1) = tile;
         let (b_cols, b_vals) = (self.b.col_indices(), self.b.values());
         let (lo, hi) = match &self.b_tiles {
             Some(view) => view.row_tile_range(k, tj),
@@ -919,72 +839,6 @@ impl Operand for Resident<'_> {
             }
         };
         (&b_cols[lo..hi], &b_vals[lo..hi])
-    }
-}
-
-impl Operand for MmapStorage {
-    /// The checked-out tile; the `Arc` keeps it alive across eviction.
-    type Tile = Arc<SpillTile>;
-
-    fn nrows(&self) -> usize {
-        MmapStorage::nrows(self)
-    }
-
-    fn row_range_nnz(&self, m0: usize, m1: usize) -> usize {
-        MmapStorage::row_range_nnz(self, m0, m1)
-    }
-
-    /// Pages the panel's payload in once; its row pointers are rebased to
-    /// the panel, so they index the payload directly.
-    fn with_panel<R>(
-        &self,
-        m0: usize,
-        m1: usize,
-        f: impl FnOnce(PanelElems<'_>) -> Result<R, EngineError>,
-    ) -> Result<R, EngineError> {
-        let p = self.load_panel(m0, m1)?;
-        f(PanelElems {
-            row_ptr: &p.row_ptr,
-            cols: &p.cols,
-            vals: &p.vals,
-        })
-    }
-
-    fn tile(&self, tj: usize) -> Result<Self::Tile, EngineError> {
-        let tile = self.checkout_tile(tj)?;
-        if tj + 1 < self.n_tiles() {
-            // Warm the cache for the next tile in plan order. A prefetch
-            // failure is not fatal here: the demand checkout that
-            // actually needs the tile reports it.
-            let _ = self.prefetch(tj + 1);
-        }
-        Ok(tile)
-    }
-
-    #[inline]
-    fn tile_row<'t>(&'t self, tile: &'t Self::Tile, k: usize) -> (&'t [u32], &'t [f64]) {
-        let (lo, hi) = (tile.row_ptr[k], tile.row_ptr[k + 1]);
-        (&tile.cols[lo..hi], &tile.vals[lo..hi])
-    }
-}
-
-/// A row panel of a CSR payload viewed in place — no materialization.
-/// `row_ptr` holds the pointers of the panel's rows (one past the last
-/// included) into `cols`/`vals`: the whole matrix's arrays for a resident
-/// operand, the panel's own (rebased, `row_ptr[0] == 0`) payload for a
-/// spilled one.
-struct PanelElems<'a> {
-    row_ptr: &'a [usize],
-    cols: &'a [u32],
-    vals: &'a [f64],
-}
-
-impl PanelElems<'_> {
-    /// Local row `lr` of the panel: its column indices and values.
-    #[inline]
-    fn row(&self, lr: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.row_ptr[lr], self.row_ptr[lr + 1]);
-        (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 }
 
@@ -1558,6 +1412,19 @@ mod tests {
         assert_eq!(new.z, old.z);
         assert_eq!(new.dram_a_fetches, old.dram_a_fetches);
         assert_eq!(new.dram_b_fetches, old.dram_b_fetches);
+    }
+
+    #[test]
+    fn panel_buffers_recycle_capacity() {
+        let mut bufs = PanelBuffers::default();
+        bufs.row_lens.extend_from_slice(&[3; 16]);
+        bufs.cols.extend(0..48);
+        bufs.vals.extend((0..48).map(f64::from));
+        let bytes = bufs.heap_bytes();
+        assert!(bytes >= 16 * 8 + 48 * 4 + 48 * 8);
+        bufs.clear();
+        assert!(bufs.row_lens.is_empty() && bufs.cols.is_empty() && bufs.vals.is_empty());
+        assert_eq!(bufs.heap_bytes(), bytes, "clearing keeps the capacity");
     }
 
     #[test]

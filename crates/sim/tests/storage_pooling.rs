@@ -1,21 +1,16 @@
-//! Property tests for the storage-handle layer: runs on recycled engine
+//! Property tests for the engine's per-thread scratch: runs on recycled
 //! scratch are bit-identical to cold-scratch runs across arbitrary
 //! interleavings of request shapes through one thread's scratch (SPA
-//! reshapes, eviction under tight `MemBudget`, 1/4/8 threads),
-//! and spilled runs ([`run_spilled`] over a file-backed operand paged in
-//! panel-by-panel and tile-by-tile) diff clean against `reference_run`
-//! in every reported field.
+//! reshapes, eviction under tight `MemBudget`, 1/4/8 threads), and every
+//! entry point rejects a degenerate configuration with the same typed
+//! error before any work runs.
 
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tailors_sim::functional::{
-    clear_scratch_pool, reference_run, run_spilled, run_with_threads, scratch_pool_stats,
-    FunctionalConfig,
+    clear_scratch_pool, reference_run, run_with_threads, scratch_pool_stats, FunctionalConfig,
 };
 use tailors_sim::{GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::storage::MmapStorage;
 
 fn config(
     capacity: usize,
@@ -35,16 +30,6 @@ fn config(
         grid: GridMode::Panels,
         auto_plan: false,
     }
-}
-
-fn unique_spill_path(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "tailors_pooltest_{}_{}_{}.tspill",
-        std::process::id(),
-        tag,
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
 }
 
 proptest! {
@@ -110,60 +95,6 @@ proptest! {
         }
     }
 
-    /// A spilled run — `A` panels and `B = Aᵀ` tiles paged in from the
-    /// spill file under an arbitrary (often single-tile) residency
-    /// budget, through a Tailor or a buffet — is bit-identical to
-    /// `reference_run` and to the in-RAM engine in every reported field,
-    /// at every thread count.
-    #[test]
-    fn spilled_runs_diff_clean_vs_reference(
-        seed in 0u64..30,
-        heavy in proptest::bool::ANY,
-        capacity in 8usize..120,
-        fifo_frac in 1usize..90,
-        rows_a in 1usize..70,
-        tile_exp in 0u32..7,
-        budget_bytes in 0u64..40_000,
-        residency_sel in 0usize..4,
-        threads_sel in 0usize..3,
-        overbooking in proptest::bool::ANY,
-    ) {
-        let residency = [None, Some(1u64), Some(4_096), Some(1 << 20)][residency_sel];
-        let threads = [1usize, 2, 4][threads_sel];
-        let spec = if heavy {
-            GenSpec::power_law(48, 48, 400)
-        } else {
-            GenSpec::uniform(48, 48, 300)
-        };
-        let a = spec.seed(seed).generate();
-        let cols_b = 1usize << tile_exp; // 1..=64
-        let cfg = config(
-            capacity,
-            fifo_frac,
-            rows_a,
-            cols_b,
-            overbooking,
-            MemBudget::bytes(budget_bytes),
-        );
-
-        let path = unique_spill_path("prop");
-        MmapStorage::store(&a, cols_b, &path).expect("store spill file");
-        let store = MmapStorage::open(&path, residency).expect("open spill file");
-        let spilled = run_spilled(&store, &cfg, threads).expect("spilled run");
-        std::fs::remove_file(&path).ok();
-        // A budgeted spilled run pages each row panel in exactly once.
-        let n = a.nrows();
-        let plan = cfg.execution_plan(n, n);
-        prop_assert_eq!(store.stats().panel_loads, plan.n_row_panels() as u64);
-
-        let in_ram = run_with_threads(&a, &cfg, 1).expect("in-RAM run");
-        prop_assert_eq!(&spilled, &in_ram);
-        let oracle = reference_run(&a, &cfg).expect("seed engine");
-        prop_assert_eq!(&spilled.z, &oracle.z);
-        prop_assert_eq!(spilled.dram_a_fetches, oracle.dram_a_fetches);
-        prop_assert_eq!(spilled.dram_b_fetches, oracle.dram_b_fetches);
-        prop_assert_eq!(spilled.overbooked_a_tiles, oracle.overbooked_a_tiles);
-    }
 }
 
 /// The steady-state contract behind the serve-side zero-alloc pin, seen
@@ -286,9 +217,6 @@ fn invalid_tailor_sizing_is_a_typed_buffer_error_from_every_entry_point() {
     use tailors_eddo::EddoError;
     use tailors_sim::functional::{run_grid, EngineError};
     let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
-    let path = unique_spill_path("tailor_sizing");
-    MmapStorage::store(&a, 8, &path).expect("store spill file");
-    let store = MmapStorage::open(&path, None).expect("open spill file");
     let ok = config(32, 50, 8, 8, true, MemBudget::Unbounded);
     for fifo_region in [0, 32, 33] {
         let bad = FunctionalConfig { fifo_region, ..ok };
@@ -301,10 +229,6 @@ fn invalid_tailor_sizing_is_a_typed_buffer_error_from_every_entry_point() {
         );
         assert!(
             is_bad_config(run_grid(&a, &bad, 2).map(|_| ())),
-            "fifo {fifo_region}"
-        );
-        assert!(
-            is_bad_config(run_spilled(&store, &bad, 2).map(|_| ())),
             "fifo {fifo_region}"
         );
         assert!(
@@ -322,158 +246,63 @@ fn invalid_tailor_sizing_is_a_typed_buffer_error_from_every_entry_point() {
             oracle
         );
         assert_eq!(run_grid(&a, &buffet, 2).expect("buffet grid").0, oracle);
-        assert_eq!(
-            run_spilled(&store, &buffet, 2).expect("buffet spill"),
-            oracle
-        );
     }
-    std::fs::remove_file(&path).ok();
 }
 
-/// Mismatched `cols_b` is a typed config error, not a wrong answer.
+/// A degenerate configuration is rejected before any work runs, with the
+/// same typed [`ConfigError`](tailors_sim::functional::ConfigError) from
+/// every entry point. `reference_run` takes no thread count, so it is
+/// checked on every case but `threads = 0`.
 #[test]
-fn spill_tile_mismatch_is_rejected() {
-    use tailors_sim::functional::{ConfigError, EngineError};
-    let a = GenSpec::uniform(32, 32, 150).seed(3).generate();
-    let path = unique_spill_path("mismatch");
-    MmapStorage::store(&a, 8, &path).expect("store spill file");
-    let store = MmapStorage::open(&path, None).expect("open spill file");
-    let cfg = config(32, 50, 8, 16, true, MemBudget::Unbounded);
-    let err = run_spilled(&store, &cfg, 1).expect_err("cols_b mismatch must be rejected");
-    assert_eq!(
-        err,
-        EngineError::Config(ConfigError::SpillTileMismatch {
-            file_cols: 8,
-            config_cols: 16
-        })
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-/// The spilled entry point rejects exactly what the resident one rejects,
-/// with the same typed error — and a degenerate config is reported as
-/// such before any spill-file check.
-#[test]
-fn spilled_validation_matches_resident_validation() {
-    use tailors_sim::functional::{ConfigError, EngineError};
+fn degenerate_configs_are_the_same_typed_error_from_every_entry_point() {
+    use tailors_sim::functional::{run_grid, ConfigError, EngineError};
     let square = GenSpec::uniform(32, 32, 150).seed(3).generate();
     let wide = GenSpec::uniform(16, 32, 80).seed(4).generate();
     let ok = config(32, 50, 8, 8, true, MemBudget::Unbounded);
+    let zero_tile = |rows_a, cols_b| ConfigError::ZeroTileDims { rows_a, cols_b };
     let cases = [
         (
             "capacity = 0",
             &square,
             FunctionalConfig { capacity: 0, ..ok },
             1,
+            ConfigError::ZeroCapacity,
         ),
         (
             "rows_a = 0",
             &square,
             FunctionalConfig { rows_a: 0, ..ok },
             1,
+            zero_tile(0, 8),
         ),
         (
             "cols_b = 0",
             &square,
             FunctionalConfig { cols_b: 0, ..ok },
             1,
+            zero_tile(8, 0),
         ),
-        ("threads = 0", &square, ok, 0),
-        ("non-square", &wide, ok, 1),
+        ("threads = 0", &square, ok, 0, ConfigError::ZeroThreads),
+        (
+            "non-square",
+            &wide,
+            ok,
+            1,
+            ConfigError::NonSquare {
+                nrows: 16,
+                ncols: 32,
+            },
+        ),
     ];
-    for (name, a, cfg, threads) in cases {
-        let path = unique_spill_path("validate");
-        MmapStorage::store(a, 8, &path).expect("store spill file");
-        let store = MmapStorage::open(&path, None).expect("open spill file");
-        let spilled = run_spilled(&store, &cfg, threads).expect_err(name);
-        std::fs::remove_file(&path).ok();
+    for (name, a, cfg, threads, expected) in cases {
+        let expected = EngineError::Config(expected);
         let resident = run_with_threads(a, &cfg, threads).expect_err(name);
-        assert!(
-            matches!(resident, EngineError::Config(_)),
-            "{name}: {resident:?}"
-        );
-        assert_eq!(spilled, resident, "{name}");
+        assert_eq!(resident, expected, "{name}: run_with_threads");
+        let grid = run_grid(a, &cfg, threads).expect_err(name);
+        assert_eq!(grid, expected, "{name}: run_grid");
+        if threads > 0 {
+            let oracle = reference_run(a, &cfg).expect_err(name);
+            assert_eq!(oracle, expected, "{name}: reference_run");
+        }
     }
-    // `cols_b = 0` also mismatches the file's tile width (8); the zero
-    // tile dimension is what gets reported.
-    let path = unique_spill_path("validate_order");
-    MmapStorage::store(&square, 8, &path).expect("store spill file");
-    let store = MmapStorage::open(&path, None).expect("open spill file");
-    let err = run_spilled(&store, &FunctionalConfig { cols_b: 0, ..ok }, 1);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(
-        err,
-        Err(EngineError::Config(ConfigError::ZeroTileDims {
-            rows_a: 8,
-            cols_b: 0
-        }))
-    );
-}
-
-/// Out-of-range column indices in a spill file's payload are a typed
-/// `InvalidData` spill error, not an out-of-bounds panic: an `A` column
-/// past `ncols`, and a `B` tile column outside the tile's column range.
-#[test]
-fn spill_column_index_out_of_range_is_typed() {
-    use tailors_sim::functional::EngineError;
-    let a = GenSpec::uniform(64, 64, 400).seed(2).generate();
-    let cfg = config(64, 25, 16, 16, true, MemBudget::Unbounded);
-    let path = unique_spill_path("clean");
-    MmapStorage::store(&a, 16, &path).expect("store spill file");
-    let bytes = std::fs::read(&path).expect("read spill file");
-    std::fs::remove_file(&path).ok();
-    // Layout: magic, 5 header words, `nrows + 1` row pointers and
-    // `n_tiles + 1` tile offsets, then `A`'s column indices; tile 0's
-    // column indices follow its `ncols + 1` row pointers.
-    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
-    let (n, n_tiles) = (word(1) as usize, word(5) as usize);
-    let a_cols = 48 + (n + 1) * 8 + (n_tiles + 1) * 8;
-    let tile0_cols = word(6 + n + 1) as usize + (n + 1) * 8;
-    for at in [a_cols, tile0_cols] {
-        let mut bad = bytes.clone();
-        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let path = unique_spill_path("badcol");
-        std::fs::write(&path, &bad).expect("write corrupt spill file");
-        let store = MmapStorage::open(&path, None).expect("header is intact");
-        let err = run_spilled(&store, &cfg, 1);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(
-            err,
-            Err(EngineError::Spill(std::io::ErrorKind::InvalidData)),
-            "corrupt column index at byte {at}"
-        );
-    }
-}
-
-/// A spill file that goes short under an open store fails the run with a
-/// typed I/O error on the last tile — after earlier tiles have already
-/// accumulated into the pooled scratch — and the scratch is left clean:
-/// the next run of the same shape on this thread is still exact.
-#[test]
-fn mid_run_spill_failure_is_typed_and_leaves_scratch_clean() {
-    use tailors_sim::functional::EngineError;
-    let a = GenSpec::power_law(48, 48, 400).seed(7).generate();
-    // One panel (rows_a = n) over six 8-column tiles.
-    let cfg = config(64, 25, 48, 8, true, MemBudget::Unbounded);
-    let path = unique_spill_path("truncated");
-    MmapStorage::store(&a, 8, &path).expect("store spill file");
-    let store = MmapStorage::open(&path, Some(1)).expect("open spill file");
-    assert!(store.n_tiles() > 1, "test needs several tiles");
-    let file = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&path)
-        .expect("second handle");
-    let len = file.metadata().expect("metadata").len();
-    file.set_len(len - 1).expect("shorten spill file");
-
-    let err = run_spilled(&store, &cfg, 1);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(
-        err,
-        Err(EngineError::Spill(std::io::ErrorKind::UnexpectedEof))
-    );
-
-    let run = run_with_threads(&a, &cfg, 1).expect("in-RAM run after the failure");
-    let oracle = reference_run(&a, &cfg).expect("seed engine");
-    assert_eq!(run, oracle);
 }

@@ -48,7 +48,6 @@ pub mod fiber;
 pub mod gen;
 pub mod ops;
 pub mod stats;
-pub mod storage;
 pub mod tiling;
 
 pub use coo::CooMatrix;
