@@ -1,7 +1,6 @@
-//! Criterion benchmarks for the compute substrate: fiber intersection
-//! (ExTensor's core primitive), the reference SpMSpM, the analytical
-//! simulator itself, the functional engine, and suite tensor generation
-//! and hashing.
+//! Criterion benchmarks for the compute substrate: the reference SpMSpM,
+//! the functional engine and its planner, the analytical simulator itself,
+//! suite tensor generation and hashing, and the serving layers.
 //!
 //! The `spmspm` group tracks the dense-scratch (SPA) rewrite against the
 //! retained seed kernels — `seed_hashmap_a_at_2k` and
@@ -21,22 +20,6 @@ use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
 use tailors_workloads::WorkloadClass;
-
-fn bench_intersection(c: &mut Criterion) {
-    let a = GenSpec::uniform(1, 100_000, 10_000).seed(1).generate();
-    let b = GenSpec::uniform(1, 100_000, 10_000).seed(2).generate();
-    let (fa, fb) = (a.row(0), b.row(0));
-
-    let mut g = c.benchmark_group("fiber_intersection");
-    g.throughput(Throughput::Elements((fa.len() + fb.len()) as u64));
-    g.bench_function("two_finger_10k_x_10k", |bch| {
-        bch.iter(|| black_box(fa.intersect_counted(&fb)))
-    });
-    g.bench_function("dot_product_10k_x_10k", |bch| {
-        bch.iter(|| black_box(fa.dot(&fb)))
-    });
-    g.finish();
-}
 
 fn bench_spmspm(c: &mut Criterion) {
     let a = GenSpec::power_law(2_000, 2_000, 20_000).seed(3).generate();
@@ -86,8 +69,9 @@ fn bench_spmspm(c: &mut Criterion) {
     g.bench_function("seed_functional_engine_a_at_2k", |bch| {
         bch.iter(|| black_box(reference_run(&a, &config).unwrap()))
     });
-    // After: CSR-slice walking, prefix-sliced B tiles, bitmask-blocked
-    // panel scratch, 2-D grid fan-out across all available threads.
+    // After: CSR-slice walking, one cursor walk over B per column block,
+    // bitmask-blocked panel scratch, 2-D grid fan-out across all available
+    // threads.
     g.bench_function("functional_engine_a_at_2k", |bch| {
         bch.iter(|| {
             black_box(run_with_threads(&a, &grid_config, rayon::current_num_threads()).unwrap())
@@ -97,6 +81,35 @@ fn bench_spmspm(c: &mut Criterion) {
     g.bench_function("functional_engine_serial_a_at_2k", |bch| {
         bch.iter(|| black_box(run_with_threads(&a, &config, 1).unwrap()))
     });
+    // Serial panels at ExTensor-OB's 32×32 global-buffer tile, the shape
+    // served functional requests run: 63 streamed tiles per panel.
+    let small_tiles = FunctionalConfig {
+        rows_a: 32,
+        cols_b: 32,
+        ..config
+    };
+    // Serial 2-D grid with single-tile blocks (256×32 tiles at 64 KiB):
+    // every item but a panel's first starts mid-row, so each pays one
+    // B-row search per panel element.
+    let one_tile_blocks = FunctionalConfig {
+        cols_b: 32,
+        mem_budget: MemBudget::bytes(64 << 10),
+        grid: GridMode::Grid2D,
+        ..config
+    };
+    for (name, cfg) in [
+        ("functional_engine_serial_32x32_a_at_2k", small_tiles),
+        ("functional_engine_grid2d_1tile_a_at_2k", one_tile_blocks),
+    ] {
+        assert_eq!(
+            run_with_threads(&a, &cfg, 1).unwrap(),
+            reference_run(&a, &cfg).unwrap(),
+            "{name} must be bit-identical to the seed engine"
+        );
+        g.bench_function(name, |bch| {
+            bch.iter(|| black_box(run_with_threads(&a, &cfg, 1).unwrap()))
+        });
+    }
     g.finish();
 }
 
@@ -404,7 +417,6 @@ fn bench_serving(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_intersection,
     bench_spmspm,
     bench_planner,
     bench_simulator,

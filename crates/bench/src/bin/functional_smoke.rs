@@ -142,19 +142,13 @@ fn main() {
         stats.grid,
         stats.parallel_units,
     );
-    // Streamed-operand balance across the plan's column blocks, each
-    // block occupancy an O(1)-per-row span over the tile-pointer view.
-    let b = a.transpose();
-    let view = b.tile_col_ptr(config.cols_b);
+    // Streamed-operand balance across the plan's column blocks: the
+    // nonzeros of B columns [c0, c1) are those of A rows [c0, c1), what
+    // the engine charges each block.
     let block_occ: Vec<u64> = (0..plan.n_col_blocks())
         .map(|bi| {
-            let (_, tiles) = plan.block_extent(bi);
-            (0..b.nrows())
-                .map(|r| {
-                    let (lo, hi) = view.row_tile_span(r, tiles.start, tiles.end);
-                    (hi - lo) as u64
-                })
-                .sum()
+            let (cols, _) = plan.block_extent(bi);
+            a.row_range_nnz(cols.start, cols.end) as u64
         })
         .collect();
     println!(

@@ -20,12 +20,18 @@
 //! independently — serially in deterministic order with `threads == 1`, or
 //! fanned out across a rayon pool with [`run_with_threads`]. Within a
 //! panel the engine walks CSR row slices directly (the stationary tile is
-//! never materialized as a coordinate list), slices each streamed B tile
-//! through a precomputed [`TileColPtr`] column-pointer view instead of a
-//! per-element binary search, and accumulates into a bitmask-blocked
-//! dense scratch ([`BlockedSpa`]): one dense write plus one occupancy-word
-//! OR per effectual multiply, with extraction walking only set words/bits
-//! (ascending by construction — no per-row sort, no full zero-scan).
+//! never materialized as a coordinate list), once per column block in
+//! Gustavson order: each panel element keeps a cursor into its B row,
+//! reads the row up to the block's end, and resumes there for the next
+//! block, so B is sliced without a per-tile lookup. A work item that
+//! starts at column 0 starts each cursor at its row's start; any other
+//! item finds it with one binary search per element. Products accumulate
+//! into a bitmask-blocked dense scratch ([`BlockedSpa`]): one dense write
+//! plus one occupancy-word OR per effectual multiply, with extraction
+//! walking only set words/bits (ascending by construction — no per-row
+//! sort, no full zero-scan). Every output `(m, n)` lies in one block and
+//! sums its `k` terms in ascending `k`, the order of a per-tile walk, so
+//! the results are those of the modeled per-tile traversal bit for bit.
 //!
 //! # Memory governance
 //!
@@ -57,8 +63,9 @@
 //! blocks`-way parallelism, with the traffic reported per item
 //! ([`UnitTraffic`]).
 //!
-//! * Stationary-operand traffic is charged in closed form. A panel of
-//!   `occ` nonzeros is traversed once per streamed tile; the first
+//! * Stationary-operand traffic is charged in closed form. In the
+//!   modeled dataflow a panel of `occ` nonzeros is traversed once per
+//!   streamed tile; the first
 //!   traversal fills the whole panel and every later one refetches the
 //!   steady-state volume `r` = [`BufferParams::steady_refetch`] (`0` when
 //!   the panel fits, the bumped remainder `occ − resident` through an
@@ -87,7 +94,7 @@ use std::thread::ThreadId;
 use tailors_eddo::replay::{replay_buffet, replay_tailor};
 use tailors_eddo::{EddoError, TailorConfig};
 use tailors_tensor::ops::BlockedSpa;
-use tailors_tensor::{CooMatrix, CsrMatrix, TileColPtr};
+use tailors_tensor::{CooMatrix, CsrMatrix};
 
 /// A structurally invalid engine configuration, reported through the
 /// `Err` channel instead of a panic so a long-lived server can answer a
@@ -339,27 +346,7 @@ fn engine_setup<'a>(
     } else {
         config.execution_plan(n, n)
     };
-    // Column-pointer view of B at the tile grid: row k ∩ tile tj becomes an
-    // O(1) slice instead of a per-element partition_point. The view costs
-    // nrows × (n_tiles + 1) indices; when a degenerate tiling (tiny cols_b
-    // on a wide B) would make that dwarf the matrix itself, skip it and let
-    // panels fall back to per-element range searches.
-    let n_b_tiles = plan.n_col_tiles();
-    let view_cells = b.nrows() * (n_b_tiles + 1);
-    let b_tiles = if view_cells <= 8 * b.nnz() + 4096 {
-        let view = b.tile_col_ptr(config.cols_b);
-        debug_assert_eq!(view.n_tiles(), n_b_tiles);
-        Some(view)
-    } else {
-        None
-    };
-    let op = Resident {
-        a,
-        b,
-        b_tiles,
-        cols_b: config.cols_b,
-    };
-    Ok((op, plan))
+    Ok((Resident { a, b }, plan))
 }
 
 /// One work item of the executor: row panel `panel` paired with a
@@ -528,22 +515,41 @@ struct ItemOutput {
 }
 
 /// Executes one column block of a stationary panel: shapes `spa` to the
-/// unit, walks the panel's rows in stream (row-major) order once per
-/// streamed tile of the block (accumulating block-local columns, re-based
-/// at the block's first column), and drains every row onto the end of
-/// `out`, one `row_lens` entry per panel row.
-fn run_block(spa: &mut BlockedSpa, op: &Resident<'_>, unit: &PlanUnit, out: &mut PanelBuffers) {
-    let c0 = unit.cols.start;
+/// unit, walks the panel once in Gustavson order, and drains every row
+/// onto the end of `out`, one `row_lens` entry per panel row.
+///
+/// `cursors` holds one [`Cursor`] per panel element into that element's B
+/// row, at the block's first column; each element reads its row up to the
+/// block's end (accumulating block-local columns, re-based at the block's
+/// first column) and leaves its cursor there for the next block.
+fn run_block(
+    spa: &mut BlockedSpa,
+    cursors: &mut [Cursor],
+    op: &Resident<'_>,
+    unit: &PlanUnit,
+    out: &mut PanelBuffers,
+) {
+    let (c0, c1) = (unit.cols.start, unit.cols.end);
     spa.reset_shape(unit.rows.len(), unit.cols.len());
-    for tj in unit.tiles.clone() {
-        let tile = op.tile(tj);
-        for (lr, m) in unit.rows.clone().enumerate() {
-            let row = op.a.row(m);
-            for (&k, &va) in row.coords().iter().zip(row.values()) {
-                let (cols, vals) = op.tile_row(tile, k as usize);
-                for (&nn, &vb) in cols.iter().zip(vals) {
-                    spa.accumulate(lr, nn as usize - c0, va * vb);
+    let (a_ptr, a_cols, a_vals) = (op.a.row_ptr(), op.a.col_indices(), op.a.values());
+    let (b_ptr, b_cols, b_vals) = (op.b.row_ptr(), op.b.col_indices(), op.b.values());
+    let base = a_ptr[unit.rows.start];
+    for (lr, m) in unit.rows.clone().enumerate() {
+        let (lo, hi) = (a_ptr[m], a_ptr[m + 1]);
+        let elems = a_cols[lo..hi].iter().zip(&a_vals[lo..hi]);
+        for ((&k, &va), cursor) in elems.zip(&mut cursors[lo - base..hi - base]) {
+            if cursor.1 as usize >= c1 {
+                continue;
+            }
+            let (start, end) = (cursor.0, b_ptr[k as usize + 1]);
+            let row = b_cols[start..end].iter().zip(&b_vals[start..end]);
+            *cursor = (end, u32::MAX);
+            for (pos, (&nn, &vb)) in (start..).zip(row) {
+                if nn as usize >= c1 {
+                    *cursor = (pos, nn);
+                    break;
                 }
+                spa.accumulate(lr, nn as usize - c0, va * vb);
             }
         }
     }
@@ -587,15 +593,36 @@ fn run_item(
     // steady-state runs on warm threads allocate nothing here. Each block
     // reshapes the SPA to exactly its own extent, and extraction restores
     // the all-zero invariant as it goes.
-    let (mut spa, mut out) = SCRATCH.with_borrow_mut(|s| {
+    let ((mut spa, mut cursors), mut out) = SCRATCH.with_borrow_mut(|s| {
         s.set_cap(config.mem_budget.limit_bytes());
         (s.take_spa(), s.take_bufs())
     });
+    // One cursor per panel element into its B row, at the item's first
+    // column: the row's start when that is column 0 (every Panels item,
+    // and each panel's first Grid2D item), else one search.
+    let (b_ptr, b_cols) = (op.b.row_ptr(), op.b.col_indices());
+    let elems = op.a.row_ptr()[rows.start]..op.a.row_ptr()[rows.end];
+    cursors.clear();
+    cursors.extend(op.a.col_indices()[elems].iter().map(|&k| {
+        let (lo, hi) = (b_ptr[k as usize], b_ptr[k as usize + 1]);
+        let pos = if cols.start == 0 {
+            lo
+        } else {
+            lo + b_cols[lo..hi].partition_point(|&c| (c as usize) < cols.start)
+        };
+        (pos, b_cols[pos..hi].first().copied().unwrap_or(u32::MAX))
+    }));
     out.row_lens.reserve(rows.len() * item.blocks.len());
     for bi in item.blocks.clone() {
-        run_block(&mut spa, op, &plan.unit(item.panel, bi), &mut out);
+        run_block(
+            &mut spa,
+            &mut cursors,
+            op,
+            &plan.unit(item.panel, bi),
+            &mut out,
+        );
     }
-    SCRATCH.with_borrow_mut(|s| s.put_spa(spa));
+    SCRATCH.with_borrow_mut(|s| s.put_spa((spa, cursors)));
     ItemOutput {
         out,
         home: std::thread::current().id(),
@@ -676,19 +703,21 @@ impl PoolStats {
     }
 }
 
-/// The engine scratch one thread keeps between work items: one SPA and a
-/// free list of item output buffers. [`run_block`] reshapes the SPA to
-/// each block's exact extent; it only grows, so it holds the largest
-/// block this thread has run since it was last dropped.
+/// The engine scratch one thread keeps between work items: one SPA with
+/// its B-row cursors (one per panel element), and a free list of item
+/// output buffers. [`run_block`] reshapes the SPA to each block's exact
+/// extent; it only grows, so it holds the largest block this thread has
+/// run since it was last dropped. The cursors are kept and dropped with
+/// the SPA.
 ///
 /// What the thread keeps idle is capped per family by the current run's
 /// [`MemBudget`] limit, in the coin the planner sizes scratch by: a SPA's
-/// dense slots at 8 bytes each (its occupancy mask and touched lists are
-/// not counted), the buffers by heap capacity. Anything over the cap is
-/// dropped and counted as an eviction.
+/// dense slots at 8 bytes each (its occupancy mask, touched lists and
+/// cursors are not counted), the buffers by heap capacity. Anything over
+/// the cap is dropped and counted as an eviction.
 #[derive(Debug, Default)]
 struct Scratch {
-    spa: Option<BlockedSpa>,
+    spa: Option<(BlockedSpa, Vec<Cursor>)>,
     bufs: Vec<PanelBuffers>,
     /// Heap bytes of `bufs`.
     buf_bytes: u64,
@@ -712,7 +741,7 @@ impl Scratch {
         if self
             .spa
             .as_ref()
-            .is_some_and(|spa| !self.fits(spa_bytes(spa)))
+            .is_some_and(|(spa, _)| !self.fits(spa_bytes(spa)))
         {
             self.spa = None;
             self.stats.evictions += 1;
@@ -730,16 +759,17 @@ impl Scratch {
         self.stats.misses += u64::from(!hit);
     }
 
-    fn take_spa(&mut self) -> BlockedSpa {
+    fn take_spa(&mut self) -> (BlockedSpa, Vec<Cursor>) {
         let spa = self.spa.take();
         self.count_checkout(spa.is_some());
         spa.unwrap_or_default()
     }
 
-    /// Keeps `spa` (drained, so all-zero) if it fits the cap.
-    fn put_spa(&mut self, spa: BlockedSpa) {
+    /// Keeps `spa` (drained, so all-zero) and its cursors if the SPA fits
+    /// the cap.
+    fn put_spa(&mut self, spa: (BlockedSpa, Vec<Cursor>)) {
         self.stats.returns += 1;
-        if self.fits(spa_bytes(&spa)) {
+        if self.fits(spa_bytes(&spa.0)) {
             self.spa = Some(spa);
         } else {
             self.stats.evictions += 1;
@@ -769,7 +799,7 @@ impl Scratch {
 
     fn stats(&self) -> PoolStats {
         PoolStats {
-            resident_bytes: self.spa.as_ref().map_or(0, spa_bytes) + self.buf_bytes,
+            resident_bytes: self.spa.as_ref().map_or(0, |(spa, _)| spa_bytes(spa)) + self.buf_bytes,
             ..self.stats
         }
     }
@@ -802,44 +832,15 @@ pub fn clear_scratch_pool() {
     SCRATCH.with_borrow_mut(Scratch::clear);
 }
 
-/// The in-RAM operand: `A`, its transpose `B`, and (when the memory guard
-/// in `engine_setup` allows) `B`'s column-pointer view at the tile grid.
+/// A panel element's place in its B row: the next unread position and the
+/// column stored there (`u32::MAX` once the row is spent), so a block the
+/// row has nothing in is skipped without touching B.
+type Cursor = (usize, u32);
+
+/// The in-RAM operand: `A` and its transpose `B`.
 struct Resident<'a> {
     a: &'a CsrMatrix,
     b: CsrMatrix,
-    b_tiles: Option<TileColPtr>,
-    cols_b: usize,
-}
-
-impl Resident<'_> {
-    /// Streamed tile `tj` (columns `tj·cols_b ..` of `B`): its index and
-    /// its global column range `[n0, n1)`.
-    fn tile(&self, tj: usize) -> (usize, u32, u32) {
-        let n0 = tj * self.cols_b;
-        let n1 = ((tj + 1) * self.cols_b).min(self.a.nrows());
-        (tj, n0 as u32, n1 as u32)
-    }
-
-    /// Row `k` of `B` restricted to `tile`: global column indices and
-    /// values.
-    #[inline]
-    fn tile_row(&self, tile: (usize, u32, u32), k: usize) -> (&[u32], &[f64]) {
-        let (tj, n0, n1) = tile;
-        let (b_cols, b_vals) = (self.b.col_indices(), self.b.values());
-        let (lo, hi) = match &self.b_tiles {
-            Some(view) => view.row_tile_range(k, tj),
-            // Memory-guarded fallback: per-element range searches within
-            // row k, as in the seed engine.
-            None => {
-                let (rlo, rhi) = (self.b.row_ptr()[k], self.b.row_ptr()[k + 1]);
-                let coords = &b_cols[rlo..rhi];
-                let start = rlo + coords.partition_point(|&c| c < n0);
-                let end = rlo + coords.partition_point(|&c| c < n1);
-                (start, end)
-            }
-        };
-        (&b_cols[lo..hi], &b_vals[lo..hi])
-    }
 }
 
 /// The seed engine, retained as the oracle for the rewritten
@@ -1393,9 +1394,8 @@ mod tests {
 
     #[test]
     fn degenerate_tiling_falls_back_without_the_column_view() {
-        // cols_b = 1 on a 600-column B makes the column-pointer view cost
-        // 600 × 601 cells against ~1k nonzeros — the memory guard skips it
-        // and panels binary-search instead. Results must be unchanged.
+        // cols_b = 1 on a 600-column B: 600 one-column tiles in one
+        // block. Results must be unchanged.
         let a = GenSpec::uniform(600, 600, 1_000).seed(21).generate();
         let config = FunctionalConfig {
             capacity: 300,
@@ -1430,19 +1430,22 @@ mod tests {
     #[test]
     fn scratch_recycles_spa_and_buffers() {
         let mut scratch = Scratch::default();
-        let mut spa = scratch.take_spa();
+        let (mut spa, mut cursors) = scratch.take_spa();
         spa.reset_shape(16, 200);
+        cursors.extend((0..40).map(|pos| (pos, 0)));
         spa.accumulate(3, 17, 1.0);
         let mut out = scratch.take_bufs();
         spa.drain_row(3, 0, &mut out.cols, &mut out.vals);
-        scratch.put_spa(spa);
+        scratch.put_spa((spa, cursors));
         scratch.put_bufs(out);
         let stats = scratch.stats();
         assert_eq!((stats.checkouts, stats.misses, stats.returns), (2, 2, 2));
         assert!(stats.resident_bytes >= 16 * 200 * 8);
-        // Recycled: the SPA keeps its exact extent, the buffers come back
-        // empty with their capacity.
-        assert_eq!(scratch.take_spa().capacity_slots(), 16 * 200);
+        // Recycled: the SPA keeps its exact extent and its cursors, the
+        // buffers come back empty with their capacity.
+        let (spa, cursors) = scratch.take_spa();
+        assert_eq!(spa.capacity_slots(), 16 * 200);
+        assert!(cursors.capacity() >= 40);
         let out = scratch.take_bufs();
         assert!(out.cols.is_empty() && out.cols.capacity() > 0);
         let stats = scratch.stats();
@@ -1455,14 +1458,14 @@ mod tests {
     #[test]
     fn returned_spa_is_clear_on_next_checkout() {
         let mut scratch = Scratch::default();
-        let mut spa = scratch.take_spa();
+        let (mut spa, cursors) = scratch.take_spa();
         spa.reset_shape(4, 64);
         spa.accumulate(0, 1, 2.0);
         let (mut c, mut v) = (Vec::new(), Vec::new());
         spa.drain_row(0, 0, &mut c, &mut v);
         assert_eq!((c, v), (vec![1], vec![2.0]));
-        scratch.put_spa(spa);
-        let mut spa = scratch.take_spa();
+        scratch.put_spa((spa, cursors));
+        let (mut spa, _) = scratch.take_spa();
         assert!(spa.is_clear());
         // A narrower reshape reuses the allocation.
         spa.reset_shape(2, 64);
@@ -1477,9 +1480,9 @@ mod tests {
     fn retention_cap_evicts_idle_inventory() {
         let mut scratch = Scratch::default();
         scratch.set_cap(Some(0));
-        let mut spa = scratch.take_spa();
+        let (mut spa, cursors) = scratch.take_spa();
         spa.reset_shape(8, 512);
-        scratch.put_spa(spa);
+        scratch.put_spa((spa, cursors));
         let mut out = scratch.take_bufs();
         out.cols.push(1);
         scratch.put_bufs(out);
@@ -1495,12 +1498,12 @@ mod tests {
     #[test]
     fn retention_counts_dense_slots() {
         let mut scratch = Scratch::default();
-        let mut spa = scratch.take_spa();
+        let (mut spa, cursors) = scratch.take_spa();
         spa.reset_shape(8, 128);
         // A cap of exactly the SPA's dense slots holds it: the occupancy
         // mask and touched lists are not charged.
         scratch.set_cap(Some(8 * 128 * 8));
-        scratch.put_spa(spa);
+        scratch.put_spa((spa, cursors));
         let stats = scratch.stats();
         assert_eq!((stats.evictions, stats.resident_bytes), (0, 8 * 128 * 8));
         // A tighter cap evicts the idle SPA at once.

@@ -165,22 +165,6 @@ impl CsrMatrix {
         Ok(Self::from_coo(&coo))
     }
 
-    /// Builds a dense-layout CSR matrix from a row-major 2-D array of values,
-    /// skipping zeros.
-    pub fn from_dense(rows: &[Vec<f64>]) -> Self {
-        let ncols = rows.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = CsrBuilder::with_capacity(rows.len(), ncols, 0);
-        for row in rows {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    out.push(c as u32, v);
-                }
-            }
-            out.finish_row();
-        }
-        out.finish()
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -312,51 +296,6 @@ impl CsrMatrix {
             .map(|w| (w[1] - w[0]) as u32)
             .collect();
         MatrixProfile::new(self.nrows, self.ncols, row_nnz, col_nnz)
-    }
-
-    /// Precomputes, for a uniform grid of column tiles of width
-    /// `tile_cols`, where each row's nonzeros cross every tile boundary —
-    /// a CSC-flavored column-pointer view over the CSR layout.
-    ///
-    /// A tiled traversal then slices row `r` restricted to tile `t` in O(1)
-    /// via [`TileColPtr::row_tile_range`] instead of binary-searching the
-    /// row per element. Construction is one pass over the nonzeros.
-    ///
-    /// The view stores `nrows × (n_tiles + 1)` indices — callers choosing
-    /// very narrow tiles on very wide matrices should weigh that against
-    /// the matrix's own footprint (the functional engine falls back to
-    /// per-element range searches when the view would dominate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_cols == 0`.
-    pub fn tile_col_ptr(&self, tile_cols: usize) -> TileColPtr {
-        assert!(tile_cols > 0, "tile width must be positive");
-        let n_tiles = self.ncols.div_ceil(tile_cols);
-        let stride = n_tiles + 1;
-        let mut ptr = vec![0usize; self.nrows * stride];
-        for r in 0..self.nrows {
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            let base = r * stride;
-            ptr[base] = lo;
-            let mut tile = 0usize;
-            for (i, &c) in self.col_idx[lo..hi].iter().enumerate() {
-                let t = c as usize / tile_cols;
-                while tile < t {
-                    tile += 1;
-                    ptr[base + tile] = lo + i;
-                }
-            }
-            while tile < n_tiles {
-                tile += 1;
-                ptr[base + tile] = hi;
-            }
-        }
-        TileColPtr {
-            n_tiles,
-            stride,
-            ptr,
-        }
     }
 
     /// A stable 64-bit hash of the matrix's shape and nonzero *pattern*:
@@ -544,70 +483,6 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Column-tile pointers for one matrix at one tile width; see
-/// [`CsrMatrix::tile_col_ptr`].
-///
-/// # Example
-///
-/// ```
-/// use tailors_tensor::CsrMatrix;
-///
-/// let m = CsrMatrix::from_triplets(
-///     2,
-///     8,
-///     &[(0, 1, 1.0), (0, 4, 2.0), (0, 6, 3.0), (1, 3, 4.0)],
-/// )
-/// .unwrap();
-/// let view = m.tile_col_ptr(4); // tiles: columns [0,4) and [4,8)
-/// let (lo, hi) = view.row_tile_range(0, 1);
-/// assert_eq!(&m.col_indices()[lo..hi], &[4, 6]);
-/// assert_eq!(view.row_tile_range(1, 1), (4, 4)); // empty slice
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileColPtr {
-    n_tiles: usize,
-    stride: usize,
-    /// Row-major `[row][tile_boundary]` indices into the matrix's
-    /// `col_idx` / `vals` arrays, length `nrows * (n_tiles + 1)`.
-    ptr: Vec<usize>,
-}
-
-impl TileColPtr {
-    /// Number of column tiles the view was built for.
-    pub fn n_tiles(&self) -> usize {
-        self.n_tiles
-    }
-
-    /// Absolute `(start, end)` range into the matrix's nonzero arrays for
-    /// row `row` restricted to column tile `tile`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` or `tile` is out of range.
-    #[inline]
-    pub fn row_tile_range(&self, row: usize, tile: usize) -> (usize, usize) {
-        assert!(tile < self.n_tiles, "tile index out of range");
-        let base = row * self.stride;
-        (self.ptr[base + tile], self.ptr[base + tile + 1])
-    }
-
-    /// Absolute `(start, end)` range for row `row` restricted to the run of
-    /// column tiles `t0..t1` — an O(1) slice of a whole execution-plan
-    /// column block of the streamed operand (tile boundaries are
-    /// precomputed, so a multi-tile span costs the same two loads as a
-    /// single tile). An empty run (`t0 == t1`) yields an empty range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range, `t0 > t1`, or `t1 > self.n_tiles()`.
-    #[inline]
-    pub fn row_tile_span(&self, row: usize, t0: usize, t1: usize) -> (usize, usize) {
-        assert!(t0 <= t1 && t1 <= self.n_tiles, "tile span out of range");
-        let base = row * self.stride;
-        (self.ptr[base + t0], self.ptr[base + t1])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,41 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_skips_zeros() {
-        let m = CsrMatrix::from_dense(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(0, 1), Some(1.0));
-        assert_eq!(m.get(1, 0), Some(2.0));
-    }
-
-    #[test]
-    fn tile_col_ptr_matches_partition_point() {
-        let m = crate::gen::GenSpec::uniform(40, 64, 400)
-            .seed(11)
-            .generate();
-        for tile_cols in [1usize, 3, 16, 64, 100] {
-            let view = m.tile_col_ptr(tile_cols);
-            let n_tiles = 64usize.div_ceil(tile_cols);
-            assert_eq!(view.n_tiles(), n_tiles);
-            for r in 0..m.nrows() {
-                let (lo, hi) = (m.row_ptr()[r], m.row_ptr()[r + 1]);
-                let coords = &m.col_indices()[lo..hi];
-                for t in 0..n_tiles {
-                    let n0 = (t * tile_cols) as u32;
-                    let n1 = ((t + 1) * tile_cols).min(64) as u32;
-                    let expect_lo = lo + coords.partition_point(|&c| c < n0);
-                    let expect_hi = lo + coords.partition_point(|&c| c < n1);
-                    assert_eq!(
-                        view.row_tile_range(r, t),
-                        (expect_lo, expect_hi),
-                        "row {r} tile {t} width {tile_cols}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_range_nnz_matches_row_sums() {
         let m = small();
         for r0 in 0..=m.nrows() {
@@ -747,43 +587,6 @@ mod tests {
     #[should_panic(expected = "row range")]
     fn row_range_nnz_rejects_out_of_bounds() {
         let _ = small().row_range_nnz(0, 99);
-    }
-
-    #[test]
-    fn row_tile_span_concatenates_tile_ranges() {
-        let m = crate::gen::GenSpec::uniform(30, 64, 300).seed(9).generate();
-        let view = m.tile_col_ptr(10);
-        let n_tiles = view.n_tiles();
-        for r in 0..m.nrows() {
-            for t0 in 0..=n_tiles {
-                for t1 in t0..=n_tiles {
-                    let (lo, hi) = view.row_tile_span(r, t0, t1);
-                    assert!(lo <= hi);
-                    // The span equals the union of its per-tile ranges.
-                    if t0 < t1 {
-                        assert_eq!(lo, view.row_tile_range(r, t0).0);
-                        assert_eq!(hi, view.row_tile_range(r, t1 - 1).1);
-                    } else {
-                        assert_eq!(lo, hi);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tile_col_ptr_handles_empty_matrix() {
-        let m = CsrMatrix::new(3, 10);
-        let view = m.tile_col_ptr(4);
-        assert_eq!(view.n_tiles(), 3);
-        for r in 0..3 {
-            for t in 0..3 {
-                assert_eq!(view.row_tile_range(r, t), (0, 0));
-            }
-        }
-        // Zero columns ⇒ zero tiles, matching `ncols.div_ceil(w)`.
-        assert_eq!(CsrMatrix::new(4, 0).tile_col_ptr(8).n_tiles(), 0);
-        assert_eq!(CsrMatrix::new(0, 0).tile_col_ptr(1).n_tiles(), 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod stats;
 pub mod tiling;
 
 pub use coo::CooMatrix;
-pub use csr::{CsrBuilder, CsrMatrix, RowSink, TileColPtr};
+pub use csr::{CsrBuilder, CsrMatrix, RowSink};
 pub use profile::MatrixProfile;
 
 /// Errors produced when constructing or manipulating sparse matrices.

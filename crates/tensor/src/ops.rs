@@ -30,9 +30,8 @@ use crate::{CsrMatrix, TensorError};
 /// sort and restores the all-zero invariant as it goes.
 ///
 /// There is one accumulation mode: every write sets its occupancy bit, so
-/// no slot is nonzero outside the touched words, and both draining and
-/// [`BlockedSpa::clear`] cost the touched words, never the whole
-/// `rows × width` grid.
+/// no slot is nonzero outside the touched words, and draining costs the
+/// touched words, never the whole `rows × width` grid.
 ///
 /// Both the [`spmspm_into`] kernel and the functional engine's panel
 /// scratch (`tailors_sim::functional`) are built on this type; the
@@ -138,39 +137,21 @@ impl BlockedSpa {
     /// free.
     pub fn drain_row(&mut self, row: usize, base: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>) {
         debug_assert!(row < self.rows);
-        self.touched[row].sort_unstable();
-        self.take_row(row, |c, v| {
-            if v != 0.0 {
-                cols.push(base + c as u32);
-                vals.push(v);
-            }
-        });
-    }
-
-    /// Hands every set slot of `row` to `f` as (local column, value) in
-    /// the order of its touched-word list, resetting each slot, word and
-    /// the list itself.
-    #[inline]
-    fn take_row(&mut self, row: usize, mut f: impl FnMut(usize, f64)) {
         let row_touched = &mut self.touched[row];
+        row_touched.sort_unstable();
         for &wi in row_touched.iter() {
             let mut bits = core::mem::take(&mut self.mask[row * self.words + wi as usize]);
             while bits != 0 {
                 let c = (wi as usize) * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                f(c, core::mem::take(&mut self.dense[row * self.width + c]));
+                let v = core::mem::take(&mut self.dense[row * self.width + c]);
+                if v != 0.0 {
+                    cols.push(base + c as u32);
+                    vals.push(v);
+                }
             }
         }
         row_touched.clear();
-    }
-
-    /// Discards all pending accumulation, restoring the all-zero invariant
-    /// without emitting anything (the error-path reset). Walks only the
-    /// touched words, as [`BlockedSpa::drain_row`] does.
-    pub fn clear(&mut self) {
-        for row in 0..self.rows {
-            self.take_row(row, |_, _| {});
-        }
     }
 
     /// Whether every slot, word, and touched list is zero/empty (the
@@ -679,7 +660,11 @@ mod tests {
         spa.accumulate(0, 99, 1.0);
         spa.accumulate(2, 0, 2.0);
         assert!(!spa.is_clear());
-        spa.clear();
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for row in 0..3 {
+            spa.drain_row(row, 0, &mut cols, &mut vals);
+        }
+        assert_eq!((cols, vals), (vec![99, 0], vec![1.0, 2.0]));
         assert!(spa.is_clear());
         // Reshape (narrower and wider) keeps the invariant and reuses the
         // allocation.
@@ -723,12 +708,8 @@ mod tests {
         // Every drained slot is reset to +0.0, not -0.0.
         assert!(spa.is_clear());
         assert!(spa.dense.iter().all(|v| v.to_bits() == 0));
-        // `clear` discards a pending round and restores the invariant; the
-        // next round accumulates onto +0.0 and drains only its own writes.
-        spa.accumulate(0, 3, 5.0);
-        spa.accumulate(1, 64, 2.0);
-        spa.clear();
-        assert!(spa.is_clear());
+        // The next round accumulates onto +0.0 and drains only its own
+        // writes.
         spa.accumulate(1, 64, -0.5);
         let (mut cols, mut vals) = (Vec::new(), Vec::new());
         spa.drain_row(0, 0, &mut cols, &mut vals);

@@ -171,27 +171,6 @@ impl MatrixProfile {
             .sum()
     }
 
-    /// Exact count of effectual scalar multiplications for `Z = A·B`,
-    /// where `self` profiles `A` and `other` profiles `B`.
-    ///
-    /// Each shared coordinate `k` contributes
-    /// `colA(k) × rowB(k)` multiplies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `A.ncols != B.nrows`.
-    pub fn mults_a_b(&self, other: &MatrixProfile) -> u128 {
-        assert_eq!(
-            self.ncols, other.nrows,
-            "inner dimensions must agree for A·B"
-        );
-        self.col_nnz
-            .iter()
-            .zip(&other.row_nnz)
-            .map(|(&c, &r)| (c as u128) * (r as u128))
-            .sum()
-    }
-
     /// The profile of the transpose (rows and columns swapped).
     pub fn transpose(&self) -> MatrixProfile {
         MatrixProfile::new(
@@ -261,14 +240,6 @@ mod tests {
         let t = a.transpose();
         let brute: u128 = (0..a.ncols()).map(|k| (t.row_nnz(k) as u128).pow(2)).sum();
         assert_eq!(p.mults_a_at(), brute);
-    }
-
-    #[test]
-    fn mults_a_b_symmetric_case() {
-        let a = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 0, 1.0), (1, 2, 1.0)]).unwrap();
-        let b = a.transpose();
-        let (pa, pb) = (a.profile(), b.profile());
-        assert_eq!(pa.mults_a_b(&pb), pa.mults_a_at());
     }
 
     #[test]

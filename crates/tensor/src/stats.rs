@@ -177,23 +177,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Mean absolute error between paired observations, in the same units as the
-/// inputs. Used for Swiftiles' overbooking-rate accuracy (Figs. 11-12).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mean_absolute_error(observed: &[f64], target: &[f64]) -> f64 {
-    assert_eq!(observed.len(), target.len(), "paired slices must match");
-    assert!(!observed.is_empty(), "MAE of empty slices");
-    observed
-        .iter()
-        .zip(target)
-        .map(|(o, t)| (o - t).abs())
-        .sum::<f64>()
-        / observed.len() as f64
-}
-
 /// Mean absolute error against a scalar target.
 ///
 /// # Panics
@@ -295,7 +278,6 @@ mod tests {
 
     #[test]
     fn mae_metrics() {
-        assert!((mean_absolute_error(&[1.0, 2.0], &[2.0, 0.0]) - 1.5).abs() < 1e-12);
         assert!((mae_to_target(&[8.0, 12.0], 10.0) - 2.0).abs() < 1e-12);
     }
 

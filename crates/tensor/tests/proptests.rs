@@ -3,26 +3,11 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tailors_tensor::fiber::Fiber;
 use tailors_tensor::gen::{GenSpec, Structure};
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
 use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
 use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix, RowSink};
-
-/// `intersect_counted` matches `intersect(..).count()` in both operand
-/// orders, and its `scanned` count does not depend on the order.
-fn assert_counted_intersection(ca: &[u32], cb: &[u32]) {
-    let va = vec![1.0; ca.len()];
-    let vb = vec![1.0; cb.len()];
-    let a = Fiber::new(ca, &va);
-    let b = Fiber::new(cb, &vb);
-    let (matches, scanned) = a.intersect_counted(&b);
-    let flipped = b.intersect_counted(&a);
-    assert_eq!(matches, a.intersect(&b).count());
-    assert_eq!(flipped.0, b.intersect(&a).count());
-    assert_eq!(flipped.1, scanned);
-}
 
 fn triplets_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     proptest::collection::vec((0usize..24, 0usize..24, -10.0f64..10.0), 0..200)
@@ -432,48 +417,6 @@ proptest! {
         prop_assert!(spa.is_clear());
     }
 
-    /// `clear` discards a round of arbitrary writes without emitting:
-    /// afterwards the accumulator is all-zero, and a second round on it
-    /// drains exactly its own writes (summed in write order, exact
-    /// cancellations dropped) and nothing of the first.
-    #[test]
-    fn cleared_spa_drains_only_the_next_rounds_writes(
-        first in proptest::collection::vec(
-            (0usize..6, 0usize..96, 0usize..5), 0..200),
-        second in proptest::collection::vec(
-            (0usize..6, 0usize..96, 0usize..5), 0..200),
-        rows in 1usize..7,
-        width in 1usize..97,
-    ) {
-        let val = |v: usize| (v as f64 - 2.0) * 0.5;
-        let mut spa = ops::BlockedSpa::new();
-        spa.reset_shape(rows, width);
-        for &(r, c, v) in &first {
-            spa.accumulate(r % rows, c % width, val(v) + 10.0);
-        }
-        spa.clear();
-        prop_assert!(spa.is_clear());
-        let mut want = vec![vec![0.0f64; width]; rows];
-        for &(r, c, v) in &second {
-            let (r, c) = (r % rows, c % width);
-            spa.accumulate(r, c, val(v));
-            want[r][c] += val(v);
-        }
-        for (r, want_row) in want.iter().enumerate() {
-            let (mut cols, mut vals) = (Vec::new(), Vec::new());
-            spa.drain_row(r, 7, &mut cols, &mut vals);
-            let (want_cols, want_vals): (Vec<u32>, Vec<u64>) = want_row
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(c, v)| (c as u32 + 7, v.to_bits()))
-                .unzip();
-            prop_assert_eq!(cols, want_cols);
-            prop_assert_eq!(vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_vals);
-        }
-        prop_assert!(spa.is_clear());
-    }
-
     /// The symbolic work counter agrees with the materializing oracle
     /// whenever values cannot cancel.
     #[test]
@@ -488,99 +431,15 @@ proptest! {
         prop_assert_eq!(fast, oracle);
     }
 
-    /// The tile column-pointer view agrees with per-element binary search
-    /// at every width, on every row.
-    #[test]
-    fn tile_col_ptr_matches_binary_search(
-        triplets in triplets_strategy(),
-        tile_cols in 1usize..30,
-    ) {
-        let m = CsrMatrix::from_triplets(24, 24, &triplets).unwrap();
-        let view = m.tile_col_ptr(tile_cols);
-        prop_assert_eq!(view.n_tiles(), 24usize.div_ceil(tile_cols));
-        for r in 0..24 {
-            let (lo, hi) = (m.row_ptr()[r], m.row_ptr()[r + 1]);
-            let coords = &m.col_indices()[lo..hi];
-            for t in 0..view.n_tiles() {
-                let n0 = (t * tile_cols) as u32;
-                let n1 = ((t + 1) * tile_cols).min(24) as u32;
-                let want = (
-                    lo + coords.partition_point(|&c| c < n0),
-                    lo + coords.partition_point(|&c| c < n1),
-                );
-                prop_assert_eq!(view.row_tile_range(r, t), want);
-            }
-        }
-    }
-
-    /// The counted two-finger merge agrees with the lazy iterator on the
-    /// match count in both operand orders, and its modeled scan count is
-    /// symmetric, on a short fiber against one up to 50x longer (extreme
-    /// length ratios, either side shorter).
-    #[test]
-    fn galloping_intersection_matches_linear(
-        mut ca in proptest::collection::vec(0u32..5_000, 0..40),
-        mut cb in proptest::collection::vec(0u32..5_000, 0..2_000),
-    ) {
-        ca.sort_unstable();
-        ca.dedup();
-        cb.sort_unstable();
-        cb.dedup();
-        assert_counted_intersection(&ca, &cb);
-    }
-
-    /// The same agreement on balanced fibers: empty operands, ragged
-    /// lengths and, optionally, a spliced fully-dense block of 256 shared
-    /// coordinates (every step of the merge a match).
-    #[test]
-    fn simd_intersection_matches_scalar(
-        mut ca in proptest::collection::vec(0u32..4_000, 0..600),
-        mut cb in proptest::collection::vec(0u32..4_000, 0..600),
-        dense in proptest::bool::ANY,
-        dense_block in 0u32..4,
-    ) {
-        ca.sort_unstable();
-        ca.dedup();
-        cb.sort_unstable();
-        cb.dedup();
-        if dense {
-            // 256 consecutive coords shared by both sides, above every
-            // random coord so sortedness is preserved.
-            let base = 4_096 + dense_block * 256;
-            ca.extend(base..base + 256);
-            cb.extend(base..base + 256);
-        }
-        assert_counted_intersection(&ca, &cb);
-    }
-
-    /// The tile column-pointer span of a whole tile run equals the union
-    /// of its per-tile ranges, and the row-panel slice of the stationary
-    /// operand is consistent with per-row sums.
+    /// The row-panel slice of the stationary operand is consistent with
+    /// per-row sums.
     #[test]
     fn block_slicing_is_consistent(
         triplets in triplets_strategy(),
-        tile_cols in 1usize..30,
-        t0 in 0usize..25,
-        span in 0usize..25,
         r0 in 0usize..25,
         rspan in 0usize..25,
     ) {
         let m = CsrMatrix::from_triplets(24, 24, &triplets).unwrap();
-        let view = m.tile_col_ptr(tile_cols);
-        let n_tiles = view.n_tiles();
-        let t0 = t0.min(n_tiles);
-        let t1 = (t0 + span).min(n_tiles);
-        for r in 0..24 {
-            let (lo, hi) = view.row_tile_span(r, t0, t1);
-            prop_assert!(lo <= hi);
-            let per_tile: usize = (t0..t1)
-                .map(|t| {
-                    let (a, b) = view.row_tile_range(r, t);
-                    b - a
-                })
-                .sum();
-            prop_assert_eq!(hi - lo, per_tile);
-        }
         let r0 = r0.min(24);
         let r1 = (r0 + rspan).min(24);
         let per_row: usize = (r0..r1).map(|r| m.row_nnz(r)).sum();
