@@ -16,7 +16,7 @@ use tailors_serve::{SimRequest, SimService};
 use tailors_sim::functional::{
     auto_execution_plan, reference_run, run_with_threads, FunctionalConfig,
 };
-use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
+use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
 use tailors_workloads::WorkloadClass;
@@ -139,7 +139,7 @@ fn bench_planner(c: &mut Criterion) {
         ..fixed
     };
     let fixed_plan = fixed.execution_plan(a.nrows(), a.ncols());
-    let auto_plan = auto_execution_plan(&a, &auto, CostModel::UNIFORM);
+    let auto_plan = auto_execution_plan(&a, &auto);
     println!(
         "planner/auto_vs_fixed at 64KiB: fixed {} rows x {} blocks \
          ({} row-drain passes) -> auto {} rows x {} blocks ({} passes)",
@@ -154,29 +154,6 @@ fn bench_planner(c: &mut Criterion) {
         auto_plan.n_col_blocks() < fixed_plan.n_col_blocks(),
         "the auto planner must strictly reduce extraction passes here"
     );
-    // The measurement-calibrated model at the same operating point: plan
-    // once under the per-arch measured weights (the one-time calibration
-    // cost is paid outside the timed region, as the serving layer pays it
-    // once per process), then execute at the chosen tiling. The row is
-    // the check that planning in measured picoseconds instead of raw
-    // element touches never *loses* to the uniform model where the
-    // uniform model was already right.
-    let model = CostModel::calibrated();
-    let calibrated_plan = auto_execution_plan(&a, &auto, model);
-    let calibrated = FunctionalConfig {
-        rows_a: calibrated_plan.rows_a(),
-        auto_plan: false,
-        ..fixed
-    };
-    println!(
-        "planner/calibrated at 64KiB: weights fill {} / refetch {} / extract {} ps \
-         -> {} rows x {} blocks",
-        model.w_fill,
-        model.w_refetch,
-        model.w_extract,
-        calibrated_plan.rows_a(),
-        calibrated_plan.n_col_blocks(),
-    );
     let mut g = c.benchmark_group("planner");
     g.sample_size(10);
     g.bench_function("auto_vs_fixed_fixed_64KiB_2k", |bch| {
@@ -184,9 +161,6 @@ fn bench_planner(c: &mut Criterion) {
     });
     g.bench_function("auto_vs_fixed_auto_64KiB_2k", |bch| {
         bch.iter(|| black_box(run_with_threads(&a, &auto, 1).unwrap()))
-    });
-    g.bench_function("calibrated_vs_uniform_64KiB_2k", |bch| {
-        bch.iter(|| black_box(run_with_threads(&a, &calibrated, 1).unwrap()))
     });
     g.finish();
 }

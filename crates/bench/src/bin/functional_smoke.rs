@@ -35,7 +35,7 @@ use tailors_bench::threads_from_env;
 use tailors_core::swiftiles::SwiftilesConfig;
 use tailors_core::TilingStrategy;
 use tailors_sim::functional::{reference_run, run_with_threads, FunctionalConfig};
-use tailors_sim::{ArchConfig, CostModel, ExecutionPlan, GridMode, MemBudget};
+use tailors_sim::{ArchConfig, ExecutionPlan, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
 
 fn main() {
@@ -120,7 +120,7 @@ fn main() {
     let plan = if auto_plan {
         // The plan the engine will derive internally: the budget-aware
         // planner with `--rows-a` as the baseline candidate.
-        let auto = tailors_sim::functional::auto_execution_plan(&a, &config, CostModel::UNIFORM);
+        let auto = tailors_sim::functional::auto_execution_plan(&a, &config);
         println!(
             "auto-plan: cost model chose {}-row panels (baseline {rows_a}) -> {} col blocks",
             auto.rows_a(),

@@ -5,12 +5,7 @@
 //!
 //! Usage: `cargo run --release -p tailors-serve --bin serve --
 //! [scale] [--sweeps N] [--threads N] [--mem-budget SPEC] [--grid MODE]
-//! [--auto-plan] [--calibrate] [--verify] [--wire ADDR | --wire-stdio]`
-//!
-//! `--calibrate` plans auto-planned requests under the measured
-//! [`CostModel::calibrated`] weights instead of the uniform element-touch
-//! model. Calibrated plans are versioned in the plan tier by the model
-//! fingerprint.
+//! [--auto-plan] [--verify] [--wire ADDR | --wire-stdio]`
 //!
 //! The two `--wire*` modes run the fault-tolerant service runtime
 //! (bounded priority mailbox + worker pool + admission control; see
@@ -36,8 +31,7 @@
 //!
 //! `--verify` additionally recomputes every response cold — a direct
 //! `Variant::execution_plan` + `Variant::run_planned` on a freshly built
-//! profile, under the service's cost model — and asserts bit-identical
-//! metrics.
+//! profile — and asserts bit-identical metrics.
 //!
 //! [`ShardRouter`]: tailors_serve::ShardRouter
 
@@ -47,9 +41,9 @@ use std::time::Instant;
 
 use tailors_serve::wire::{serve_lines, WireTcpServer};
 use tailors_serve::{
-    FaultPlan, RuntimeConfig, ServeConfig, ServiceRuntime, SimRequest, SimResponse, SimService,
+    FaultPlan, RuntimeConfig, ServiceRuntime, SimRequest, SimResponse, SimService,
 };
-use tailors_sim::{threads_from_env, ArchConfig, CostModel, GridMode, MemBudget, Variant};
+use tailors_sim::{threads_from_env, ArchConfig, GridMode, MemBudget, Variant};
 
 fn main() {
     let mut scale = 1.0f64;
@@ -58,7 +52,6 @@ fn main() {
     let mut budget = MemBudget::Unbounded;
     let mut grid = GridMode::Panels;
     let mut auto_plan = false;
-    let mut calibrate = false;
     let mut verify = false;
     let mut wire_addr: Option<String> = None;
     let mut wire_stdio = false;
@@ -87,7 +80,6 @@ fn main() {
             }
             "--grid" => grid = GridMode::parse(&next("--grid")).expect("--grid"),
             "--auto-plan" => auto_plan = true,
-            "--calibrate" => calibrate = true,
             "--verify" => verify = true,
             "--wire" => wire_addr = Some(next("--wire")),
             "--wire-stdio" => wire_stdio = true,
@@ -100,11 +92,6 @@ fn main() {
     }
     assert!(sweeps > 0, "--sweeps must be positive");
     let threads = threads.unwrap_or_else(threads_from_env);
-    let cost_model = if calibrate {
-        CostModel::calibrated()
-    } else {
-        CostModel::UNIFORM
-    };
 
     if wire_stdio {
         run_wire_stdio(threads);
@@ -135,28 +122,13 @@ fn main() {
         .collect();
     println!(
         "serve: {} requests/sweep ({} workloads x {} variants) at scale {scale}, \
-         {threads} threads, budget {budget}, grid {grid}, auto-plan {auto_plan}, \
-         cost model {}",
+         {threads} threads, budget {budget}, grid {grid}, auto-plan {auto_plan}",
         batch.len(),
         batch.len() / variants.len(),
         variants.len(),
-        if cost_model.is_uniform() {
-            "uniform".to_string()
-        } else {
-            format!(
-                "calibrated (fill {} / refetch {} / extract {} ps, key {:#018x})",
-                cost_model.w_fill,
-                cost_model.w_refetch,
-                cost_model.w_extract,
-                cost_model.key()
-            )
-        },
     );
 
-    let service = SimService::with_config(ServeConfig {
-        cost_model,
-        ..ServeConfig::default()
-    });
+    let service = SimService::new();
     let mut first: Option<Vec<SimResponse>> = None;
     for sweep in 1..=sweeps {
         let before = service.stats();
@@ -213,14 +185,14 @@ fn main() {
         {
             let profile = tailors_workloads::generate_cached(&reqs[0].workload).profile();
             for (req, resp) in reqs.iter().zip(resps) {
-                // Replan cold under the *same* cost model the service
-                // planned with — a calibrated service legitimately picks
-                // a different auto tiling than the uniform default would.
                 let tile = req.variant.plan(&profile, &req.arch);
-                let auto = req.auto_plan.then_some(cost_model);
-                let exec = req
-                    .variant
-                    .execution_plan(&profile, &req.arch, req.budget, &tile, auto);
+                let exec = req.variant.execution_plan(
+                    &profile,
+                    &req.arch,
+                    req.budget,
+                    &tile,
+                    req.auto_plan,
+                );
                 let direct = req
                     .variant
                     .run_planned(&profile, &req.arch, &tile, &exec, req.grid);

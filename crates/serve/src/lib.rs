@@ -104,7 +104,7 @@ pub use wire::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
+    use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
     use tailors_tensor::gen::GenSpec;
     use tailors_tensor::CsrMatrix;
 
@@ -287,7 +287,7 @@ mod tests {
         let profile = a.profile();
         let ob = Variant::default_ob();
         let tile = ob.plan(&profile, &arch);
-        let exec = ob.execution_plan(&profile, &arch, budget, &tile, Some(CostModel::UNIFORM));
+        let exec = ob.execution_plan(&profile, &arch, budget, &tile, true);
         let cold = ob.run_planned(&profile, &arch, &tile, &exec, GridMode::Panels);
         assert_eq!(resp.metrics, cold);
     }

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use tailors_sim::functional::{run_with_threads, EngineError, FunctionalConfig, FunctionalResult};
 use tailors_sim::{
-    run_balanced, ArchConfig, CostModel, ExecutionPlan, GridMode, MemBudget, RunMetrics, TilePlan,
-    Variant,
+    run_balanced, ArchConfig, ExecutionPlan, GridMode, MemBudget, RunMetrics, TilePlan, Variant,
 };
 use tailors_tensor::{CsrMatrix, MatrixProfile};
 use tailors_workloads::{generate_cached, Workload};
@@ -222,7 +221,7 @@ pub struct FunctionalResponse {
     pub hits: CacheHits,
 }
 
-/// Cache-tier capacities and planner configuration for a [`SimService`].
+/// Cache-tier capacities for a [`SimService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Maximum cached occupancy profiles (one per matrix identity).
@@ -230,15 +229,6 @@ pub struct ServeConfig {
     /// Maximum cached plan pairs (one per matrix × variant × arch ×
     /// budget combination).
     pub plan_capacity: usize,
-    /// The planner cost model auto-planned requests are optimized under.
-    /// [`CostModel::UNIFORM`] (the default) reproduces the historical
-    /// element-touch planner; a calibrated model
-    /// ([`CostModel::calibrated`]) minimizes estimated wall time instead.
-    /// Auto plans are versioned in the plan tier by [`CostModel::key`],
-    /// so services restarted under a different model never replay a stale
-    /// tiling. Never affects served payloads — only which tiling an auto
-    /// plan picks.
-    pub cost_model: CostModel,
 }
 
 impl Default for ServeConfig {
@@ -250,7 +240,6 @@ impl Default for ServeConfig {
         ServeConfig {
             profile_capacity: 64,
             plan_capacity: 512,
-            cost_model: CostModel::UNIFORM,
         }
     }
 }
@@ -319,11 +308,6 @@ type PlanKey = (
     // Auto-planned vs fixed tiling — the two derive different execution
     // plans from the same inputs, so they must never share a cache slot.
     bool,
-    // For auto plans, the [`CostModel::key`] fingerprint of the cost
-    // model the plan was optimized under: plans chosen under different
-    // models are distinct artifacts. Fixed plans never consult the model,
-    // so they key under 0 and stay hot across model changes.
-    u64,
 );
 
 /// The long-lived, thread-safe simulation service. See the
@@ -341,9 +325,6 @@ pub struct SimService {
     profiles: PoisonFreeMutex<Lru<MatrixId, Arc<MatrixProfile>>>,
     /// Tier 3: (matrix, variant, arch, budget) → (tile plan, exec plan).
     plans: PoisonFreeMutex<Lru<PlanKey, Planned>>,
-    /// The planner cost model for auto-planned requests (see
-    /// [`ServeConfig::cost_model`]).
-    cost_model: CostModel,
     requests: AtomicU64,
     functional_requests: AtomicU64,
     profile_hits: AtomicU64,
@@ -374,7 +355,6 @@ impl SimService {
             ids: PoisonFreeMutex::new(HashMap::new()),
             profiles: PoisonFreeMutex::new(Lru::new(config.profile_capacity)),
             plans: PoisonFreeMutex::new(Lru::new(config.plan_capacity)),
-            cost_model: config.cost_model,
             requests: AtomicU64::new(0),
             functional_requests: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
@@ -662,23 +642,14 @@ impl SimService {
         auto_plan: bool,
         profile: &MatrixProfile,
     ) -> (Planned, bool) {
-        let model_key = if auto_plan { self.cost_model.key() } else { 0 };
-        let key: PlanKey = (
-            id,
-            variant.cache_key(),
-            arch.cache_key(),
-            budget,
-            auto_plan,
-            model_key,
-        );
+        let key: PlanKey = (id, variant.cache_key(), arch.cache_key(), budget, auto_plan);
         if let Some(p) = self.plans.lock().get(&key) {
             self.plan_hits.fetch_add(1, Ordering::Relaxed);
             return (*p, true);
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         let tile = variant.plan(profile, arch);
-        let auto = auto_plan.then_some(self.cost_model);
-        let exec = variant.execution_plan(profile, arch, budget, &tile, auto);
+        let exec = variant.execution_plan(profile, arch, budget, &tile, auto_plan);
         let planned = Planned { tile, exec };
         self.plans.lock().insert(key, planned);
         (planned, false)

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use tailors_serve::{ServeConfig, SimRequest, SimService};
-use tailors_sim::{ArchConfig, CostModel, GridMode, MemBudget, Variant};
+use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::CsrMatrix;
 
@@ -58,7 +58,6 @@ proptest! {
         let service = SimService::with_config(ServeConfig {
             profile_capacity: 2,
             plan_capacity: 3,
-            ..ServeConfig::default()
         });
         for (mi, vi, bi, grid2d) in ops {
             let a = &pool[mi as usize % pool.len()];
@@ -90,70 +89,46 @@ proptest! {
     }
 }
 
-/// The planner cost model versions auto plans in the plan tier but never
-/// touches fixed plans: a service configured with a skewed (calibrated-
-/// like) model serves fixed requests bit-identical to the default
-/// service, and serves auto-planned requests bit-identical to a cold
-/// replan under its own model — with the hit path pinned to the miss
-/// path on immediate resubmission in both cases.
+/// Auto-planned and fixed requests for the same (matrix, variant, arch,
+/// budget) derive different execution plans, so the plan tier must key
+/// them apart: one service serves both modes of one request, each
+/// bit-identical to a cold replan in its own mode, with the hit path
+/// pinned to the miss path on immediate resubmission.
 #[test]
-fn cost_model_versions_auto_plans_but_not_fixed_ones() {
+fn auto_and_fixed_plans_never_share_a_plan_slot() {
     let workload = tailors_workloads::by_name("email-Enron")
         .expect("suite workload")
         .scaled(1.0 / 64.0);
     let arch = ArchConfig::extensor().scaled(1.0 / 64.0);
     let budget = MemBudget::bytes(64 << 10);
-    let skewed = CostModel {
-        w_fill: 37,
-        w_refetch: 3,
-        w_extract: 9_000,
-    };
-    assert_ne!(skewed.key(), CostModel::UNIFORM.key());
-    let uniform_svc = SimService::new();
-    let skewed_svc = SimService::with_config(ServeConfig {
-        cost_model: skewed,
-        ..ServeConfig::default()
-    });
+    let service = SimService::new();
     let profile = tailors_workloads::generate_cached(&workload).profile();
-    for auto_plan in [false, true] {
+    let variant = Variant::default_ob();
+    let tile = variant.plan(&profile, &arch);
+    let [fixed_exec, auto_exec] =
+        [false, true].map(|auto| variant.execution_plan(&profile, &arch, budget, &tile, auto));
+    assert_ne!(
+        fixed_exec, auto_exec,
+        "the operating point must separate the two modes"
+    );
+    for (auto_plan, exec) in [(false, fixed_exec), (true, auto_exec)] {
         let req = SimRequest {
             workload: workload.clone(),
-            variant: Variant::default_ob(),
+            variant,
             arch,
             budget,
             grid: GridMode::Panels,
             auto_plan,
         };
-        let uniform_resp = uniform_svc.submit(&req);
-        let skewed_resp = skewed_svc.submit(&req);
-        let tile = req.variant.plan(&profile, &arch);
-        if auto_plan {
-            // Each service must match a cold replan under *its own*
-            // model; the models may legitimately pick different tilings.
-            for (resp, model) in [(&uniform_resp, CostModel::UNIFORM), (&skewed_resp, skewed)] {
-                let exec = req
-                    .variant
-                    .execution_plan(&profile, &arch, budget, &tile, Some(model));
-                let direct = req
-                    .variant
-                    .run_planned(&profile, &arch, &tile, &exec, req.grid);
-                assert_eq!(
-                    resp.metrics, direct,
-                    "served auto metrics diverged from the cold costed replan"
-                );
-            }
-        } else {
-            // Fixed plans never consult the model: both services must
-            // agree bitwise.
-            assert_eq!(
-                uniform_resp.metrics, skewed_resp.metrics,
-                "a fixed plan drifted with the cost model"
-            );
-        }
-        // Hit path == miss path, under either model.
-        let again = skewed_svc.submit(&req);
+        let resp = service.submit(&req);
+        let direct = variant.run_planned(&profile, &arch, &tile, &exec, req.grid);
+        assert_eq!(
+            resp.metrics, direct,
+            "auto_plan={auto_plan}: served metrics diverged from the cold replan"
+        );
+        let again = service.submit(&req);
         assert!(again.hits.profile && again.hits.plan);
-        assert_eq!(again.metrics, skewed_resp.metrics);
+        assert_eq!(again.metrics, resp.metrics, "auto_plan={auto_plan}");
     }
 }
 

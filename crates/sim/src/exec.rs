@@ -260,8 +260,6 @@ pub struct PlanUnit {
     pub rows: core::ops::Range<usize>,
     /// Output columns the unit owns.
     pub cols: core::ops::Range<usize>,
-    /// Streamed-tile indices (`tj`) the unit traverses, in order.
-    pub tiles: core::ops::Range<usize>,
 }
 
 /// Scratch accounting derived from an [`ExecutionPlan`], recorded in
@@ -503,13 +501,11 @@ impl ExecutionPlan {
     ///
     /// Panics if either index is out of range.
     pub fn unit(&self, pi: usize, bi: usize) -> PlanUnit {
-        let (cols, tiles) = self.block_extent(bi);
         PlanUnit {
             row_panel: pi,
             col_block: bi,
             rows: self.panel_rows(pi),
-            cols,
-            tiles,
+            cols: self.block_extent(bi).0,
         }
     }
 
@@ -560,192 +556,6 @@ impl BufferParams {
     }
 }
 
-/// Per-term weights for the auto planner's three traffic terms, in
-/// integer picoseconds per unit of the term ([`PlanCost::scratch_fills`]
-/// and [`PlanCost::b_refetch`] are element-touches;
-/// [`PlanCost::extraction_passes`] is row-drain passes).
-///
-/// [`CostModel::UNIFORM`] — every weight 1 — reproduces the historical
-/// equal-weight model exactly: the weighted total is then the raw
-/// element-touch total, so plan choices are unchanged (and any all-equal
-/// model scales the total uniformly, which cannot reorder candidates —
-/// the degenerate-calibration unit test pins this). A *measured* model
-/// from [`CostModel::calibrate`] makes the planner minimize estimated
-/// nanoseconds instead of abstract touches: a row-drain pass costs
-/// orders of magnitude more than streaming one B element past the
-/// intersect, and the measured weights say so.
-///
-/// Weights never change results — only which plan wins. Every chosen
-/// tiling stays bit-identical to `reference_run` (the arbitrary-weight
-/// property test in `functional_equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CostModel {
-    /// Picoseconds per A-side scratch-fill element-touch.
-    pub w_fill: u64,
-    /// Picoseconds per B-side stream element-touch.
-    pub w_refetch: u64,
-    /// Picoseconds per output row-drain (extraction) pass.
-    pub w_extract: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::UNIFORM
-    }
-}
-
-impl CostModel {
-    /// The historical equal-weight model: weighted totals equal raw
-    /// element-touch totals, so plan choices match the pre-calibration
-    /// planner exactly.
-    pub const UNIFORM: CostModel = CostModel {
-        w_fill: 1,
-        w_refetch: 1,
-        w_extract: 1,
-    };
-
-    /// Whether all three weights are equal. An all-equal model scales
-    /// every candidate's total by the same constant, which cannot
-    /// reorder them — the planner treats it exactly like
-    /// [`CostModel::UNIFORM`] (including skipping the calibrated-model
-    /// neighborhood sweep, so degenerate calibrations reproduce the
-    /// historical plan choices bit-for-bit).
-    pub fn is_uniform(&self) -> bool {
-        self.w_fill == self.w_refetch && self.w_refetch == self.w_extract
-    }
-
-    /// The weighted total of a candidate's three traffic terms.
-    pub fn weighted(&self, scratch_fills: u128, b_refetch: u128, extraction_passes: u128) -> u128 {
-        self.w_fill as u128 * scratch_fills
-            + self.w_refetch as u128 * b_refetch
-            + self.w_extract as u128 * extraction_passes
-    }
-
-    /// A stable 64-bit fingerprint of the weights (FNV-1a), used by the
-    /// serving layer to version plan-cache keys: auto plans chosen under
-    /// different models must not collide in the plan tier.
-    pub fn key(&self) -> u64 {
-        [self.w_fill, self.w_refetch, self.w_extract]
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325, |h, w| {
-                tailors_tensor::fnv1a(h, &w.to_le_bytes())
-            })
-    }
-
-    /// Measures the three per-term weights on this machine with
-    /// fixed-iteration microkernels (each run a fixed number of passes,
-    /// best-of-3 timed repetitions, so the *loop structure* is
-    /// deterministic even though the measured picoseconds are not):
-    ///
-    /// * `w_fill` — scatter-accumulates into a [`BlockedSpa`]-shaped
-    ///   scratch, the A-side fill element-touch;
-    /// * `w_refetch` — streams a synthetic coordinate/value fiber and
-    ///   folds it, the B-side per-element touch;
-    /// * `w_extract` — populates sparse rows and row-drains them, the
-    ///   per-pass extraction cost (the 8 accumulates per measured pass
-    ///   are deducted at the measured `w_fill` rate).
-    ///
-    /// Prefer [`CostModel::calibrated`], which runs this once per
-    /// process; the serving layer additionally caches the resulting
-    /// plans per model key.
-    ///
-    /// [`BlockedSpa`]: tailors_tensor::ops::BlockedSpa
-    pub fn calibrate() -> CostModel {
-        use tailors_tensor::ops::BlockedSpa;
-        const ROWS: usize = 64;
-        const WIDTH: usize = 1024;
-        const PASSES: usize = 16;
-        const ROW_SEEDS: usize = 8;
-
-        // A-side fill: one full scatter pass over the scratch per call.
-        // Passes stack without draining (values grow, occupancy bits
-        // stay set) — the all-zero invariant only matters to `drain_row`,
-        // which never runs on this instance.
-        let mut fill_spa = BlockedSpa::new();
-        fill_spa.reset_shape(ROWS, WIDTH);
-        let w_fill = measure_ps(ROWS * WIDTH, PASSES, || {
-            for r in 0..ROWS {
-                let mut c = (r * 37) % WIDTH;
-                for _ in 0..WIDTH {
-                    fill_spa.accumulate(r, c, 1.0);
-                    c += 1;
-                    if c == WIDTH {
-                        c = 0;
-                    }
-                }
-            }
-        });
-
-        // B-side stream: walk a synthetic fiber and fold it, like the
-        // engine streaming an operand tile past the intersect.
-        let coords: Vec<u32> = (0..(ROWS * WIDTH) as u32).map(|i| i * 3).collect();
-        let vals: Vec<f64> = (0..ROWS * WIDTH).map(|i| (i % 7) as f64).collect();
-        let mut folded = 0.0f64;
-        let w_refetch = measure_ps(ROWS * WIDTH, PASSES, || {
-            let mut acc = 0.0f64;
-            for (&c, &v) in coords.iter().zip(&vals) {
-                acc += v * f64::from(c & 1);
-            }
-            folded += acc;
-        });
-        std::hint::black_box(folded);
-
-        // Extraction: populate 8 entries per row, then drain every row.
-        // One measured "element" is one drain pass; the 8 accumulates it
-        // took to repopulate are deducted at the measured fill rate.
-        let mut drain_spa = BlockedSpa::new();
-        drain_spa.reset_shape(ROWS, WIDTH);
-        let (mut out_cols, mut out_vals) = (Vec::new(), Vec::new());
-        let w_drain_gross = measure_ps(ROWS, PASSES, || {
-            for r in 0..ROWS {
-                for k in 0..ROW_SEEDS {
-                    drain_spa.accumulate(r, (k * 131) % WIDTH, 1.0);
-                }
-            }
-            for r in 0..ROWS {
-                out_cols.clear();
-                out_vals.clear();
-                drain_spa.drain_row(r, 0, &mut out_cols, &mut out_vals);
-            }
-        });
-        let w_extract = w_drain_gross
-            .saturating_sub(ROW_SEEDS as u64 * w_fill)
-            .max(1);
-
-        CostModel {
-            w_fill,
-            w_refetch,
-            w_extract,
-        }
-    }
-
-    /// [`CostModel::calibrate`], run once and cached for the process
-    /// lifetime.
-    pub fn calibrated() -> CostModel {
-        static CALIBRATED: std::sync::OnceLock<CostModel> = std::sync::OnceLock::new();
-        *CALIBRATED.get_or_init(CostModel::calibrate)
-    }
-}
-
-/// Best-of-3 timing of `passes` calls to `f`, in integer picoseconds per
-/// element (at least 1), after one untimed warmup call. The iteration
-/// counts are fixed constants — wall-clock is only ever *read*, never
-/// used to decide how much work runs — so the kernels themselves are
-/// deterministic.
-fn measure_ps(elems_per_pass: usize, passes: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    let mut best = u64::MAX;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        for _ in 0..passes {
-            f();
-        }
-        let total_ps = (start.elapsed().as_nanos() as u64).saturating_mul(1000);
-        best = best.min(total_ps / (elems_per_pass * passes) as u64);
-    }
-    best.max(1)
-}
-
 /// The closed-form traffic of one auto-planner candidate, in
 /// element-touches (see [`AutoPlanner`] for the model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -767,14 +577,9 @@ pub struct PlanCost {
     /// once per column block (`nrows × col_blocks`) — the term narrow
     /// blocks blow up.
     pub extraction_passes: u128,
-    /// `scratch_fills + b_refetch + extraction_passes` — the raw
-    /// equal-weight element-touch total (kept for reporting and for the
-    /// historical tests' assertions).
+    /// `scratch_fills + b_refetch + extraction_passes` — the planner's
+    /// objective, in element-touches.
     pub total: u128,
-    /// The planner's objective: the three terms weighted by its
-    /// [`CostModel`] (equal to `total` under [`CostModel::UNIFORM`],
-    /// estimated picoseconds under a calibrated model).
-    pub weighted_total: u128,
 }
 
 /// The occupancy-profile-driven auto-tiling planner (the paper's thesis
@@ -804,7 +609,7 @@ pub struct PlanCost {
 /// model never scores worse than the fixed plan it replaces); plans that
 /// honour the budget are strictly preferred over clamped ones, then lower
 /// total, then fewer blocks, then the shorter panel — a deterministic
-/// order with no ties.
+/// order with no ties. No other heights are tried.
 ///
 /// Results never depend on the choice: every tiling is bit-identical to
 /// [`reference_run`](crate::functional::reference_run) (the invariant the
@@ -817,7 +622,6 @@ pub struct AutoPlanner<'a> {
     budget: MemBudget,
     buffer: Option<BufferParams>,
     baseline_rows_a: Option<usize>,
-    model: CostModel,
 }
 
 impl<'a> AutoPlanner<'a> {
@@ -835,17 +639,7 @@ impl<'a> AutoPlanner<'a> {
             budget,
             buffer: None,
             baseline_rows_a: None,
-            model: CostModel::UNIFORM,
         }
-    }
-
-    /// Prices the three traffic terms with `model` instead of the
-    /// equal-weight default (see [`CostModel`]). A non-uniform model
-    /// also widens the candidate set beyond powers of two with a ±25%
-    /// neighborhood sweep around the incumbent optimum.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Prices the A-side refetch term against a concrete operand buffer
@@ -901,9 +695,6 @@ impl<'a> AutoPlanner<'a> {
             b_refetch,
             extraction_passes,
             total: scratch_fills + b_refetch + extraction_passes,
-            weighted_total: self
-                .model
-                .weighted(scratch_fills, b_refetch, extraction_passes),
         }
     }
 
@@ -924,54 +715,11 @@ impl<'a> AutoPlanner<'a> {
         }
         candidates.sort_unstable();
         candidates.dedup();
-        let mut best: Option<PlanCost> = None;
-        for &rows_a in &candidates {
-            self.consider(rows_a, &mut best);
-        }
-        let mut best = best.expect("candidate set is never empty");
-        // A calibrated (non-uniform) model can place the true optimum
-        // between powers of two, so sweep a ±25% neighborhood around
-        // the incumbent in steps of a quarter radius. All-equal models
-        // skip this: their weighted total is a uniform scaling of the
-        // element-touch total, so the historical candidate set already
-        // contains their optimum and the historical choices are
-        // reproduced exactly.
-        if !self.model.is_uniform() {
-            let incumbent = best.rows_a as i128;
-            let radius = (incumbent / 4).max(1);
-            let step = (radius / 4).max(1);
-            let mut sweep = Some(best);
-            for k in -4i128..=4 {
-                let r = incumbent + k * step;
-                if r >= 1 && r <= nrows as i128 {
-                    self.consider(r as usize, &mut sweep);
-                }
-            }
-            best = sweep.expect("sweep starts from the incumbent");
-        }
-        best
-    }
-
-    /// Evaluates one candidate height against the running best under the
-    /// deterministic preference order: budget-honouring first, then the
-    /// lowest weighted total, then the widest blocks, then the shortest
-    /// panel.
-    fn consider(&self, rows_a: usize, best: &mut Option<PlanCost>) {
-        let cost = self.cost_of(rows_a);
-        let better = match best {
-            None => true,
-            Some(b) => {
-                (
-                    !cost.fits_budget,
-                    cost.weighted_total,
-                    cost.col_blocks,
-                    cost.rows_a,
-                ) < (!b.fits_budget, b.weighted_total, b.col_blocks, b.rows_a)
-            }
-        };
-        if better {
-            *best = Some(cost);
-        }
+        candidates
+            .into_iter()
+            .map(|rows_a| self.cost_of(rows_a))
+            .min_by_key(|c| (!c.fits_budget, c.total, c.col_blocks, c.rows_a))
+            .expect("candidate set is never empty")
     }
 
     /// The chosen execution plan: [`ExecutionPlan::new`] at the winning
@@ -1114,12 +862,10 @@ mod tests {
             assert_eq!(row_units.last().unwrap().cols.end, 90);
             for w in row_units.windows(2) {
                 assert_eq!(w[0].cols.end, w[1].cols.start);
-                assert_eq!(w[0].tiles.end, w[1].tiles.start);
             }
         }
         assert_eq!(units[11].rows, 96..100);
         assert_eq!(units[11].cols, 64..90);
-        assert_eq!(units[11].tiles, 4..6);
     }
 
     #[test]
@@ -1181,110 +927,6 @@ mod tests {
             planner.plan(),
             ExecutionPlan::new(2_000, 2_000, 128, 32, MemBudget::bytes(64 << 10))
         );
-    }
-
-    #[test]
-    fn degenerate_calibration_reproduces_uniform_plan_choices() {
-        // A calibration that measures all three terms equally expensive
-        // (whatever the shared magnitude) must reproduce the historical
-        // uniform planner's choices bit-for-bit: an all-equal model
-        // scales every candidate's total by the same constant, and the
-        // planner skips the neighborhood sweep for it. This pins the PR 5
-        // operating point (128-row panels, 32 double-width blocks).
-        let p = uniform_profile();
-        for shared in [1u64, 7, 1_000, u64::MAX / (1 << 40)] {
-            let degenerate = CostModel {
-                w_fill: shared,
-                w_refetch: shared,
-                w_extract: shared,
-            };
-            assert!(degenerate.is_uniform());
-            let planner = AutoPlanner::new(&p, 32, MemBudget::bytes(64 << 10))
-                .with_buffer(BufferParams {
-                    capacity: 2_048,
-                    fifo_region: 256,
-                    overbooking: true,
-                })
-                .with_baseline(256)
-                .with_cost_model(degenerate);
-            let auto = planner.choose();
-            assert_eq!(auto.rows_a, 128, "weights {shared}: choice drifted");
-            assert_eq!(auto.col_blocks, 32);
-            assert_eq!(
-                planner.plan(),
-                ExecutionPlan::new(2_000, 2_000, 128, 32, MemBudget::bytes(64 << 10))
-            );
-        }
-    }
-
-    #[test]
-    fn cost_model_keys_are_distinct_and_stable() {
-        // The serving layer versions plan-cache keys with this
-        // fingerprint: distinct models must not collide, and the same
-        // model must fingerprint identically across processes (FNV-1a is
-        // deterministic, no per-process hash seeding).
-        let uniform = CostModel::UNIFORM.key();
-        let scaled = CostModel {
-            w_fill: 7,
-            w_refetch: 7,
-            w_extract: 7,
-        }
-        .key();
-        let skewed = CostModel {
-            w_fill: 1,
-            w_refetch: 1,
-            w_extract: 100,
-        }
-        .key();
-        assert_ne!(uniform, scaled, "all-equal models are still distinct keys");
-        assert_ne!(uniform, skewed);
-        assert_ne!(scaled, skewed);
-        assert_eq!(uniform, CostModel::UNIFORM.key(), "stable across calls");
-        // Permuting weights across terms must change the key (the
-        // fingerprint is order-sensitive by construction).
-        let permuted = CostModel {
-            w_fill: 100,
-            w_refetch: 1,
-            w_extract: 1,
-        }
-        .key();
-        assert_ne!(skewed, permuted);
-    }
-
-    #[test]
-    fn skewed_cost_models_engage_the_neighborhood_sweep() {
-        // A non-uniform model widens the candidate set beyond the
-        // power-of-two ladder (±25 % around the incumbent): whatever it
-        // picks must still be a legal, budget-honouring plan, and no
-        // power-of-two candidate may beat it under its own metric.
-        let p = uniform_profile();
-        let model = CostModel {
-            w_fill: 37,
-            w_refetch: 3,
-            w_extract: 9_000,
-        };
-        let planner = AutoPlanner::new(&p, 32, MemBudget::bytes(64 << 10))
-            .with_buffer(BufferParams {
-                capacity: 2_048,
-                fifo_region: 256,
-                overbooking: true,
-            })
-            .with_baseline(256)
-            .with_cost_model(model);
-        let choice = planner.choose();
-        assert!(choice.rows_a >= 1 && choice.rows_a <= p.nrows());
-        assert!(choice.fits_budget);
-        let mut h = 1;
-        while h <= p.nrows() {
-            let cand = planner.cost_of(h);
-            if cand.fits_budget {
-                assert!(
-                    choice.weighted_total <= cand.weighted_total,
-                    "power-of-two candidate {h} beats the sweep choice"
-                );
-            }
-            h *= 2;
-        }
     }
 
     #[test]

@@ -274,25 +274,14 @@ impl FunctionalConfig {
 /// The execution plan an auto-planned run ([`FunctionalConfig::auto_plan`])
 /// derives: the [`AutoPlanner`](crate::exec::AutoPlanner) over the
 /// matrix's occupancy profile, with the config's buffer as the refetch
-/// model, its `rows_a` as the baseline candidate, and `model` weighting
-/// the traffic terms. Exposed so callers (smokes, tests, the serving
-/// layer) can see the tiling an auto run will execute — a fixed run at
-/// `plan.rows_a()` is bit-identical to the auto run in every reported
-/// field.
-///
-/// The engine's own auto plans use
-/// [`CostModel::UNIFORM`](crate::exec::CostModel::UNIFORM); another
-/// `model` can only move the chosen tiling (and therefore the traffic
-/// counters), never the output matrix.
-pub fn auto_execution_plan(
-    a: &CsrMatrix,
-    config: &FunctionalConfig,
-    model: crate::exec::CostModel,
-) -> ExecutionPlan {
+/// model and its `rows_a` as the baseline candidate. Exposed so callers
+/// (smokes, tests, the serving layer) can see the tiling an auto run will
+/// execute — a fixed run at `plan.rows_a()` is bit-identical to the auto
+/// run in every reported field.
+pub fn auto_execution_plan(a: &CsrMatrix, config: &FunctionalConfig) -> ExecutionPlan {
     crate::exec::AutoPlanner::new(&a.profile(), config.cols_b, config.mem_budget)
         .with_buffer(config.buffer_params())
         .with_baseline(config.rows_a)
-        .with_cost_model(model)
         .plan()
 }
 
@@ -342,7 +331,7 @@ fn engine_setup<'a>(
     let b = a.transpose();
     let n = a.nrows();
     let plan = if config.auto_plan {
-        auto_execution_plan(a, config, crate::exec::CostModel::UNIFORM)
+        auto_execution_plan(a, config)
     } else {
         config.execution_plan(n, n)
     };
@@ -1176,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_plan_runs_the_cost_model_tiling_bit_identically() {
+    fn auto_plan_runs_the_planned_tiling_bit_identically() {
         let a = small();
         for overbooking in [false, true] {
             for grid in [GridMode::Panels, GridMode::Grid2D] {
@@ -1190,7 +1179,7 @@ mod tests {
                     grid,
                     auto_plan: true,
                 };
-                let chosen = auto_execution_plan(&a, &auto_config, crate::exec::CostModel::UNIFORM);
+                let chosen = auto_execution_plan(&a, &auto_config);
                 let fixed_config = FunctionalConfig {
                     rows_a: chosen.rows_a(),
                     auto_plan: false,
@@ -1393,7 +1382,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_tiling_falls_back_without_the_column_view() {
+    fn many_tile_single_block_run_matches_reference() {
         // cols_b = 1 on a 600-column B: 600 one-column tiles in one
         // block. Results must be unchanged.
         let a = GenSpec::uniform(600, 600, 1_000).seed(21).generate();

@@ -53,8 +53,8 @@ pub mod variants;
 pub use arch::{ArchConfig, ArchKey};
 pub use dataflow::{simulate, simulate_planned};
 pub use exec::{
-    balanced_partition, run_balanced, AutoPlanner, BufferParams, CostModel, ExecutionPlan,
-    GridMode, MemBudget, PlanCost, PlanUnit, ScratchStats,
+    balanced_partition, run_balanced, AutoPlanner, BufferParams, ExecutionPlan, GridMode,
+    MemBudget, PlanCost, PlanUnit, ScratchStats,
 };
 
 /// Worker-thread count from the `TAILORS_THREADS` environment variable

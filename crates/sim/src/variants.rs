@@ -8,7 +8,7 @@ use tailors_tensor::MatrixProfile;
 
 use crate::arch::ArchConfig;
 use crate::dataflow::{simulate, simulate_planned};
-use crate::exec::{AutoPlanner, BufferParams, CostModel, ExecutionPlan, GridMode, MemBudget};
+use crate::exec::{AutoPlanner, BufferParams, ExecutionPlan, GridMode, MemBudget};
 use crate::metrics::RunMetrics;
 use crate::plan::TilePlan;
 
@@ -147,16 +147,16 @@ impl Variant {
     /// callers that already paid for the Swiftiles-sampling stage do not
     /// pay twice). The one place a fixed-or-auto plan is decided:
     ///
-    /// * `auto: None` keeps the variant's panel height —
+    /// * `auto: false` keeps the variant's panel height —
     ///   [`ExecutionPlan::for_tile_plan`], with `budget` grouping streamed
     ///   tiles into scratch-bounded column blocks;
-    /// * `auto: Some(model)` co-optimizes the panel height against the
+    /// * `auto: true` co-optimizes the panel height against the
     ///   column-block width `budget` induces through the [`AutoPlanner`],
     ///   keeping the variant's streamed tile width and buffer discipline,
-    ///   with `tile.gb_rows_a` as the baseline candidate and `model`
-    ///   weighting the traffic terms. The refetch term is priced against
-    ///   the architecture's working-tile capacity — the same buffer a
-    ///   functional replay drives — so the engine's internal auto plan
+    ///   with `tile.gb_rows_a` as the baseline candidate. The refetch
+    ///   term is priced against the architecture's working-tile
+    ///   capacity — the same buffer a functional replay drives — so the
+    ///   engine's internal auto plan
     ///   ([`functional::auto_execution_plan`](crate::functional::auto_execution_plan))
     ///   lands on the identical tiling and serve-cache replays stay exact.
     ///
@@ -168,11 +168,11 @@ impl Variant {
         arch: &ArchConfig,
         budget: MemBudget,
         tile: &TilePlan,
-        auto: Option<CostModel>,
+        auto: bool,
     ) -> ExecutionPlan {
-        let Some(model) = auto else {
+        if !auto {
             return ExecutionPlan::for_tile_plan(profile.nrows(), profile.ncols(), tile, budget);
-        };
+        }
         AutoPlanner::new(profile, tile.gb_cols_b.max(1), budget)
             .with_buffer(BufferParams {
                 capacity: (arch.tile_capacity() as usize).max(1),
@@ -180,7 +180,6 @@ impl Variant {
                 overbooking: tile.overbooking,
             })
             .with_baseline(tile.gb_rows_a.max(1))
-            .with_cost_model(model)
             .plan()
     }
 
@@ -202,7 +201,7 @@ impl Variant {
         grid: GridMode,
     ) -> RunMetrics {
         let tile = self.plan(profile, arch);
-        let exec = self.execution_plan(profile, arch, budget, &tile, None);
+        let exec = self.execution_plan(profile, arch, budget, &tile, false);
         simulate_planned(profile, arch, tile, &exec, grid)
     }
 
@@ -328,7 +327,7 @@ mod tests {
             for grid in [GridMode::Panels, GridMode::Grid2D] {
                 let direct = v.run_gridded(&p, &arch, budget, grid);
                 let tile = v.plan(&p, &arch);
-                let exec = v.execution_plan(&p, &arch, budget, &tile, None);
+                let exec = v.execution_plan(&p, &arch, budget, &tile, false);
                 let replayed = v.run_planned(&p, &arch, &tile, &exec, grid);
                 assert_eq!(direct, replayed, "{} {grid}", v.name());
                 assert_eq!(direct.cycles.to_bits(), replayed.cycles.to_bits());

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use tailors_sim::functional::{
     auto_execution_plan, reference_run, run_grid, run_with_threads, FunctionalConfig,
 };
-use tailors_sim::{AutoPlanner, BufferParams, CostModel, GridMode, MemBudget};
+use tailors_sim::{AutoPlanner, BufferParams, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::ops::{approx_eq, spmspm_a_at};
 use tailors_tensor::CsrMatrix;
@@ -154,7 +154,7 @@ proptest! {
             grid: if grid2d { GridMode::Grid2D } else { GridMode::Panels },
             auto_plan: true,
         };
-        let chosen = auto_execution_plan(&a, &auto_config, CostModel::UNIFORM);
+        let chosen = auto_execution_plan(&a, &auto_config);
         let fixed_config = FunctionalConfig {
             rows_a: chosen.rows_a(),
             auto_plan: false,
@@ -176,77 +176,6 @@ proptest! {
         )
         .expect("seed engine at baseline tiling");
         prop_assert_eq!(&auto.z, &baseline_oracle.z);
-    }
-
-    /// Arbitrary planner cost-model weights, on arbitrary inputs: the
-    /// weights only move which panel height the auto planner picks (the
-    /// calibrated-model neighborhood sweep included) — a run at the
-    /// chosen tiling stays bit-identical to the seed engine in every
-    /// reported field, at every thread count, under both grids. This is
-    /// the calibrated planner's core contract: measurement can change
-    /// plans, never results.
-    #[test]
-    fn costed_auto_plans_are_bit_identical_to_reference(
-        seed in 0u64..40,
-        heavy in proptest::bool::ANY,
-        capacity in 8usize..120,
-        fifo_frac in 1usize..90,
-        rows_a in 1usize..70,
-        cols_b in 1usize..70,
-        overbooking in proptest::bool::ANY,
-        threads in 1usize..5,
-        budget_bytes in 0u64..40_000,
-        grid2d in proptest::bool::ANY,
-        w_fill in 1u64..50_000,
-        w_refetch in 1u64..50_000,
-        w_extract in 1u64..50_000,
-    ) {
-        let spec = if heavy {
-            GenSpec::power_law(48, 48, 400)
-        } else {
-            GenSpec::uniform(48, 48, 300)
-        };
-        let a = spec.seed(seed).generate();
-        let auto_config = FunctionalConfig {
-            capacity,
-            fifo_region: (capacity * fifo_frac / 100).clamp(1, capacity - 1),
-            rows_a,
-            cols_b,
-            overbooking,
-            mem_budget: MemBudget::bytes(budget_bytes),
-            grid: if grid2d { GridMode::Grid2D } else { GridMode::Panels },
-            auto_plan: true,
-        };
-        let model = CostModel { w_fill, w_refetch, w_extract };
-        let chosen = auto_execution_plan(&a, &auto_config, model);
-        prop_assert!(chosen.rows_a() >= 1 && chosen.rows_a() <= a.nrows());
-        let fixed_config = FunctionalConfig {
-            rows_a: chosen.rows_a(),
-            auto_plan: false,
-            ..auto_config
-        };
-        let run = run_with_threads(&a, &fixed_config, threads).expect("run at chosen height");
-        let oracle = reference_run(&a, &fixed_config).expect("seed engine");
-        prop_assert_eq!(&run.z, &oracle.z);
-        prop_assert_eq!(run.dram_a_fetches, oracle.dram_a_fetches);
-        prop_assert_eq!(run.dram_b_fetches, oracle.dram_b_fetches);
-        prop_assert_eq!(run.overbooked_a_tiles, oracle.overbooked_a_tiles);
-        // The output matrix is tiling-invariant: whatever the weights
-        // picked, it matches the seed engine at the baseline tiling too.
-        let baseline_oracle = reference_run(
-            &a,
-            &FunctionalConfig { auto_plan: false, ..auto_config },
-        )
-        .expect("seed engine at baseline tiling");
-        prop_assert_eq!(&run.z, &baseline_oracle.z);
-        // And an all-equal model — whatever the shared value — must pick
-        // exactly the plan the uniform planner picks: scaling every
-        // candidate's total by a constant cannot reorder candidates.
-        let degenerate = CostModel { w_fill, w_refetch: w_fill, w_extract: w_fill };
-        prop_assert_eq!(
-            auto_execution_plan(&a, &auto_config, degenerate),
-            auto_execution_plan(&a, &auto_config, CostModel::UNIFORM)
-        );
     }
 
     /// The 2-D grid's block-local accounting, on arbitrary inputs:
@@ -318,7 +247,7 @@ proptest! {
     /// counts a run at that height reports — A-side fills equal
     /// `scratch_fills`, B-side fetches equal `b_refetch`.
     #[test]
-    fn planner_cost_model_matches_engine_traffic(
+    fn planner_traffic_model_matches_engine_traffic(
         seed in 0u64..40,
         heavy in proptest::bool::ANY,
         large in proptest::bool::ANY,

@@ -654,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_spa_clear_restores_the_invariant_without_emitting() {
+    fn drained_spa_reshapes_without_emitting() {
         let mut spa = BlockedSpa::new();
         spa.reset_shape(3, 100);
         spa.accumulate(0, 99, 1.0);

@@ -8,11 +8,15 @@
 //! median of `sample_size` samples (mean, min and max are also kept). With
 //! `--test` on the command line (what `cargo test` passes to a
 //! `harness = false` bench target) every benchmark body runs exactly once,
-//! untimed.
+//! untimed. A positional (non-flag) argument filters benchmarks by
+//! substring of their id, as in criterion: `cargo bench --bench intersect
+//! -- planner/` runs only the `planner/*` rows (setup code outside the
+//! bodies still runs).
 //!
 //! Machine-readable output: when the `CRITERION_JSON` environment variable
 //! names a path, `criterion_main!` writes every measurement there as a JSON
-//! array (see `DESIGN.md` for the schema).
+//! array (see `DESIGN.md` for the schema) — unless a filter is set, so a
+//! partial run never overwrites a full one.
 
 #![forbid(unsafe_code)]
 
@@ -80,16 +84,33 @@ impl Measurement {
 pub struct Criterion {
     measurements: Vec<Measurement>,
     test_mode: bool,
+    filter: Option<String>,
 }
 
 impl Criterion {
-    /// Creates a manager; detects `--test` (passed by `cargo test` to
-    /// `harness = false` targets) to run each body once, untimed.
+    /// Creates a manager from the process arguments: `--test` (passed by
+    /// `cargo test` to `harness = false` targets) runs each body once,
+    /// untimed; the first non-flag argument is a substring filter on
+    /// benchmark ids. Other flags (`--bench`) are ignored.
     pub fn new() -> Self {
-        Criterion {
-            measurements: Vec::new(),
-            test_mode: std::env::args().any(|a| a == "--test"),
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let mut c = Criterion::default();
+        for arg in args {
+            if arg == "--test" {
+                c.test_mode = true;
+            } else if !arg.starts_with('-') && c.filter.is_none() {
+                c.filter = Some(arg);
+            }
         }
+        c
+    }
+
+    /// The benchmark-id filter, if one was given.
+    pub fn filter(&self) -> Option<&str> {
+        self.filter.as_deref()
     }
 
     /// Opens a named benchmark group.
@@ -121,6 +142,13 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|f| !id.contains(f.as_str()))
+        {
+            return;
+        }
         let mut b = Bencher {
             test_mode: self.test_mode,
             sample_size,
@@ -340,6 +368,10 @@ macro_rules! criterion_main {
             let mut c = $crate::Criterion::new();
             $($group(&mut c);)+
             if let Ok(path) = std::env::var("CRITERION_JSON") {
+                if let Some(filter) = c.filter() {
+                    eprintln!("filter {filter:?} set: not writing {path} (a partial run would overwrite it)");
+                    return;
+                }
                 match $crate::write_json(c.measurements(), &path) {
                     Ok(()) => {
                         eprintln!("wrote {} measurements to {path}", c.measurements().len())
@@ -373,6 +405,33 @@ mod tests {
         assert_eq!(c.measurements()[1].id, "g/param/7");
         assert!(c.measurements()[0].median_ns >= 0.0);
         assert!(c.measurements()[0].elements_per_sec().unwrap() > 0.0);
+    }
+
+    #[test]
+    fn positional_argument_filters_by_id_substring() {
+        let mut c = Criterion::from_args(["--bench", "planner/", "ignored"].map(String::from));
+        assert_eq!(c.filter(), Some("planner/"));
+        let mut ran = Vec::new();
+        {
+            let mut g = c.benchmark_group("planner");
+            g.sample_size(3);
+            g.bench_function("auto", |b| {
+                ran.push("planner/auto");
+                b.iter(|| 1 + 1)
+            });
+            g.finish();
+        }
+        c.bench_function("spmspm/spa", |b| {
+            ran.push("spmspm/spa");
+            b.iter(|| 1 + 1)
+        });
+        assert_eq!(ran, ["planner/auto"], "non-matching bodies never run");
+        assert_eq!(c.measurements().len(), 1);
+        assert_eq!(c.measurements()[0].id, "planner/auto");
+
+        let unfiltered = Criterion::from_args(["--bench", "--test"].map(String::from));
+        assert_eq!(unfiltered.filter(), None);
+        assert!(unfiltered.test_mode);
     }
 
     #[test]
