@@ -304,6 +304,14 @@ fn bench_serving(c: &mut Criterion) {
             black_box(service.submit_batch(&reqs, 1))
         })
     });
+    // The same cold batch on two threads: each workload's three requests
+    // share a bin, so each pattern stream still runs once.
+    g.bench_function("suite_batch_cold_2t_1_64", |bch| {
+        bch.iter(|| {
+            let service = SimService::new();
+            black_box(service.submit_batch(&reqs, 2))
+        })
+    });
     let service = std::sync::Arc::new(SimService::new());
     service.submit_batch(&reqs, 1);
     g.bench_function("suite_batch_hot_1_64", |bch| {

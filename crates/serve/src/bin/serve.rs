@@ -145,6 +145,14 @@ fn main() {
         );
         match &first {
             None => {
+                // The batch serves each workload's requests on one
+                // thread, so only its first request runs the pattern
+                // stream, whatever `threads` is.
+                assert_eq!(
+                    after.profile_misses - before.profile_misses,
+                    (batch.len() / variants.len()) as u64,
+                    "sweep 1 must miss the profile tier once per workload"
+                );
                 // Steady state starts at sweep 2: every tier hot.
                 first = Some(responses);
             }

@@ -88,14 +88,15 @@ impl SpecKey {
 }
 
 /// The LPT scheduling cost of one analytical request — the shared
-/// currency of [`SimService::submit_batch`]'s thread bins and the shard
-/// router's per-connection bins. Workload size scales the shared
-/// per-request work (generation/hashing/profiling when cold, row-panel
-/// sums always). A cold request's dominant cost is variant planning,
-/// which differs sharply by variant: overbooked plans run Swiftiles
+/// currency of [`SimService::submit_batch`]'s thread bins, which sum it
+/// over each spec's requests, and the shard router's per-connection bins.
+/// Workload size scales the per-request work (row-panel sums always, and
+/// once per spec the pattern stream that yields the identity and
+/// profile). Variant planning weighs it: overbooked plans run Swiftiles
 /// occupancy sampling and prescient plans scan candidate panel heights,
-/// while ExTensor-N's plan is constant-time — so same-size requests must
-/// not cost the same or one bin inherits all the sampling.
+/// while ExTensor-N's plan is constant-time, so a spec's N/P/OB group
+/// costs seven times its size, and a router bin of OB requests outweighs
+/// one of N requests.
 pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
     let planning = match variant {
         Variant::ExTensorN => 1,
@@ -434,24 +435,49 @@ impl SimService {
         }
     }
 
-    /// Serves a whole batch, fanning the requests across `threads`
-    /// workers in cost-balanced LPT bins
-    /// ([`balanced_partition`](tailors_sim::balanced_partition) on
-    /// workload size, the same scheduler the functional engine and the
-    /// bench suite use) so heterogeneous requests share the pool instead
-    /// of running serially. Responses come back in request order and
-    /// their payloads are bit-identical for every thread count.
+    /// Serves a whole batch across `threads` workers. Requests are grouped
+    /// by workload spec, and the groups — each costing the sum of its
+    /// requests' `request_cost`s — fill cost-balanced LPT bins
+    /// ([`balanced_partition`](tailors_sim::balanced_partition), the same
+    /// scheduler the functional engine and the bench suite use). A bin
+    /// serves each of its groups in request order, so every spec's
+    /// pattern stream runs once, on its first request, instead of once
+    /// per thread its requests landed on. Responses come back in request
+    /// order and their payloads are bit-identical for every thread count.
     ///
     /// # Panics
     ///
     /// As [`SimService::submit`]; additionally if `threads == 0`.
     pub fn submit_batch(&self, reqs: &[SimRequest], threads: usize) -> Vec<SimResponse> {
         assert!(threads > 0, "thread count must be positive");
-        let costs: Vec<u128> = reqs
-            .iter()
-            .map(|r| request_cost(&r.workload, r.variant))
-            .collect();
-        run_balanced(reqs.len(), &costs, threads, |i| self.submit(&reqs[i]))
+        let mut group_of: HashMap<SpecKey, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut costs: Vec<u128> = Vec::new();
+        for (i, r) in reqs.iter().enumerate() {
+            let g = *group_of.entry(SpecKey::of(&r.workload)).or_insert_with(|| {
+                groups.push(Vec::new());
+                costs.push(0);
+                groups.len() - 1
+            });
+            groups[g].push(i);
+            costs[g] += request_cost(&r.workload, r.variant);
+        }
+        let served = run_balanced(groups.len(), &costs, threads, |g| {
+            groups[g]
+                .iter()
+                .map(|&i| self.submit(&reqs[i]))
+                .collect::<Vec<_>>()
+        });
+        let mut slots: Vec<Option<SimResponse>> = vec![None; reqs.len()];
+        for (group, responses) in groups.iter().zip(served) {
+            for (&i, resp) in group.iter().zip(responses) {
+                slots[i] = Some(resp);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every request lands in exactly one group"))
+            .collect()
     }
 
     /// Serves one analytical request for a raw matrix (no workload spec):
@@ -612,8 +638,10 @@ impl SimService {
     }
 
     /// Tier-2 lookup: the profile for `id`, built with `make` on a miss.
-    /// `make` runs outside the cache lock, so concurrent misses for the
-    /// same identity may build twice — both builds are bit-identical, so
+    /// `make` runs outside the cache lock. [`SimService::submit_batch`]
+    /// serves each spec's requests on one thread, so a batch builds each
+    /// profile once; only independent callers that miss the same identity
+    /// at once build it twice. Both builds are bit-identical, so
     /// last-insert-wins is safe.
     fn profile_of(
         &self,

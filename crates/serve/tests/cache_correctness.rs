@@ -162,3 +162,49 @@ fn evicted_spec_profiles_refill_bit_identically() {
         }
     }
 }
+
+/// A cold batch on 2 and 4 threads runs each spec's pattern stream once,
+/// on the spec's first request in request order. The batch interleaves
+/// eight specs and rotates which variant comes first, so a scheduler
+/// that split a spec's requests across threads — heaviest (OB) first —
+/// would miss on the wrong request, or miss twice.
+#[test]
+fn threaded_cold_batch_generates_each_spec_once() {
+    let scale = 1.0 / 256.0;
+    let variants = [
+        Variant::ExTensorN,
+        Variant::ExTensorP,
+        Variant::default_ob(),
+    ];
+    let names: Vec<&str> = tailors_workloads::suite()
+        .iter()
+        .take(8)
+        .map(|wl| wl.name)
+        .collect();
+    let specs = names.len() as u64;
+    let reqs: Vec<SimRequest> = (0..variants.len())
+        .flat_map(|round| {
+            names.iter().enumerate().map(move |(k, name)| {
+                let variant = variants[(round + k) % variants.len()];
+                SimRequest::suite(name, scale, variant).unwrap()
+            })
+        })
+        .collect();
+    let serial = SimService::new().submit_batch(&reqs, 1);
+    for threads in [2, 4] {
+        let service = SimService::new();
+        let served = service.submit_batch(&reqs, threads);
+        let stats = service.stats();
+        assert_eq!(stats.profile_misses, specs, "threads {threads}");
+        assert_eq!(stats.profile_hits, 2 * specs, "threads {threads}");
+        for (i, (resp, base)) in served.iter().zip(&serial).enumerate() {
+            let first = i < names.len();
+            assert_eq!(
+                resp.hits.tensor, !first,
+                "threads {threads}: request {i} ({}) must miss iff it is its spec's first",
+                resp.name
+            );
+            assert_eq!(resp.metrics, base.metrics, "threads {threads}: request {i}");
+        }
+    }
+}

@@ -713,16 +713,19 @@ impl PatternSink {
 }
 
 impl RowSink for PatternSink {
+    /// Branch-free: banded rows draw many duplicates, so a branch on the
+    /// stamp would mispredict often. A repeat adds zero to every count
+    /// and a masked-out term to the sum.
     fn push(&mut self, col: u32, _val: f64) {
         let row = self.row_nnz.len();
         let mark = row as u32 + 1;
         let slot = &mut self.cols[col as usize];
-        if slot.stamp != mark {
-            slot.stamp = mark;
-            slot.nnz += 1;
-            self.open += 1;
-            self.sum = self.sum.wrapping_add(pattern_term(row, col));
-        }
+        let new = u32::from(slot.stamp != mark);
+        slot.stamp = mark;
+        slot.nnz += new;
+        self.open += new;
+        let keep = u64::from(new).wrapping_neg();
+        self.sum = self.sum.wrapping_add(pattern_term(row, col) & keep);
     }
 
     fn finish_row(&mut self) {
@@ -1087,6 +1090,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A hand-written stream with repeats within and across rows
+    /// (adjacent and not), empty rows at both ends and in the middle, and
+    /// both edge columns: the sink's counts and hash are those of the
+    /// matrix `CsrBuilder` merges from the same pushes.
+    #[test]
+    fn pattern_sink_matches_the_built_matrix_on_edge_cases() {
+        let ncols = 7;
+        let rows: [&[u32]; 7] = [
+            &[],
+            &[6, 0, 6, 6, 3, 0],
+            &[],
+            &[3, 3, 3],
+            &[0, 6, 1, 2, 3, 4, 5, 5, 0],
+            &[6],
+            &[],
+        ];
+        let mut sink = PatternSink::new(rows.len(), ncols);
+        let mut csr = CsrBuilder::with_capacity(rows.len(), ncols, 0);
+        for row in rows {
+            for &col in row {
+                sink.push(col, 1.0);
+                csr.push(col, 1.0);
+            }
+            sink.finish_row();
+            csr.finish_row();
+        }
+        let m = csr.finish();
+        assert_eq!(m.nnz(), 12);
+        assert_eq!(sink.finish(), (m.profile(), m.pattern_hash()));
     }
 
     #[test]
