@@ -72,7 +72,9 @@ pub struct TileChoice {
 
 impl TilingStrategy {
     /// Applies the strategy to `profile` for an operand buffer of
-    /// `capacity` nonzeros.
+    /// `capacity` nonzeros: the tile height and tax of
+    /// [`TilingStrategy::rows_per_tile`], plus Table 1's utilization and
+    /// overbooking statistics over the chosen tiling.
     ///
     /// For strategies that must reason about the *other* operand at runtime
     /// (PST), the matching tax is computed against `profile` itself, which
@@ -83,14 +85,57 @@ impl TilingStrategy {
     ///
     /// Panics if `capacity == 0` or `profile` has no nonzeros.
     pub fn choose(&self, profile: &MatrixProfile, capacity: u64) -> TileChoice {
+        let (rows, tax) = self.rows_and_tax(profile, capacity);
+        if let TilingStrategy::UniformOccupancy = self {
+            // PST: every tile holds exactly `capacity` nonzeros (the last
+            // may be ragged), so utilization is perfect by construction.
+            let n_tiles = pst_tiles(profile, capacity);
+            let last = profile.nnz() - (n_tiles as u64 - 1) * capacity;
+            let mean_utilization =
+                ((n_tiles as u64 - 1) as f64 + last as f64 / capacity as f64) / n_tiles as f64;
+            return TileChoice {
+                rows_per_tile: rows,
+                n_tiles,
+                mean_utilization,
+                overbooking_rate: 0.0,
+                tax,
+            };
+        }
+        let panels = RowPanels::new(profile, rows);
+        // One fused pass over the tiling for both Table-1 statistics.
+        let summary = panels.capacity_summary(capacity);
+        TileChoice {
+            rows_per_tile: rows,
+            n_tiles: panels.n_tiles(),
+            mean_utilization: summary.mean_utilization,
+            overbooking_rate: summary.overbooking_rate,
+            tax,
+        }
+    }
+
+    /// The tile height alone: [`TilingStrategy::choose`]'s
+    /// `rows_per_tile` without its statistics walk over the tiling. The
+    /// accelerator variants plan with this, so a plan costs the strategy's
+    /// own search (O(1), prescient probes, or Swiftiles' samples) and no
+    /// pass over every tile.
+    ///
+    /// # Panics
+    ///
+    /// As [`TilingStrategy::choose`].
+    pub fn rows_per_tile(&self, profile: &MatrixProfile, capacity: u64) -> usize {
+        self.rows_and_tax(profile, capacity).0
+    }
+
+    /// The one place each strategy picks its height: `(rows_per_tile,
+    /// tax)`.
+    fn rows_and_tax(&self, profile: &MatrixProfile, capacity: u64) -> (usize, TilingTax) {
         assert!(capacity > 0, "buffer capacity must be positive");
         assert!(profile.nnz() > 0, "cannot tile an empty tensor");
         match self {
             TilingStrategy::UniformShape => {
                 // Dense worst case: size (zeros included) bounded by the
                 // buffer; at least one row.
-                let rows = rows_for_size(profile, capacity);
-                finish(profile, capacity, rows, TilingTax::default())
+                (rows_for_size(profile, capacity), TilingTax::default())
             }
             TilingStrategy::PrescientUniformShape => {
                 let (rows, candidates) = prescient_rows(profile, capacity);
@@ -100,7 +145,7 @@ impl TilingStrategy {
                     preprocessing_nnz: candidates * profile.nnz(),
                     matching_ops: 0,
                 };
-                finish(profile, capacity, rows, tax)
+                (rows, tax)
             }
             TilingStrategy::Overbooked(config) => {
                 let est = Swiftiles::new(*config).estimate(profile, capacity);
@@ -108,52 +153,31 @@ impl TilingStrategy {
                     preprocessing_nnz: est.sampling_nnz_touched,
                     matching_ops: 0,
                 };
-                finish(profile, capacity, est.rows_target, tax)
+                (est.rows_target, tax)
             }
             TilingStrategy::UniformOccupancy => {
-                // PST: every tile holds exactly `capacity` nonzeros (the
-                // last may be ragged). Utilization is perfect by
-                // construction; the cost is a full traversal of the other
+                // PST tiles have no uniform shape; the height is a nominal
+                // average. The cost is a full traversal of the other
                 // operand per tile for operand matching (§2.2.2).
-                let n_tiles = profile.nnz().div_ceil(capacity).max(1) as usize;
-                let nominal_rows = (profile.nrows() / n_tiles).max(1);
-                let last = profile.nnz() - (n_tiles as u64 - 1) * capacity;
-                let mean_utilization =
-                    ((n_tiles as u64 - 1) as f64 + last as f64 / capacity as f64) / n_tiles as f64;
-                TileChoice {
-                    rows_per_tile: nominal_rows,
-                    n_tiles,
-                    mean_utilization,
-                    overbooking_rate: 0.0,
-                    tax: TilingTax {
-                        preprocessing_nnz: 0,
-                        // Matching walks both coordinate streams per tile:
-                        // the full other operand *and* its own coordinates
-                        // against it (§2.2.2's runtime two-finger traversal
-                        // over tiles of varying shapes, paid on every
-                        // execution rather than once in preprocessing).
-                        matching_ops: n_tiles as u64 * 2 * profile.nnz(),
-                    },
-                }
+                let n_tiles = pst_tiles(profile, capacity);
+                let tax = TilingTax {
+                    preprocessing_nnz: 0,
+                    // Matching walks both coordinate streams per tile:
+                    // the full other operand *and* its own coordinates
+                    // against it (§2.2.2's runtime two-finger traversal
+                    // over tiles of varying shapes, paid on every
+                    // execution rather than once in preprocessing).
+                    matching_ops: n_tiles as u64 * 2 * profile.nnz(),
+                };
+                ((profile.nrows() / n_tiles).max(1), tax)
             }
         }
     }
 }
 
-fn finish(profile: &MatrixProfile, capacity: u64, rows: usize, tax: TilingTax) -> TileChoice {
-    let panels = RowPanels::new(profile, rows);
-    // One fused pass over the tiling for both Table-1 statistics — the
-    // prescient planner lands on near-per-row tilings for small buffers,
-    // where separate utilization and overbooking walks dominated the
-    // whole `choose` call.
-    let summary = panels.capacity_summary(capacity);
-    TileChoice {
-        rows_per_tile: rows,
-        n_tiles: panels.n_tiles(),
-        mean_utilization: summary.mean_utilization,
-        overbooking_rate: summary.overbooking_rate,
-        tax,
-    }
+/// Number of position-space tiles of `capacity` nonzeros each.
+fn pst_tiles(profile: &MatrixProfile, capacity: u64) -> usize {
+    profile.nnz().div_ceil(capacity).max(1) as usize
 }
 
 /// Finds the largest `rows_per_tile` whose maximum panel occupancy fits in
@@ -166,6 +190,9 @@ fn prescient_rows(profile: &MatrixProfile, capacity: u64) -> (usize, u64) {
     // Short-circuit at the first overflowing panel: most candidates in the
     // bracketing phase fail, and failing candidates fail early on skewed
     // tensors, so this is far cheaper than materializing max_occupancy.
+    // Heights the single-row bound (`rows × max_row_nnz`) already proves
+    // fit are answered without a walk; each probe still counts as a
+    // candidate traversal in the modelled tax.
     let fits = |rows: usize| RowPanels::new(profile, rows).fits_within(capacity);
     let mut candidates = 1u64;
     if !fits(1) {

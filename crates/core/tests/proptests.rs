@@ -99,6 +99,34 @@ proptest! {
         }
     }
 
+    /// The heights-only path the accelerator variants plan with picks
+    /// exactly the height `choose` reports, for every strategy, at a
+    /// one-slot buffer, the ExTensor PE (2 184) and working-tile
+    /// (559 104) capacities, a drawn capacity, and one above `nnz`.
+    #[test]
+    fn rows_per_tile_matches_choose(
+        seed in 0u64..30,
+        drawn in 2u64..30_000,
+        heavy in proptest::bool::ANY,
+    ) {
+        let profile = random_profile(seed, heavy);
+        let config = SwiftilesConfig::new(0.10, 10).unwrap().seed(seed);
+        for strategy in [
+            TilingStrategy::UniformShape,
+            TilingStrategy::PrescientUniformShape,
+            TilingStrategy::UniformOccupancy,
+            TilingStrategy::Overbooked(config),
+        ] {
+            for capacity in [1, 2_184, 559_104, drawn, profile.nnz() + 1] {
+                prop_assert_eq!(
+                    strategy.rows_per_tile(&profile, capacity),
+                    strategy.choose(&profile, capacity).rows_per_tile,
+                    "{:?} at capacity {}", strategy, capacity
+                );
+            }
+        }
+    }
+
     /// rows_for_size is monotone and clamped.
     #[test]
     fn rows_for_size_properties(size_a in 1u64..1_000_000, size_b in 1u64..1_000_000) {

@@ -90,13 +90,16 @@ impl SpecKey {
 /// The LPT scheduling cost of one analytical request — the shared
 /// currency of [`SimService::submit_batch`]'s thread bins, which sum it
 /// over each spec's requests, and the shard router's per-connection bins.
-/// Workload size scales the per-request work (row-panel sums always, and
-/// once per spec the pattern stream that yields the identity and
-/// profile). Variant planning weighs it: overbooked plans run Swiftiles
-/// occupancy sampling and prescient plans scan candidate panel heights,
-/// while ExTensor-N's plan is constant-time, so a spec's N/P/OB group
-/// costs seven times its size, and a router bin of OB requests outweighs
-/// one of N requests.
+/// Workload size scales the per-request work: once per spec, the pattern
+/// stream that yields the identity and profile, which dominates a cold
+/// request. Planning and simulation are O(tiles) on the cached profile
+/// and rank by variant: ExTensor-N's plan is constant-time and its
+/// simulation walks no occupancies; prescient plans probe candidate
+/// heights, most answered by the single-row bound without a walk;
+/// overbooked plans draw Swiftiles samples at both buffer levels, and
+/// their simulation also walks PE tiles a few rows tall. So a spec's N/P/OB
+/// group costs seven times its size, and a router bin of OB requests
+/// outweighs one of N requests.
 pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
     let planning = match variant {
         Variant::ExTensorN => 1,
@@ -107,6 +110,29 @@ pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
         _ => 2,
     };
     (wl.target_nnz as u128 + wl.nrows as u128 + 1) * planning
+}
+
+/// Bins request indices by workload spec, in first-seen order, and sums
+/// each spec's request costs: the shared grouping of
+/// [`SimService::submit_batch`] and the shard router's batch fan-out, so a
+/// spec's requests run in order on one worker and its pattern stream runs
+/// once.
+pub(crate) fn group_by_spec<'a>(
+    requests: impl Iterator<Item = (&'a Workload, u128)>,
+) -> (Vec<Vec<usize>>, Vec<u128>) {
+    let mut group_of: HashMap<SpecKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut costs: Vec<u128> = Vec::new();
+    for (i, (wl, cost)) in requests.enumerate() {
+        let g = *group_of.entry(SpecKey::of(wl)).or_insert_with(|| {
+            groups.push(Vec::new());
+            costs.push(0);
+            groups.len() - 1
+        });
+        groups[g].push(i);
+        costs[g] += cost;
+    }
+    (groups, costs)
 }
 
 /// One analytical simulation request: a workload (already at its final
@@ -450,18 +476,10 @@ impl SimService {
     /// As [`SimService::submit`]; additionally if `threads == 0`.
     pub fn submit_batch(&self, reqs: &[SimRequest], threads: usize) -> Vec<SimResponse> {
         assert!(threads > 0, "thread count must be positive");
-        let mut group_of: HashMap<SpecKey, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut costs: Vec<u128> = Vec::new();
-        for (i, r) in reqs.iter().enumerate() {
-            let g = *group_of.entry(SpecKey::of(&r.workload)).or_insert_with(|| {
-                groups.push(Vec::new());
-                costs.push(0);
-                groups.len() - 1
-            });
-            groups[g].push(i);
-            costs[g] += request_cost(&r.workload, r.variant);
-        }
+        let (groups, costs) = group_by_spec(
+            reqs.iter()
+                .map(|r| (&r.workload, request_cost(&r.workload, r.variant))),
+        );
         let served = run_balanced(groups.len(), &costs, threads, |g| {
             groups[g]
                 .iter()

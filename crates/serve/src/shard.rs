@@ -16,10 +16,11 @@
 //!   down shard's keys move to their clockwise successors while every
 //!   other key stays where it was.
 //! * **Balance** — [`ShardRouter::submit_batch`] groups a batch by
-//!   primary shard, then splits each shard's group across that shard's
-//!   connection pool in cost-balanced LPT bins using the *same* cost
-//!   currency [`SimService::submit_batch`](crate::SimService::submit_batch)
-//!   uses for its thread bins. Replies reassemble in request order, so
+//!   workload spec and each spec by primary shard, then splits each
+//!   shard's specs across that shard's connection pool in cost-balanced
+//!   LPT bins using the *same* grouping and cost currency
+//!   [`SimService::submit_batch`](crate::SimService::submit_batch) uses
+//!   for its thread bins. Replies reassemble in request order, so
 //!   batch payloads keep the bit-exact determinism contract: every shard
 //!   computes the same bytes for the same request, and order is restored
 //!   by index.
@@ -52,7 +53,7 @@ use tailors_sim::balanced_partition;
 use tailors_tensor::fnv1a;
 
 use crate::runtime::{Reply, RetryPolicy, ServeError, Work};
-use crate::service::{request_cost, MatrixId, SpecKey};
+use crate::service::{group_by_spec, request_cost, MatrixId, SpecKey};
 use crate::sync::PoisonFreeMutex;
 use crate::wire::{WireClient, WireError};
 
@@ -438,17 +439,31 @@ impl ShardRouter {
         outcome
     }
 
-    /// Serves a whole batch across the fleet: requests group by primary
-    /// shard, each group splits over its shard's connection pool in LPT
-    /// bins priced by the same cost formula
-    /// [`SimService::submit_batch`](crate::SimService::submit_batch)
-    /// uses, every (shard, connection) bin runs on its own thread, and
-    /// outcomes reassemble in request order — so the reply sequence is
-    /// bit-identical to a single process serving the same batch.
+    /// Serves a whole batch across the fleet: requests group by workload
+    /// spec, each spec goes to its primary shard, and each shard's specs
+    /// split over its connection pool in LPT bins priced by the same cost
+    /// formula [`SimService::submit_batch`](crate::SimService::submit_batch)
+    /// uses. A bin serves each of its specs' requests in order, so one
+    /// spec's variants reach one connection and its pattern stream runs
+    /// once on the shard. Every (shard, connection) bin runs on its own
+    /// thread, and outcomes reassemble in request order — so the reply
+    /// sequence is bit-identical to a single process serving the same
+    /// batch.
     pub fn submit_batch(&self, works: &[Work]) -> Vec<Result<Reply, ServeError>> {
+        let (specs, costs) = group_by_spec(works.iter().map(|work| {
+            let cost = match work {
+                Work::Sim(r) => request_cost(&r.workload, r.variant),
+                // A functional request executes the dataflow, not just
+                // its analytics — weight it like a cold overbooked
+                // planning pass on top of its size.
+                Work::Functional(r) => request_cost(&r.workload, r.variant) * 4,
+            };
+            (work.workload(), cost)
+        }));
+        // Equal specs share one identity, so a spec has one primary.
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.ring.shards()];
-        for (i, work) in works.iter().enumerate() {
-            groups[self.primary(work)].push(i);
+        for (s, spec) in specs.iter().enumerate() {
+            groups[self.primary(&works[spec[0]])].push(s);
         }
         let mut slots_out: Vec<Option<Result<Reply, ServeError>>> = Vec::new();
         slots_out.resize_with(works.len(), || None);
@@ -458,25 +473,15 @@ impl ShardRouter {
                 if group.is_empty() {
                     continue;
                 }
-                let costs: Vec<u128> = group
-                    .iter()
-                    .map(|&i| match &works[i] {
-                        Work::Sim(r) => request_cost(&r.workload, r.variant),
-                        // A functional request executes the dataflow, not
-                        // just its analytics — weight it like a cold
-                        // overbooked planning pass on top of its size.
-                        Work::Functional(r) => request_cost(&r.workload, r.variant) * 4,
-                    })
-                    .collect();
-                let bins = self.config.connections.max(1).min(group.len());
-                for bin in balanced_partition(&costs, bins) {
-                    let group = group.as_slice();
-                    let outcomes = &outcomes;
+                let group_costs: Vec<u128> = group.iter().map(|&s| costs[s]).collect();
+                for bin in balanced_partition(&group_costs, self.config.connections.max(1)) {
+                    let (group, specs, outcomes) = (group.as_slice(), &specs, &outcomes);
                     scope.spawn(move || {
                         for local in bin {
-                            let i = group[local];
-                            let outcome = self.submit(&works[i]);
-                            outcomes.lock()[i] = Some(outcome);
+                            for &i in &specs[group[local]] {
+                                let outcome = self.submit(&works[i]);
+                                outcomes.lock()[i] = Some(outcome);
+                            }
                         }
                     });
                 }

@@ -228,3 +228,47 @@ fn killing_a_shard_mid_stream_fails_over_with_the_ledger_intact() {
 
     fleet.shutdown();
 }
+
+/// A shard batch bins one spec's requests onto one connection, so the
+/// shard runs each spec's pattern stream once: the 22 suite specs × N/P/OB
+/// at 1/64 on one shard with the default 2-connection pool miss the
+/// profile tier exactly 22 times on every fresh fleet, and reply with the
+/// payloads of a 1-connection batch.
+#[test]
+fn a_shard_batch_runs_each_spec_pattern_stream_once() {
+    let variants = [
+        Variant::ExTensorN,
+        Variant::ExTensorP,
+        Variant::default_ob(),
+    ];
+    let works: Vec<Work> = tailors_workloads::suite()
+        .iter()
+        .flat_map(|wl| {
+            variants.into_iter().map(|variant| {
+                Work::Sim(SimRequest::suite(wl.name, 1.0 / 64.0, variant).expect("suite workload"))
+            })
+        })
+        .collect();
+    assert_eq!(works.len(), 66);
+    let serve = |connections: usize| {
+        let fleet = Fleet::spawn(1);
+        let config = RouterConfig {
+            connections,
+            ..RouterConfig::default()
+        };
+        let router = ShardRouter::connect(&fleet.endpoints(), config).expect("router dials");
+        let served = sim_replies(router.submit_batch(&works));
+        let misses = fleet.runtimes[0].service().stats().profile_misses;
+        fleet.shutdown();
+        (served, misses)
+    };
+    let (single, single_misses) = serve(1);
+    assert_eq!(single_misses, 22);
+    let pooled = RouterConfig::default().connections;
+    assert_eq!(pooled, 2);
+    for fleet in 0..3 {
+        let (served, misses) = serve(pooled);
+        assert_eq!(misses, 22, "fleet {fleet}: one pattern stream per spec");
+        assert_bit_identical(&served, &single, &format!("fleet {fleet}"));
+    }
+}

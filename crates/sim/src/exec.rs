@@ -374,15 +374,14 @@ impl ExecutionPlan {
     ///
     /// # Panics
     ///
-    /// As [`TilingStrategy::choose`] (empty profile, zero capacity).
+    /// As [`TilingStrategy::rows_per_tile`] (empty profile, zero capacity).
     pub fn from_strategy(
         profile: &MatrixProfile,
         arch: &ArchConfig,
         strategy: &TilingStrategy,
         budget: MemBudget,
     ) -> ExecutionPlan {
-        let choice = strategy.choose(profile, arch.tile_capacity());
-        let rows = choice.rows_per_tile.max(1);
+        let rows = strategy.rows_per_tile(profile, arch.tile_capacity()).max(1);
         ExecutionPlan::new(profile.nrows(), profile.ncols(), rows, rows, budget)
     }
 

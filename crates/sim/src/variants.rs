@@ -112,13 +112,13 @@ impl Variant {
                 .normalized(profile.nrows())
             }
             Variant::ExTensorP => {
-                let gb = TilingStrategy::PrescientUniformShape.choose(profile, cap_gb);
-                let pe = TilingStrategy::PrescientUniformShape.choose(profile, cap_pe);
+                let gb = TilingStrategy::PrescientUniformShape.rows_per_tile(profile, cap_gb);
+                let pe = TilingStrategy::PrescientUniformShape.rows_per_tile(profile, cap_pe);
                 TilePlan {
-                    gb_rows_a: gb.rows_per_tile,
-                    gb_cols_b: gb.rows_per_tile,
-                    pe_rows_a: pe.rows_per_tile,
-                    pe_cols_b: pe.rows_per_tile,
+                    gb_rows_a: gb,
+                    gb_cols_b: gb,
+                    pe_rows_a: pe,
+                    pe_cols_b: pe,
                     full_k: true,
                     overbooking: false,
                 }
@@ -127,13 +127,13 @@ impl Variant {
             Variant::ExTensorOB { y, k } => {
                 let config =
                     SwiftilesConfig::new(*y, *k).expect("overbooked variant requires valid y");
-                let gb = TilingStrategy::Overbooked(config).choose(profile, cap_gb);
-                let pe = TilingStrategy::Overbooked(config).choose(profile, cap_pe);
+                let gb = TilingStrategy::Overbooked(config).rows_per_tile(profile, cap_gb);
+                let pe = TilingStrategy::Overbooked(config).rows_per_tile(profile, cap_pe);
                 TilePlan {
-                    gb_rows_a: gb.rows_per_tile,
-                    gb_cols_b: gb.rows_per_tile,
-                    pe_rows_a: pe.rows_per_tile,
-                    pe_cols_b: pe.rows_per_tile,
+                    gb_rows_a: gb,
+                    gb_cols_b: gb,
+                    pe_rows_a: pe,
+                    pe_cols_b: pe,
                     full_k: true,
                     overbooking: true,
                 }

@@ -1,6 +1,7 @@
 //! Invariant tests for the analytical accelerator model: physics the model
 //! must respect for any plan on any workload.
 
+use tailors_core::{SwiftilesConfig, TilingStrategy};
 use tailors_sim::{simulate, ArchConfig, TilePlan, Variant};
 use tailors_tensor::gen::GenSpec;
 use tailors_tensor::MatrixProfile;
@@ -118,6 +119,51 @@ fn planners_are_total() {
             ] {
                 let m = v.run(&p, &arch);
                 assert!(m.cycles.is_finite() && m.cycles > 0.0, "{v:?} at {scale}");
+            }
+        }
+    }
+}
+
+/// Planning and simulation stay bit-identical to their full-statistics
+/// forms: each variant's plan carries exactly the heights Table 1's
+/// `TilingStrategy::choose` reports at the architecture's working-tile
+/// and PE capacities, and the simulated multiply count is the brute-force
+/// `Σ_k c_k²` over the column counts, not just the profile's cached copy.
+#[test]
+fn plans_and_macs_match_their_full_computations() {
+    for p in profiles() {
+        let macs: u128 = p.col_nnz().iter().map(|&c| (c as u128).pow(2)).sum();
+        for scale in [1.0 / 64.0, 0.1, 1.0] {
+            let arch = ArchConfig::extensor().scaled(scale);
+            let (cap_gb, cap_pe) = (arch.tile_capacity(), arch.pe_operand_capacity());
+            let ob = SwiftilesConfig::new(0.10, 10).unwrap();
+            for (v, strategy, overbooking) in [
+                (
+                    Variant::ExTensorP,
+                    TilingStrategy::PrescientUniformShape,
+                    false,
+                ),
+                (Variant::default_ob(), TilingStrategy::Overbooked(ob), true),
+            ] {
+                let gb = strategy.choose(&p, cap_gb).rows_per_tile;
+                let pe = strategy.choose(&p, cap_pe).rows_per_tile;
+                let want = TilePlan {
+                    gb_rows_a: gb,
+                    gb_cols_b: gb,
+                    pe_rows_a: pe,
+                    pe_cols_b: pe,
+                    full_k: true,
+                    overbooking,
+                }
+                .normalized(p.nrows());
+                assert_eq!(v.plan(&p, &arch), want, "{v:?} at {scale}");
+            }
+            for v in [
+                Variant::ExTensorN,
+                Variant::ExTensorP,
+                Variant::default_ob(),
+            ] {
+                assert_eq!(v.run(&p, &arch).activity.macs, macs, "{v:?} at {scale}");
             }
         }
     }

@@ -30,6 +30,9 @@ pub struct MatrixProfile {
     /// Largest single-row count, cached so single-row-panel capacity
     /// checks (the floor of every prescient search) are O(1).
     max_row_nnz: u32,
+    /// `Σ_k c_k²` over the column counts, cached so the analytical model
+    /// pays O(1), not O(ncols), for its multiply count on every request.
+    mults_a_at: u128,
 }
 
 impl MatrixProfile {
@@ -54,6 +57,7 @@ impl MatrixProfile {
             row_prefix.push(acc);
             max_row_nnz = max_row_nnz.max(n);
         }
+        let mults_a_at = col_nnz.iter().map(|&c| (c as u128) * (c as u128)).sum();
         MatrixProfile {
             nrows,
             ncols,
@@ -61,6 +65,7 @@ impl MatrixProfile {
             col_nnz,
             row_prefix,
             max_row_nnz,
+            mults_a_at,
         }
     }
 
@@ -164,11 +169,9 @@ impl MatrixProfile {
     ///
     /// `Z[m][n] = Σ_k A[m][k]·A[n][k]`, so every column `k` with `c_k`
     /// nonzeros contributes `c_k²` multiplies: the result is `Σ_k c_k²`.
+    /// Cached at construction. O(1).
     pub fn mults_a_at(&self) -> u128 {
-        self.col_nnz
-            .iter()
-            .map(|&c| (c as u128) * (c as u128))
-            .sum()
+        self.mults_a_at
     }
 
     /// The profile of the transpose (rows and columns swapped).
@@ -240,6 +243,29 @@ mod tests {
         let t = a.transpose();
         let brute: u128 = (0..a.ncols()).map(|k| (t.row_nnz(k) as u128).pow(2)).sum();
         assert_eq!(p.mults_a_at(), brute);
+    }
+
+    #[test]
+    fn cached_mults_a_at_matches_brute_force_and_survives_transpose() {
+        let a = crate::gen::GenSpec::power_law(300, 200, 2_000)
+            .seed(5)
+            .generate();
+        // Brute force from the stored entries: count each column's
+        // nonzeros, then each row's, and square-sum them.
+        let mut col = vec![0u128; a.ncols()];
+        let mut row = vec![0u128; a.nrows()];
+        for (r, c, _) in a.iter() {
+            row[r] += 1;
+            col[c] += 1;
+        }
+        let col_sq: u128 = col.iter().map(|c| c * c).sum();
+        let row_sq: u128 = row.iter().map(|r| r * r).sum();
+        let p = a.profile();
+        assert_eq!(p.mults_a_at(), col_sq);
+        let t = p.transpose();
+        assert_eq!(t.mults_a_at(), row_sq);
+        assert_eq!(t.mults_a_at(), a.transpose().profile().mults_a_at());
+        assert_eq!(t.transpose().mults_a_at(), col_sq);
     }
 
     #[test]

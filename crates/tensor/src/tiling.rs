@@ -156,13 +156,17 @@ impl<'a> RowPanels<'a> {
     /// `max_occupancy() <= capacity` which always walks the whole tiling —
     /// the difference dominates prescient candidate search, where most
     /// candidates fail early.
+    ///
+    /// No tile holds more than `rows_per_tile × max_row_nnz` nonzeros (the
+    /// profile caches the largest row), so a tiling under that bound fits
+    /// without a walk: prescient search's small-height probes are O(1).
+    /// At one row per tile the bound is exact.
     pub fn fits_within(&self, capacity: u64) -> bool {
-        if self.rows_per_tile == 1 {
-            // Single-row panels: the max occupancy is cached on the
-            // profile, so the floor of every prescient search is O(1).
-            return self.profile.max_row_nnz() as u64 <= capacity;
+        let bound = (self.rows_per_tile as u64).saturating_mul(self.profile.max_row_nnz() as u64);
+        if bound <= capacity {
+            return true;
         }
-        self.occupancies().all(|occ| occ <= capacity)
+        self.rows_per_tile > 1 && self.occupancies().all(|occ| occ <= capacity)
     }
 
     /// Fraction of tiles whose occupancy exceeds `capacity` — the paper's
@@ -184,9 +188,10 @@ impl<'a> RowPanels<'a> {
 
     /// [`RowPanels::mean_utilization`], [`RowPanels::overbooking_rate`],
     /// and [`RowPanels::max_occupancy`] in one fused pass over the
-    /// occupancies — the strategy planners need all of them per candidate
-    /// tiling, and three separate walks over a near-per-row tiling of a
-    /// million-row tensor is pure waste.
+    /// occupancies. Table 1's strategy report reads these statistics off
+    /// its chosen tiling; one walk instead of three matters at the
+    /// near-per-row heights small buffers force. Planning a tile height
+    /// needs none of them and does not call this.
     pub fn capacity_summary(&self, capacity: u64) -> CapacitySummary {
         let n = self.n_tiles();
         if n == 0 {

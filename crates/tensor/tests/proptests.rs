@@ -285,6 +285,27 @@ proptest! {
         prop_assert!(r_small >= r_big);
     }
 
+    /// `fits_within`'s `rows × max_row_nnz` shortcut answers exactly what
+    /// the full scan answers: at the bound, one below it, and capacities
+    /// drawn around it and near zero.
+    #[test]
+    fn fits_within_bound_agrees_with_the_full_scan(
+        triplets in triplets_strategy(),
+        rows_per_tile in 1usize..30,
+        shift in 0u64..80,
+    ) {
+        let m = CsrMatrix::from_triplets(24, 24, &triplets).unwrap();
+        let p = m.profile();
+        let panels = RowPanels::new(&p, rows_per_tile);
+        let bound = rows_per_tile as u64 * p.max_row_nnz() as u64;
+        let drawn = (bound + shift).saturating_sub(40);
+        for capacity in [bound, bound.saturating_sub(1), drawn, shift] {
+            let scanned = panels.occupancies().all(|occ| occ <= capacity);
+            prop_assert_eq!(panels.fits_within(capacity), scanned, "capacity {}", capacity);
+            prop_assert_eq!(scanned, panels.max_occupancy() <= capacity);
+        }
+    }
+
     /// 2-D grid tiles partition the nonzeros too.
     #[test]
     fn grid_tiles_partition_nnz(
