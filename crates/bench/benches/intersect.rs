@@ -328,6 +328,42 @@ fn bench_serving(c: &mut Criterion) {
             }
         })
     });
+    // The cold-plan rung: the same 66 requests, one at a time, on a
+    // service whose profile tier is warm and whose one-slot plan tier
+    // misses on every request (consecutive requests never share a plan
+    // key). The gap to `suite_batch_hot_pooled_1_64` is what a cold
+    // request pays to plan once its profile is known: prescient probes
+    // and Swiftiles samples at both buffer levels.
+    let cold_plans = SimService::with_config(tailors_serve::ServeConfig {
+        plan_capacity: 1,
+        ..tailors_serve::ServeConfig::default()
+    });
+    for req in &reqs {
+        let profile = req.workload.pattern().0;
+        let cold = req
+            .variant
+            .run_gridded(&profile, &req.arch, req.budget, req.grid);
+        assert_eq!(
+            cold_plans.submit(req).metrics,
+            cold,
+            "{}",
+            req.workload.name
+        );
+    }
+    let warmed = cold_plans.stats();
+    for req in &reqs {
+        black_box(cold_plans.submit(req));
+    }
+    let pass = cold_plans.stats();
+    assert_eq!(pass.plan_misses - warmed.plan_misses, reqs.len() as u64);
+    assert_eq!(pass.profile_hits - warmed.profile_hits, reqs.len() as u64);
+    g.bench_function("suite_cold_plan_1_64", |bch| {
+        bch.iter(|| {
+            for req in &reqs {
+                black_box(cold_plans.submit(req));
+            }
+        })
+    });
     // The same hot batch pushed through the full service runtime — JSON
     // codec, loopback TCP, bounded mailbox, worker pool — against the
     // same warmed cache tiers. The gap to `suite_batch_hot_1_64` is the

@@ -14,7 +14,9 @@ use tailors_core::TilingStrategy;
 use tailors_eddo::replay::replay_tailor;
 use tailors_eddo::TailorConfig;
 use tailors_sim::{simulate, Variant};
-use tailors_tensor::stats::{geomean, mae_to_target, pearson, quantile, summarize, Histogram};
+use tailors_tensor::stats::{
+    geomean, mae_to_target, pearson, quantile_sorted, summarize, Histogram,
+};
 use tailors_tensor::tiling::RowPanels;
 
 use crate::{arch_at, bar, check_scale, fmt_count, profile_at, rule, simulate_suite, SuiteRun};
@@ -494,7 +496,7 @@ pub fn fig13(scale: f64) {
         let mut sorted = data.clone();
         sorted.sort_unstable();
         for pct in [50.0, 80.0, 90.0, 95.0, 99.0, 100.0] {
-            let v = quantile(&sorted, pct / 100.0);
+            let v = quantile_sorted(&sorted, pct / 100.0);
             println!("  {:>5.1}% of tiles <= {:>10} nnz", pct, v);
         }
         let h = Histogram::new(data, 8);

@@ -9,8 +9,9 @@
 //! 2. **Tile sampling** (§4.2.2): tile the tensor at `T_initial` and sample
 //!    `k / y` random tile occupancies, so that `k` samples are expected in
 //!    the top-`y%` tail regardless of `y`.
-//! 3. **Distribution scaling** (§4.2.3): find the occupancy `Q_y` that `y%`
-//!    of sampled tiles exceed, and linearly scale
+//! 3. **Distribution scaling** (§4.2.3): select the occupancy `Q_y` that
+//!    `y%` of sampled tiles exceed — one order statistic, found in
+//!    O(k / y) without sorting the samples — and linearly scale
 //!    `T_target = T_initial × b / Q_y`, assuming the occupancy distribution
 //!    shape is stable under small tile-size changes.
 
@@ -180,6 +181,8 @@ impl Swiftiles {
         let sampling_nnz_touched = samples.iter().sum();
 
         // Step 3: scale so the y-tail quantile exactly fills the buffer.
+        // `overbooking_quantile` selects it from a copy; `samples` stays in
+        // draw order.
         let (q_y, t_target) = if samples.is_empty() {
             (None, t_initial)
         } else {

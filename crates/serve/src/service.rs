@@ -90,15 +90,17 @@ impl SpecKey {
 /// The LPT scheduling cost of one analytical request — the shared
 /// currency of [`SimService::submit_batch`]'s thread bins, which sum it
 /// over each spec's requests, and the shard router's per-connection bins.
-/// Workload size scales the per-request work: once per spec, the pattern
-/// stream that yields the identity and profile, which dominates a cold
-/// request. Planning and simulation are O(tiles) on the cached profile
-/// and rank by variant: ExTensor-N's plan is constant-time and its
-/// simulation walks no occupancies; prescient plans probe candidate
-/// heights, most answered by the single-row bound without a walk;
-/// overbooked plans draw Swiftiles samples at both buffer levels, and
-/// their simulation also walks PE tiles a few rows tall. So a spec's N/P/OB
-/// group costs seven times its size, and a router bin of OB requests
+/// The workload's pattern stream, run once per spec to yield the identity
+/// and profile, dominates a cold request, so the cost scales with what
+/// that stream takes: [`GenSpec::stream_cost`](tailors_tensor::gen::GenSpec::stream_cost)
+/// prices each generator family's entries and rows (a power-law entry
+/// costs about 4× a banded one). Planning and simulation are O(tiles) on
+/// the cached profile and rank by variant: ExTensor-N's plan is
+/// constant-time and its simulation walks no occupancies; prescient plans
+/// probe candidate heights, most answered without a walk; overbooked
+/// plans draw Swiftiles samples at both buffer levels, and their
+/// simulation also walks PE tiles a few rows tall. So a spec's N/P/OB
+/// group costs seven times its stream, and a router bin of OB requests
 /// outweighs one of N requests.
 pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
     let planning = match variant {
@@ -109,7 +111,7 @@ pub(crate) fn request_cost(wl: &Workload, variant: Variant) -> u128 {
         // prescient planner.
         _ => 2,
     };
-    (wl.target_nnz as u128 + wl.nrows as u128 + 1) * planning
+    (wl.gen_spec().stream_cost() + 1) * planning
 }
 
 /// Bins request indices by workload spec, in first-seen order, and sums
@@ -699,5 +701,35 @@ impl SimService {
         let planned = Planned { tile, exec };
         self.plans.lock().insert(key, planned);
         (planned, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tailors_workloads::{by_name, WorkloadClass};
+
+    /// A power-law stream costs about 4× a banded one per entry, so the
+    /// LPT bins price a graph spec above a banded spec with 4× its nnz:
+    /// at 1/64, webbase-1M (50k nnz) streams in about twice pwtk's
+    /// (215k nnz) time.
+    #[test]
+    fn a_power_law_spec_prices_above_a_banded_spec_with_4x_its_nnz() {
+        let graph = by_name("webbase-1M").unwrap().scaled(1.0 / 64.0);
+        let pwtk = by_name("pwtk").unwrap().scaled(1.0 / 64.0);
+        assert!(4 * graph.target_nnz <= pwtk.target_nnz);
+        let banded = Workload {
+            class: WorkloadClass::LinearSystem,
+            target_nnz: 4 * graph.target_nnz,
+            ..graph.clone()
+        };
+        for v in [
+            Variant::ExTensorN,
+            Variant::ExTensorP,
+            Variant::default_ob(),
+        ] {
+            assert!(request_cost(&graph, v) > request_cost(&pwtk, v), "{v:?}");
+            assert!(request_cost(&graph, v) > request_cost(&banded, v), "{v:?}");
+        }
     }
 }

@@ -132,7 +132,9 @@ pub fn simulate_planned(
     // Single-row panels that exceed capacity are K-split by the address
     // generator in every variant (a fiber longer than the buffer cannot be
     // tiled any finer in coordinate space), so they carry no refetch
-    // penalty.
+    // penalty. Every per-tile walk below sums in `u64`: no sum exceeds
+    // `nnz`, or `2 × nrows + nnz` for the batch count, so only the
+    // products after the walks widen to `u128`.
     let buffer = |capacity: u64, fifo_region: u64| BufferParams {
         capacity: capacity as usize,
         fifo_region: fifo_region as usize,
@@ -142,49 +144,44 @@ pub fn simulate_planned(
         buffer(cap_gb, arch.gb_fifo_region()),
         buffer(cap_pe, arch.pe_fifo_region()),
     );
-    let refetch = |buf: &BufferParams, occ: u64, rows: usize| -> u64 {
-        if rows <= 1 {
-            0
-        } else {
-            buf.steady_refetch(occ)
-        }
-    };
 
     // PE batching: 128 subtiles run concurrently, and a batch can hold at
     // most the PE array's aggregate (resident) capacity. An A-tile whose
     // occupancy exceeds that staging capacity must flow through the array
     // in multiple waves — and every wave re-traverses the B-tile. This is
     // the cost that makes "one giant overbooked tile" (y → 100 %) lose.
-    let subtiles_per_a_tile = plan.gb_rows_a.div_ceil(plan.pe_rows_a) as u128;
-    let batch_floor = subtiles_per_a_tile.div_ceil(arch.pe_count as u128).max(1);
-    let pe_array_resident = (arch.pe_count as u128 * resident_pe as u128).max(1);
-    let batches_for = |occ: u128| batch_floor.max(occ.div_ceil(pe_array_resident));
+    // A saturated divisor leaves every quotient as it is: an occupancy
+    // fits `u64`, so past `u64::MAX` it needs one wave either way.
+    let subtiles_per_a_tile = plan.gb_rows_a.div_ceil(plan.pe_rows_a) as u64;
+    let batch_floor = subtiles_per_a_tile.div_ceil(arch.pe_count).max(1);
+    let pe_array_resident = arch.pe_count.saturating_mul(resident_pe).max(1);
+    let batches_for = |occ: u64| batch_floor.max(occ.div_ceil(pe_array_resident));
 
     // Occupancy-dependent sums (full-K panels only; dense-safe 2-D tiles
-    // can never overflow).
-    let (dram_a, gb_refetch_a_total, bumped_a_total, overbooked_a_tiles, total_batches) =
-        if plan.full_k {
-            let panels = RowPanels::new(profile, plan.gb_rows_a);
-            let mut dram_a: u128 = 0;
-            let mut refetch_total: u128 = 0;
-            let mut bumped_total: u128 = 0;
-            let mut over = 0usize;
-            let mut batches: u128 = 0;
-            for occ in panels.occupancies() {
-                let rf = refetch(&gb, occ, plan.gb_rows_a) as u128;
-                dram_a += occ as u128 + (n_b - 1) * rf;
-                refetch_total += rf;
-                batches += batches_for(occ as u128);
-                if occ > cap_gb {
-                    over += 1;
-                    bumped_total += (occ - resident_gb.min(occ)) as u128;
-                }
-            }
-            (dram_a, refetch_total, bumped_total, over, batches)
-        } else {
-            let avg_occ = nnz / n_a.max(1);
-            (nnz, 0, 0, 0, n_a * batches_for(avg_occ))
-        };
+    // can never overflow). Every panel's `occ` sums to `nnz`, so A's DRAM
+    // traffic `Σ_i [occ_i + (n_b - 1) × refetch_i]` is
+    // `nnz + (n_b - 1) × Σ_i refetch_i`.
+    let (gb_refetch_a_total, bumped_a_total, overbooked_a_tiles, total_batches) = if plan.full_k {
+        let gb_refetches = u64::from(plan.gb_rows_a > 1);
+        let (mut refetch, mut bumped, mut over, mut batches) = (0u64, 0u64, 0usize, 0u64);
+        for occ in RowPanels::new(profile, plan.gb_rows_a).occupancies() {
+            let overbooked = occ > cap_gb;
+            refetch += gb_refetches * gb.steady_refetch(occ);
+            bumped += u64::from(overbooked) * occ.saturating_sub(resident_gb);
+            over += usize::from(overbooked);
+            batches += batches_for(occ);
+        }
+        (refetch, bumped, over, batches)
+    } else {
+        let avg_occ = profile.nnz() / n_a as u64;
+        (0, 0, 0, n_a as u64 * batches_for(avg_occ))
+    };
+    let (gb_refetch_a_total, bumped_a_total, total_batches) = (
+        gb_refetch_a_total as u128,
+        bumped_a_total as u128,
+        total_batches as u128,
+    );
+    let dram_a = nnz + (n_b - 1) * gb_refetch_a_total;
 
     // B side: per-pass occupancy and refetch sums over B tiles. The bumped
     // portion of an overbooked B-tile is refetched once per extra wave.
@@ -197,30 +194,27 @@ pub fn simulate_planned(
     } else if plan.gb_cols_b == plan.gb_rows_a {
         (gb_refetch_a_total, overbooked_a_tiles)
     } else {
-        let panels = RowPanels::new(profile, plan.gb_cols_b);
-        let mut refetch_sum: u128 = 0;
-        let mut over = 0usize;
-        for occ in panels.occupancies() {
-            refetch_sum += refetch(&gb, occ, plan.gb_cols_b) as u128;
-            if occ > cap_gb {
-                over += 1;
-            }
+        let gb_refetches = u64::from(plan.gb_cols_b > 1);
+        let (mut refetch, mut over) = (0u64, 0usize);
+        for occ in RowPanels::new(profile, plan.gb_cols_b).occupancies() {
+            refetch += gb_refetches * gb.steady_refetch(occ);
+            over += usize::from(occ > cap_gb);
         }
-        (refetch_sum, over)
+        (refetch as u128, over)
     };
     // Σ_i [nnz + (batches_i - 1) × Σ_j refetch_j].
     let dram_b = n_a * nnz + (total_batches - n_a) * b_refetch_per_pass;
 
     // PE-level A-subtile overflow (refetched from the GB per extra chunk
     // traversal). Single-row subtiles carry no refetch penalty by the
-    // `rows <= 1` rule above, so the near-per-row walk the prescient
+    // single-row rule above, so the near-per-row walk the prescient
     // variant otherwise forces here (pe_rows_a of 1 on million-row
     // tensors) is skipped outright.
-    let pe_refetch_a_total: u128 = if plan.full_k && plan.pe_rows_a > 1 {
+    let pe_refetch_a_total = if plan.full_k && plan.pe_rows_a > 1 {
         RowPanels::new(profile, plan.pe_rows_a)
             .occupancies()
-            .map(|occ| refetch(&pe, occ, plan.pe_rows_a) as u128)
-            .sum()
+            .map(|occ| pe.steady_refetch(occ))
+            .sum::<u64>() as u128
     } else {
         0
     };

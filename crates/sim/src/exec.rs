@@ -544,14 +544,15 @@ impl BufferParams {
     /// the software engine has no such split and really does restream an
     /// overbooked one-row panel every traversal.
     pub fn steady_refetch(&self, occ: u64) -> u64 {
-        if occ <= self.capacity as u64 {
-            0
-        } else if self.overbooking {
-            let resident = self.capacity.saturating_sub(self.fifo_region).max(1) as u64;
-            occ - resident.min(occ)
+        // What stays resident of an overflowing panel: a Tailor keeps all
+        // but its FIFO region, a buffet keeps nothing. Branch-free, since
+        // the analytical model sums it over every panel of a tiling.
+        let kept = if self.overbooking {
+            self.capacity.saturating_sub(self.fifo_region).max(1) as u64
         } else {
-            occ
-        }
+            0
+        };
+        u64::from(occ > self.capacity as u64) * occ.saturating_sub(kept)
     }
 }
 

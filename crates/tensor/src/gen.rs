@@ -192,6 +192,27 @@ impl GenSpec {
         self.target_nnz
     }
 
+    /// The expected time of this spec's pattern stream
+    /// ([`GenSpec::pattern`]) in picoseconds: a scheduling weight for
+    /// batching cold requests, not a measurement. Each family's cost per
+    /// drawn entry and per row is a least-squares fit to the suite
+    /// members' `pattern()` times at 1/64 scale (best of 15, one pinned
+    /// core of a 2-vCPU x86-64 VM); per family, the fitted times sum to
+    /// within 6 % of the measured total that the family's
+    /// `tensor/pattern_*_1_64` bench row times. A power-law entry costs about
+    /// 4× a banded one (weighted column draws, rejected duplicates), and a
+    /// power-law row carries its rank, degree and guide-table setup. The
+    /// clustered and uniform families share one body (entries drawn in
+    /// random row order, then bucketed by row), so they share constants.
+    pub fn stream_cost(&self) -> u128 {
+        let (per_entry, per_row): (u128, u128) = match self.structure {
+            Structure::Banded { .. } => (3_400, 26_000),
+            Structure::PowerLaw { .. } => (15_000, 66_000),
+            Structure::Clustered { .. } | Structure::Uniform => (12_000, 20_000),
+        };
+        per_entry * self.target_nnz as u128 + per_row * self.nrows as u128
+    }
+
     /// Generates the matrix.
     ///
     /// # Panics

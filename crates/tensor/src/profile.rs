@@ -30,6 +30,9 @@ pub struct MatrixProfile {
     /// Largest single-row count, cached so single-row-panel capacity
     /// checks (the floor of every prescient search) are O(1).
     max_row_nnz: u32,
+    /// Index of the first row holding `max_row_nnz`: its panel is the
+    /// one most likely to overflow, so capacity checks probe it first.
+    heaviest_row: usize,
     /// `Σ_k c_k²` over the column counts, cached so the analytical model
     /// pays O(1), not O(ncols), for its multiply count on every request.
     mults_a_at: u128,
@@ -57,6 +60,7 @@ impl MatrixProfile {
             row_prefix.push(acc);
             max_row_nnz = max_row_nnz.max(n);
         }
+        let heaviest_row = row_nnz.iter().position(|&n| n == max_row_nnz).unwrap_or(0);
         let mults_a_at = col_nnz.iter().map(|&c| (c as u128) * (c as u128)).sum();
         MatrixProfile {
             nrows,
@@ -65,6 +69,7 @@ impl MatrixProfile {
             col_nnz,
             row_prefix,
             max_row_nnz,
+            heaviest_row,
             mults_a_at,
         }
     }
@@ -98,6 +103,13 @@ impl MatrixProfile {
     /// panel, cached at construction. O(1).
     pub fn max_row_nnz(&self) -> u32 {
         self.max_row_nnz
+    }
+
+    /// Index of the first row holding [`MatrixProfile::max_row_nnz`]
+    /// nonzeros (0 for a profile without nonzeros), cached at
+    /// construction. O(1).
+    pub(crate) fn heaviest_row(&self) -> usize {
+        self.heaviest_row
     }
 
     /// Fraction of the coordinate space that is zero (Table 2's "Sparsity").

@@ -57,32 +57,40 @@ pub fn summarize(occupancies: &[u64]) -> Option<OccupancySummary> {
 ///
 /// Panics if the slice is empty or `q` is outside `[0, 1]`.
 pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "slice must be sorted"
     );
-    if q == 0.0 {
-        return sorted[0];
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), q)]
 }
 
-/// The `q`-quantile of an unsorted slice (sorts a copy).
+/// The `q`-quantile of an unsorted slice: the same order statistic as
+/// [`quantile_sorted`] on a sorted copy, selected in O(n) on a copy
+/// instead of sorted in O(n log n).
 ///
 /// # Panics
 ///
 /// Panics if the slice is empty or `q` is outside `[0, 1]`.
 pub fn quantile(values: &[u64], q: f64) -> u64 {
-    let mut sorted = values.to_vec();
-    sorted.sort_unstable();
-    quantile_sorted(&sorted, q)
+    let rank = nearest_rank(values.len(), q);
+    *values.to_vec().select_nth_unstable(rank).1
+}
+
+/// The zero-based index of the nearest-rank `q`-quantile among `n`
+/// sorted values.
+fn nearest_rank(n: usize, q: f64) -> usize {
+    assert!(n > 0, "quantile of empty slice");
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    if q == 0.0 {
+        return 0;
+    }
+    let rank = (q * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// The occupancy value that exactly `y` (a fraction) of tiles *exceed*:
-/// the paper's `Q_y` (§4.2.3), i.e. the `(1 - y)` quantile.
+/// the paper's `Q_y` (§4.2.3), i.e. the `(1 - y)` quantile, selected in
+/// O(n) as [`quantile`] does.
 ///
 /// # Panics
 ///

@@ -160,13 +160,17 @@ impl<'a> RowPanels<'a> {
     /// No tile holds more than `rows_per_tile × max_row_nnz` nonzeros (the
     /// profile caches the largest row), so a tiling under that bound fits
     /// without a walk: prescient search's small-height probes are O(1).
-    /// At one row per tile the bound is exact.
+    /// At one row per tile the bound is exact. Above it, the panel holding
+    /// the heaviest row is checked before the walk: on a heavy-tailed
+    /// tensor it is the likeliest to overflow, wherever it sits.
     pub fn fits_within(&self, capacity: u64) -> bool {
         let bound = (self.rows_per_tile as u64).saturating_mul(self.profile.max_row_nnz() as u64);
         if bound <= capacity {
             return true;
         }
-        self.rows_per_tile > 1 && self.occupancies().all(|occ| occ <= capacity)
+        self.rows_per_tile > 1
+            && self.occupancy(self.profile.heaviest_row() / self.rows_per_tile) <= capacity
+            && self.occupancies().all(|occ| occ <= capacity)
     }
 
     /// Fraction of tiles whose occupancy exceeds `capacity` — the paper's

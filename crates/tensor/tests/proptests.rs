@@ -5,9 +5,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tailors_tensor::gen::{GenSpec, Structure};
 use tailors_tensor::ops::{self, count_work, spmspm, spmspm_into, SpmspmScratch};
-use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, summarize};
+use tailors_tensor::stats::{geomean, overbooking_quantile, quantile, quantile_sorted, summarize};
 use tailors_tensor::tiling::{grid_tile_occupancies, RowPanels};
-use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix, RowSink};
+use tailors_tensor::{CooMatrix, CsrBuilder, CsrMatrix, MatrixProfile, RowSink};
 
 fn triplets_strategy() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
     proptest::collection::vec((0usize..24, 0usize..24, -10.0f64..10.0), 0..200)
@@ -306,6 +306,33 @@ proptest! {
         }
     }
 
+    /// The same agreement on profiles whose heaviest row sits deep in the
+    /// back half, behind light panels: `fits_within` fails at the heaviest
+    /// row's panel before its walk, and must still answer what the scan
+    /// answers, at the bound, at that panel's occupancy and around both.
+    #[test]
+    fn fits_within_agrees_when_the_heaviest_row_sits_deep(
+        mut row_nnz in proptest::collection::vec(0u32..6, 8..300),
+        depth in 0usize..1_000,
+        heavy in 6u32..80,
+        rows_per_tile in 2usize..40,
+        shift in 0u64..120,
+    ) {
+        let n = row_nnz.len();
+        let at = n / 2 + depth % (n - n / 2);
+        row_nnz[at] = heavy;
+        let total = row_nnz.iter().sum::<u32>();
+        let p = MatrixProfile::new(n, 1, row_nnz, vec![total]);
+        let panels = RowPanels::new(&p, rows_per_tile);
+        let bound = rows_per_tile as u64 * heavy as u64;
+        let heavy_panel = panels.occupancy(at / rows_per_tile);
+        let drawn = (bound + shift).saturating_sub(60);
+        for capacity in [bound, bound - 1, heavy_panel, heavy_panel - 1, drawn, shift] {
+            let scanned = panels.occupancies().all(|occ| occ <= capacity);
+            prop_assert_eq!(panels.fits_within(capacity), scanned, "capacity {}", capacity);
+        }
+    }
+
     /// 2-D grid tiles partition the nonzeros too.
     #[test]
     fn grid_tiles_partition_nnz(
@@ -340,6 +367,29 @@ proptest! {
             let qy = overbooking_quantile(&values, y);
             let over = values.iter().filter(|&&v| v > qy).count();
             prop_assert!(over as f64 <= y * values.len() as f64 + 1e-9);
+        }
+    }
+
+    /// `quantile` selects from *unsorted* input exactly the order
+    /// statistic `quantile_sorted` reads off a sorted copy, and
+    /// `overbooking_quantile` the complementary one: with ties, a single
+    /// value, both ends of `q` and a drawn `q`.
+    #[test]
+    fn quantile_of_unsorted_input_matches_the_sorted_quantile(
+        values in proptest::collection::vec(0u64..40, 1..120),
+        drawn in 0.0f64..1.0,
+    ) {
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        for q in [0.0, drawn, 0.1, 0.5, 0.9, 1.0] {
+            prop_assert_eq!(quantile(&values, q), quantile_sorted(&sorted, q), "q {}", q);
+            prop_assert_eq!(
+                overbooking_quantile(&values, q),
+                quantile_sorted(&sorted, 1.0 - q),
+                "y {}",
+                q
+            );
+            prop_assert_eq!(quantile(&values[..1], q), values[0]);
         }
     }
 
