@@ -1,14 +1,15 @@
-//! Criterion benchmarks for the compute substrate: the reference SpMSpM,
+//! Criterion benchmarks for the compute substrate: the SpMSpM kernel,
 //! the functional engine and its planner, the analytical simulator itself,
 //! suite tensor generation and hashing, and the serving layers.
 //!
-//! The `spmspm` group tracks the dense-scratch (SPA) rewrite against the
-//! retained seed kernels — `seed_hashmap_a_at_2k` and
-//! `seed_functional_engine_a_at_2k` are the before, everything else is the
-//! after. Run with `CRITERION_JSON=$PWD/BENCH_spmspm.json cargo bench --bench
-//! intersect` (absolute path: benches run from `crates/bench/`) to refresh
-//! the machine-readable trajectory file (schema in
-//! `DESIGN.md`).
+//! The `spmspm` group tracks the functional engine against the retained
+//! seed kernels: `seed_hashmap_a_at_2k` is the untiled hash-accumulator
+//! kernel (`ops::spmspm_a_at`, the engine's bit-identity oracle) and
+//! `seed_functional_engine_a_at_2k` the seed engine; the
+//! `functional_engine_*` rows are the after. Run with
+//! `CRITERION_JSON=$PWD/BENCH_spmspm.json cargo bench --bench intersect`
+//! (absolute path: benches run from `crates/bench/`) to refresh the
+//! machine-readable trajectory file (schema in `DESIGN.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -18,30 +19,16 @@ use tailors_sim::functional::{
 };
 use tailors_sim::{ArchConfig, GridMode, MemBudget, Variant};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::ops::{self, count_work, spmspm_a_at, spmspm_into, SpmspmScratch};
+use tailors_tensor::ops::spmspm_a_at;
 use tailors_workloads::WorkloadClass;
 
 fn bench_spmspm(c: &mut Criterion) {
     let a = GenSpec::power_law(2_000, 2_000, 20_000).seed(3).generate();
-    let at = a.transpose();
     let mut g = c.benchmark_group("spmspm");
     g.sample_size(10);
-    // Before: the seed's HashMap-accumulator Gustavson.
+    // The seed's HashMap-accumulator Gustavson, untiled.
     g.bench_function("seed_hashmap_a_at_2k", |bch| {
-        bch.iter(|| black_box(ops::reference::spmspm_a_at(&a)))
-    });
-    // After: the dense-scratch SPA kernel (same public entry point).
-    g.bench_function("reference_a_at_2k", |bch| {
         bch.iter(|| black_box(spmspm_a_at(&a)))
-    });
-    // After, allocation-reusing: scratch and transpose hoisted out.
-    g.bench_function("spa_into_a_at_2k", |bch| {
-        let mut scratch = SpmspmScratch::new();
-        bch.iter(|| black_box(spmspm_into(&a, &at, &mut scratch).unwrap()))
-    });
-    // Work counting: symbolic marker pass vs materializing the product.
-    g.bench_function("count_work_symbolic_2k", |bch| {
-        bch.iter(|| black_box(count_work(&a, &at).unwrap()))
     });
 
     let config = FunctionalConfig {

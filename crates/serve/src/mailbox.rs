@@ -189,11 +189,6 @@ impl<T> Mailbox<T> {
         }
     }
 
-    /// Dequeues the next message if one is queued; never blocks.
-    pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().pop_front()
-    }
-
     /// Closes the mailbox: further pushes are refused, queued messages
     /// remain poppable, and blocked consumers wake (draining the queue,
     /// then observing `None`).
@@ -231,11 +226,13 @@ mod tests {
         mb.try_push(Priority::High, 10).unwrap();
         mb.try_push(Priority::High, 11).unwrap();
         assert_eq!(mb.len(), 4);
-        assert_eq!(mb.try_pop(), Some(10));
-        assert_eq!(mb.try_pop(), Some(11));
-        assert_eq!(mb.try_pop(), Some(1));
-        assert_eq!(mb.try_pop(), Some(2));
-        assert_eq!(mb.try_pop(), None);
+        assert_eq!(mb.pop(), Some(10));
+        assert_eq!(mb.pop(), Some(11));
+        assert_eq!(mb.pop(), Some(1));
+        assert_eq!(mb.pop(), Some(2));
+        assert_eq!(mb.len(), 0);
+        mb.close();
+        assert_eq!(mb.pop(), None);
     }
 
     #[test]
@@ -248,7 +245,7 @@ mod tests {
         let s = mb.stats();
         assert_eq!((s.pushed, s.rejected_full), (2, 1));
         // Draining one slot readmits.
-        assert_eq!(mb.try_pop(), Some(2));
+        assert_eq!(mb.pop(), Some(2));
         mb.try_push(Priority::High, 3).unwrap();
     }
 

@@ -3,8 +3,8 @@
 //!
 //! This is the ground truth the analytical model is validated against:
 //!
-//! * the computed output matrix must equal the reference
-//!   [`tailors_tensor::ops::spmspm_a_at`];
+//! * the computed output matrix must equal the hash-accumulator kernel
+//!   [`tailors_tensor::ops::spmspm_a_at`] bit for bit;
 //! * the counted DRAM fetches must equal the closed-form expressions in
 //!   [`crate::dataflow`] (the integration tests cross-check this).
 //!
@@ -941,7 +941,7 @@ pub fn reference_run(
 mod tests {
     use super::*;
     use tailors_tensor::gen::GenSpec;
-    use tailors_tensor::ops::{approx_eq, spmspm_a_at};
+    use tailors_tensor::ops::spmspm_a_at;
 
     /// The engine on every thread rayon advertises.
     fn run(a: &CsrMatrix, config: &FunctionalConfig) -> Result<FunctionalResult, EngineError> {
@@ -967,8 +967,8 @@ mod tests {
         };
         let result = run(&a, &config).unwrap();
         let reference = spmspm_a_at(&a);
-        assert!(
-            approx_eq(&result.z, &reference, 1e-9),
+        assert_eq!(
+            result.z, reference,
             "functional output must equal the reference product"
         );
         assert!(
@@ -991,7 +991,7 @@ mod tests {
             auto_plan: false,
         };
         let result = run(&a, &config).unwrap();
-        assert!(approx_eq(&result.z, &spmspm_a_at(&a), 1e-9));
+        assert_eq!(result.z, spmspm_a_at(&a));
         assert_eq!(result.overbooked_a_tiles, 0);
         // Fitting tiles are fetched exactly once.
         assert_eq!(result.dram_a_fetches, a.nnz() as u64);
@@ -1075,7 +1075,7 @@ mod tests {
         assert_eq!(plan.n_col_blocks(), 4);
         assert!(plan.fits_budget());
         let r = run_with_threads(&a, &config, 2).unwrap();
-        assert!(approx_eq(&r.z, &spmspm_a_at(&a), 1e-9));
+        assert_eq!(r.z, spmspm_a_at(&a));
     }
 
     #[test]
@@ -1332,7 +1332,7 @@ mod tests {
         };
         let t = run(&a, &overbooked).unwrap();
         let b = run(&a, &buffet).unwrap();
-        assert!(approx_eq(&t.z, &b.z, 1e-9), "both must compute the same Z");
+        assert_eq!(t.z, b.z, "both must compute the same Z");
         assert!(
             b.dram_a_fetches > t.dram_a_fetches,
             "buffets refetch whole overbooked tiles (Fig. 3): {} vs {}",

@@ -17,7 +17,7 @@ use tailors_sim::functional::{
 };
 use tailors_sim::{AutoPlanner, BufferParams, GridMode, MemBudget};
 use tailors_tensor::gen::GenSpec;
-use tailors_tensor::ops::{approx_eq, spmspm_a_at};
+use tailors_tensor::ops::spmspm_a_at;
 use tailors_tensor::CsrMatrix;
 
 fn check_equivalent(a: &CsrMatrix, config: &FunctionalConfig, threads: usize) {
@@ -30,8 +30,8 @@ fn check_equivalent(a: &CsrMatrix, config: &FunctionalConfig, threads: usize) {
     assert_eq!(new.dram_a_fetches, old.dram_a_fetches, "{config:?}");
     assert_eq!(new.dram_b_fetches, old.dram_b_fetches, "{config:?}");
     assert_eq!(new.overbooked_a_tiles, old.overbooked_a_tiles, "{config:?}");
-    // And both equal the untiled kernel numerically.
-    assert!(approx_eq(&new.z, &spmspm_a_at(a), 1e-9));
+    // And both equal the untiled kernel bit for bit.
+    assert_eq!(new.z, spmspm_a_at(a), "{config:?}");
 }
 
 proptest! {

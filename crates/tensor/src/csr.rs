@@ -103,36 +103,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Builds a CSR matrix from buffers already in canonical form (sorted,
-    /// strictly increasing columns per row, consistent row pointers).
-    ///
-    /// Used by kernels whose construction guarantees canonical output (the
-    /// SPA multiply emits sorted, deduplicated rows); invariants are checked
-    /// in debug builds only.
-    pub(crate) fn from_sorted_parts_unchecked(
-        nrows: usize,
-        ncols: usize,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        vals: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(row_ptr.len(), nrows + 1);
-        debug_assert_eq!(col_idx.len(), vals.len());
-        debug_assert_eq!(*row_ptr.last().expect("non-empty"), col_idx.len());
-        debug_assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!((0..nrows).all(|r| {
-            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&c| (c as usize) < ncols)
-        }));
-        CsrMatrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            vals,
-        }
-    }
-
     /// Builds a CSR matrix from a COO matrix, sorting entries and summing
     /// duplicates.
     ///

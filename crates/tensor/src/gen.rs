@@ -997,8 +997,8 @@ mod tests {
     }
 
     /// Every stored value is its coordinate's keyed value in `[0.5, 1.5)`,
-    /// summed once per time the coordinate was drawn, and the symbolic
-    /// work count sees the numeric product's every nonzero.
+    /// summed once per time the coordinate was drawn, and every structural
+    /// nonzero of `A·Aᵀ` survives as a numeric nonzero.
     #[test]
     fn values_are_keyed_multiples_and_never_cancel() {
         for spec in [
@@ -1023,10 +1023,24 @@ mod tests {
                 );
                 repeated += usize::from(times > 1);
             }
-            let work = crate::ops::count_work(&m, &m.transpose()).unwrap();
+            // Structural nonzeros: the distinct columns each row reaches.
+            let mt = m.transpose();
+            let mut reached = std::collections::HashSet::<u32>::new();
+            let structural: usize = (0..m.nrows())
+                .map(|r| {
+                    reached.clear();
+                    reached.extend(
+                        m.row(r)
+                            .coords()
+                            .iter()
+                            .flat_map(|&k| mt.row(k as usize).coords()),
+                    );
+                    reached.len()
+                })
+                .sum();
             let product = crate::ops::spmspm_a_at(&m);
             let numeric_nnz = product.values().iter().filter(|&&v| v != 0.0).count();
-            assert_eq!(work.output_nnz, numeric_nnz as u64, "{spec:?}");
+            assert_eq!(structural, numeric_nnz, "{spec:?}");
             assert!(numeric_nnz > 0);
             if !matches!(spec.structure, Structure::PowerLaw { .. }) {
                 assert!(repeated > 0, "{spec:?}: no merged duplicate to check");

@@ -152,18 +152,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Cumulative per-bin fraction (a CDF; final entry is 1 when non-empty).
-    pub fn cumulative_fractions(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.fractions()
-            .into_iter()
-            .map(|f| {
-                acc += f;
-                acc
-            })
-            .collect()
-    }
-
     /// Iterates over `(bin_start, count)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts
@@ -262,8 +250,6 @@ mod tests {
         assert_eq!(h.counts().iter().sum::<u64>(), samples.len() as u64);
         let f = h.fractions();
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        let cdf = h.cumulative_fractions();
-        assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl Workload {
     pub fn pattern(&self) -> (MatrixProfile, u64) {
         self.gen_spec().pattern()
     }
-
-    /// Sparsity implied by the target nnz (matches
-    /// [`Workload::paper_sparsity`] up to rounding in Table 2).
-    pub fn target_sparsity(&self) -> f64 {
-        1.0 - self.target_nnz as f64 / (self.nrows as f64 * self.ncols as f64)
-    }
 }
 
 /// One Table 2 row: name, dimension, printed sparsity, family,
@@ -230,7 +224,7 @@ mod tests {
     #[test]
     fn nnz_matches_table2_sparsity() {
         for w in suite() {
-            let implied = w.target_sparsity();
+            let implied = 1.0 - w.target_nnz as f64 / (w.nrows as f64 * w.ncols as f64);
             assert!(
                 (implied - w.paper_sparsity).abs() < 1e-6,
                 "{}: implied sparsity {implied} vs paper {}",

@@ -14,7 +14,7 @@ use tailors::sim::functional::{run_with_threads, FunctionalConfig};
 use tailors::sim::threads_from_env;
 use tailors::sim::{GridMode, MemBudget};
 use tailors::tensor::gen::GenSpec;
-use tailors::tensor::ops::{approx_eq, spmspm_a_at};
+use tailors::tensor::ops::spmspm_a_at;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small social graph: 3000 users, heavy-tailed follower counts.
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Both must compute the same co-citation matrix…
     let reference = spmspm_a_at(&graph);
-    assert!(approx_eq(&with_tailors.z, &reference, 1e-9));
-    assert!(approx_eq(&without.z, &reference, 1e-9));
+    assert!(with_tailors.z == reference);
+    assert!(without.z == reference);
     println!(
         "co-citation matrix: {} nonzero pairs (verified against reference)",
         with_tailors.z.nnz()

@@ -5,7 +5,7 @@
 use tailors::sim::functional::{run_with_threads, FunctionalConfig};
 use tailors::sim::threads_from_env;
 use tailors::sim::{ArchConfig, GridMode, MemBudget, Variant};
-use tailors::tensor::ops::{approx_eq, spmspm_a_at};
+use tailors::tensor::ops::spmspm_a_at;
 use tailors::tensor::tiling::RowPanels;
 
 const TINY: f64 = 1.0 / 512.0;
@@ -30,7 +30,7 @@ fn functional_engine_is_correct_on_every_workload_family() {
         let result = run_with_threads(&a, &config, threads_from_env()).expect("functional run");
         let reference = spmspm_a_at(&a);
         assert!(
-            approx_eq(&result.z, &reference, 1e-9),
+            result.z == reference,
             "{name}: functional output diverged from reference"
         );
     }
@@ -202,7 +202,10 @@ fn tailors_never_worse_than_buffets() {
             threads_from_env(),
         )
         .expect("buffet run");
-        assert!(approx_eq(&tailors.z, &buffets.z, 1e-9));
+        assert!(
+            tailors.z == buffets.z,
+            "rows_a {rows_a}: Tailors and buffets diverged"
+        );
         assert!(tailors.dram_a_fetches <= buffets.dram_a_fetches);
     }
 }
