@@ -119,13 +119,12 @@ pub fn simulate_suite(scale: f64) -> Vec<SuiteRun> {
 /// of magnitude (Table 2 runs from 63 k- to 2 M-row tensors), so a uniform
 /// split leaves every thread but the one holding the giants idle —
 /// cost-shaped bins are what actually separates the parallel and serial
-/// curves (the vendored rayon never steals work).
+/// curves ([`run_balanced`] runs one thread per bin and never steals work).
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`.
 pub fn simulate_suite_with_threads(scale: f64, threads: usize) -> Vec<SuiteRun> {
-    assert!(threads > 0, "thread count must be positive");
     let arch = arch_at(scale);
     let one = |wl: &Workload| {
         let (workload, profile) = profile_at(wl, scale);

@@ -24,11 +24,6 @@ use tailors_tensor::MatrixProfile;
 
 use crate::CoreError;
 
-/// Sample-count floor below which occupancy lookups stay serial: each
-/// lookup is an O(1) prefix-sum difference, so fanning out only pays for
-/// itself on large sample sets (full-population sweeps over fine tilings).
-const PARALLEL_SAMPLE_THRESHOLD: usize = 4_096;
-
 /// Configuration for a Swiftiles estimation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwiftilesConfig {
@@ -154,30 +149,20 @@ impl Swiftiles {
         let t_initial = (capacity as f64 / density).ceil() as u64;
         let rows_initial = rows_for_size(profile, t_initial);
 
-        // Step 2: sample tile occupancies at T_initial. The tile *indices*
-        // are drawn serially from the seeded RNG (so the draw sequence —
-        // and therefore the estimate — is identical at every thread
-        // count), then the independent occupancy lookups fan out across
-        // the rayon substrate with an order-preserving collect.
+        // Step 2: sample tile occupancies at T_initial. The tile indices
+        // are drawn from the seeded RNG, and each occupancy is an O(1)
+        // prefix-sum difference, so the whole step is one serial pass.
         let panels = RowPanels::new(profile, rows_initial);
         let n_tiles = panels.n_tiles();
         let budget = self.config.sample_budget(n_tiles);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5317_F71E_5EED_0001);
-        let indices: Vec<usize> = if budget >= n_tiles {
-            (0..n_tiles).collect()
+        let samples: Vec<u64> = if budget >= n_tiles {
+            (0..n_tiles).map(|i| panels.occupancy(i)).collect()
         } else {
-            (0..budget).map(|_| rng.gen_range(0..n_tiles)).collect()
+            (0..budget)
+                .map(|_| panels.occupancy(rng.gen_range(0..n_tiles)))
+                .collect()
         };
-        let samples: Vec<u64> =
-            if indices.len() >= PARALLEL_SAMPLE_THRESHOLD && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                indices
-                    .into_par_iter()
-                    .map(|i| panels.occupancy(i))
-                    .collect()
-            } else {
-                indices.into_iter().map(|i| panels.occupancy(i)).collect()
-            };
         let sampling_nnz_touched = samples.iter().sum();
 
         // Step 3: scale so the y-tail quantile exactly fills the buffer.
@@ -297,35 +282,6 @@ mod tests {
         let c = Swiftiles::new(config.seed(4)).estimate(&profile, 1_024);
         // Different seeds may sample different tiles (targets may differ).
         assert_eq!(a.t_initial, c.t_initial);
-    }
-
-    #[test]
-    fn estimation_is_identical_across_thread_counts() {
-        // Tiny capacity → single-digit-row panels → >10k tiles, so the
-        // full-population sweep crosses PARALLEL_SAMPLE_THRESHOLD and
-        // genuinely fans out; the random-subsample path is pinned too.
-        let profile = test_profile();
-        for config in [
-            SwiftilesConfig::new(0.1, 10).unwrap().sample_all(),
-            SwiftilesConfig::new(0.05, 300).unwrap().seed(9),
-        ] {
-            let in_pool = |threads: usize| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap()
-                    .install(|| Swiftiles::new(config).estimate(&profile, 16))
-            };
-            let serial = in_pool(1);
-            assert!(
-                serial.samples.len() >= 4_096,
-                "test must exercise the parallel path ({} samples)",
-                serial.samples.len()
-            );
-            for threads in [2, 5] {
-                assert_eq!(serial, in_pool(threads), "threads={threads}");
-            }
-        }
     }
 
     #[test]

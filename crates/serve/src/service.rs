@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use tailors_sim::functional::{run_with_threads, EngineError, FunctionalConfig, FunctionalResult};
 use tailors_sim::{
-    run_balanced, ArchConfig, ExecutionPlan, GridMode, MemBudget, RunMetrics, TilePlan, Variant,
+    balanced_partition, run_bins, ArchConfig, ExecutionPlan, GridMode, MemBudget, RunMetrics,
+    TilePlan, Variant,
 };
 use tailors_tensor::{CsrMatrix, MatrixProfile};
 use tailors_workloads::{generate_cached, Workload};
@@ -466,9 +467,10 @@ impl SimService {
     /// Serves a whole batch across `threads` workers. Requests are grouped
     /// by workload spec, and the groups — each costing the sum of its
     /// requests' `request_cost`s — fill cost-balanced LPT bins
-    /// ([`balanced_partition`](tailors_sim::balanced_partition), the same
-    /// scheduler the functional engine and the bench suite use). A bin
-    /// serves each of its groups in request order, so every spec's
+    /// ([`balanced_partition`], the same scheduler the functional engine
+    /// and the bench suite use), one thread per bin through [`run_bins`];
+    /// with one thread, the groups run inline in first-appearance order.
+    /// A bin serves each of its groups in request order, so every spec's
     /// pattern stream runs once, on its first request, instead of once
     /// per thread its requests landed on. Responses come back in request
     /// order and their payloads are bit-identical for every thread count.
@@ -482,22 +484,19 @@ impl SimService {
             reqs.iter()
                 .map(|r| (&r.workload, request_cost(&r.workload, r.variant))),
         );
-        let served = run_balanced(groups.len(), &costs, threads, |g| {
-            groups[g]
-                .iter()
-                .map(|&i| self.submit(&reqs[i]))
-                .collect::<Vec<_>>()
-        });
-        let mut slots: Vec<Option<SimResponse>> = vec![None; reqs.len()];
-        for (group, responses) in groups.iter().zip(served) {
-            for (&i, resp) in group.iter().zip(responses) {
-                slots[i] = Some(resp);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every request lands in exactly one group"))
-            .collect()
+        let bins: Vec<Vec<usize>> = if threads == 1 {
+            vec![groups.concat()]
+        } else {
+            balanced_partition(&costs, threads)
+                .into_iter()
+                .map(|bin| {
+                    bin.into_iter()
+                        .flat_map(|g| groups[g].iter().copied())
+                        .collect()
+                })
+                .collect()
+        };
+        run_bins(reqs.len(), &bins, |i| self.submit(&reqs[i]))
     }
 
     /// Serves one analytical request for a raw matrix (no workload spec):

@@ -49,7 +49,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use tailors_sim::balanced_partition;
+use tailors_sim::{balanced_partition, run_bins};
 use tailors_tensor::fnv1a;
 
 use crate::runtime::{Reply, RetryPolicy, ServeError, Work};
@@ -446,9 +446,9 @@ impl ShardRouter {
     /// uses. A bin serves each of its specs' requests in order, so one
     /// spec's variants reach one connection and its pattern stream runs
     /// once on the shard. Every (shard, connection) bin runs on its own
-    /// thread, and outcomes reassemble in request order — so the reply
-    /// sequence is bit-identical to a single process serving the same
-    /// batch.
+    /// thread through [`run_bins`] (a lone bin runs on the caller), and
+    /// outcomes reassemble in request order — so the reply sequence is
+    /// bit-identical to a single process serving the same batch.
     pub fn submit_batch(&self, works: &[Work]) -> Vec<Result<Reply, ServeError>> {
         let (specs, costs) = group_by_spec(works.iter().map(|work| {
             let cost = match work {
@@ -465,34 +465,18 @@ impl ShardRouter {
         for (s, spec) in specs.iter().enumerate() {
             groups[self.primary(&works[spec[0]])].push(s);
         }
-        let mut slots_out: Vec<Option<Result<Reply, ServeError>>> = Vec::new();
-        slots_out.resize_with(works.len(), || None);
-        let outcomes = PoisonFreeMutex::new(slots_out);
-        std::thread::scope(|scope| {
-            for group in &groups {
-                if group.is_empty() {
-                    continue;
-                }
-                let group_costs: Vec<u128> = group.iter().map(|&s| costs[s]).collect();
-                for bin in balanced_partition(&group_costs, self.config.connections.max(1)) {
-                    let (group, specs, outcomes) = (group.as_slice(), &specs, &outcomes);
-                    scope.spawn(move || {
-                        for local in bin {
-                            for &i in &specs[group[local]] {
-                                let outcome = self.submit(&works[i]);
-                                outcomes.lock()[i] = Some(outcome);
-                            }
-                        }
-                    });
-                }
+        let mut bins: Vec<Vec<usize>> = Vec::new();
+        for group in &groups {
+            let group_costs: Vec<u128> = group.iter().map(|&s| costs[s]).collect();
+            for bin in balanced_partition(&group_costs, self.config.connections.max(1)) {
+                bins.push(
+                    bin.into_iter()
+                        .flat_map(|local| specs[group[local]].iter().copied())
+                        .collect(),
+                );
             }
-        });
-        let results: Vec<Result<Reply, ServeError>> = outcomes
-            .lock()
-            .drain(..)
-            .map(|slot| slot.expect("every batch index is owned by exactly one bin"))
-            .collect();
-        results
+        }
+        run_bins(works.len(), &bins, |i| self.submit(&works[i]))
     }
 
     /// Down flags by member id.

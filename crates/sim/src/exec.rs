@@ -187,12 +187,11 @@ impl core::fmt::Display for GridMode {
 /// into the currently lightest bin). Deterministic: ties break on the
 /// lower bin index, equal costs on the lower item index.
 ///
-/// The functional engine and the bench suite both fan work out as one
-/// OS-thread chunk per bin (the vendored rayon splits contiguously and
-/// never steals), so cost-shaped bins — not uniform splits — are what
-/// actually balances skewed workloads. Callers must reassemble results in
-/// item order; every partition of independent items yields bit-identical
-/// results.
+/// Every fan-out in the workspace runs its bins through [`run_bins`], one
+/// OS thread per bin with no work stealing, so cost-shaped bins — not
+/// uniform splits — are what actually balances skewed workloads. Callers
+/// must reassemble results in item order; every partition of independent
+/// items yields bit-identical results.
 ///
 /// # Panics
 ///
@@ -216,36 +215,67 @@ pub fn balanced_partition(costs: &[u128], bins: usize) -> Vec<Vec<usize>> {
     groups
 }
 
+/// Runs `job` over `bins` of item indices, one scoped OS thread per bin
+/// (a single bin runs inline on the calling thread), each bin in its own
+/// order, and returns the results *in item order* `0..n_items`. This is
+/// the workspace's one thread fan-out: [`run_balanced`], the service's
+/// batch path and the shard router's all schedule through it.
+///
+/// # Panics
+///
+/// Panics if an item of `0..n_items` is in no bin or in two, or a bin
+/// holds an index `>= n_items`. A panic in `job` resumes on the caller
+/// with its payload.
+pub fn run_bins<R: Send>(
+    n_items: usize,
+    bins: &[Vec<usize>],
+    job: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let run = |bin: &[usize]| bin.iter().map(|&i| job(i)).collect::<Vec<R>>();
+    let per_bin: Vec<Vec<R>> = if let [bin] = bins {
+        vec![run(bin)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = bins.iter().map(|bin| s.spawn(|| run(bin))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    };
+    let mut slots: Vec<Option<R>> = (0..n_items).map(|_| None).collect();
+    for (bin, results) in bins.iter().zip(per_bin) {
+        for (&i, r) in bin.iter().zip(results) {
+            assert!(slots[i].replace(r).is_none(), "item {i} is in two bins");
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every item lands in exactly one bin"))
+        .collect()
+}
+
 /// Fans `n_items` work items out over `threads` cost-balanced
-/// [`balanced_partition`] bins (one contiguous chunk per thread — the
-/// vendored rayon never steals) and returns `job`'s results *in item
-/// order*, so any partition yields bit-identical output. The functional
-/// engine schedules panels and grid units through this, and the bench
-/// suite its 22 workloads.
+/// [`balanced_partition`] bins through [`run_bins`] and returns `job`'s
+/// results *in item order*, so any partition yields bit-identical output.
+/// With one thread or at most one item, the items run inline in index
+/// order. The functional engine schedules panels and grid units through
+/// this, and the bench suite its 22 workloads.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, and as [`run_bins`] if `job` panics.
 pub fn run_balanced<R: Send>(
     n_items: usize,
     costs: &[u128],
     threads: usize,
     job: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
+    assert!(threads > 0, "thread count must be positive");
     if threads == 1 || n_items <= 1 {
         return (0..n_items).map(job).collect();
     }
-    use rayon::prelude::*;
-    let bins = balanced_partition(costs, threads);
-    let per_bin: Vec<Vec<(usize, R)>> = crate::in_thread_pool(threads, || {
-        bins.into_par_iter()
-            .map(|bin| bin.into_iter().map(|i| (i, job(i))).collect())
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..n_items).map(|_| None).collect();
-    for (i, r) in per_bin.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item lands in exactly one bin"))
-        .collect()
+    run_bins(n_items, &balanced_partition(costs, threads), job)
 }
 
 /// One work unit of an [`ExecutionPlan`]: the intersection of a stationary
@@ -844,6 +874,65 @@ mod tests {
         // Zero costs still place every item.
         let zeros = balanced_partition(&[0, 0, 0], 2);
         assert_eq!(zeros.iter().flatten().count(), 3);
+    }
+
+    #[test]
+    fn run_balanced_returns_item_order_at_every_thread_count() {
+        // Skewed: every fifth item is 1000× heavier than its neighbours.
+        let costs: Vec<u128> = (0..23)
+            .map(|i| if i % 5 == 0 { 1_000 } else { i })
+            .collect();
+        let job = |i: usize| (i, (i as f64).sqrt());
+        for n in [0, 1, 2, 23] {
+            let serial: Vec<_> = (0..n).map(job).collect();
+            for threads in [1, 2, 3, 7] {
+                let out = run_balanced(n, &costs[..n], threads, job);
+                assert_eq!(out, serial, "n_items={n} threads={threads}");
+                // One thread per bin: as many distinct threads as bins.
+                let ids: std::collections::HashSet<_> =
+                    run_balanced(n, &costs[..n], threads, |_| std::thread::current().id())
+                        .into_iter()
+                        .collect();
+                assert_eq!(ids.len(), n.min(threads), "n_items={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job boom")]
+    fn run_balanced_propagates_a_job_panic() {
+        run_balanced(8, &[1; 8], 4, |i| {
+            assert!(i != 5, "job boom");
+            i
+        });
+    }
+
+    #[test]
+    fn run_balanced_rejects_zero_threads_for_every_item_count() {
+        for n in [0, 1, 2, 23] {
+            let costs = vec![1; n];
+            let err = std::panic::catch_unwind(|| run_balanced(n, &costs, 0, |i| i))
+                .expect_err("threads == 0 must panic");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "thread count must be positive", "n_items={n}");
+        }
+    }
+
+    #[test]
+    fn run_bins_runs_one_bin_on_the_caller_in_item_order() {
+        let caller = std::thread::current().id();
+        let out = run_bins(3, &[vec![2, 0, 1]], |i| (i, std::thread::current().id()));
+        assert_eq!(out, vec![(0, caller), (1, caller), (2, caller)]);
+        let spawned = run_bins(3, &[vec![2], vec![0, 1]], |_| std::thread::current().id());
+        assert!(spawned.iter().all(|&id| id != caller));
+        assert_eq!(spawned[0], spawned[1]);
+        assert_ne!(spawned[0], spawned[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 1 is in two bins")]
+    fn run_bins_rejects_an_item_in_two_bins() {
+        run_bins(2, &[vec![0, 1], vec![1]], |i| i);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Row panels of `A` produce disjoint row ranges of `Z`, so panels execute
 //! independently — serially in deterministic order with `threads == 1`, or
-//! fanned out across a rayon pool with [`run_with_threads`]. Within a
+//! fanned out over scoped threads with [`run_with_threads`]. Within a
 //! panel the engine walks CSR row slices directly (the stationary tile is
 //! never materialized as a coordinate list), once per column block in
 //! Gustavson order: each panel element keeps a cursor into its B row,
@@ -943,7 +943,7 @@ mod tests {
     use tailors_tensor::gen::GenSpec;
     use tailors_tensor::ops::spmspm_a_at;
 
-    /// The engine on every thread rayon advertises.
+    /// The engine on the default thread count (`rayon::current_num_threads`).
     fn run(a: &CsrMatrix, config: &FunctionalConfig) -> Result<FunctionalResult, EngineError> {
         run_with_threads(a, config, rayon::current_num_threads())
     }

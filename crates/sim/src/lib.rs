@@ -53,7 +53,7 @@ pub mod variants;
 pub use arch::{ArchConfig, ArchKey};
 pub use dataflow::{simulate, simulate_planned};
 pub use exec::{
-    balanced_partition, run_balanced, AutoPlanner, BufferParams, ExecutionPlan, GridMode,
+    balanced_partition, run_balanced, run_bins, AutoPlanner, BufferParams, ExecutionPlan, GridMode,
     MemBudget, PlanCost, PlanUnit, ScratchStats,
 };
 
@@ -78,21 +78,6 @@ pub fn threads_from_env() -> usize {
     }
 }
 
-/// Runs `f` with a rayon pool of exactly `threads` workers active: the
-/// ambient pool when it already has that width (no setup cost), otherwise
-/// a pool built for the call. Shared by the functional engine and the
-/// bench suite driver so the dispatch policy lives in one place.
-pub fn in_thread_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    if threads == rayon::current_num_threads() {
-        f()
-    } else {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool construction cannot fail in the vendored shim")
-            .install(f)
-    }
-}
 pub use energy::{ActivityCounts, EnergyModel};
 pub use metrics::{DramBreakdown, ReuseStats, RunMetrics};
 pub use plan::TilePlan;

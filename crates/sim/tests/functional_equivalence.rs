@@ -1,7 +1,7 @@
 //! Property tests: the rewritten functional engine (CSR-slice walking
 //! once per column block with one B-row cursor per panel element,
 //! bitmask-blocked dense panel scratch,
-//! cost-balanced rayon fan-out, memory-governed column blocking) is
+//! cost-balanced thread fan-out, memory-governed column blocking) is
 //! bit-identical to the retained seed engine on arbitrary inputs and
 //! configurations — output matrix, DRAM traffic counts and
 //! overbooked-tile counts alike; a budgeted column-split run is

@@ -1,368 +1,20 @@
-//! Offline, API-compatible shim for the subset of `rayon` this workspace
-//! uses: `into_par_iter().map(..).collect()`, `par_iter()`, `join`, and
-//! `ThreadPoolBuilder::num_threads(..).build().install(..)`.
-//!
-//! Execution model: eager fork-join on `std::thread::scope`. Work is split
-//! into one contiguous chunk per thread, each chunk is mapped on its own OS
-//! thread, and results are concatenated in input order — so `collect()`
-//! ordering (and therefore every floating-point accumulation order built on
-//! it) is identical to the serial path, whatever the thread count.
-//!
-//! Thread count resolution order: an active [`ThreadPool::install`] scope,
-//! then the `RAYON_NUM_THREADS` environment variable, then
-//! `std::thread::available_parallelism()`. Worker threads run nested
-//! parallel calls serially (no work stealing), which bounds thread fan-out
-//! at one level.
+//! Offline shim for the one `rayon` item this workspace uses:
+//! [`current_num_threads`], the default worker count. Every fan-out runs
+//! on `tailors_sim::exec::run_bins` (scoped `std::thread`s), not here.
 
 #![forbid(unsafe_code)]
 
-use std::cell::Cell;
-
-thread_local! {
-    /// Per-thread override installed by [`ThreadPool::install`]; workers run
-    /// with an override of 1 so nested parallelism stays bounded.
-    static NUM_THREADS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The number of threads parallel iterators will currently fan out to.
+/// The default worker-thread count: the `RAYON_NUM_THREADS` environment
+/// variable when it holds a positive integer, otherwise
+/// `std::thread::available_parallelism()` (1 if that is unknown).
 pub fn current_num_threads() -> usize {
-    if let Some(n) = NUM_THREADS_OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    if let Ok(s) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-fn with_num_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let prev = NUM_THREADS_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
-    let result = f();
-    NUM_THREADS_OVERRIDE.with(|c| c.set(prev));
-    result
-}
-
-/// Runs `a` and `b`, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(|| with_num_threads(1, b));
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        (ra, rb)
-    })
-}
-
-/// Error building a thread pool (the shim never fails; kept for API parity).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl core::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder for a [`ThreadPool`].
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// A fresh builder with default settings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fixes the pool's thread count (`0` means "automatic", like rayon).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
-    }
-
-    /// Builds the pool.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in the shim; the `Result` mirrors rayon's signature.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let n = match self.num_threads {
-            Some(0) | None => {
-                // "Automatic": resolve now so install() pins a stable count.
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            }
-            Some(n) => n,
-        };
-        Ok(ThreadPool { num_threads: n })
-    }
-}
-
-/// A logical thread pool: parallel calls inside [`ThreadPool::install`] fan
-/// out to its thread count.
-#[derive(Debug)]
-pub struct ThreadPool {
-    num_threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `f` with this pool's thread count active.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        with_num_threads(self.num_threads, f)
-    }
-
-    /// This pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-}
-
-/// Maps `f` over `items` on up to [`current_num_threads`] threads,
-/// preserving input order in the output.
-fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n_threads = current_num_threads().min(items.len().max(1));
-    if n_threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = items.len().div_ceil(n_threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(n_threads);
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    let f = &f;
-    let mut out: Vec<R> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                s.spawn(move || {
-                    with_num_threads(1, || chunk.into_iter().map(f).collect::<Vec<R>>())
-                })
-            })
-            .collect();
-        for h in handles {
-            let part = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            out.extend(part);
-        }
-    });
-    out
-}
-
-pub mod iter {
-    //! Parallel iterator types.
-
-    use super::parallel_map;
-
-    /// Conversion into a parallel iterator over owned items.
-    pub trait IntoParallelIterator {
-        /// The element type.
-        type Item: Send;
-        /// Starts the parallel pipeline.
-        fn into_par_iter(self) -> ParIter<Self::Item>;
-    }
-
-    impl<T: Send> IntoParallelIterator for Vec<T> {
-        type Item = T;
-        fn into_par_iter(self) -> ParIter<T> {
-            ParIter { items: self }
-        }
-    }
-
-    impl IntoParallelIterator for core::ops::Range<usize> {
-        type Item = usize;
-        fn into_par_iter(self) -> ParIter<usize> {
-            ParIter {
-                items: self.collect(),
-            }
-        }
-    }
-
-    /// Conversion into a parallel iterator over borrowed items.
-    pub trait IntoParallelRefIterator<'a> {
-        /// The borrowed element type.
-        type Item: Send + 'a;
-        /// Starts the parallel pipeline over references.
-        fn par_iter(&'a self) -> ParIter<Self::Item>;
-    }
-
-    impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-        type Item = &'a T;
-        fn par_iter(&'a self) -> ParIter<&'a T> {
-            ParIter {
-                items: self.iter().collect(),
-            }
-        }
-    }
-
-    impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-        type Item = &'a T;
-        fn par_iter(&'a self) -> ParIter<&'a T> {
-            ParIter {
-                items: self.iter().collect(),
-            }
-        }
-    }
-
-    /// A materialized parallel iterator (the shim is eager, so this simply
-    /// owns the items).
-    pub struct ParIter<T: Send> {
-        items: Vec<T>,
-    }
-
-    impl<T: Send> ParIter<T> {
-        /// Maps each element through `f`.
-        pub fn map<R, F>(self, f: F) -> ParMap<T, R, F>
-        where
-            R: Send,
-            F: Fn(T) -> R + Sync,
-        {
-            ParMap {
-                items: self.items,
-                f,
-                _r: core::marker::PhantomData,
-            }
-        }
-
-        /// Collects the items without mapping.
-        pub fn collect<C: From<Vec<T>>>(self) -> C {
-            C::from(self.items)
-        }
-    }
-
-    /// A mapped parallel pipeline; work happens in [`ParMap::collect`] or
-    /// [`ParMap::for_each`].
-    pub struct ParMap<T: Send, R: Send, F: Fn(T) -> R + Sync> {
-        items: Vec<T>,
-        f: F,
-        _r: core::marker::PhantomData<fn() -> R>,
-    }
-
-    impl<T, R, F> ParMap<T, R, F>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        /// Runs the pipeline across threads and collects in input order.
-        pub fn collect<C>(self) -> C
-        where
-            C: From<Vec<R>>,
-        {
-            C::from(parallel_map(self.items, self.f))
-        }
-
-        /// Runs the pipeline for its side effects.
-        pub fn for_each(self) {
-            let _ = parallel_map(self.items, self.f);
-        }
-    }
-}
-
-pub mod prelude {
-    //! One-stop imports, mirroring `rayon::prelude`.
-
-    pub use crate::iter::{IntoParallelIterator, IntoParallelRefIterator};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use super::*;
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<usize> = (0..1000).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v.len(), 1000);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i * 2));
-    }
-
-    #[test]
-    fn vec_and_slice_sources() {
-        let data = vec![3u64, 1, 4, 1, 5];
-        let doubled: Vec<u64> = data.clone().into_par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![6, 2, 8, 2, 10]);
-        let sums: Vec<u64> = data.par_iter().map(|&x| x + 1).collect();
-        assert_eq!(sums, vec![4, 2, 5, 2, 6]);
-    }
-
-    #[test]
-    fn install_pins_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        pool.install(|| {
-            assert_eq!(current_num_threads(), 3);
-            let v: Vec<usize> = (0..10).into_par_iter().map(|i| i).collect();
-            assert_eq!(v, (0..10).collect::<Vec<_>>());
-        });
-        let single = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        single.install(|| assert_eq!(current_num_threads(), 1));
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_string());
-        assert_eq!(a, 2);
-        assert_eq!(b, "x");
-    }
-
-    #[test]
-    fn results_identical_across_thread_counts() {
-        let run = |n| {
-            let pool = ThreadPoolBuilder::new().num_threads(n).build().unwrap();
-            pool.install(|| {
-                (0..500)
-                    .into_par_iter()
-                    .map(|i| (i as f64).sqrt())
-                    .collect::<Vec<f64>>()
-            })
-        };
-        let serial = run(1);
-        for n in [2, 4, 7] {
-            assert_eq!(serial, run(n));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_panics_propagate() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        pool.install(|| {
-            let _: Vec<usize> = (0..100)
-                .into_par_iter()
-                .map(|i| {
-                    if i == 63 {
-                        panic!("worker boom");
-                    }
-                    i
-                })
-                .collect();
-        });
-    }
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
 }
